@@ -83,7 +83,6 @@ fn flood_metas(n: usize) -> Vec<TcpMeta> {
             payload_len: 0,
             timestamps: None,
             timestamp: Timestamp::from_nanos(i as u64 * 20_000),
-            rss_hash: 0,
         })
         .collect()
 }

@@ -1,6 +1,6 @@
 //! Machine-readable flow-table benchmark: times the E9 regimes (lookup,
 //! SYN-flood insert churn) for the baseline `ExpiringTable` and the
-//! RSS-native `FlowTable`, the end-to-end handshake tracker, plus
+//! slab-backed `FlowTable`, the end-to-end handshake tracker, plus
 //! the E2 worker-stage guard (classify + track over raw frames) and a
 //! steady-state allocation count, and writes `BENCH_flowtable.json`.
 //!
@@ -35,7 +35,7 @@ fn flows(n: usize) -> Vec<(u32, FlowKey)> {
             ]));
             let dst = IpAddress::V4(ipv4::Address([100, 64, 0, 1]));
             let (key, _) = FlowKey::from_tuple(src, dst, 40_000 + (i % 20_000) as u16, 443);
-            (key.mix_hash(), key)
+            (key.table_hash(), key)
         })
         .collect()
 }

@@ -195,7 +195,6 @@ mod tests {
             payload_len: 100,
             timestamps: ts,
             timestamp: Timestamp::from_micros(t_us),
-            rss_hash: 0,
         }
     }
 

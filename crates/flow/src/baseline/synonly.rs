@@ -131,7 +131,6 @@ mod tests {
             payload_len: 0,
             timestamps: None,
             timestamp: Timestamp::from_micros(t_us),
-            rss_hash: 0,
         }
     }
 

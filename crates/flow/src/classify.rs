@@ -4,7 +4,10 @@
 //! [`classify`] turns a raw Ethernet frame into the compact [`TcpMeta`] the
 //! tracker and the baselines consume, rejecting everything that cannot carry
 //! handshake information with a precise [`Reject`] reason (counted by the
-//! pipeline's statistics).
+//! pipeline's statistics). [`classify_mbuf`] is the same function on a
+//! received buffer: a [`TcpMeta`] holds only what the frame and its arrival
+//! time say, so raw-frame tests and the pipeline key the flow tables
+//! identically.
 
 use ruru_nic::Timestamp;
 use ruru_wire::{ethernet, ipv4, ipv6, tcp, IpAddress};
@@ -113,12 +116,6 @@ pub struct TcpMeta {
     pub timestamps: Option<(u32, u32)>,
     /// Arrival timestamp from the RX path.
     pub timestamp: Timestamp,
-    /// The NIC's 32-bit symmetric Toeplitz RSS hash for this packet, or 0
-    /// when the frame did not come through an RX descriptor (raw
-    /// [`classify`] callers). The flow table keys on this hash directly;
-    /// consumers fall back to [`crate::key::FlowKey::mix_hash`] when it is
-    /// 0, which is direction-consistent either way.
-    pub rss_hash: u32,
 }
 
 impl TcpMeta {
@@ -166,7 +163,6 @@ fn classify_tcp(
         payload_len: payload.len() - seg.header_len(),
         timestamps: parse_tcp_options(&seg),
         timestamp,
-        rss_hash: 0,
     })
 }
 
@@ -224,15 +220,10 @@ pub fn classify(frame: &[u8], timestamp: Timestamp, mode: ChecksumMode) -> Resul
     }
 }
 
-/// Classify a received [`ruru_nic::Mbuf`], carrying the NIC-computed RSS
-/// hash from the RX descriptor into the [`TcpMeta`] so the flow table can
-/// key on it directly instead of re-hashing the 4-tuple.
+/// Classify a received [`ruru_nic::Mbuf`]: its bytes, stamped with its RX
+/// arrival time.
 pub fn classify_mbuf(mbuf: &ruru_nic::Mbuf, mode: ChecksumMode) -> Result<TcpMeta, Reject> {
-    // account-ok: the `?` propagates a typed `Reject` cause; the engine
-    // catch-site records it per-cause before dropping the packet.
-    let mut meta = classify(mbuf.data(), mbuf.timestamp, mode)?;
-    meta.rss_hash = mbuf.rss_hash;
-    Ok(meta)
+    classify(mbuf.data(), mbuf.timestamp, mode)
 }
 
 #[cfg(test)]
@@ -332,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_mbuf_carries_the_rss_hash() {
+    fn classify_mbuf_classifies_the_bytes_at_the_rx_timestamp() {
         let frame = build_v4_frame(
             [10, 0, 0, 1],
             [10, 0, 0, 2],
@@ -342,17 +333,22 @@ mod tests {
             1000,
             0,
             &[],
-            None,
+            Some((111, 0)),
         );
         let mut mbuf = ruru_nic::Mbuf::from_bytes(&frame);
-        mbuf.rss_hash = 0xdead_beef;
         mbuf.timestamp = Timestamp::from_micros(7);
         let meta = classify_mbuf(&mbuf, ChecksumMode::Validate).unwrap();
-        assert_eq!(meta.rss_hash, 0xdead_beef);
-        assert_eq!(meta.timestamp.as_micros(), 7);
-        // The raw-frame path reports no hash.
-        let raw = classify(&frame, Timestamp::ZERO, ChecksumMode::Validate).unwrap();
-        assert_eq!(raw.rss_hash, 0);
+        let raw = classify(&frame, Timestamp::from_micros(7), ChecksumMode::Validate).unwrap();
+        assert_eq!(meta, raw);
+        // A corrupted buffer is rejected the same way on both paths.
+        let mut bad = frame.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0xff;
+        let bad_mbuf = ruru_nic::Mbuf::from_bytes(&bad);
+        assert_eq!(
+            classify_mbuf(&bad_mbuf, ChecksumMode::Validate),
+            classify(&bad, Timestamp::ZERO, ChecksumMode::Validate)
+        );
     }
 
     #[test]

@@ -105,12 +105,6 @@ pub struct HandshakeTracker {
     queue_id: u16,
     stats: TrackerStats,
     last_seen: Timestamp,
-    /// Per-burst staging for route hashes, so each packet's hash is
-    /// computed exactly once (prefetch + state machine) without allocating
-    /// per burst. Only the hash is staged: recomputing the canonical key is
-    /// a couple of compares, while the software-hash fallback is the
-    /// expensive part.
-    burst_scratch: Vec<u32>,
 }
 
 impl HandshakeTracker {
@@ -121,7 +115,6 @@ impl HandshakeTracker {
             queue_id,
             stats: TrackerStats::default(),
             last_seen: Timestamp::ZERO,
-            burst_scratch: Vec::new(),
         }
     }
 
@@ -139,28 +132,20 @@ impl HandshakeTracker {
     /// packet (emitting measurements through `emit`), and finish with an
     /// expiry sweep at the burst boundary.
     pub fn process_burst(&mut self, metas: &[TcpMeta], mut emit: impl FnMut(LatencyMeasurement)) {
-        // Stage 1: hash each packet's route once and prefetch its home
-        // bucket.
-        let mut staged = core::mem::take(&mut self.burst_scratch);
-        staged.clear();
-        // alloc-ok: burst_scratch is reused across bursts; reserve is a
-        // no-op once it has grown to the largest burst seen.
-        staged.reserve(metas.len());
+        // Stage 1: prefetch each packet's home bucket.
         for meta in metas {
-            let (key, _) = FlowKey::from_tuple(meta.src, meta.dst, meta.src_port, meta.dst_port);
-            let hash = key.route_hash(meta.rss_hash);
+            let hash = FlowKey::tuple_hash(meta.src, meta.dst, meta.src_port, meta.dst_port);
             self.table.prefetch(hash);
-            staged.push(hash);
         }
-        // Stage 2: the per-packet state machine against warmed lines,
-        // reusing the staged hashes instead of re-hashing.
-        for (&hash, meta) in staged.iter().zip(metas) {
+        // Stage 2: the per-packet state machine against warmed lines.
+        // Recomputing the hash (a few multiplies) keeps the burst loop free
+        // of per-burst state.
+        for meta in metas {
             let (key, dir) = FlowKey::from_tuple(meta.src, meta.dst, meta.src_port, meta.dst_port);
-            if let Some(m) = self.dispatch(hash, key, dir, meta) {
+            if let Some(m) = self.dispatch(key.table_hash(), key, dir, meta) {
                 emit(m);
             }
         }
-        self.burst_scratch = staged;
         // Stage 3: expiry at the burst boundary — O(1) while the oldest
         // entry is not yet due.
         if let Some(last) = metas.last() {
@@ -168,7 +153,7 @@ impl HandshakeTracker {
         }
     }
 
-    /// The state machine proper, with the route already resolved.
+    /// The state machine proper, with the key and its table hash resolved.
     fn dispatch(
         &mut self,
         hash: u32,
@@ -388,7 +373,6 @@ mod tests {
             payload_len: 0,
             timestamps: None,
             timestamp: Timestamp::from_micros(t_us),
-            rss_hash: 0,
         }
     }
 
@@ -651,30 +635,6 @@ mod tests {
         assert_eq!(per_packet_ms.len(), 1);
         assert_eq!(per_packet.stats(), burst.stats());
         assert_eq!(per_packet.in_flight(), burst.in_flight());
-    }
-
-    #[test]
-    fn nic_rss_hash_and_software_fallback_key_identically_per_flow() {
-        // A flow whose packets all carry the same NIC hash completes, and
-        // an (independent) flow with no NIC hash completes via mix_hash —
-        // both through the same table.
-        let mut tr = HandshakeTracker::new(0, TrackerConfig::default());
-        let c = ip(1);
-        let s = ip(2);
-        let mut syn = meta(c, s, 51000, 443, Flags::SYN, 1000, 0, 0);
-        let mut synack = meta(s, c, 443, 51000, Flags::SYN | Flags::ACK, 9000, 1001, 130_000);
-        let mut ack = meta(c, s, 51000, 443, Flags::ACK, 1001, 9001, 131_200);
-        // Symmetric RSS: both directions carry the same hash.
-        syn.rss_hash = 0x5a5a_1234;
-        synack.rss_hash = 0x5a5a_1234;
-        ack.rss_hash = 0x5a5a_1234;
-        assert!(tr.process(&syn).is_none());
-        assert!(tr.process(&synack).is_none());
-        let m = tr.process(&ack).expect("NIC-hashed flow measured");
-        assert_eq!(m.external_ns, 130_000_000);
-        // Software-fallback flow (rss_hash == 0 via the meta() helper).
-        let mut tr2 = HandshakeTracker::new(0, TrackerConfig::default());
-        assert!(run_handshake(&mut tr2).is_some());
     }
 
     #[test]

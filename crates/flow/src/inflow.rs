@@ -11,8 +11,8 @@
 //!   outstanding TSvals live **inline in the slab [`FlowTable`] entry**: a
 //!   fixed-size ring per direction ([`TSVAL_RING`] slots). One table entry
 //!   per flow, bounded per-flow state, zero steady-state allocations, and
-//!   the table reuses the NIC's RSS hash burst-style exactly like the
-//!   handshake tracker.
+//!   the table is keyed and prefetch-staged by `FlowKey::table_hash`
+//!   exactly like the handshake tracker's.
 //! * **Output** — the baseline emits one `RttSample` record per match. At
 //!   line rate that is one record per ACK; instead each sample is handed
 //!   to the caller's `on_sample`, and the engine folds it into the
@@ -219,9 +219,6 @@ pub struct InflowTracker {
     table: FlowTable<FlowKey, InflowEntry>,
     queue_id: u16,
     stats: InflowStats,
-    /// Per-burst staging for route hashes (same pattern as
-    /// `HandshakeTracker::burst_scratch`): hash once, prefetch, reuse.
-    burst_scratch: Vec<u32>,
 }
 
 impl InflowTracker {
@@ -231,7 +228,6 @@ impl InflowTracker {
             table: FlowTable::new(config.capacity, config.ttl_ns),
             queue_id,
             stats: InflowStats::default(),
-            burst_scratch: Vec::new(),
         }
     }
 
@@ -250,24 +246,16 @@ impl InflowTracker {
     /// per-queue registry histogram), and finish with an expiry sweep at
     /// the burst boundary.
     pub fn process_burst(&mut self, metas: &[TcpMeta], mut on_sample: impl FnMut(u64)) {
-        let mut staged = core::mem::take(&mut self.burst_scratch);
-        staged.clear();
-        // alloc-ok: burst_scratch is reused across bursts; reserve is a
-        // no-op once it has grown to the largest burst seen.
-        staged.reserve(metas.len());
         for meta in metas {
-            let (key, _) = FlowKey::from_tuple(meta.src, meta.dst, meta.src_port, meta.dst_port);
-            let hash = key.route_hash(meta.rss_hash);
+            let hash = FlowKey::tuple_hash(meta.src, meta.dst, meta.src_port, meta.dst_port);
             self.table.prefetch(hash);
-            staged.push(hash);
         }
-        for (&hash, meta) in staged.iter().zip(metas) {
+        for meta in metas {
             let (key, dir) = FlowKey::from_tuple(meta.src, meta.dst, meta.src_port, meta.dst_port);
-            if let Some(rtt_ns) = self.dispatch(hash, key, dir, meta) {
+            if let Some(rtt_ns) = self.dispatch(key.table_hash(), key, dir, meta) {
                 on_sample(rtt_ns);
             }
         }
-        self.burst_scratch = staged;
         if let Some(last) = metas.last() {
             self.housekeep(last.timestamp);
         }
@@ -398,7 +386,6 @@ mod tests {
             payload_len: 100,
             timestamps: ts,
             timestamp: Timestamp::from_micros(t_us),
-            rss_hash: 0,
         }
     }
 
@@ -633,19 +620,6 @@ mod tests {
         tr.process_burst(&[meta(ip(3), ip(4), 1, 2, Some((5, 0)), 2)], |_| {});
         assert_eq!(tr.stats().expired_flows, 1);
         assert_eq!(tr.flows_tracked(), 1);
-    }
-
-    #[test]
-    fn rss_hash_and_software_fallback_key_identically() {
-        let mut tr = InflowTracker::new(0, InflowConfig::default());
-        let c = ip(1);
-        let s = ip(2);
-        let mut send = meta(c, s, 5000, 443, Some((100, 0)), 0);
-        let mut echo = meta(s, c, 443, 5000, Some((900, 100)), 1_000);
-        send.rss_hash = 0x5a5a_1234;
-        echo.rss_hash = 0x5a5a_1234; // symmetric RSS: same hash both ways
-        tr.process(&send);
-        assert!(tr.process(&echo).is_some());
     }
 
     #[test]

@@ -40,6 +40,32 @@ pub struct FlowKey {
     pub b: (IpAddress, u16),
 }
 
+/// Fixed odd seeds xored into each fold's operands, so an all-zero key word
+/// (the high half of every IPv4 address) still multiplies by a non-zero
+/// value.
+const FOLD_SEED: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7345,
+    0xa409_3822_299f_31d1,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// One multiply-fold: the 128-bit product of `x` and `y`, halves xored.
+#[inline]
+fn fold(x: u64, y: u64) -> u64 {
+    let p = u128::from(x).wrapping_mul(u128::from(y));
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// One endpoint folded to 64 bits. The port goes into the address's low
+/// word above bit 47, which is zero for every IPv4 address.
+#[inline]
+fn endpoint_digest(addr: IpAddress, port: u16) -> u64 {
+    let [s0, s1, _, _] = FOLD_SEED;
+    let x = addr.as_u128();
+    fold(x as u64 ^ (u64::from(port) << 48) ^ s0, (x >> 64) as u64 ^ s1)
+}
+
 impl FlowKey {
     /// Build the canonical key for a packet seen as `src → dst`, returning
     /// the direction the packet travelled relative to the canonical order.
@@ -58,49 +84,31 @@ impl FlowKey {
         }
     }
 
-    /// A cheap direction-invariant hash of the canonical key: the software
-    /// fallback for packets carrying no NIC RSS hash (`rss_hash == 0`,
-    /// e.g. raw `classify` callers and generator-driven tests).
+    /// The hash the flow tables key on: a word-wise multiply-fold over the
+    /// key's two endpoints (each address as `u128`, plus its port).
     ///
-    /// Both directions of a connection canonicalize to the same key, so
-    /// they hash identically — the same guarantee the symmetric Toeplitz
-    /// key gives the hardware hash. FNV-1a over both endpoints, finished
-    /// with an avalanche so the low bits (consumed by the table's bucket
-    /// mask) are well mixed.
-    pub fn mix_hash(&self) -> u32 {
-        let mut h: u32 = 0x811c_9dc5;
-        for bytes in [
-            self.a.0.as_u128().to_be_bytes(),
-            self.b.0.as_u128().to_be_bytes(),
-        ] {
-            for &byte in bytes.iter() {
-                h = (h ^ byte as u32).wrapping_mul(0x0100_0193);
-            }
-        }
-        for port in [self.a.1, self.b.1] {
-            for &byte in port.to_be_bytes().iter() {
-                h = (h ^ byte as u32).wrapping_mul(0x0100_0193);
-            }
-        }
-        // Final avalanche (xorshift-multiply) for bucket-mask quality.
-        h ^= h >> 16;
-        h = h.wrapping_mul(0x7feb_352d);
-        h ^= h >> 15;
-        h
+    /// The two endpoint digests are combined commutatively (their xor times
+    /// their sum), so the hash is symmetric by construction: both
+    /// directions of a connection hash identically whichever order the
+    /// endpoints come in. Each fold is a full 64 × 64 → 128-bit product
+    /// with its halves xored together, so the low bits (the table's bucket
+    /// mask) and the high bits (its 1-byte tag) are independent functions
+    /// of every key bit. The seeds are fixed: this is not a keyed hash.
+    #[inline]
+    pub fn table_hash(&self) -> u32 {
+        Self::tuple_hash(self.a.0, self.b.0, self.a.1, self.b.1)
     }
 
-    /// The hash both trackers key their tables by: the NIC's symmetric
-    /// Toeplitz RSS hash when the packet carries one (`rss_hash != 0`),
-    /// else [`FlowKey::mix_hash`]. Both are direction-invariant, so the SYN
-    /// and the SYN-ACK of one flow always key identically, and a flow whose
-    /// packets carry no NIC hash falls back consistently.
+    /// [`FlowKey::table_hash`] of the flow a packet seen as `src → dst`
+    /// belongs to, without building its canonical key. The trackers'
+    /// prefetch pass uses it: canonicalizing the tuple there cost more than
+    /// the whole prefetch.
     #[inline]
-    pub(crate) fn route_hash(&self, rss_hash: u32) -> u32 {
-        if rss_hash != 0 {
-            rss_hash
-        } else {
-            self.mix_hash()
-        }
+    pub(crate) fn tuple_hash(src: IpAddress, dst: IpAddress, src_port: u16, dst_port: u16) -> u32 {
+        let [_, _, s2, s3] = FOLD_SEED;
+        let (x, y) = (endpoint_digest(src, src_port), endpoint_digest(dst, dst_port));
+        let h = fold(x ^ y ^ s2, x.wrapping_add(y) ^ s3);
+        (h ^ (h >> 32)) as u32
     }
 
     /// The `(src, dst, src_port, dst_port)` tuple as seen travelling in
@@ -176,13 +184,33 @@ mod tests {
     }
 
     #[test]
-    fn mix_hash_is_direction_invariant() {
+    fn table_hash_is_direction_invariant() {
         let (k1, _) = FlowKey::from_tuple(ip(10, 0, 0, 1), ip(10, 0, 0, 2), 40000, 443);
         let (k2, _) = FlowKey::from_tuple(ip(10, 0, 0, 2), ip(10, 0, 0, 1), 443, 40000);
-        assert_eq!(k1.mix_hash(), k2.mix_hash());
+        assert_eq!(k1.table_hash(), k2.table_hash());
         // Distinct flows spread.
         let (k3, _) = FlowKey::from_tuple(ip(10, 0, 0, 1), ip(10, 0, 0, 2), 40001, 443);
-        assert_ne!(k1.mix_hash(), k3.mix_hash());
+        assert_ne!(k1.table_hash(), k3.table_hash());
+    }
+
+    #[test]
+    fn tuple_hash_is_the_table_hash_in_either_direction() {
+        use rand::{Rng, SeedableRng};
+        use ruru_wire::ipv6;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for i in 0..1_000 {
+            let (src, dst) = if i % 2 == 0 {
+                let v4 = |x: u32| IpAddress::V4(ipv4::Address::from_u32(x));
+                (v4(rng.gen()), v4(rng.gen()))
+            } else {
+                let v6 = |x: u128| IpAddress::V6(ipv6::Address(x.to_be_bytes()));
+                (v6(rng.gen()), v6(rng.gen()))
+            };
+            let (sp, dp) = (rng.gen(), rng.gen());
+            let (key, _) = FlowKey::from_tuple(src, dst, sp, dp);
+            assert_eq!(FlowKey::tuple_hash(src, dst, sp, dp), key.table_hash());
+            assert_eq!(FlowKey::tuple_hash(dst, src, dp, sp), key.table_hash());
+        }
     }
 
     #[test]

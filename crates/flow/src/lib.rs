@@ -18,13 +18,14 @@
 //!   [`classify::TcpMeta`] the tracker consumes (with optional checksum
 //!   validation so corrupted packets can't pollute the tables).
 //! * [`key`] — direction-normalized flow keys, so both directions of a
-//!   connection address the same table entry.
+//!   connection address the same table entry, and
+//!   [`key::FlowKey::table_hash`], the one hash the tables key on.
 //! * [`table`] — the per-queue storage: a slab-backed open-addressing
-//!   table keyed directly by the NIC's symmetric Toeplitz RSS hash, with
-//!   intrusive-FIFO expiry and `rte_hash_lookup_bulk`-style prefetch
-//!   staging (per-queue sharding via symmetric RSS is what makes it
-//!   lock-free; reusing the RSS hash is what makes it allocation- and
-//!   SipHash-free).
+//!   table keyed by `table_hash`, with intrusive-FIFO expiry and
+//!   `rte_hash_lookup_bulk`-style prefetch staging. Per-queue sharding via
+//!   symmetric RSS is what makes it lock-free; the RSS hash itself only
+//!   picks the queue, because the symmetric key leaves it 16 bits of
+//!   entropy.
 //! * [`handshake`] — the SYN / SYN-ACK / ACK state machine and
 //!   [`handshake::HandshakeTracker`], the paper's measurement engine.
 //! * [`inflow`] — continuous in-flow RTT ([`inflow::InflowTracker`]):

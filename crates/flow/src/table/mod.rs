@@ -1,11 +1,14 @@
-//! The RSS-native per-queue flow store: a slab-backed open-addressing hash
-//! table with intrusive FIFO expiry and prefetch staging for burst loops.
+//! The per-queue flow store: a slab-backed open-addressing hash table with
+//! intrusive FIFO expiry and prefetch staging for burst loops.
 //!
-//! The paper tracks handshakes in "hash tables indexed by the RSS hash" —
-//! the NIC already computed a 32-bit symmetric Toeplitz hash for every
-//! packet (to pick its queue), so re-hashing the 4-tuple with SipHash on
-//! every table operation is pure waste. [`FlowTable`] is keyed directly by
-//! that carried hash, DPDK `rte_hash`-style:
+//! The paper tracks handshakes in "hash tables indexed by the RSS hash".
+//! This table does not: the symmetric Toeplitz key (`0x6d5a` repeated) has
+//! a 16-bit period, so a symmetric RSS hash is 16 bits written twice. Keyed
+//! on it, a 2²¹-bucket table would use only 65 536 home buckets and its tag
+//! would repeat the bucket's bits. Like DPDK's `rte_hash`, which computes
+//! its own hash instead of reusing the NIC's, the trackers key every
+//! operation on [`crate::key::FlowKey::table_hash`], a multiply-fold of
+//! the canonical key they store:
 //!
 //! * **Bucket array** — power-of-two length (≥ 2 × capacity, so load stays
 //!   ≤ 50 % and every probe chain ends at an empty bucket), linear probing,

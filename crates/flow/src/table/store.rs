@@ -38,14 +38,14 @@ enum Probe {
 }
 
 /// A bounded open-addressing hash table keyed by a caller-supplied 32-bit
-/// hash (the NIC's RSS hash), with FIFO time-based expiry.
+/// hash (the trackers pass [`crate::key::FlowKey::table_hash`]), with FIFO
+/// time-based expiry.
 ///
 /// Collisions on the full 32-bit hash are resolved by comparing keys, so
 /// correctness never depends on hash quality — only speed does. The caller
 /// must present the *same* hash for the same key on every operation (the
-/// tracker guarantees this: symmetric Toeplitz hashes are
-/// direction-invariant, and the software fallback hashes the canonical
-/// key).
+/// trackers do: they hash the canonical key, whichever way the packet
+/// travelled).
 pub struct FlowTable<K, V> {
     /// 1-byte tags, parallel to `buckets`. Only meaningful where the
     /// bucket is occupied.
@@ -654,6 +654,39 @@ mod tests {
         for k in 64..96u32 {
             assert_eq!(tbl.get(bad_hash(k), &k), Some(&k));
         }
+    }
+
+    #[test]
+    fn table_hash_keeps_probes_short_at_full_load() {
+        use crate::key::FlowKey;
+        use rand::{Rng, SeedableRng};
+        use ruru_wire::{ipv4, ipv6, IpAddress};
+
+        const CAPACITY: usize = 1 << 20;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut tbl: FlowTable<FlowKey, ()> = FlowTable::new(CAPACITY, u64::MAX);
+        for i in 0..CAPACITY {
+            let (src, dst) = if i % 2 == 0 {
+                let v4 = |x: u32| IpAddress::V4(ipv4::Address::from_u32(x));
+                (v4(rng.gen()), v4(rng.gen()))
+            } else {
+                let v6 = |x: u128| IpAddress::V6(ipv6::Address(x.to_be_bytes()));
+                (v6(rng.gen()), v6(rng.gen()))
+            };
+            let (key, _) = FlowKey::from_tuple(src, dst, rng.gen(), rng.gen());
+            tbl.insert(key.table_hash(), key, (), t(0));
+        }
+        assert_eq!(tbl.len(), CAPACITY);
+        // A successful lookup of the entry in bucket `b` probes every
+        // bucket from its home through `b`.
+        let mut probes = 0usize;
+        for (b, &s) in tbl.buckets.iter().enumerate() {
+            if let Some(slot) = tbl.slot(s) {
+                probes += (b.wrapping_sub(tbl.home(slot.hash)) & tbl.mask) + 1;
+            }
+        }
+        let mean = probes as f64 / CAPACITY as f64;
+        assert!(mean <= 2.0, "mean successful probe length {mean:.3}");
     }
 
     #[test]

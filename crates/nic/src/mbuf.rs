@@ -3,9 +3,10 @@
 //! DPDK never allocates on the datapath: packets live in fixed-size buffers
 //! drawn from a pool created at startup, and are returned to it when the
 //! application is done. [`MbufPool`] reproduces this with a lock-free
-//! free-list; [`Mbuf`] carries the same receive metadata DPDK attaches in
-//! the RX descriptor: the RSS hash, the arrival timestamp and the input
-//! queue.
+//! free-list; [`Mbuf`] carries the receive metadata the dataplane reads
+//! from the RX descriptor: the arrival timestamp and the input queue. The
+//! RSS hash only chooses that queue, so it is not kept (the flow tables
+//! hash their own keys, as DPDK's `rte_hash` does).
 
 use crate::clock::Timestamp;
 use crate::queue::MpmcQueue;
@@ -23,8 +24,6 @@ pub const DEFAULT_BUF_SIZE: usize = 2048;
 pub struct Mbuf {
     storage: Option<Box<[u8]>>,
     len: usize,
-    /// RSS hash computed by the (simulated) NIC.
-    pub rss_hash: u32,
     /// Queue the packet was delivered to.
     pub queue_id: u16,
     /// Arrival timestamp stamped by the RX path.
@@ -40,7 +39,6 @@ impl Mbuf {
         Mbuf {
             storage: Some(storage),
             len: data.len(),
-            rss_hash: 0,
             queue_id: 0,
             timestamp: Timestamp::ZERO,
             pool: None,
@@ -105,7 +103,6 @@ impl core::fmt::Debug for Mbuf {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Mbuf")
             .field("len", &self.len)
-            .field("rss_hash", &format_args!("{:#010x}", self.rss_hash))
             .field("queue_id", &self.queue_id)
             .field("timestamp", &self.timestamp)
             .field("pooled", &self.pool.is_some())
@@ -196,7 +193,6 @@ impl MbufPool {
                 Some(Mbuf {
                     storage: Some(storage),
                     len: data.len(),
-                    rss_hash: 0,
                     queue_id: 0,
                     timestamp: Timestamp::ZERO,
                     pool: Some(Arc::clone(&self.inner)),

@@ -259,7 +259,6 @@ impl Port {
             self.shared.no_mbuf_drops.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        mbuf.rss_hash = hash;
         mbuf.queue_id = queue;
         mbuf.timestamp = timestamp;
         let len = frame.len() as u64;
@@ -436,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn non_tcp_packet_gets_hash_zero() {
+    fn non_tcp_packet_lands_on_the_hash_zero_queue() {
         let mut port = small_port(2);
         let garbage = vec![0xffu8; 60];
         port.inject(&garbage).unwrap();
@@ -445,7 +444,7 @@ mod tests {
         let mut rx = port.take_rx_queue(q0_expected);
         let mut out = Vec::new();
         assert_eq!(rx.rx_burst(&mut out, 8), 1);
-        assert_eq!(out[0].rss_hash, 0);
+        assert_eq!(out[0].queue_id, q0_expected);
     }
 
     #[test]

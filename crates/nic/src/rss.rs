@@ -10,8 +10,11 @@
 //!
 //! The key's 16-bit period carries into the hash: a symmetric hash's high
 //! and low halves are always equal (`hash >> 16 == hash & 0xffff`), so it
-//! holds only 16 bits. The flow table must not take its bucket or its tag
-//! from this hash.
+//! holds only 16 bits. That is plenty for the RETA, which reads 7 of them,
+//! and it is the hash's only job here: the port picks the queue with it and
+//! drops it. The flow tables key on `FlowKey::table_hash` instead, a full
+//! 32-bit hash of the canonical key, as DPDK's `rte_hash` computes its own
+//! hash rather than reusing the RSS one.
 
 use ruru_wire::{ipv4, ipv6, IpAddress};
 

@@ -43,8 +43,6 @@ pub struct PipelineConfig {
     /// Per-queue continuous in-flow RTT tracker settings (the RFC 7323
     /// TCP-timestamp path that keeps sampling after the handshake).
     pub inflow: InflowConfig,
-    /// Validate checksums at classification (Ruru's default).
-    pub checksum_mode: ChecksumMode,
     /// Message-bus high-water mark.
     pub mq_hwm: usize,
     /// Geo cache capacity per enrichment worker.
@@ -74,7 +72,6 @@ impl Default for PipelineConfig {
             port: PortConfig::default(),
             tracker: TrackerConfig::default(),
             inflow: InflowConfig::default(),
-            checksum_mode: ChecksumMode::Validate,
             mq_hwm: 65536,
             geo_cache: 4096,
             spike: SpikeConfig::default(),
@@ -199,7 +196,6 @@ struct WorkerState {
     inflow: InflowTracker,
     push: Push,
     syn_tx: Sender<(u16, u64)>,
-    checksum_mode: ChecksumMode,
     /// The shared self-metric registry; this worker writes only `shard`.
     metrics: Arc<SelfMetrics>,
     shard: usize,
@@ -437,11 +433,13 @@ fn flush_detector_deltas(
     *delta = StageStats::default();
 }
 
-/// One RX burst through the dataplane stage: classify every packet (carrying
-/// the NIC's RSS hash through [`classify_mbuf`]), then run the whole burst
+/// One RX burst through the dataplane stage: classify every packet with
+/// checksum validation through [`classify_mbuf`], then run the whole burst
 /// through the tracker's software-pipelined [`HandshakeTracker::process_burst`]
-/// — flow-table bucket and tag lines are prefetch-staged across the burst
-/// before any packet touches the table — encoding each measurement into the
+/// — each packet's `FlowKey::table_hash` home bucket and tag lines are
+/// prefetch-staged across the burst before any packet touches the table
+/// (the RSS hash already did its one job, choosing this queue) — and through
+/// the in-flow tracker's, encoding each measurement into the
 /// scratch block and flushing one vectored PUSH per burst. Named (rather
 /// than left as a closure inside [`Pipeline::new`]) so `cargo xtask
 /// panic-check` can root its reachability walk at the hot path.
@@ -493,7 +491,7 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
     // mbuf's tap timestamp and this classification pass.
     let now = state.clock.now();
     for mbuf in burst.drain(..) {
-        match classify_mbuf(&mbuf, state.checksum_mode) {
+        match classify_mbuf(&mbuf, ChecksumMode::Validate) {
             Ok(meta) => {
                 state
                     .residencies
@@ -789,7 +787,6 @@ impl Pipeline {
         let (stats_tx, stats_rx) = channel();
         let tracker_cfg = config.tracker.clone();
         let inflow_cfg = config.inflow.clone();
-        let checksum_mode = config.checksum_mode;
         let metrics_for_workers = Arc::clone(&metrics);
         let clock_for_workers = clock.clone();
         let init = move |qid| WorkerState {
@@ -797,7 +794,6 @@ impl Pipeline {
             inflow: InflowTracker::new(qid, inflow_cfg.clone()),
             push: worker_push.clone(),
             syn_tx: syn_tx.clone(),
-            checksum_mode,
             shard: metrics_for_workers.dataplane_shard(qid),
             metrics: Arc::clone(&metrics_for_workers),
             clock: clock_for_workers.clone(),

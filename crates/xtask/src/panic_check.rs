@@ -69,7 +69,7 @@ const ROOTS: &[(&str, &str)] = &[
     ("flow", "expire"),
     ("flow", "classify"),
     ("flow", "classify_mbuf"),
-    ("flow", "mix_hash"),
+    ("flow", "table_hash"),
     // Prefetch staging for the trackers' burst loops.
     ("flow", "prefetch"),
     // Continuous in-flow RTT surface (pinned by type so coverage survives

@@ -197,22 +197,29 @@ fn e5_frame_batcher_sustains_thousands_per_second() {
 fn e6_geo_accuracy_with_perturbed_db() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    // One perturbed database has only ~84 IPv4 ranges: at 2 % no range is
+    // perturbed about 18 % of the time, and one with four perturbed ranges
+    // falls below the floor. Pool the lookups over many perturbation seeds
+    // instead, so both assertions hold for any seed stream.
+    const SEEDS: u64 = 64;
+    const LOOKUPS_PER_SEED: u32 = 1_000;
     let world = SynthWorld::generate(2);
-    let perturbed = world.perturbed(0.02, 9).unwrap();
     let mut rng = StdRng::seed_from_u64(10);
     let mut correct = 0u32;
-    let n = 20_000u32;
-    for i in 0..n {
-        let city = (i as usize) % world.city_count();
-        let addr = world.sample_v4(city, &mut rng);
-        let key = 0xffff_0000_0000u128 | u32::from_be_bytes(addr) as u128;
-        let truth = world.db().lookup_key(key).unwrap();
-        let got = perturbed.lookup_key(key).unwrap();
-        if got.country_code == truth.country_code {
-            correct += 1;
+    for seed in 0..SEEDS {
+        let perturbed = world.perturbed(0.02, seed).unwrap();
+        for i in 0..LOOKUPS_PER_SEED {
+            let city = (i as usize) % world.city_count();
+            let addr = world.sample_v4(city, &mut rng);
+            let key = 0xffff_0000_0000u128 | u32::from_be_bytes(addr) as u128;
+            let truth = world.db().lookup_key(key).unwrap();
+            let got = perturbed.lookup_key(key).unwrap();
+            if got.country_code == truth.country_code {
+                correct += 1;
+            }
         }
     }
-    let acc = correct as f64 / n as f64;
+    let acc = correct as f64 / (SEEDS as u32 * LOOKUPS_PER_SEED) as f64;
     // Country-level accuracy beats range-level perturbation (some wrong
     // ranges still land in the right country), matching the ~98% claim.
     assert!(acc >= 0.97, "accuracy {acc}");

@@ -2,11 +2,13 @@
 //! fault pattern or parameterization.
 
 use ruru::flow::classify::{classify, ChecksumMode};
-use ruru::flow::{HandshakeTracker, TrackerConfig};
+use ruru::flow::{FlowKey, HandshakeTracker, TrackerConfig};
+use ruru::gen::packet::{AddrPair, TcpPacketSpec};
 use ruru::gen::{GenConfig, TrafficGen};
 use ruru::nic::fault::{FaultConfig, FaultInjector};
 use ruru::nic::rss::RssHasher;
 use ruru::nic::Timestamp;
+use ruru::wire::tcp::Flags;
 use ruru::wire::{ipv4, IpAddress};
 use ruru_prop::{check, vec, Rng, StdRng};
 
@@ -54,6 +56,34 @@ fn symmetric_rss_invariant() {
         let rev = h.hash_v4(b, a, dp, sp);
         assert_eq!(fwd, rev);
         assert!(h.queue_for(fwd) < queues);
+    });
+}
+
+/// Both directions of any IPv4 or IPv6 tuple classify to one flow key and
+/// one table hash, so the SYN and the SYN-ACK reach the same table entry.
+#[test]
+fn both_directions_classify_to_one_key_and_hash() {
+    let gen = |r: &mut StdRng| {
+        let pair = if r.gen() {
+            AddrPair::V4(r.gen::<u32>().to_be_bytes(), r.gen::<u32>().to_be_bytes())
+        } else {
+            AddrPair::V6(r.gen::<u128>().to_be_bytes(), r.gen::<u128>().to_be_bytes())
+        };
+        (pair, [r.gen(), r.gen()])
+    };
+    // Two frames per case: cheap enough for the harness's full case count.
+    let cases = ruru_prop::CASES;
+    check("both_directions_classify_to_one_key_and_hash", cases, gen, |(pair, [sp, dp])| {
+        let key_of = |pair: AddrPair, sp, dp| {
+            let frame = TcpPacketSpec::control_pair(pair, sp, dp, 1, 0, Flags::SYN).build();
+            let meta = classify(&frame, Timestamp::ZERO, ChecksumMode::Validate).unwrap();
+            let (key, _) = FlowKey::from_tuple(meta.src, meta.dst, meta.src_port, meta.dst_port);
+            key
+        };
+        let fwd = key_of(pair, sp, dp);
+        let rev = key_of(pair.flipped(), dp, sp);
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd.table_hash(), rev.table_hash());
     });
 }
 
