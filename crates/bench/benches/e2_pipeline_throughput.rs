@@ -20,7 +20,7 @@ use ruru_flow::classify::{classify, ChecksumMode};
 use ruru_flow::{HandshakeTracker, TrackerConfig};
 use ruru_nic::lcore::WorkerGroup;
 use ruru_nic::port::{Port, PortConfig};
-use ruru_nic::{Clock, RssHasher, Timestamp};
+use ruru_nic::{Clock, Mbuf, RssHasher, Timestamp};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -115,16 +115,18 @@ fn run_threaded(events: &[(Timestamp, Vec<u8>)], queues: u16) -> f64 {
     let rx = port.take_all_rx_queues();
     let processed = Arc::new(AtomicU64::new(0));
     let p2 = Arc::clone(&processed);
-    let group = WorkerGroup::spawn(
+    let group = WorkerGroup::spawn_bursts(
         rx,
         |qid| HandshakeTracker::new(qid, TrackerConfig::default()),
-        move |tracker, mbuf| {
-            if let Ok(meta) = classify(mbuf.data(), mbuf.timestamp, ChecksumMode::Trust) {
-                let _ = tracker.process(&meta);
+        move |tracker: &mut HandshakeTracker, burst: &mut Vec<Mbuf>| {
+            let n = burst.len() as u64;
+            for mbuf in burst.drain(..) {
+                if let Ok(meta) = classify(mbuf.data(), mbuf.timestamp, ChecksumMode::Trust) {
+                    let _ = tracker.process(&meta);
+                }
             }
-            p2.fetch_add(1, Ordering::Relaxed);
+            p2.fetch_add(n, Ordering::Relaxed);
         },
-        |_q, _s| {},
     );
     let start = Instant::now();
     let total = events.len() as u64;

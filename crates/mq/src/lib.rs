@@ -28,8 +28,11 @@
 //!
 //! All three patterns also expose **vectored batch transfer**
 //! ([`Push::send_batch`], [`Pull::recv_batch`], [`Publisher::publish_batch`])
-//! so stages that already work in DPDK-style bursts amortize channel
-//! synchronization over up to a burst of records instead of paying it per
+//! so stages that already work in DPDK-style bursts make one call per
+//! burst. The channel lock is still taken once per message:
+//! `send_batch` and `recv_batch` loop over the per-message operations
+//! (`recv_batch` blocks only for the first), and `publish_batch` takes
+//! the subscriber-list lock once per batch but enqueues message by
 //! message. Batch calls are semantically identical to their per-message
 //! forms — same ordering, same HWM back-pressure (PUSH) and drop-on-full
 //! (PUB) behaviour — batched and unbatched endpoints interoperate freely.

@@ -34,9 +34,9 @@ impl Push {
         self.tx.send(msg).map_err(|e| e.0)
     }
 
-    /// Send a burst of messages in order, amortizing the per-send channel
-    /// synchronization over the whole batch. Semantically identical to
-    /// calling [`Push::send`] once per message: messages occupy the pipe
+    /// Send a burst of messages in order, one call per burst. This is a
+    /// loop over [`Push::send`], so the channel lock is taken once per
+    /// message, and the semantics are identical: messages occupy the pipe
     /// individually, ordering is preserved, and the call blocks mid-batch
     /// whenever the pipe is at its high-water mark (back-pressure, never
     /// loss). Returns the number of messages sent, or `Err` with the first
@@ -95,9 +95,9 @@ impl Pull {
     }
 
     /// Receive up to `max` messages into `out`, blocking only for the
-    /// first: one blocking rendezvous per burst instead of one per
-    /// message. Everything already buffered behind the first message is
-    /// drained without further blocking. Returns how many messages were
+    /// first. Everything already buffered behind the first message is
+    /// drained without further blocking, taking the channel lock once per
+    /// message. Returns how many messages were
     /// appended; `0` means every pusher is gone and the pipe is drained
     /// (or `max == 0`).
     pub fn recv_batch(&self, out: &mut Vec<Message>, max: usize) -> usize {

@@ -100,3 +100,27 @@ fn loom_pub_drops_per_subscriber_never_blocks() {
         assert_eq!(sub.drops(), dropped);
     });
 }
+
+/// One pipe, two pushers — an lcore and an enricher, as on the detector
+/// feed — that each send once and then drop, in either order, while the
+/// puller blocks in `recv_batch`. Every message is delivered exactly once,
+/// and only then does `recv_batch` return 0: the last pusher's drop always
+/// wakes the blocked puller, so no wakeup is lost and it never returns
+/// early.
+#[test]
+fn loom_batch_puller_sees_every_message_then_close_from_two_pushers() {
+    loom::model(|| {
+        let (lcore, pull) = pipe(2);
+        let enricher = lcore.clone();
+        let a = thread::spawn(move || lcore.send(Message::new("syn", "s")).unwrap());
+        let b = thread::spawn(move || enricher.send(Message::new("enriched", "e")).unwrap());
+        let mut got = Vec::new();
+        while pull.recv_batch(&mut got, 4) > 0 {}
+        a.join().unwrap();
+        b.join().unwrap();
+        let mut payloads: Vec<&[u8]> = got.iter().map(|m| &m.payload[..]).collect();
+        payloads.sort();
+        assert_eq!(payloads, [&b"e"[..], &b"s"[..]], "each message once");
+        assert_eq!(pull.recv_batch(&mut got, 4), 0, "closed stays closed");
+    });
+}

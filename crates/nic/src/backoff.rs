@@ -1,11 +1,12 @@
 //! Adaptive idle backoff: spin → yield → park.
 //!
-//! Poll loops (worker lcores draining their RX ring, the pipeline's
-//! detector thread draining its channels) share this three-stage policy: a
-//! short busy-spin keeps latency minimal while traffic is flowing, a yield
-//! phase stays polite under brief lulls, and a bounded park stops burning
-//! a host core when the queue goes quiet — without needing a wakeup signal,
-//! because the park always times out.
+//! The worker lcores draining their RX rings poll with this three-stage
+//! policy: a short busy-spin keeps latency minimal while traffic is
+//! flowing, a yield phase stays polite under brief lulls, and a bounded
+//! park stops burning a host core when the queue goes quiet — without
+//! needing a wakeup signal, because the park always times out. Stages
+//! downstream of the lcores have a single bus feed each and block on it
+//! instead of polling.
 //!
 //! Built on the [`crate::sync`] shim, so a loom model can exhaustively
 //! check the classic backoff hazard: a producer publishing right as the

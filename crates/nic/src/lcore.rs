@@ -2,233 +2,106 @@
 //!
 //! Ruru allocates one processing thread per RX queue, each busy-polling its
 //! ring. [`WorkerGroup`] spawns those threads, hands each a queue and a
-//! callback, and coordinates cooperative shutdown. Workers poll in bursts;
-//! on an empty poll they spin briefly then yield, trading a little latency
-//! for not burning a host core in tests.
+//! burst callback, and coordinates cooperative shutdown. Workers poll in
+//! bursts; on an empty poll they back off (spin, yield, then a bounded
+//! park), as DPDK's poll-mode lcores do. At shutdown each worker drains its
+//! queue and hands its state back to the caller, so whatever it owned —
+//! tracker tables, bus endpoints — is read and dropped on the joining
+//! thread.
 
 use crate::backoff::Backoff;
 use crate::mbuf::Mbuf;
 use crate::port::RxQueue;
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{thread, Arc};
 
 /// Burst size workers use when draining their queue (DPDK's conventional 32).
 pub const BURST_SIZE: usize = 32;
 
-/// Shared stop flag for a group of workers.
-#[derive(Clone)]
-pub struct StopFlag(Arc<AtomicBool>);
-
-impl StopFlag {
-    /// A new, unset flag.
-    pub fn new() -> StopFlag {
-        StopFlag(Arc::new(AtomicBool::new(false)))
-    }
-
-    /// Request all workers observing this flag to stop.
-    pub fn stop(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// True once stop has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-impl Default for StopFlag {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Per-worker counters, shared with the spawner.
-#[derive(Default)]
-pub struct WorkerCounters {
-    /// Packets processed.
-    pub packets: AtomicU64,
-    /// Poll iterations that found the queue empty.
-    pub empty_polls: AtomicU64,
-}
-
 /// A running group of worker threads, one per RX queue.
 ///
-/// The callback receives each received [`Mbuf`]; per-worker state is created
-/// by the `init` closure on the worker thread, so callbacks need no locking.
-pub struct WorkerGroup {
-    handles: Vec<JoinHandle<()>>,
-    stop: StopFlag,
-    counters: Vec<Arc<WorkerCounters>>,
+/// Per-worker state `S` is created by the `init` closure on the worker
+/// thread, so the burst callback needs no locking; [`WorkerGroup::shutdown`]
+/// returns it.
+pub struct WorkerGroup<S> {
+    handles: Vec<JoinHandle<S>>,
+    stop: Arc<AtomicBool>,
 }
 
-impl WorkerGroup {
+impl<S: Send + 'static> WorkerGroup<S> {
     /// Spawn one worker per queue.
     ///
-    /// `init(queue_id)` runs on the worker thread to build its state `S`;
-    /// `on_packet(&mut S, Mbuf)` is invoked per packet; when the stop flag
-    /// is raised workers drain their queue once more, call `on_stop`, and
-    /// exit.
-    pub fn spawn<S, I, F, E>(queues: Vec<RxQueue>, init: I, on_packet: F, on_stop: E) -> WorkerGroup
-    where
-        S: 'static,
-        I: Fn(u16) -> S + Send + Sync + 'static,
-        F: Fn(&mut S, Mbuf) + Send + Sync + 'static,
-        E: Fn(u16, S) + Send + Sync + 'static,
-    {
-        Self::spawn_batched(queues, init, on_packet, |_state: &mut S| {}, on_stop)
-    }
-
-    /// Like [`WorkerGroup::spawn`], with an additional `on_burst_end`
-    /// callback invoked after each non-empty burst has been fed through
-    /// `on_packet`. This is the flush point for stages that accumulate
-    /// per-burst output (e.g. a batch of bus messages): the callback runs
-    /// once per up-to-[`BURST_SIZE`] packets, so downstream batch sends
-    /// amortize their synchronization the same way the RX poll does.
-    pub fn spawn_batched<S, I, F, B, E>(
-        queues: Vec<RxQueue>,
-        init: I,
-        on_packet: F,
-        on_burst_end: B,
-        on_stop: E,
-    ) -> WorkerGroup
-    where
-        S: 'static,
-        I: Fn(u16) -> S + Send + Sync + 'static,
-        F: Fn(&mut S, Mbuf) + Send + Sync + 'static,
-        B: Fn(&mut S) + Send + Sync + 'static,
-        E: Fn(u16, S) + Send + Sync + 'static,
-    {
-        Self::spawn_bursts(
-            queues,
-            init,
-            move |state, burst| {
-                for mbuf in burst.drain(..) {
-                    on_packet(state, mbuf);
-                }
-                on_burst_end(state);
-            },
-            on_stop,
-        )
-    }
-
-    /// The whole-burst variant: `on_burst` receives each non-empty RX burst
-    /// as a `&mut Vec<Mbuf>` (up to [`BURST_SIZE`] packets) and is expected
-    /// to drain it. Stages that pipeline across a burst — prefetch-staged
-    /// table lookups, bulk classification — use this to see all packets of
-    /// a poll at once instead of one at a time; [`WorkerGroup::spawn`] and
-    /// [`WorkerGroup::spawn_batched`] are per-packet conveniences layered
-    /// on top.
+    /// `init(queue_id)` runs on the worker thread to build its state `S`.
+    /// `on_burst` receives each non-empty RX burst as a `&mut Vec<Mbuf>`
+    /// (up to [`BURST_SIZE`] packets) and is expected to drain it, so
+    /// stages that pipeline across a burst — prefetch-staged table lookups,
+    /// bulk classification, one vectored bus send — see every packet of a
+    /// poll at once.
     // Thread spawn/creation failure is a startup-time OS error, not a
     // dataplane condition; failing loudly is the right behaviour.
     #[allow(clippy::expect_used)]
-    pub fn spawn_bursts<S, I, F, E>(
-        queues: Vec<RxQueue>,
-        init: I,
-        on_burst: F,
-        on_stop: E,
-    ) -> WorkerGroup
+    pub fn spawn_bursts<I, F>(queues: Vec<RxQueue>, init: I, on_burst: F) -> WorkerGroup<S>
     where
-        S: 'static,
         I: Fn(u16) -> S + Send + Sync + 'static,
         F: Fn(&mut S, &mut Vec<Mbuf>) + Send + Sync + 'static,
-        E: Fn(u16, S) + Send + Sync + 'static,
     {
-        let stop = StopFlag::new();
+        let stop = Arc::new(AtomicBool::new(false));
         let init = Arc::new(init);
         let on_burst = Arc::new(on_burst);
-        let on_stop = Arc::new(on_stop);
         let mut handles = Vec::with_capacity(queues.len());
-        let mut counters = Vec::with_capacity(queues.len());
         for mut queue in queues {
-            let stop = stop.clone();
+            let stop = Arc::clone(&stop);
             let init = Arc::clone(&init);
             let on_burst = Arc::clone(&on_burst);
-            let on_stop = Arc::clone(&on_stop);
-            let ctrs = Arc::new(WorkerCounters::default());
-            counters.push(Arc::clone(&ctrs));
             handles.push(
                 thread::Builder::new()
                     .name(format!("lcore-rx{}", queue.queue_id))
                     .spawn(move || {
-                        let qid = queue.queue_id;
-                        let mut state = init(qid);
+                        let mut state = init(queue.queue_id);
                         let mut burst: Vec<Mbuf> = Vec::with_capacity(BURST_SIZE);
                         let mut backoff = Backoff::lcore();
                         loop {
-                            let n = queue.rx_burst(&mut burst, BURST_SIZE);
-                            if n == 0 {
-                                ctrs.empty_polls.fetch_add(1, Ordering::Relaxed);
-                                if stop.is_stopped() {
+                            if queue.rx_burst(&mut burst, BURST_SIZE) == 0 {
+                                if stop.load(Ordering::Acquire) {
                                     break;
                                 }
                                 backoff.idle();
                                 continue;
                             }
                             backoff.reset();
-                            ctrs.packets.fetch_add(n as u64, Ordering::Relaxed);
                             on_burst(&mut state, &mut burst);
                             // A callback that chose not to drain everything
                             // must not see stale packets next poll.
                             burst.clear();
                         }
-                        on_stop(qid, state);
+                        state
                     })
                     .expect("spawn lcore thread"),
             );
         }
-        WorkerGroup {
-            handles,
-            stop,
-            counters,
-        }
+        WorkerGroup { handles, stop }
     }
 
-    /// The group's stop flag (cloneable, usable from other threads).
-    pub fn stop_flag(&self) -> StopFlag {
-        self.stop.clone()
-    }
-
-    /// Total packets processed across workers so far.
-    pub fn packets_processed(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|c| c.packets.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Per-worker (packets, empty_polls) snapshots.
-    pub fn worker_counters(&self) -> Vec<(u64, u64)> {
-        self.counters
-            .iter()
-            .map(|c| {
-                (
-                    c.packets.load(Ordering::Relaxed),
-                    c.empty_polls.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
-    }
-
-    /// Signal stop and join all workers (each drains its queue first).
+    /// Signal stop and join all workers. Each drains its queue first; the
+    /// workers' states come back in the order their queues were given.
     // Propagating a worker panic at join is shutdown-time, by design.
     #[allow(clippy::expect_used)]
-    pub fn shutdown(self) {
-        self.stop.stop();
-        for h in self.handles {
-            h.join().expect("lcore thread panicked");
-        }
+    pub fn shutdown(self) -> Vec<S> {
+        self.stop.store(true, Ordering::Release);
+        self.handles
+            .into_iter()
+            .map(|h| h.join().expect("lcore thread panicked"))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // Tests coordinate real threads with fixed sleeps; fine off the dataplane.
-    #![allow(clippy::disallowed_methods)]
     use super::*;
     use crate::clock::Clock;
     use crate::port::{Port, PortConfig};
-    use std::sync::Mutex;
+    use crate::sync::atomic::AtomicU64;
 
     fn frame_with_marker(marker: u8) -> Vec<u8> {
         // Not a valid TCP packet: lands on queue_for(0). Fine for harness tests.
@@ -248,29 +121,37 @@ mod tests {
         )
     }
 
+    /// A worker group whose callback drains every burst, adding the
+    /// packet count to its state and to the returned shared counter.
+    fn counting_group(queues: Vec<RxQueue>) -> (WorkerGroup<(u16, u64)>, Arc<AtomicU64>) {
+        let seen = Arc::new(AtomicU64::new(0));
+        let seen2 = Arc::clone(&seen);
+        let group = WorkerGroup::spawn_bursts(
+            queues,
+            |q| (q, 0u64),
+            move |(_, count): &mut (u16, u64), burst: &mut Vec<Mbuf>| {
+                for mbuf in burst.drain(..) {
+                    assert_eq!(mbuf.len(), 64);
+                    *count += 1;
+                    seen2.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
+        (group, seen)
+    }
+
     #[test]
     #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
     fn workers_process_all_packets() {
         let mut port = port(2);
-        let queues = port.take_all_rx_queues();
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = Arc::clone(&seen);
-        let group = WorkerGroup::spawn(
-            queues,
-            |_q| (),
-            move |_s, mbuf| {
-                assert_eq!(mbuf.len(), 64);
-                seen2.fetch_add(1, Ordering::Relaxed);
-            },
-            |_q, _s| {},
-        );
+        let (group, seen) = counting_group(port.take_all_rx_queues());
         for i in 0..500u32 {
             while port.inject(&frame_with_marker(i as u8)).is_none() {
                 std::thread::yield_now();
             }
         }
         // Wait for drain, then stop.
-        while group.packets_processed() < 500 {
+        while seen.load(Ordering::Relaxed) < 500 {
             std::thread::yield_now();
         }
         group.shutdown();
@@ -282,78 +163,31 @@ mod tests {
     fn shutdown_drains_pending_packets() {
         let mut port = port(1);
         let queues = port.take_all_rx_queues();
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = Arc::clone(&seen);
         // Inject BEFORE spawning so packets sit in the ring.
         for _ in 0..100 {
             port.inject(&frame_with_marker(1)).unwrap();
         }
-        let group = WorkerGroup::spawn(
-            queues,
-            |_q| (),
-            move |_s, _m| {
-                seen2.fetch_add(1, Ordering::Relaxed);
-            },
-            |_q, _s| {},
-        );
+        let (group, seen) = counting_group(queues);
         group.shutdown(); // must drain the 100 queued packets first
         assert_eq!(seen.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
-    fn per_worker_state_and_on_stop() {
-        let mut port = port(2);
-        let queues = port.take_all_rx_queues();
-        let finals: Arc<Mutex<Vec<(u16, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let finals2 = Arc::clone(&finals);
-        let group = WorkerGroup::spawn(
-            queues,
-            |_q| 0u64,
-            |count, _m| *count += 1,
-            move |q, count| finals2.lock().unwrap().push((q, count)),
-        );
+    fn shutdown_returns_each_workers_state_in_queue_order() {
+        let mut port = port(4);
+        let (group, seen) = counting_group(port.take_all_rx_queues());
         for _ in 0..10 {
             port.inject(&frame_with_marker(0)).unwrap();
         }
-        while group.packets_processed() < 10 {
+        while seen.load(Ordering::Relaxed) < 10 {
             std::thread::yield_now();
         }
-        group.shutdown();
-        let finals = finals.lock().unwrap();
-        assert_eq!(finals.len(), 2);
-        let total: u64 = finals.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
-    fn burst_end_flushes_accumulated_work() {
-        let mut port = port(1);
-        let queues = port.take_all_rx_queues();
-        let flushed = Arc::new(AtomicU64::new(0));
-        let flushed2 = Arc::clone(&flushed);
-        let group = WorkerGroup::spawn_batched(
-            queues,
-            |_q| 0u64, // packets accumulated since the last flush
-            |pending, _m| *pending += 1,
-            move |pending| {
-                assert!((1..=BURST_SIZE as u64).contains(pending));
-                flushed2.fetch_add(*pending, Ordering::Relaxed);
-                *pending = 0;
-            },
-            |_q, pending| assert_eq!(pending, 0, "every burst was flushed"),
-        );
-        for _ in 0..100 {
-            while port.inject(&frame_with_marker(1)).is_none() {
-                std::thread::yield_now();
-            }
-        }
-        while flushed.load(Ordering::Relaxed) < 100 {
-            std::thread::yield_now();
-        }
-        group.shutdown();
-        assert_eq!(flushed.load(Ordering::Relaxed), 100);
+        let states = group.shutdown();
+        let queues: Vec<u16> = states.iter().map(|&(q, _)| q).collect();
+        assert_eq!(queues, [0, 1, 2, 3]);
+        let total: u64 = states.iter().map(|&(_, c)| c).sum();
+        assert_eq!(total, 10, "each state holds its own worker's count");
     }
 
     #[test]
@@ -373,7 +207,6 @@ mod tests {
                     seen2.fetch_add(1, Ordering::Relaxed);
                 }
             },
-            |_q, _s| {},
         );
         for _ in 0..100 {
             while port.inject(&frame_with_marker(2)).is_none() {
@@ -385,29 +218,5 @@ mod tests {
         }
         group.shutdown();
         assert_eq!(seen.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn stop_flag_is_shared() {
-        let flag = StopFlag::new();
-        let clone = flag.clone();
-        assert!(!clone.is_stopped());
-        flag.stop();
-        assert!(clone.is_stopped());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
-    fn counters_report_empty_polls() {
-        let mut port = port(1);
-        let queues = port.take_all_rx_queues();
-        let group = WorkerGroup::spawn(queues, |_q| (), |_s, _m| {}, |_q, _s| {});
-        // Give the worker a moment to poll an empty queue.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let counters = group.worker_counters();
-        group.shutdown();
-        assert_eq!(counters.len(), 1);
-        assert!(counters[0].1 > 0, "worker should have observed empty polls");
-        let _ = &mut port;
     }
 }

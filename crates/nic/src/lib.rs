@@ -23,11 +23,12 @@
 //!   timestamped, RSS-classified and delivered to per-queue rings that
 //!   workers drain with `rx_burst`.
 //! * [`lcore`] — the worker-thread harness: one busy-polling thread per
-//!   queue with cooperative shutdown, mirroring DPDK lcores.
+//!   queue with cooperative shutdown that hands each worker's state back,
+//!   mirroring DPDK lcores.
 //! * [`queue`] — a bounded lock-free MPMC queue (Vyukov), the pool's
 //!   free list.
-//! * [`backoff`] — the spin → yield → park idle policy shared by every
-//!   poll loop.
+//! * [`backoff`] — the spin → yield → park idle policy of the lcore poll
+//!   loops.
 //! * [`fault`] — wire-level fault injection (drop / corrupt / duplicate /
 //!   reorder), for testing tracker robustness.
 //! * [`shaper`] — a token-bucket rate limiter used to emulate link rates.

@@ -7,7 +7,7 @@
 
 use crate::snmp::{SnmpPoller, SnmpSample};
 use crate::telemetry::SelfMetrics;
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use ruru_analytics::detect::{FloodConfig, RateConfig, SpikeConfig};
 use ruru_analytics::workers::PoolStats;
 use ruru_analytics::{
@@ -22,16 +22,13 @@ use ruru_flow::{
 };
 use ruru_gen::Event;
 use ruru_geo::{GeoDb, SynthWorld};
-use ruru_mq::{pipe, Message, Publisher, Push};
+use ruru_mq::{pipe, Message, Publisher, Pull, Push};
 use ruru_nic::lcore::{WorkerGroup, BURST_SIZE};
 use ruru_nic::port::{Port, PortConfig, PortStats};
 use ruru_nic::{Clock, Timestamp};
 use ruru_telemetry::Snapshot;
 use ruru_tsdb::TsDb;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Whole-pipeline configuration.
 #[derive(Debug, Clone)]
@@ -157,6 +154,7 @@ pub struct Report {
     pub dataplane: StageStats,
     /// Throughput counters for the detector stage (batched PULL of binary
     /// enriched records + SYN events; the `det_*` registry counters).
+    /// `bytes` counts the enriched records; SYN events count as records.
     pub detector_stage: StageStats,
     /// Rolling per-location-pair / per-AS-pair aggregates (the paper's
     /// "aggregates statistics by source and destination locations, and AS
@@ -195,7 +193,8 @@ struct WorkerState {
     /// the handshake tracker.
     inflow: InflowTracker,
     push: Push,
-    syn_tx: Sender<(u16, u64)>,
+    /// This lcore's PUSH end of the detector pipe, for SYN-event records.
+    det_push: Push,
     /// The shared self-metric registry; this worker writes only `shard`.
     metrics: Arc<SelfMetrics>,
     shard: usize,
@@ -205,6 +204,9 @@ struct WorkerState {
     /// Classified packets of the current burst, reused across bursts so
     /// the burst path stays allocation-free at steady state.
     metas: Vec<TcpMeta>,
+    /// Tap timestamps (ns) of the current burst's SYN-only packets, sent
+    /// to the detector as one SYN-event record at flush.
+    syn_stamps: Vec<u64>,
     /// Encode scratch: measurements append here and freeze zero-copy
     /// slices, one block allocation per ~64 KiB of output.
     scratch: BytesMut,
@@ -226,18 +228,59 @@ struct WorkerState {
     reject_counts: [u64; REJECT_CAUSES.len()],
 }
 
-/// Everything a worker hands back when it exits: its trackers' stats.
-struct WorkerExit {
-    queue: u16,
-    tracker: TrackerStats,
-    inflow: InflowStats,
+/// Make room for a `len`-byte record in an lcore's encode scratch block,
+/// taking a fresh [`SCRATCH_CHUNK`] block when the current one is spent.
+fn refill_scratch(scratch: &mut BytesMut, len: usize, alloc_hits: &mut u64) {
+    if scratch.capacity() < len {
+        // alloc-ok: amortized scratch refill, counted via alloc_hits.
+        scratch.reserve(SCRATCH_CHUNK);
+        *alloc_hits += 1;
+    }
+}
+
+/// Topic of the lcore → detector SYN-event record.
+const SYN_TOPIC: &[u8] = b"syn";
+
+/// Append a SYN-event record to `out`: the queue id as a little-endian
+/// `u16`, then each SYN's tap timestamp (ns) as a little-endian `u64`.
+fn encode_syns(queue: u16, stamps: &[u64], out: &mut BytesMut) {
+    out.put_u16_le(queue);
+    for &ts in stamps {
+        out.put_u64_le(ts);
+    }
+}
+
+/// Split a SYN-event record into its queue id and timestamps. `None`
+/// unless the length is `2 + 8k` with `k ≥ 1`.
+fn decode_syns(payload: &[u8]) -> Option<(u16, &[[u8; 8]])> {
+    // account-ok: a malformed record; `detector_loop` counts it in
+    // `det_decode_errors`.
+    let (queue, rest) = payload.split_first_chunk::<2>()?;
+    let (stamps, tail) = rest.as_chunks::<8>();
+    (!stamps.is_empty() && tail.is_empty()).then_some((u16::from_le_bytes(*queue), stamps))
 }
 
 impl WorkerState {
-    /// Send the accumulated burst downstream and flush local counters into
-    /// this worker's registry shard — one epoch-framed burst per RX burst,
-    /// called at every burst end and on stop.
+    /// Send the burst's SYN events and accumulated measurements downstream
+    /// and flush local counters into this worker's registry shard — one
+    /// epoch-framed burst per RX burst, called at every burst end and once
+    /// more at shutdown.
     fn flush(&mut self) {
+        if !self.syn_stamps.is_empty() {
+            let len = 2 + 8 * self.syn_stamps.len();
+            refill_scratch(&mut self.scratch, len, &mut self.alloc_hits);
+            encode_syns(self.tracker.queue_id(), &self.syn_stamps, &mut self.scratch);
+            let payload = self.scratch.split().freeze();
+            let msg = Message::new(Bytes::from_static(SYN_TOPIC), payload);
+            // Like a measurement batch: a send fails only once the
+            // detector is gone, and its events count as bus-closed drops.
+            if self.det_push.send(msg).is_err() {
+                if let Some(n) = self.reject_counts.get_mut(reject_idx(Reject::BusClosed)) {
+                    *n += self.syn_stamps.len() as u64;
+                }
+            }
+            self.syn_stamps.clear();
+        }
         if !self.batch.is_empty() {
             self.batches += 1;
             let queued = self.batch.len();
@@ -364,11 +407,9 @@ pub struct Pipeline {
     lossless_inject: bool,
     publisher: Publisher,
     port: Port,
-    workers: WorkerGroup,
+    workers: WorkerGroup<WorkerState>,
     pool: EnrichmentPool,
-    stats_rx: Receiver<WorkerExit>,
     detector_handle: std::thread::JoinHandle<PairAggregator>,
-    detector_stop: Arc<AtomicBool>,
     tsdb: Arc<TsDb>,
     alerts: AlertSink,
     snmp: SnmpPoller,
@@ -385,9 +426,7 @@ pub struct Pipeline {
 /// Everything the detector thread consumes, bundled so the thread body can
 /// be a named function (see [`detector_loop`]).
 struct DetectorInputs {
-    syn_rx: Receiver<(u16, u64)>,
-    det_pull: ruru_mq::Pull,
-    stop: Arc<AtomicBool>,
+    det_pull: Pull,
     alerts: AlertSink,
     spike: SpikeConfig,
     flood: FloodConfig,
@@ -462,11 +501,7 @@ fn dataplane_worker(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
     tracker.process_burst(metas, |m| {
         // Encode into the worker's scratch block: one backing allocation
         // per ~1000 records, each payload a zero-copy slice of it.
-        if scratch.capacity() < WIRE_LEN {
-            // alloc-ok: amortized scratch refill, counted via alloc_hits.
-            scratch.reserve(SCRATCH_CHUNK);
-            *alloc_hits += 1;
-        }
+        refill_scratch(scratch, WIRE_LEN, alloc_hits);
         m.encode_into(scratch);
         let payload = scratch.split().freeze();
         *bytes += payload.len() as u64;
@@ -498,9 +533,7 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
                     .push(now.saturating_nanos_since(meta.timestamp));
                 if meta.flags.is_syn_only() {
                     state.syn_events += 1;
-                    let _ = state
-                        .syn_tx
-                        .send((state.tracker.queue_id(), meta.timestamp.as_nanos()));
+                    state.syn_stamps.push(meta.timestamp.as_nanos());
                 }
                 state.metas.push(meta);
             }
@@ -519,6 +552,11 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
 /// raises alerts and folds the per-pair aggregates (map frames are cut by
 /// PUB `enriched` subscribers). Named so the panic checker roots here.
 ///
+/// Both kinds arrive on the one detector pipe, told apart by topic: the
+/// lcores PUSH `syn` records, the enrichers the binary enriched records.
+/// The thread blocks in `recv_batch`; a return of 0 means every pusher is
+/// gone and the pipe is drained, so the stream has ended.
+///
 /// A sharded dataplane delivers events to analytics out of simulated-time
 /// order (a briefly descheduled worker is minutes of simulated time behind
 /// its siblings). Detectors that window on time need an in-order stream, so
@@ -530,9 +568,7 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
     let DetectorInputs {
-        syn_rx,
         det_pull,
-        stop,
         alerts,
         spike,
         flood,
@@ -581,7 +617,7 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     // Per-iteration deltas + publish residencies, flushed into the
     // detector's registry shard as one epoch-framed burst per iteration.
     let mut delta = StageStats::default();
-    // alloc-ok: one-time setup before the poll loop.
+    // alloc-ok: one-time setup before the receive loop.
     let mut residencies: Vec<u64> = Vec::with_capacity(2 * BURST_SIZE);
     let det_shard = metrics.detector_shard();
     let top_queue = num_queues.saturating_sub(1);
@@ -589,7 +625,7 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     // Source `2·queue + kind` (syn = 0, measurement = 1), queue ids clamped
     // to `top_queue`. All sources start at watermark zero; nothing is
     // released until every source has reported (or the stream ends).
-    // alloc-ok: one-time setup before the poll loop.
+    // alloc-ok: one-time setup before the receive loop.
     let mut watermarks = vec![0u64; 2 * usize::from(top_queue) + 2];
     let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -599,76 +635,67 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     let mut free_slots: Vec<usize> = Vec::new();
 
     // alloc-ok: one-time setup; drained and refilled in place each burst.
-    let mut det_batch: Vec<ruru_mq::Message> = Vec::with_capacity(BURST_SIZE);
-    // Adaptive backoff like the lcore workers: spin for the first empty
-    // polls (lowest drain latency), then yield, then park — never a fixed
-    // sleep on a path that might have work microseconds away. Shared with
-    // the dataplane pollers (and loom-checked there) via ruru_nic::backoff.
-    let mut backoff = ruru_nic::backoff::Backoff::new(64, 256, Duration::from_micros(200));
-    loop {
-        let mut idle = true;
-        // Fair drains under sustained load: at most one burst from each
-        // input per loop iteration, so a firehose on one feed cannot starve
-        // the other.
-        let mut syn_quota = BURST_SIZE;
-        while syn_quota > 0 {
-            let Ok((qid, ts)) = syn_rx.try_recv() else {
-                // account-ok: empty/closed SYN feed poll — no event was
-                // received, so none can be lost.
-                break;
-            };
-            syn_quota -= 1;
-            idle = false;
-            delta.records_in += 1;
-            if let Some(w) = watermarks.get_mut(2 * usize::from(qid.min(top_queue))) {
-                *w = (*w).max(ts);
-            }
-            pending.push(Reverse(Pending {
-                at: ts,
-                seq,
-                ev: Ev::Syn,
-            }));
-            seq += 1;
-        }
-        let n = det_pull.try_recv_batch(&mut det_batch, BURST_SIZE);
-        if n > 0 {
-            idle = false;
+    let mut det_batch: Vec<Message> = Vec::with_capacity(BURST_SIZE);
+    let mut done = false;
+    while !done {
+        done = det_pull.recv_batch(&mut det_batch, BURST_SIZE) == 0;
+        if !done {
             delta.batches += 1;
-            delta.records_in += n as u64;
-            for msg in det_batch.drain(..) {
-                delta.bytes += msg.payload.len() as u64;
-                // The internal feed carries the fixed binary record — no
-                // UTF-8 or line parsing here.
-                let Some(em) = EnrichedMeasurement::decode(&msg.payload) else {
-                    // Cannot happen on the self-produced feed — but an
-                    // unaccounted discard would silently unbalance
-                    // detector-conservation, so the loss is counted.
+        }
+        for msg in det_batch.drain(..) {
+            if *msg.topic == *SYN_TOPIC {
+                let Some((qid, stamps)) = decode_syns(&msg.payload) else {
+                    // Cannot happen on the self-produced feed — counted
+                    // as one record that failed to decode, never dropped.
+                    delta.records_in += 1;
                     delta.decode_errors += 1;
                     continue;
                 };
-                let at = em.completed_at.as_nanos();
-                if let Some(w) = watermarks.get_mut(2 * usize::from(em.queue_id.min(top_queue)) + 1)
-                {
-                    *w = (*w).max(at);
+                delta.records_in += stamps.len() as u64;
+                for &ts in stamps {
+                    let ts = u64::from_le_bytes(ts);
+                    if let Some(w) = watermarks.get_mut(2 * usize::from(qid.min(top_queue))) {
+                        *w = (*w).max(ts);
+                    }
+                    pending.push(Reverse(Pending {
+                        at: ts,
+                        seq,
+                        ev: Ev::Syn,
+                    }));
+                    seq += 1;
                 }
-                let slot = free_slots.pop().unwrap_or(parked.len());
-                if let Some(free) = parked.get_mut(slot) {
-                    *free = em;
-                } else {
-                    parked.push(em);
-                }
-                pending.push(Reverse(Pending {
-                    at,
-                    seq,
-                    ev: Ev::Meas(slot),
-                }));
-                seq += 1;
+                continue;
             }
+            delta.records_in += 1;
+            delta.bytes += msg.payload.len() as u64;
+            // The internal feed carries the fixed binary record — no
+            // UTF-8 or line parsing here.
+            let Some(em) = EnrichedMeasurement::decode(&msg.payload) else {
+                // Cannot happen on the self-produced feed — but an
+                // unaccounted discard would silently unbalance
+                // detector-conservation, so the loss is counted.
+                delta.decode_errors += 1;
+                continue;
+            };
+            let at = em.completed_at.as_nanos();
+            if let Some(w) = watermarks.get_mut(2 * usize::from(em.queue_id.min(top_queue)) + 1) {
+                *w = (*w).max(at);
+            }
+            let slot = free_slots.pop().unwrap_or(parked.len());
+            if let Some(free) = parked.get_mut(slot) {
+                *free = em;
+            } else {
+                parked.push(em);
+            }
+            pending.push(Reverse(Pending {
+                at,
+                seq,
+                ev: Ev::Meas(slot),
+            }));
+            seq += 1;
         }
-        // Both feeds drained empty after the stop flag was raised: the
-        // stream has ended, so everything still buffered is released.
-        let done = idle && stop.load(Ordering::Acquire);
-        // Release everything at or below the lowest watermark.
+        // Release everything at or below the lowest watermark — or, once
+        // the stream has ended, everything still buffered.
         let low = if done {
             u64::MAX
         } else {
@@ -714,16 +741,6 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
             }
         }
         flush_detector_deltas(&metrics, det_shard, &mut delta, &mut residencies);
-        if done {
-            // account-ok: shutdown exit after an idle sweep — both feeds
-            // were drained empty and the reorder buffer released in full.
-            break;
-        }
-        if idle {
-            backoff.idle();
-        } else {
-            backoff.reset();
-        }
     }
     aggregates
 }
@@ -737,12 +754,13 @@ impl Pipeline {
         let mut port = Port::new(config.port.clone(), clock.clone());
         let queues = port.take_all_rx_queues();
 
-        let (syn_tx, syn_rx) = channel::<(u16, u64)>();
         let publisher = Publisher::new();
         // Detectors read a lossless PUSH/PULL feed (back-pressure, never
-        // drops); the PUB side stays available for best-effort consumers
-        // like external frontends.
+        // drops) that both the enrichers and the lcores push onto; the PUB
+        // side stays available for best-effort consumers like external
+        // frontends.
         let (det_push, det_pull) = pipe(config.mq_hwm);
+        let lcore_det_push = det_push.clone();
         let tsdb = Arc::new(TsDb::new());
         let alerts = AlertSink::new();
         // One enrichment worker per RX queue.
@@ -765,11 +783,8 @@ impl Pipeline {
 
         // Detector thread; the body is the named [`detector_loop`] so the
         // panic checker can root there.
-        let detector_stop = Arc::new(AtomicBool::new(false));
         let detector_inputs = DetectorInputs {
-            syn_rx,
             det_pull,
-            stop: Arc::clone(&detector_stop),
             alerts: alerts.clone(),
             spike: config.spike.clone(),
             flood: config.flood.clone(),
@@ -784,7 +799,6 @@ impl Pipeline {
             .expect("spawn detector thread");
 
         // lcore workers: classify → track → push measurements.
-        let (stats_tx, stats_rx) = channel();
         let tracker_cfg = config.tracker.clone();
         let inflow_cfg = config.inflow.clone();
         let metrics_for_workers = Arc::clone(&metrics);
@@ -793,12 +807,13 @@ impl Pipeline {
             tracker: HandshakeTracker::new(qid, tracker_cfg.clone()),
             inflow: InflowTracker::new(qid, inflow_cfg.clone()),
             push: worker_push.clone(),
-            syn_tx: syn_tx.clone(),
+            det_push: lcore_det_push.clone(),
             shard: metrics_for_workers.dataplane_shard(qid),
             metrics: Arc::clone(&metrics_for_workers),
             clock: clock_for_workers.clone(),
             batch: Vec::with_capacity(BURST_SIZE),
             metas: Vec::with_capacity(BURST_SIZE),
+            syn_stamps: Vec::with_capacity(BURST_SIZE),
             scratch: BytesMut::new(),
             residencies: Vec::with_capacity(BURST_SIZE),
             inflow_rtts: Vec::with_capacity(BURST_SIZE),
@@ -811,21 +826,11 @@ impl Pipeline {
             syn_events: 0,
             reject_counts: [0; REJECT_CAUSES.len()],
         };
-        let on_stop = move |qid, mut state: WorkerState| {
-            state.flush();
-            let _ = stats_tx.send(WorkerExit {
-                queue: qid,
-                tracker: state.tracker.stats(),
-                inflow: state.inflow.stats(),
-            });
-            // Dropping `state` drops this worker's Push and syn_tx
-            // clones; when the last worker exits, the pipe closes.
-        };
         // Whole-burst workers: classify the burst, prefetch-staged table
         // walk, one vectored PUSH at the burst boundary (PUSH blocks at
         // the HWM, so that is back-pressure, never measurement loss —
         // ZeroMQ PUSH semantics).
-        let workers = WorkerGroup::spawn_bursts(queues, init, dataplane_worker, on_stop);
+        let workers = WorkerGroup::spawn_bursts(queues, init, dataplane_worker);
 
         let snmp = SnmpPoller::new(config.snmp_interval_ns, 10_000_000_000);
 
@@ -836,9 +841,7 @@ impl Pipeline {
             port,
             workers,
             pool,
-            stats_rx,
             detector_handle,
-            detector_stop,
             tsdb,
             alerts,
             snmp,
@@ -943,25 +946,30 @@ impl Pipeline {
     // Propagating a detector panic at join is shutdown-time, by design.
     #[allow(clippy::expect_used)]
     pub fn finish(mut self) -> Report {
-        // 1. Stop lcore workers (they drain their queues first). Their exit
-        //    drops the last Push/syn_tx, closing the analytics inputs.
-        self.workers.shutdown();
-        // 2. The enrichment pool drains the pipe and exits.
+        // 1. Stop the lcore workers (they drain their queues first) and
+        //    take back their states, in queue order. Each shard's only
+        //    writer has exited, so flushing it here is single-writer.
+        let mut trackers: Vec<(u16, TrackerStats)> = Vec::new();
+        let mut inflows: Vec<(u16, InflowStats)> = Vec::new();
+        for mut state in self.workers.shutdown() {
+            state.flush();
+            let queue = state.tracker.queue_id();
+            trackers.push((queue, state.tracker.stats()));
+            inflows.push((queue, state.inflow.stats()));
+            // Dropping `state` drops this worker's PUSH ends of both
+            // pipes; after the last one the enrichment pipe is closed.
+        }
+        // 2. The enrichment pool drains its pipe and exits, dropping the
+        //    last PUSH ends of the detector pipe. Every tsdb merge happens
+        //    inside the pool's stripe flushes, so from here the store holds
+        //    every measurement and `tsdb_merge_points` accounts for all of
+        //    them; nothing is merged at finish time.
         self.pool.join();
-        // 3. Detector: let it drain, then signal stop.
-        self.detector_stop.store(true, Ordering::Release);
+        // 3. The detector drains its closed pipe, releases its reorder
+        //    buffer and returns.
         let aggregates = self.detector_handle.join().expect("detector panicked");
-        // 4. Collect worker exits (tracker stats). Every tsdb merge already
-        //    happened inside the pool's stripe flushes, so by this point the
-        //    store holds every measurement and `tsdb_merge_points` accounts
-        //    for all of them; nothing is merged at finish time.
-        let mut exits: Vec<WorkerExit> = self.stats_rx.try_iter().collect();
-        exits.sort_by_key(|e| e.queue);
-        let trackers: Vec<(u16, TrackerStats)> =
-            exits.iter().map(|e| (e.queue, e.tracker)).collect();
-        let inflows: Vec<(u16, InflowStats)> = exits.iter().map(|e| (e.queue, e.inflow)).collect();
 
-        // 5. Final telemetry collection: every writer has joined, so the
+        // 4. Final telemetry collection: every writer has joined, so the
         //    snapshot is exact (no skipped shards).
         //    (Inlined from `collect_telemetry` — joining `detector_handle`
         //    partially moved `self`, ruling out the `&mut self` call.)
@@ -979,7 +987,7 @@ impl Pipeline {
         );
         self.telemetry_points += self.telemetry_snap.write_into(&self.tsdb) as u64;
 
-        // 6. Every stage count in the report is read from that one
+        // 5. Every stage count in the report is read from that one
         //    snapshot — the numbers the live `ruru_self` export carries, so
         //    a report and a dashboard cannot disagree.
         let t = self.telemetry_snap;
@@ -1055,6 +1063,55 @@ mod tests {
             snmp_interval_ns: 1_000_000_000,
             ..PipelineConfig::default()
         }
+    }
+
+    #[test]
+    fn syn_record_round_trips() {
+        for k in [1u64, 32] {
+            let stamps: Vec<u64> = (0..k).map(|i| u64::MAX - 3 * i).collect();
+            let mut buf = BytesMut::new();
+            encode_syns(7, &stamps, &mut buf);
+            assert_eq!(buf.len() as u64, 2 + 8 * k);
+            let (queue, got) = decode_syns(&buf).expect("well-formed record");
+            assert_eq!(queue, 7);
+            let got: Vec<u64> = got.iter().map(|s| u64::from_le_bytes(*s)).collect();
+            assert_eq!(got, stamps);
+        }
+    }
+
+    #[test]
+    fn malformed_syn_records_count_as_decode_errors() {
+        let metrics = Arc::new(SelfMetrics::new(1, 1));
+        let (push, det_pull) = pipe(64);
+        let mut good = BytesMut::new();
+        encode_syns(0, &[10, 20, 30], &mut good);
+        push.send(Message::new(SYN_TOPIC, good.freeze())).unwrap();
+        // No timestamp, a short queue id, and trailing partial stamps.
+        let bad_lengths = [0usize, 1, 2, 9, 2 + 8 + 1, 2 + 16 + 7];
+        for len in bad_lengths {
+            push.send(Message::new(SYN_TOPIC, vec![0u8; len])).unwrap();
+        }
+        drop(push);
+        // Every pusher is gone: the loop drains the pipe and returns.
+        detector_loop(DetectorInputs {
+            det_pull,
+            alerts: AlertSink::new(),
+            spike: SpikeConfig::default(),
+            flood: FloodConfig::default(),
+            rate: RateConfig::default(),
+            num_queues: 1,
+            metrics: Arc::clone(&metrics),
+            clock: Clock::virtual_clock(),
+        });
+        let t = metrics.registry().snapshot(0);
+        let errors = t.counter("det_decode_errors");
+        assert_eq!(errors, bad_lengths.len() as u64);
+        assert_eq!(t.counter("det_records_out"), 3, "the good record's SYNs");
+        assert_eq!(
+            t.counter("det_records_in"),
+            t.counter("det_records_out") + errors,
+            "detector-conservation"
+        );
     }
 
     #[test]

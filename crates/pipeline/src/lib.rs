@@ -6,15 +6,21 @@
 //!
 //! ```text
 //!  traffic ──► Port (RSS, N queues) ──► lcore workers ──► HandshakeTracker
-//!                                                              │ PUSH
-//!                                                              ▼
-//!  TsDb ◄── EnrichmentPool (geo/AS, privacy scrub) ◄──────── pipe
-//!    │              │ PUSH (lossless)
-//!    │              ├─────────► detectors ──► AlertSink
+//!                                                          │ PUSH       │ PUSH
+//!                                                          │ "latency"  │ "syn"
+//!                                                          ▼            │
+//!  TsDb ◄── EnrichmentPool (geo/AS, privacy scrub) ◄───── pipe          │
+//!    │              │ PUSH "enriched"                                   │
+//!    │              ├─────────► pipe ◄──────────────────────────────────┘
+//!    │              │            └──► detector ──► AlertSink
 //!    │              │ PUB "enriched"
 //!    ▼              └─ SUB ───► FrameBatcher ──► 3D-map frames
 //!  Panels (Grafana-style)
 //! ```
+//!
+//! Every edge between pipeline threads is a `ruru-mq` socket. The lcores
+//! poll their RX rings; every stage after them blocks on its one PULL
+//! feed and exits once the feed's pushers are gone and it is drained.
 //!
 //! * [`engine`] — [`engine::Pipeline`]: construction, event injection (from
 //!   `ruru-gen` or a pcap), shutdown, and the final [`engine::Report`].
