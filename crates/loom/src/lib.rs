@@ -15,8 +15,8 @@
 //! - **Inside [`model`]**: every primitive routes through the serializing
 //!   scheduler in [`rt`]. Atomics carry release/acquire vector clocks,
 //!   [`cell::UnsafeCell`] accesses are checked for happens-before races,
-//!   mutexes/condvars block threads at the scheduler level, and every
-//!   visible operation is a scheduling point.
+//!   mutexes, condvars and `thread::park` block threads at the scheduler
+//!   level, and every visible operation is a scheduling point.
 //! - **Outside [`model`]** (e.g. ordinary unit tests or doctests compiled
 //!   with `--cfg loom`): every primitive transparently falls back to plain
 //!   `std` behavior, so a `--cfg loom` build of the whole workspace still
@@ -881,7 +881,6 @@ pub mod sync {
 pub mod thread {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     enum Inner<T> {
         Std(std::thread::JoinHandle<T>),
@@ -894,9 +893,22 @@ pub mod thread {
     /// Handle to a spawned thread (model or real).
     pub struct JoinHandle<T> {
         inner: Inner<T>,
+        thread: Thread,
     }
 
     impl<T> JoinHandle<T> {
+        fn std(handle: std::thread::JoinHandle<T>) -> JoinHandle<T> {
+            JoinHandle {
+                thread: Thread::Std(handle.thread().clone()),
+                inner: Inner::Std(handle),
+            }
+        }
+
+        /// The spawned thread, e.g. to `unpark` it.
+        pub fn thread(&self) -> &Thread {
+            &self.thread
+        }
+
         /// Wait for the thread and take its return value.
         pub fn join(self) -> std::thread::Result<T> {
             match self.inner {
@@ -910,6 +922,52 @@ pub mod thread {
                         .expect("joined model thread left no result"))
                 }
             }
+        }
+    }
+
+    /// A handle to a thread (model or real), used to `unpark` it.
+    #[derive(Clone, Debug)]
+    pub enum Thread {
+        /// A real thread (outside a model).
+        Std(std::thread::Thread),
+        /// Model thread `tid` of the running execution.
+        Model(usize),
+    }
+
+    impl Thread {
+        /// Set the thread's park token, waking it if it is parked. In a
+        /// model this is a visible operation, and the woken `park`
+        /// happens-after it.
+        pub fn unpark(&self) {
+            match self {
+                Thread::Std(t) => t.unpark(),
+                Thread::Model(tid) => {
+                    if rt::in_model() {
+                        rt::unpark(*tid);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The calling thread.
+    pub fn current() -> Thread {
+        if rt::in_model() {
+            Thread::Model(rt::current_tid())
+        } else {
+            Thread::Std(std::thread::current())
+        }
+    }
+
+    /// Block until the calling thread's park token is set, then consume
+    /// it (token semantics: an `unpark` before the `park` makes it return
+    /// at once). In a model the wait blocks at the scheduler, and it never
+    /// ends spuriously, so a lost wakeup surfaces as a deadlock.
+    pub fn park() {
+        if rt::in_model() {
+            rt::park();
+        } else {
+            std::thread::park();
         }
     }
 
@@ -929,11 +987,10 @@ pub mod thread {
             }));
             JoinHandle {
                 inner: Inner::Model { tid, slot },
+                thread: Thread::Model(tid),
             }
         } else {
-            JoinHandle {
-                inner: Inner::Std(std::thread::spawn(f)),
-            }
+            JoinHandle::std(std::thread::spawn(f))
         }
     }
 
@@ -969,9 +1026,7 @@ pub mod thread {
                 if let Some(n) = self.name {
                     b = b.name(n);
                 }
-                Ok(JoinHandle {
-                    inner: Inner::Std(b.spawn(f)?),
-                })
+                Ok(JoinHandle::std(b.spawn(f)?))
             }
         }
     }
@@ -983,20 +1038,6 @@ pub mod thread {
             rt::sync_point(Point::Yield);
         } else {
             std::thread::yield_now();
-        }
-    }
-
-    /// Park with a timeout. In a model this is a nondeterministic choice
-    /// between timing out immediately and blocking until the scheduler
-    /// force-fires the timeout (no `unpark` exists in the modeled API).
-    pub fn park_timeout(dur: Duration) {
-        if rt::in_model() {
-            rt::sync_point(Point::Op);
-            if !rt::decide_bool() {
-                rt::block_on(Blocker::Park);
-            }
-        } else {
-            std::thread::park_timeout(dur);
         }
     }
 }
@@ -1211,9 +1252,73 @@ mod tests {
     }
 
     #[test]
-    fn park_timeout_always_returns() {
+    fn unpark_before_park_returns_at_once() {
         super::model(|| {
-            super::thread::park_timeout(Duration::from_millis(1));
+            // Token semantics: the token set first makes the park return.
+            super::thread::current().unpark();
+            super::thread::park();
+        });
+    }
+
+    #[test]
+    fn park_returns_after_a_racing_unpark() {
+        super::model(|| {
+            let main = super::thread::current();
+            let t = super::thread::spawn(move || main.unpark());
+            super::thread::park();
+            t.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn join_handle_thread_unparks_the_spawned_thread() {
+        super::model(|| {
+            let t = super::thread::spawn(super::thread::park);
+            t.thread().unpark();
+            t.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn detects_lost_wakeup() {
+        // A park nobody unparks is a deadlock, not a timeout.
+        assert!(fails(|| {
+            let t = super::thread::spawn(super::thread::park);
+            t.join().unwrap();
+        }));
+    }
+
+    #[test]
+    // As in `release_acquire_publishes`: the wrapper's Sync impl is sound
+    // because the unpark -> park edge orders the two accesses.
+    #[allow(clippy::arc_with_non_send_sync)]
+    fn unpark_happens_before_the_woken_park() {
+        struct Share<T>(Arc<UnsafeCell<T>>);
+        // SAFETY: test-only sharing; the write happens-before the read via
+        // unpark -> park, which is what the test verifies.
+        unsafe impl<T: Send> Sync for Share<T> {}
+        // SAFETY: as above.
+        unsafe impl<T: Send> Send for Share<T> {}
+        super::model(|| {
+            let cell = Share(Arc::new(UnsafeCell::new(0u32)));
+            let c2 = Share(Arc::clone(&cell.0));
+            let main = super::thread::current();
+            let t = super::thread::spawn(move || {
+                let c2 = c2; // capture the whole wrapper, not the Arc field
+                c2.0.with_mut(|p| {
+                    // SAFETY: happens-before the unpark below.
+                    unsafe { *p = 42 }
+                });
+                main.unpark();
+            });
+            super::thread::park();
+            let v = cell.0.with(|p| {
+                // SAFETY: the park returned on the token set by the
+                // unpark, so the write above happens-before this read.
+                unsafe { *p }
+            });
+            assert_eq!(v, 42);
+            t.join().unwrap();
         });
     }
 

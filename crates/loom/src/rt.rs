@@ -71,8 +71,8 @@ pub(crate) enum Blocker {
     Condvar(usize),
     /// Waiting on condvar `id` with a timeout (scheduler may force-wake).
     CondvarTimeout(usize),
-    /// In `park_timeout` (scheduler may force-wake).
-    Park,
+    /// In `thread::park` without a token: only an `unpark` wakes it.
+    Parked,
     /// Waiting for thread `tid` to finish.
     Join(usize),
 }
@@ -88,9 +88,14 @@ struct ThreadState {
     status: Status,
     clock: VClock,
     final_clock: Option<VClock>,
-    /// Set by the scheduler when a soft block (park/wait_timeout) was ended
+    /// Set by the scheduler when a soft block (`wait_timeout`) was ended
     /// by the timeout rather than a notify; consumed by the blocked op.
     timed_out: bool,
+    /// The `unpark` token: set by `unpark`, consumed by `park`.
+    token: bool,
+    /// Join of the clocks of the `unpark` calls behind the token, so a
+    /// returning `park` happens-after them (as `std` documents).
+    token_clock: VClock,
 }
 
 /// The kind of scheduling point, which determines candidate ordering and
@@ -230,12 +235,12 @@ fn schedule_next(rt: &RtShared, reg: &mut Registry, me: usize, kind: Point) {
 
     let mut options: Vec<(u32, u8)> = Vec::new();
     if runnable.is_empty() {
-        // Stalled: force the lowest soft-blocked thread's timeout to fire,
+        // Stalled: force the lowest timed waiter's timeout to fire,
         // or report deadlock / completion.
         let soft = (0..reg.threads.len()).find(|&t| {
             matches!(
                 reg.threads[t].status,
-                Status::Blocked(Blocker::Park) | Status::Blocked(Blocker::CondvarTimeout(_))
+                Status::Blocked(Blocker::CondvarTimeout(_))
             )
         });
         if let Some(t) = soft {
@@ -445,6 +450,44 @@ pub(crate) fn unblock_one(pred: impl Fn(Blocker) -> bool) -> bool {
     false
 }
 
+/// The calling model thread's id.
+pub(crate) fn current_tid() -> usize {
+    current().expect("loom thread id outside a model").1
+}
+
+/// Block until the calling thread's `unpark` token is set, then consume
+/// it and join the clocks of the `unpark` calls that set it. Returns at
+/// once if the token is already set; never returns spuriously.
+pub(crate) fn park() {
+    let (rt, me) = current().expect("loom park outside a model");
+    sync_point(Point::Op);
+    let has_token = rt.lock().threads[me].token;
+    if !has_token {
+        block_on(Blocker::Parked);
+    }
+    let mut reg = rt.lock();
+    let thread = &mut reg.threads[me];
+    thread.token = false;
+    let clock = std::mem::take(&mut thread.token_clock);
+    vc_join(&mut thread.clock, &clock);
+}
+
+/// Set thread `tid`'s `unpark` token, waking it if it is parked.
+pub(crate) fn unpark(tid: usize) {
+    let (rt, me) = current().expect("loom unpark outside a model");
+    sync_point(Point::Op);
+    let mut reg = rt.lock();
+    let mine = reg.threads[me].clock.clone();
+    let Some(thread) = reg.threads.get_mut(tid) else {
+        return;
+    };
+    thread.token = true;
+    vc_join(&mut thread.token_clock, &mine);
+    if thread.status == Status::Blocked(Blocker::Parked) {
+        thread.status = Status::Runnable;
+    }
+}
+
 /// A two-way nondeterministic choice. The `false` branch is the free
 /// default; exploring the `true` branch costs a preemption (bounding how
 /// many spontaneous timeouts a single execution may take).
@@ -500,6 +543,8 @@ pub(crate) fn spawn_thread(body: Box<dyn FnOnce() + Send>) -> usize {
         clock,
         final_clock: None,
         timed_out: false,
+        token: false,
+        token_clock: Vec::new(),
     });
     let rt2 = Arc::clone(&rt);
     let handle = std::thread::Builder::new()
@@ -630,6 +675,8 @@ pub(crate) fn model(f: impl Fn() + Send + Sync + 'static) {
                 clock: vec![1],
                 final_clock: None,
                 timed_out: false,
+                token: false,
+                token_clock: Vec::new(),
             });
             let rt2 = Arc::clone(&rt);
             let f2 = Arc::clone(&f);
@@ -639,13 +686,14 @@ pub(crate) fn model(f: impl Fn() + Send + Sync + 'static) {
                 .expect("spawn model main thread");
             reg.os_handles.push(handle);
         }
-        let (failure, trace, explored_path, handles) = {
+        let (failure, failed, trace, explored_path, handles) = {
             let mut reg = rt.lock();
             while !reg.execution_done {
                 reg = rt.cv.wait(reg).unwrap_or_else(|e| e.into_inner());
             }
             (
                 reg.failure.take(),
+                reg.failed.take(),
                 std::mem::take(&mut reg.trace),
                 std::mem::take(&mut reg.schedule.path),
                 std::mem::take(&mut reg.os_handles),
@@ -656,7 +704,8 @@ pub(crate) fn model(f: impl Fn() + Send + Sync + 'static) {
         }
         if let Some(payload) = failure {
             eprintln!(
-                "loom: execution #{executions} failed; schedule (thread ids): {trace:?}"
+                "loom: execution #{executions} failed ({}); schedule (thread ids): {trace:?}",
+                failed.as_deref().unwrap_or("model thread panicked")
             );
             panic::resume_unwind(payload);
         }

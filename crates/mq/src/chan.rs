@@ -18,6 +18,13 @@
 //! uncontended in the common case and the semantics are trivially auditable
 //! — the subtle lock-free structures live in `ruru-nic` where the per-packet
 //! rates demand them; the bus moves coalesced batches, not packets.
+//!
+//! A notify is a syscall even when nobody waits, so the channel counts its
+//! blocked receivers and senders inside the mutex and signals a condvar
+//! only when the count says a peer waits on it. A waiter increments its
+//! count before it waits and decrements it after it wakes, both under the
+//! lock, so a count of zero seen under the lock means nobody is waiting or
+//! about to wait on that condvar.
 
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
@@ -74,14 +81,51 @@ struct Inner<T> {
     cap: usize,
     senders: usize,
     receivers: usize,
+    /// Receivers blocked on `not_empty`.
+    recv_waiting: usize,
+    /// Senders blocked on `not_full`.
+    send_waiting: usize,
 }
 
 struct Chan<T> {
     inner: Mutex<Inner<T>>,
-    /// Signalled on every push and on sender disconnect.
+    /// Signalled on a push while a receiver waits, and on the last
+    /// sender's disconnect.
     not_empty: Condvar,
-    /// Signalled on every pop and on receiver disconnect.
+    /// Signalled on a pop while a sender waits, and on the last
+    /// receiver's disconnect.
     not_full: Condvar,
+}
+
+impl<T> Chan<T> {
+    /// Enqueue below the HWM and unlock, then wake a receiver if one waits.
+    fn push_unlock(&self, mut inner: MutexGuard<'_, Inner<T>>, value: T) {
+        // alloc-ok: callers check len < cap — the VecDeque grows to the
+        // channel bound once, then push/pop reuse its ring.
+        inner.queue.push_back(value);
+        let wake = inner.recv_waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Dequeue and unlock, then wake a sender if one waits. An empty
+    /// queue hands the lock back.
+    fn pop_unlock<'a>(
+        &self,
+        mut inner: MutexGuard<'a, Inner<T>>,
+    ) -> Result<T, MutexGuard<'a, Inner<T>>> {
+        if let Some(value) = inner.queue.pop_front() {
+            let wake = inner.send_waiting > 0;
+            drop(inner);
+            if wake {
+                self.not_full.notify_one();
+            }
+            return Ok(value);
+        }
+        Err(inner)
+    }
 }
 
 /// Poison-tolerant lock: a channel is a FIFO of plain values, so a panic in
@@ -101,6 +145,8 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
             cap,
             senders: 1,
             receivers: 1,
+            recv_waiting: 0,
+            send_waiting: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -132,24 +178,22 @@ impl<T> Sender<T> {
                 return Err(SendError(value));
             }
             if inner.queue.len() < inner.cap {
-                // alloc-ok: len < cap checked above — the VecDeque grows to
-                // the channel bound once, then push/pop reuse its ring.
-                inner.queue.push_back(value);
-                drop(inner);
-                self.chan.not_empty.notify_one();
+                self.chan.push_unlock(inner, value);
                 return Ok(());
             }
+            inner.send_waiting += 1;
             inner = self
                 .chan
                 .not_full
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.send_waiting -= 1;
         }
     }
 
     /// Non-blocking send.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut inner = lock(&self.chan);
+        let inner = lock(&self.chan);
         if inner.receivers == 0 {
             // account-ok: `Disconnected(value)` returns ownership — the
             // caller regains the record and accounts the failure.
@@ -160,11 +204,7 @@ impl<T> Sender<T> {
             // ownership; pubsub's deliver counts the drop per subscriber.
             return Err(TrySendError::Full(value));
         }
-        // alloc-ok: len < cap checked above — the VecDeque grows to the
-        // channel bound once, then push/pop reuse its ring.
-        inner.queue.push_back(value);
-        drop(inner);
-        self.chan.not_empty.notify_one();
+        self.chan.push_unlock(inner, value);
         Ok(())
     }
 
@@ -214,20 +254,21 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut inner = lock(&self.chan);
         loop {
-            if let Some(value) = inner.queue.pop_front() {
-                drop(inner);
-                self.chan.not_full.notify_one();
-                return Ok(value);
-            }
+            inner = match self.chan.pop_unlock(inner) {
+                Ok(value) => return Ok(value),
+                Err(inner) => inner,
+            };
             if inner.senders == 0 {
                 // account-ok: closed-channel receive holds no record.
                 return Err(RecvError);
             }
+            inner.recv_waiting += 1;
             inner = self
                 .chan
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.recv_waiting -= 1;
         }
     }
 
@@ -239,11 +280,10 @@ impl<T> Receiver<T> {
         let deadline = Instant::now() + timeout;
         let mut inner = lock(&self.chan);
         loop {
-            if let Some(value) = inner.queue.pop_front() {
-                drop(inner);
-                self.chan.not_full.notify_one();
-                return Ok(value);
-            }
+            inner = match self.chan.pop_unlock(inner) {
+                Ok(value) => return Ok(value),
+                Err(inner) => inner,
+            };
             if inner.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
@@ -251,24 +291,22 @@ impl<T> Receiver<T> {
             if remaining.is_zero() {
                 return Err(RecvTimeoutError::Timeout);
             }
+            inner.recv_waiting += 1;
             let (guard, result) = self
                 .chan
                 .not_empty
                 .wait_timeout(inner, remaining)
                 .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
+            inner.recv_waiting -= 1;
             if result.timed_out() {
                 // One final condition check, then give up. (Under loom the
                 // timeout branch is a nondeterministic choice, so looping
                 // back on `timed_out` would build unbounded schedules.)
-                return match inner.queue.pop_front() {
-                    Some(value) => {
-                        drop(inner);
-                        self.chan.not_full.notify_one();
-                        Ok(value)
-                    }
-                    None if inner.senders == 0 => Err(RecvTimeoutError::Disconnected),
-                    None => Err(RecvTimeoutError::Timeout),
+                return match self.chan.pop_unlock(inner) {
+                    Ok(value) => Ok(value),
+                    Err(inner) if inner.senders == 0 => Err(RecvTimeoutError::Disconnected),
+                    Err(_) => Err(RecvTimeoutError::Timeout),
                 };
             }
         }
@@ -276,16 +314,11 @@ impl<T> Receiver<T> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut inner = lock(&self.chan);
-        match inner.queue.pop_front() {
-            Some(value) => {
-                drop(inner);
-                self.chan.not_full.notify_one();
-                Ok(value)
-            }
-            None if inner.senders == 0 => Err(TryRecvError::Disconnected),
+        match self.chan.pop_unlock(lock(&self.chan)) {
+            Ok(value) => Ok(value),
+            Err(inner) if inner.senders == 0 => Err(TryRecvError::Disconnected),
             // account-ok: empty-channel poll holds no record.
-            None => Err(TryRecvError::Empty),
+            Err(_) => Err(TryRecvError::Empty),
         }
     }
 

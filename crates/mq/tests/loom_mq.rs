@@ -20,6 +20,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use loom::thread;
+use ruru_mq::chan::bounded;
 use ruru_mq::pubsub::Publisher;
 use ruru_mq::pushpull::pipe;
 use ruru_mq::Message;
@@ -122,5 +123,28 @@ fn loom_batch_puller_sees_every_message_then_close_from_two_pushers() {
         payloads.sort();
         assert_eq!(payloads, [&b"e"[..], &b"s"[..]], "each message once");
         assert_eq!(pull.recv_batch(&mut got, 4), 0, "closed stays closed");
+    });
+}
+
+/// Counted wakeups: a channel signals a condvar only when its waiter count
+/// says a peer is blocked on it. Here a sender blocks at the HWM (capacity
+/// 1, two sends) and the receiver blocks on empty, in every order; each is
+/// woken by the other side's counted notify. The sender stays alive until
+/// both messages are received, so its drop's disconnect notify cannot
+/// stand in for a lost one: a missed count leaves both threads blocked,
+/// which the checker reports as a deadlock.
+#[test]
+fn loom_counted_notify_wakes_blocked_sender_and_receiver() {
+    loom::model(|| {
+        let (tx, rx) = bounded::<u8>(1);
+        let t = thread::spawn(move || {
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            tx
+        });
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv(), Ok(2));
+        let tx = t.join().unwrap();
+        assert!(tx.is_empty());
     });
 }

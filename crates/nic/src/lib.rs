@@ -22,13 +22,12 @@
 //! * [`port`] — a multi-queue port: packets injected on the wire side are
 //!   timestamped, RSS-classified and delivered to per-queue rings that
 //!   workers drain with `rx_burst`.
-//! * [`lcore`] — the worker-thread harness: one busy-polling thread per
-//!   queue with cooperative shutdown that hands each worker's state back,
-//!   mirroring DPDK lcores.
+//! * [`lcore`] — the worker-thread harness: one thread per queue that
+//!   polls, then parks until the port delivers to its queue, with
+//!   cooperative shutdown that hands each worker's state back, mirroring
+//!   DPDK lcores in RX-interrupt mode.
 //! * [`queue`] — a bounded lock-free MPMC queue (Vyukov), the pool's
 //!   free list.
-//! * [`backoff`] — the spin → yield → park idle policy of the lcore poll
-//!   loops.
 //! * [`fault`] — wire-level fault injection (drop / corrupt / duplicate /
 //!   reorder), for testing tracker robustness.
 //! * [`shaper`] — a token-bucket rate limiter used to emulate link rates.
@@ -36,7 +35,6 @@
 //!   `cfg(loom)`) every hot-path module draws its primitives from, making
 //!   the unsafe core model-checkable.
 
-pub mod backoff;
 pub mod clock;
 pub mod fault;
 pub mod lcore;

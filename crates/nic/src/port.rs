@@ -5,17 +5,21 @@
 //! arrival timestamp, computes the RSS hash from the TCP/IP 4-tuple,
 //! allocates an mbuf from the pool and delivers it to the per-queue SPSC
 //! ring selected by the redirection table. Worker cores drain queues with
-//! [`RxQueue::rx_burst`], exactly like `rte_eth_rx_burst`.
+//! [`RxQueue::rx_burst`], exactly like `rte_eth_rx_burst`. A worker that
+//! finds its queue empty may [`RxQueue::park_while_empty`]; the next
+//! packet delivered to that queue wakes it, as DPDK's RX interrupts do.
 //!
 //! Drop accounting mirrors hardware: pool exhaustion and ring overflow are
 //! both RX drops (`imissed`), visible in [`PortStats`].
+//! [`Port::inject_lossless_at`] waits instead of dropping, and counts the
+//! packets that had to wait apart from the drops.
 
 use crate::clock::{Clock, Timestamp};
 use crate::mbuf::{Mbuf, MbufPool};
 use crate::ring::{self, Consumer, Producer};
 use crate::rss::RssHasher;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Arc;
+use crate::sync::{thread, Arc};
 use ruru_wire::{ethernet, ipv4, ipv6, tcp, IpAddress};
 
 /// Configuration of a simulated port.
@@ -53,10 +57,25 @@ struct QueueCounters {
     ring_full_drops: AtomicU64,
 }
 
+impl QueueCounters {
+    fn delivered(&self, len: usize) {
+        self.packets.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(len as u64, Ordering::Relaxed);
+    }
+}
+
+/// Tag a freshly allocated mbuf with its queue and arrival time.
+fn stamp(mut mbuf: Mbuf, queue: u16, timestamp: Timestamp) -> Mbuf {
+    mbuf.queue_id = queue;
+    mbuf.timestamp = timestamp;
+    mbuf
+}
+
 struct Shared {
     counters: Box<[QueueCounters]>,
     no_mbuf_drops: AtomicU64,
     non_ip_packets: AtomicU64,
+    inject_waits: AtomicU64,
 }
 
 /// Aggregate statistics of a port.
@@ -72,6 +91,11 @@ pub struct PortStats {
     pub ring_full_drops: u64,
     /// Packets that were not IPv4/IPv6 TCP (delivered with hash 0).
     pub non_ip_packets: u64,
+    /// Lossless injects that waited for a free mbuf or ring space. These
+    /// packets were delivered late, not dropped.
+    pub inject_waits: u64,
+    /// Times a delivery woke a parked queue consumer, summed over queues.
+    pub rx_wakeups: u64,
 }
 
 /// Per-queue statistics.
@@ -83,6 +107,8 @@ pub struct QueueStats {
     pub bytes: u64,
     /// Packets dropped because this ring was full.
     pub ring_full_drops: u64,
+    /// Times a delivery woke this queue's parked consumer.
+    pub wakeups: u64,
 }
 
 /// The receive handle of one queue, owned by one worker core.
@@ -99,6 +125,14 @@ impl RxQueue {
         self.consumer.pop_burst(out, max)
     }
 
+    /// Park the calling thread until the port delivers to this queue,
+    /// unless the queue holds packets or `stop()` is true once the park is
+    /// announced. It may return spuriously. See
+    /// [`crate::ring::Consumer::park_while_empty`].
+    pub fn park_while_empty(&mut self, stop: impl FnOnce() -> bool) {
+        self.consumer.park_while_empty(stop);
+    }
+
     /// Packets currently waiting in this queue.
     pub fn backlog(&self) -> usize {
         self.consumer.len()
@@ -113,6 +147,7 @@ impl RxQueue {
             packets: c.packets.load(Ordering::Relaxed),
             bytes: c.bytes.load(Ordering::Relaxed),
             ring_full_drops: c.ring_full_drops.load(Ordering::Relaxed),
+            wakeups: self.consumer.wakeups(),
         }
     }
 }
@@ -145,6 +180,7 @@ impl Port {
                 .collect(),
             no_mbuf_drops: AtomicU64::new(0),
             non_ip_packets: AtomicU64::new(0),
+            inject_waits: AtomicU64::new(0),
         });
         let mut producers = Vec::with_capacity(config.num_queues as usize);
         let mut rx_queues = Vec::with_capacity(config.num_queues as usize);
@@ -247,34 +283,15 @@ impl Port {
     /// Deliver one frame with an explicit arrival timestamp (used when the
     /// generator batches simulated time).
     pub fn inject_at(&mut self, frame: &[u8], timestamp: Timestamp) -> Option<u16> {
-        let hash = match Self::parse_rss_tuple(frame) {
-            Some((src, dst, sp, dp)) => self.hasher.hash_tuple(src, dst, sp, dp),
-            None => {
-                self.shared.non_ip_packets.fetch_add(1, Ordering::Relaxed);
-                0
-            }
-        };
-        let queue = self.hasher.queue_for(hash);
-        let Some(mut mbuf) = self.pool.alloc(frame) else {
+        let queue = self.rss_queue(frame);
+        let Some(mbuf) = self.pool.alloc(frame) else {
             self.shared.no_mbuf_drops.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        mbuf.queue_id = queue;
-        mbuf.timestamp = timestamp;
-        let len = frame.len() as u64;
-        let qi = usize::from(queue);
-        // queue_for() maps into 0..num_queues and producers/counters both
-        // have num_queues entries, so the lookups cannot miss; dropping the
-        // frame is still better than aborting if that invariant ever broke.
-        let (Some(producer), Some(c)) =
-            (self.producers.get_mut(qi), self.shared.counters.get(qi))
-        else {
-            return None;
-        };
-        match producer.push(mbuf) {
+        let (producer, c) = self.queue_parts(queue)?;
+        match producer.push(stamp(mbuf, queue, timestamp)) {
             Ok(()) => {
-                c.packets.fetch_add(1, Ordering::Relaxed);
-                c.bytes.fetch_add(len, Ordering::Relaxed);
+                c.delivered(frame.len());
                 Some(queue)
             }
             Err(_mbuf) => {
@@ -285,11 +302,62 @@ impl Port {
         }
     }
 
+    /// Deliver one frame without loss: wait for a free mbuf, then for
+    /// space in its queue's ring, yielding to the workers that free both.
+    /// The frame is parsed and copied once however long it waits, and a
+    /// packet that waited counts in [`PortStats::inject_waits`], never as
+    /// a drop. Returns the queue it was delivered to.
+    pub fn inject_lossless_at(&mut self, frame: &[u8], timestamp: Timestamp) -> Option<u16> {
+        let queue = self.rss_queue(frame);
+        let mut waited = false;
+        let mut mbuf = loop {
+            if let Some(mbuf) = self.pool.alloc(frame) {
+                break stamp(mbuf, queue, timestamp);
+            }
+            waited = true;
+            thread::yield_now();
+        };
+        let (producer, c) = self.queue_parts(queue)?;
+        while let Err(back) = producer.push(mbuf) {
+            mbuf = back;
+            waited = true;
+            thread::yield_now();
+        }
+        c.delivered(frame.len());
+        if waited {
+            self.shared.inject_waits.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(queue)
+    }
+
+    /// The RX queue RSS steers `frame` to; frames without a TCP/IP tuple
+    /// hash to 0 and count as non-IP.
+    fn rss_queue(&self, frame: &[u8]) -> u16 {
+        let hash = match Self::parse_rss_tuple(frame) {
+            Some((src, dst, sp, dp)) => self.hasher.hash_tuple(src, dst, sp, dp),
+            None => {
+                self.shared.non_ip_packets.fetch_add(1, Ordering::Relaxed);
+                0
+            }
+        };
+        self.hasher.queue_for(hash)
+    }
+
+    /// Queue `queue`'s ring producer and counters. `queue_for()` maps into
+    /// `0..num_queues` and both have `num_queues` entries, so the lookups
+    /// cannot miss; dropping the frame is still better than aborting if
+    /// that invariant ever broke.
+    fn queue_parts(&mut self, queue: u16) -> Option<(&mut Producer<Mbuf>, &QueueCounters)> {
+        let qi = usize::from(queue);
+        Some((self.producers.get_mut(qi)?, self.shared.counters.get(qi)?))
+    }
+
     /// Aggregate statistics across queues.
     pub fn stats(&self) -> PortStats {
         let mut s = PortStats {
             no_mbuf_drops: self.shared.no_mbuf_drops.load(Ordering::Relaxed),
             non_ip_packets: self.shared.non_ip_packets.load(Ordering::Relaxed),
+            inject_waits: self.shared.inject_waits.load(Ordering::Relaxed),
             ..PortStats::default()
         };
         for c in self.shared.counters.iter() {
@@ -297,6 +365,7 @@ impl Port {
             s.rx_bytes += c.bytes.load(Ordering::Relaxed);
             s.ring_full_drops += c.ring_full_drops.load(Ordering::Relaxed);
         }
+        s.rx_wakeups = self.producers.iter().map(Producer::wakeups).sum();
         s
     }
 }
@@ -466,6 +535,72 @@ mod tests {
         let s = port.stats();
         assert_eq!(s.rx_packets, 4);
         assert_eq!(s.ring_full_drops, 6);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // spawns a real consumer thread
+    fn lossless_inject_waits_without_dropping() {
+        let mut port = Port::new(
+            PortConfig {
+                num_queues: 1,
+                queue_depth: 4,
+                pool_size: 8,
+                buf_size: 2048,
+                symmetric_rss: true,
+            },
+            Clock::virtual_clock(),
+        );
+        let mut rx = port.take_rx_queue(0);
+        const N: usize = 2000;
+        let consumer = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            let mut got = 0;
+            while got < N {
+                got += rx.rx_burst(&mut out, 32);
+                out.clear();
+                std::thread::yield_now();
+            }
+        });
+        // Not TCP, so each frame also counts once as non-IP: a retry that
+        // re-parsed the frame would count it again.
+        let frame = vec![0xffu8; 60];
+        for _ in 0..N {
+            assert_eq!(port.inject_lossless_at(&frame, Timestamp::ZERO), Some(0));
+        }
+        consumer.join().unwrap();
+        let s = port.stats();
+        assert_eq!(s.rx_packets, N as u64);
+        assert_eq!(s.non_ip_packets, N as u64);
+        assert_eq!((s.ring_full_drops, s.no_mbuf_drops), (0, 0));
+        assert!(s.inject_waits <= N as u64);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // spawns a real consumer thread
+    fn a_delivery_wakes_a_parked_queue_once() {
+        let mut port = small_port(1);
+        let frame = tcp_frame([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, tcp::Flags::SYN);
+        // A polling consumer is never woken.
+        let mut rx = port.take_rx_queue(0);
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            port.inject(&frame).unwrap();
+            assert_eq!(rx.rx_burst(&mut out, 8), 1);
+        }
+        assert_eq!(port.stats().rx_wakeups, 0);
+        let consumer = std::thread::spawn(move || {
+            while rx.rx_burst(&mut out, 8) == 0 {
+                rx.park_while_empty(|| false);
+            }
+            rx
+        });
+        while !port.producers[0].consumer_sleeping() {
+            std::thread::yield_now();
+        }
+        port.inject(&frame).unwrap();
+        let rx = consumer.join().unwrap();
+        assert_eq!(rx.stats().wakeups, 1);
+        assert_eq!(port.stats().rx_wakeups, 1);
     }
 
     #[test]

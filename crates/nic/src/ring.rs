@@ -25,9 +25,29 @@
 //! would be wrong here: the counters wrap at `usize::MAX`, where a
 //! perfectly valid occupied range straddles the wrap point — only
 //! `wrapping_sub` gives the right distance. See DESIGN.md §9.)
+//!
+//! # Waking a parked consumer
+//!
+//! A consumer that finds the ring empty may [`Consumer::park_while_empty`],
+//! the RX-interrupt mode of DPDK's `l3fwd-power` in miniature. The ring
+//! carries one `sleeping` flag, and two read-modify-writes on it close the
+//! lost-wakeup window without `SeqCst`:
+//!
+//! - the consumer announces with an `AcqRel` swap of `sleeping` to true,
+//!   then re-checks `head` and parks only if the ring is still empty;
+//! - the producer, after its Release store of `head`, does an `AcqRel`
+//!   swap of `sleeping` to false and unparks the consumer only if the
+//!   flag was set.
+//!
+//! Both swaps hit one location, so they are totally ordered. If the
+//! producer's swap comes first, the consumer's swap reads from it, and the
+//! `head` store happens-before the re-check, which sees the item. If the
+//! consumer's comes first, the producer reads `true` and unparks; a park
+//! token set before the consumer parks makes that park return at once.
 
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::cell::UnsafeCell;
+use crate::sync::thread::{self, Thread};
 use crate::sync::Arc;
 use std::mem::MaybeUninit;
 
@@ -40,11 +60,20 @@ struct RingInner<T> {
     tail: AtomicUsize,
     /// Items rejected because the ring was full.
     drops: AtomicU64,
+    /// The consumer has announced that it is about to park.
+    sleeping: AtomicBool,
+    /// The thread the producer unparks: the consumer's, written once
+    /// before its first announcement and only read after that.
+    parker: UnsafeCell<Option<Thread>>,
+    /// Unparks the producer has issued.
+    wakeups: AtomicU64,
 }
 
 // SAFETY: the producer only writes slots in [head, tail+capacity) and the
 // consumer only reads slots in [tail, head); the head/tail Acquire/Release
-// pairs order those accesses (model-checked by the loom tests). T must be
+// pairs order those accesses (model-checked by the loom tests). `parker` is
+// written once by the consumer before it first sets `sleeping`, and read
+// by the producer only after an Acquire swap saw that flag set. T must be
 // Send for values to cross the thread boundary.
 unsafe impl<T: Send> Send for RingInner<T> {}
 // SAFETY: as above — the head/tail protocol gives each slot a single owner
@@ -85,6 +114,8 @@ pub struct Consumer<T> {
     inner: Arc<RingInner<T>>,
     /// Consumer-local cache of the producer's head.
     cached_head: usize,
+    /// `parker` holds this consumer's thread.
+    parker_set: bool,
 }
 
 /// Create an SPSC ring with capacity `capacity` (rounded up to a power of
@@ -110,6 +141,9 @@ pub fn ring_with_counters<T>(capacity: usize, initial: usize) -> (Producer<T>, C
         head: AtomicUsize::new(initial),
         tail: AtomicUsize::new(initial),
         drops: AtomicU64::new(0),
+        sleeping: AtomicBool::new(false),
+        parker: UnsafeCell::new(None),
+        wakeups: AtomicU64::new(0),
     });
     (
         Producer {
@@ -119,6 +153,7 @@ pub fn ring_with_counters<T>(capacity: usize, initial: usize) -> (Producer<T>, C
         Consumer {
             inner,
             cached_head: initial,
+            parker_set: false,
         },
     )
 }
@@ -130,7 +165,8 @@ impl<T> Producer<T> {
     }
 
     /// Try to enqueue one item; on a full ring the item is returned and the
-    /// drop counter is *not* incremented (the caller decides).
+    /// drop counter is *not* incremented (the caller decides). A consumer
+    /// parked on the empty ring is woken.
     pub fn push(&mut self, value: T) -> Result<(), T> {
         // Own counter: only this producer writes `head`. lint: relaxed-ok
         let head = self.inner.head.load(Ordering::Relaxed);
@@ -152,6 +188,18 @@ impl<T> Producer<T> {
             }
         });
         self.inner.head.store(head.wrapping_add(1), Ordering::Release);
+        // The producer's half of the wake protocol (see the module docs).
+        if self.inner.sleeping.swap(false, Ordering::AcqRel) {
+            self.inner.parker.with(|parker| {
+                // SAFETY: the consumer wrote `parker` before the swap that
+                // set `sleeping`, which the swap above acquired, and never
+                // writes it again.
+                if let Some(consumer) = unsafe { &*parker } {
+                    consumer.unpark();
+                }
+            });
+            self.inner.wakeups.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -173,6 +221,17 @@ impl<T> Producer<T> {
     /// Items dropped by `push_burst` because the ring was full.
     pub fn drops(&self) -> u64 {
         self.inner.drops.load(Ordering::Relaxed)
+    }
+
+    /// Times a push unparked the consumer.
+    pub fn wakeups(&self) -> u64 {
+        self.inner.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// True while the consumer has announced that it is parking.
+    #[cfg(test)]
+    pub(crate) fn consumer_sleeping(&self) -> bool {
+        self.inner.sleeping.load(Ordering::Acquire)
     }
 
     /// Number of items currently queued (approximate under concurrency,
@@ -241,6 +300,40 @@ impl<T> Consumer<T> {
     /// Items dropped on the producer side.
     pub fn drops(&self) -> u64 {
         self.inner.drops.load(Ordering::Relaxed)
+    }
+
+    /// Times the producer unparked this consumer.
+    pub fn wakeups(&self) -> u64 {
+        self.inner.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Park the calling thread until the producer's next push, unless the
+    /// ring holds an item or `stop()` is true once the park is announced
+    /// (see the module docs). It may also return spuriously, so callers
+    /// poll again either way. Another thread that wants the consumer to
+    /// return calls `unpark` on it after making `stop()` true.
+    ///
+    /// The first thread to park a consumer is the one the producer wakes,
+    /// so a consumer parks from one thread only.
+    pub fn park_while_empty(&mut self, stop: impl FnOnce() -> bool) {
+        if !self.parker_set {
+            let me = thread::current();
+            self.inner.parker.with_mut(|parker| {
+                // SAFETY: the producer reads `parker` only after acquiring
+                // a `sleeping` flag this consumer sets below, so nothing
+                // reads it yet; this is its only write.
+                unsafe { *parker = Some(me) }
+            });
+            self.parker_set = true;
+        }
+        self.inner.sleeping.swap(true, Ordering::AcqRel);
+        if self.is_empty() && !stop() {
+            thread::park();
+        }
+        // Awake again, so pushes need not unpark us. A racing producer
+        // swap at worst leaves a token that ends the next park early, so
+        // the clear needs no ordering.
+        self.inner.sleeping.store(false, Ordering::Relaxed);
     }
 
     /// Number of items currently queued (approximate under concurrency,

@@ -3,7 +3,7 @@
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg loom"`, which
 //! swaps `ruru_nic::sync` onto the in-tree model checker: every test here
 //! exhaustively explores thread interleavings of the *production* ring /
-//! queue / backoff code, including weak-memory behaviours (a `Relaxed`
+//! queue / lcore wake code, including weak-memory behaviours (a `Relaxed`
 //! store is invisible to other threads until a release/acquire edge
 //! publishes it) and a preemption-bounded schedule space.
 //!
@@ -21,12 +21,13 @@
 // unwrap/expect on known-good fixtures is idiomatic here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::Arc;
-use loom::thread;
-use ruru_nic::backoff::Backoff;
+use loom::{hint, thread};
+use ruru_nic::lcore::WorkerGroup;
+use ruru_nic::port::{Port, PortConfig};
 use ruru_nic::queue::MpmcQueue;
 use ruru_nic::ring::{ring, ring_with_counters};
+use ruru_nic::{Clock, Mbuf};
 
 /// SPSC ring: two single-item pushes transfer losslessly and in order.
 #[test]
@@ -209,41 +210,65 @@ fn loom_mpmc_full_queue_pop_push_back_never_fails() {
     });
 }
 
-/// The detector/lcore shutdown handshake: a poller backing off through
-/// spin → yield → park must still observe a stop flag raised concurrently
-/// with a final enqueue, and the item must never be lost — either the
-/// poller got it, or it is still in the ring after shutdown.
+/// The wake protocol: a producer's push races the consumer's spin →
+/// announce → re-check → park. Either the producer's swap sees the
+/// `sleeping` flag and unparks, or the consumer's re-check sees the item,
+/// so the item is always received. A lost wakeup leaves the consumer
+/// parked with nobody to wake it, which the checker reports as a deadlock.
 #[test]
-fn loom_backoff_poller_never_misses_stop_or_loses_work() {
+fn loom_parked_consumer_always_receives_a_racing_push() {
     loom::model(|| {
         let (mut p, mut c) = ring::<u32>(2);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
         let t = thread::spawn(move || {
-            // Tiny limits so the model reaches the park stage quickly.
-            let mut backoff = Backoff::new(1, 2, std::time::Duration::from_micros(1));
+            let mut spun = false;
             loop {
                 if let Some(v) = c.pop() {
-                    assert_eq!(v, 42);
-                    seen2.fetch_add(1, Ordering::Relaxed);
-                    backoff.reset();
-                } else if stop2.load(Ordering::Acquire) {
-                    return c;
-                } else {
-                    backoff.idle();
+                    return (v, c.wakeups());
                 }
+                if spun {
+                    c.park_while_empty(|| false);
+                } else {
+                    hint::spin_loop();
+                }
+                spun = true;
             }
         });
+        // Let the consumer start polling without spending a preemption,
+        // so the bound goes on the race between the push and the park.
+        thread::yield_now();
         p.push(42).unwrap();
-        stop.store(true, Ordering::Release);
-        let mut c = t.join().unwrap();
-        let leftover = usize::from(c.pop().is_some());
-        assert_eq!(
-            seen.load(Ordering::Relaxed) + leftover,
-            1,
-            "the in-flight item is delivered exactly once"
+        let (v, wakeups) = t.join().unwrap();
+        assert_eq!(v, 42);
+        assert!(wakeups <= 1, "one push wakes at most once");
+    });
+}
+
+/// Shutdown races the park: `WorkerGroup::shutdown` raises the stop flag
+/// and unparks every worker, so a worker anywhere between its last empty
+/// poll and its park still exits, after draining a packet delivered just
+/// before the shutdown.
+#[test]
+fn loom_shutdown_wakes_a_parking_worker() {
+    loom::model(|| {
+        let mut port = Port::new(
+            PortConfig {
+                num_queues: 1,
+                queue_depth: 2,
+                pool_size: 2,
+                buf_size: 64,
+                symmetric_rss: true,
+            },
+            Clock::virtual_clock(),
         );
+        let group = WorkerGroup::spawn_bursts(
+            port.take_all_rx_queues(),
+            |_| 0usize,
+            |seen: &mut usize, burst: &mut Vec<Mbuf>| {
+                *seen += burst.len();
+                burst.clear();
+            },
+        );
+        port.inject(&[0u8; 60]).unwrap();
+        assert_eq!(group.shutdown(), [1], "the worker drained its queue");
     });
 }

@@ -864,7 +864,9 @@ impl Pipeline {
 
     /// Inject one tap event: advances the virtual clock to `event.at` and
     /// delivers the frame to the port. Returns false if the NIC dropped it
-    /// (only possible with `lossless_inject: false`).
+    /// (only possible with `lossless_inject: false`). A lossless inject
+    /// waits for the workers to free ring space or an mbuf, and counts in
+    /// `port_inject_waits` if it had to, never as a drop.
     pub fn feed(&mut self, event: &Event) -> bool {
         if event.at > self.clock.now() {
             self.clock.set(event.at);
@@ -875,20 +877,12 @@ impl Pipeline {
         if now_ns.saturating_sub(self.last_telemetry) >= self.telemetry_interval_ns {
             self.collect_telemetry(now_ns);
         }
-        if self.port.inject_at(&event.frame, event.at).is_some() {
-            return true;
+        if self.lossless_inject {
+            // Virtual time is ours to pace, so a NIC ahead of its workers
+            // waits for them instead of dropping.
+            return self.port.inject_lossless_at(&event.frame, event.at).is_some();
         }
-        if !self.lossless_inject {
-            return false;
-        }
-        // Ring or pool full: the simulated NIC is ahead of the workers.
-        // Virtual time is ours to pace, so yield until space frees up.
-        loop {
-            std::thread::yield_now();
-            if self.port.inject_at(&event.frame, event.at).is_some() {
-                return true;
-            }
-        }
+        self.port.inject_at(&event.frame, event.at).is_some()
     }
 
     /// Feed an entire generator run.
@@ -1112,6 +1106,45 @@ mod tests {
             t.counter("det_records_out") + errors,
             "detector-conservation"
         );
+    }
+
+    /// Regression: a lossless inject that finds the ring full waits for
+    /// space. It used to retry the whole inject, re-parsing and copying
+    /// the frame and counting every retry in `port_ring_full_drops`.
+    #[test]
+    fn lossless_inject_into_a_tiny_ring_drops_nothing() {
+        let mut config = quick_config();
+        config.port.queue_depth = 4;
+        let (mut pipeline, world) = Pipeline::with_synth_world(config);
+        let mut gen = TrafficGen::with_world(
+            GenConfig {
+                seed: 9,
+                flows_per_sec: 300.0,
+                duration: Timestamp::from_secs(2),
+                data_exchanges: (0, 2),
+                ..GenConfig::default()
+            },
+            world,
+        );
+        let fed = pipeline.run(&mut gen);
+        assert!(fed > 2000, "a few thousand packets, got {fed}");
+        let truths = gen.truths().len() as u64;
+        let report = pipeline.finish();
+        assert_eq!(report.port.rx_packets, fed, "every packet delivered");
+        assert_eq!(report.port.ring_full_drops, 0);
+        assert_eq!(report.port.no_mbuf_drops, 0);
+        assert_eq!(report.measurements(), truths, "every flow measured");
+        let t = &report.telemetry;
+        assert_eq!(t.gauge("port_ring_full_drops"), 0);
+        assert_eq!(t.gauge("port_inject_waits"), report.port.inject_waits);
+        let violations = crate::conservation::check(
+            t,
+            &[
+                ("tsdb_points_ingested", report.tsdb.points_ingested()),
+                ("telemetry_points", report.telemetry_points),
+            ],
+        );
+        assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 
     #[test]

@@ -137,6 +137,10 @@ pub struct SelfMetrics {
     pub(crate) port_no_mbuf_drops: GaugeId,
     pub(crate) port_ring_full_drops: GaugeId,
     pub(crate) port_non_ip_packets: GaugeId,
+    /// Lossless injects that waited for ring space or a free mbuf.
+    pub(crate) port_inject_waits: GaugeId,
+    /// Times the port woke a parked RX lcore.
+    pub(crate) port_rx_wakeups: GaugeId,
     pub(crate) mq_published: GaugeId,
     pub(crate) mq_delivered: GaugeId,
     pub(crate) mq_dropped: GaugeId,
@@ -210,6 +214,8 @@ impl SelfMetrics {
         let port_no_mbuf_drops = b.gauge("port_no_mbuf_drops");
         let port_ring_full_drops = b.gauge("port_ring_full_drops");
         let port_non_ip_packets = b.gauge("port_non_ip_packets");
+        let port_inject_waits = b.gauge("port_inject_waits");
+        let port_rx_wakeups = b.gauge("port_rx_wakeups");
         let mq_published = b.gauge("mq_published");
         let mq_delivered = b.gauge("mq_delivered");
         let mq_dropped = b.gauge("mq_dropped");
@@ -289,6 +295,8 @@ impl SelfMetrics {
             port_no_mbuf_drops,
             port_ring_full_drops,
             port_non_ip_packets,
+            port_inject_waits,
+            port_rx_wakeups,
             mq_published,
             mq_delivered,
             mq_dropped,
@@ -383,6 +391,10 @@ impl SelfMetrics {
             .gauge_store(shard, self.port_ring_full_drops, port.ring_full_drops);
         self.registry
             .gauge_store(shard, self.port_non_ip_packets, port.non_ip_packets);
+        self.registry
+            .gauge_store(shard, self.port_inject_waits, port.inject_waits);
+        self.registry
+            .gauge_store(shard, self.port_rx_wakeups, port.rx_wakeups);
         self.registry.gauge_store(shard, self.mq_published, mq.0);
         self.registry.gauge_store(shard, self.mq_delivered, mq.1);
         self.registry.gauge_store(shard, self.mq_dropped, mq.2);
@@ -458,6 +470,8 @@ mod tests {
             no_mbuf_drops: 1,
             ring_full_drops: 2,
             non_ip_packets: 3,
+            inject_waits: 4,
+            rx_wakeups: 5,
         };
         let mut snap = ruru_telemetry::Snapshot::default();
         let mut scratch = Vec::new();
@@ -469,6 +483,8 @@ mod tests {
         m.collect_into(42, &port, (10, 20, 30), (55, storage), &mut snap, &mut scratch);
         assert_eq!(snap.timestamp_ns, 42);
         assert_eq!(snap.gauge("port_rx_packets"), 100);
+        assert_eq!(snap.gauge("port_inject_waits"), 4);
+        assert_eq!(snap.gauge("port_rx_wakeups"), 5);
         assert_eq!(snap.gauge("mq_delivered"), 20);
         assert_eq!(snap.gauge("tsdb_points"), 55);
         assert_eq!(snap.gauge("tsdb_sealed_points"), 40);

@@ -11,7 +11,8 @@
 //! 4. **relaxed-head-tail** — a `Relaxed` access on a line touching the
 //!    ring's `head`/`tail` counters must carry a `lint: relaxed-ok` comment.
 //! 5. **sleep-ban** — `thread::sleep` may not appear in the poll-mode hot
-//!    path; idle waiting must go through `ruru_nic::backoff::Backoff`.
+//!    path; an idle RX lcore parks until the port wakes it
+//!    (`RxQueue::park_while_empty`), and other stages block on their feed.
 //! 6. **raw-atomic-import** — inside the shimmed crates (`ruru-nic`,
 //!    `ruru-mq`), production code must take atomics from the crate's
 //!    `sync` shim, never `std::sync::atomic` directly.
@@ -210,7 +211,8 @@ pub fn check_file(path: &str, source: &str) -> Vec<Violation> {
                 &mut out,
                 idx,
                 "sleep-ban",
-                "`thread::sleep` in a poll-mode hot module; use backoff::Backoff".into(),
+                "`thread::sleep` in a poll-mode hot module; park until woken or block on the feed"
+                    .into(),
             );
         }
 

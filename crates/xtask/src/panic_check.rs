@@ -48,6 +48,8 @@ const ROOTS: &[(&str, &str)] = &[
     ("nic", "rx_burst"),
     ("nic", "inject"),
     ("nic", "inject_at"),
+    ("nic", "inject_lossless_at"),
+    ("nic", "park_while_empty"),
     ("nic", "apply"),
     ("nic", "hash_v4"),
     ("nic", "hash_v6"),
