@@ -8,7 +8,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use core::cell::RefCell;
 use ruru_flow::LatencyMeasurement;
-use ruru_geo::{GeoDb, LruCache};
+use ruru_geo::GeoDb;
 use ruru_nic::Timestamp;
 use ruru_tsdb::Point;
 use std::sync::Arc;
@@ -243,41 +243,37 @@ fn decode_endpoint(data: &[u8]) -> Option<EndpointInfo> {
     })
 }
 
-/// One worker's enricher: a shared database behind a private LRU cache.
+/// One worker's enricher: a lookup in the shared database per endpoint.
 pub struct Enricher {
     db: Arc<GeoDb>,
-    cache: LruCache<u128, EndpointInfo>,
     lookups: u64,
     misses: u64,
 }
 
 impl Enricher {
-    /// Create an enricher with the given cache capacity.
-    pub fn new(db: Arc<GeoDb>, cache_capacity: usize) -> Enricher {
+    /// Create an enricher over `db`. The `usize` is ignored; the argument
+    /// is kept only for perfbench's traced replay, and ROADMAP item 2's
+    /// benchmark change removes it.
+    pub fn new(db: Arc<GeoDb>, _unused: usize) -> Enricher {
         Enricher {
             db,
-            cache: LruCache::new(cache_capacity),
             lookups: 0,
             misses: 0,
         }
     }
 
     /// Look up one address; [`EndpointInfo::unknown`] when the database
-    /// does not cover it.
+    /// does not cover it. A covered address costs one city clone.
     pub fn lookup(&mut self, key: u128) -> EndpointInfo {
         self.lookups += 1;
-        let db = &self.db;
-        let info = self.cache.get_or_insert_with(&key, || {
-            db.lookup_key(key).map(|loc| EndpointInfo {
+        match self.db.lookup_key(key) {
+            Some(loc) => EndpointInfo {
                 country_code: loc.country_code,
                 city: loc.city.clone(),
                 lat: loc.lat,
                 lon: loc.lon,
                 asn: loc.asn,
-            })
-        });
-        match info {
-            Some(info) => info.clone(),
+            },
             None => {
                 self.misses += 1;
                 EndpointInfo::unknown()
@@ -302,9 +298,10 @@ impl Enricher {
         (self.lookups, self.misses)
     }
 
-    /// Cache `(hits, misses)`.
+    /// Always `(0, lookups)`: there is no cache. Kept only for perfbench's
+    /// traced replay; ROADMAP item 2's benchmark change removes it.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        (0, self.lookups)
     }
 }
 
@@ -314,9 +311,9 @@ mod tests {
     #![allow(clippy::disallowed_methods)]
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use ruru_geo::synth::{SynthWorld, AUCKLAND, LOS_ANGELES};
-    use ruru_wire::{ipv4, IpAddress};
+    use ruru_wire::{ipv4, ipv6, IpAddress};
 
     fn world_enricher() -> (SynthWorld, Enricher) {
         let w = SynthWorld::generate(2);
@@ -362,19 +359,48 @@ mod tests {
         assert_eq!(e.stats().1, 2);
     }
 
+    /// A random endpoint: a sampled address of a random city (v4 or v6),
+    /// or a random IPv4 address the database may not cover.
+    fn random_address(w: &SynthWorld, rng: &mut StdRng) -> IpAddress {
+        let city = rng.gen_range(0..w.city_count());
+        match rng.gen_range(0..3u8) {
+            0 => IpAddress::V4(ipv4::Address(w.sample_v4(city, rng))),
+            1 => IpAddress::V6(ipv6::Address(w.sample_v6(city, rng))),
+            _ => IpAddress::V4(ipv4::Address(rng.gen::<u32>().to_be_bytes())),
+        }
+    }
+
     #[test]
-    fn cache_serves_repeat_lookups() {
+    fn enrich_matches_direct_database_lookups() {
         let (w, mut e) = world_enricher();
         let mut rng = StdRng::seed_from_u64(2);
-        let src = w.sample_v4(AUCKLAND, &mut rng);
-        let dst = w.sample_v4(LOS_ANGELES, &mut rng);
-        let m = measurement(src, dst);
-        for _ in 0..10 {
-            e.enrich(&m);
+        let mut misses = 0u64;
+        for _ in 0..500 {
+            let mut m = measurement([0; 4], [0; 4]);
+            m.src = random_address(&w, &mut rng);
+            m.dst = random_address(&w, &mut rng);
+            let em = e.enrich(&m);
+            for (ip, info) in [(m.src, &em.src), (m.dst, &em.dst)] {
+                match w.db().lookup_key(ip.as_u128()) {
+                    Some(loc) => {
+                        assert_eq!(info.country_code, loc.country_code, "{ip}");
+                        assert_eq!(info.city, loc.city, "{ip}");
+                        assert_eq!(info.asn, loc.asn, "{ip}");
+                        assert_eq!(info.lat, loc.lat, "{ip}");
+                        assert_eq!(info.lon, loc.lon, "{ip}");
+                    }
+                    None => {
+                        assert_eq!(*info, EndpointInfo::unknown(), "{ip}");
+                        misses += 1;
+                    }
+                }
+            }
         }
-        let (hits, misses) = e.cache_stats();
-        assert_eq!(misses, 2, "only the first pair misses");
-        assert_eq!(hits, 18);
+        assert!(
+            misses > 0 && misses < 1000,
+            "both outcomes exercised: {misses}"
+        );
+        assert_eq!(e.stats(), (1000, misses));
     }
 
     #[test]

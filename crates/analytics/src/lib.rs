@@ -12,7 +12,7 @@
 //! * [`enrich`] — [`enrich::EnrichedMeasurement`]: the IP-free, geo-tagged
 //!   record, its tsdb point form and its line-protocol wire form.
 //! * [`workers`] — the multi-threaded enrichment pool (PULL → enrich →
-//!   tsdb + PUB), one geo cache per worker.
+//!   tsdb + PUB), one database lookup per endpoint.
 //! * [`detect`] — the detectors behind §3's use cases: a robust
 //!   (median/MAD) latency-spike detector that catches the 4000 ms firewall
 //!   anomaly, a SYN-flood detector, and a per-location-pair connection-rate

@@ -2,13 +2,13 @@
 //!
 //! Mirrors the deployed analytics process: measurements arrive on a
 //! PULL socket (work distribution — each measurement is enriched exactly
-//! once), every worker thread owns a private geo cache over the shared
+//! once), every worker thread looks each endpoint up in the shared
 //! database, and the enriched, IP-free records are written to the tsdb and
 //! republished on a PUB socket (topic `enriched`) for the frontend feed.
 //!
 //! Workers run in DPDK-style bursts: up to [`WORKER_BURST`] records per
 //! [`Pull::recv_batch`], encoded into a per-thread scratch buffer, and
-//! forwarded with one [`PushFeed::send_batch`] / `publish_batch` per burst.
+//! forwarded with one [`Push::send_batch`] / `publish_batch` per burst.
 //! Every count the pool makes goes into its own shards of the pipeline's
 //! telemetry registry, once per burst.
 //! The detector feed carries the fixed **binary**
@@ -19,9 +19,9 @@ use crate::enrich::{Enricher, ENRICHED_WIRE_LEN};
 use bytes::{Bytes, BytesMut};
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::GeoDb;
-use ruru_mq::{Message, Publisher, Pull};
+use ruru_mq::{Message, Publisher, Pull, Push};
 use ruru_nic::Clock;
-use ruru_telemetry::{CounterId, GaugeId, HistId, Registry};
+use ruru_telemetry::{CounterId, HistId, Registry};
 use ruru_tsdb::TsDb;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,9 +42,6 @@ const SCRATCH_CHUNK: usize = 64 * 1024;
 /// whole-shard merge per `STRIPE_FLUSH_POINTS` (and one on exit).
 const STRIPE_FLUSH_POINTS: u64 = 4096;
 
-/// The PUSH end of a lossless detector feed (alias for readability).
-pub type PushFeed = ruru_mq::Push;
-
 /// Counters for the pool, as read back from the telemetry registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
@@ -52,7 +49,7 @@ pub struct PoolStats {
     pub enriched: u64,
     /// Bus payloads that failed to decode.
     pub decode_errors: u64,
-    /// Geo lookups that missed the database.
+    /// Records with either endpoint unknown to the geo database.
     pub geo_misses: u64,
     /// Input batches drained from the PULL socket.
     pub batches_in: u64,
@@ -86,7 +83,7 @@ pub struct PoolTelemetry {
     pub enriched: CounterId,
     /// Bus payloads that failed to decode.
     pub decode_errors: CounterId,
-    /// Geo lookups that missed the database (either endpoint unknown).
+    /// Records with either endpoint unknown to the geo database.
     pub geo_misses: CounterId,
     /// Input batches drained from the PULL socket.
     pub batches_in: CounterId,
@@ -99,10 +96,6 @@ pub struct PoolTelemetry {
     /// Points folded into the shared tsdb by stripe merges (the
     /// `tsdb-merge-accounting` conservation term).
     pub tsdb_merged: CounterId,
-    /// Geo cache hits (absolute per worker; summed across shards).
-    pub geo_cache_hits: GaugeId,
-    /// Geo cache misses (absolute per worker; summed across shards).
-    pub geo_cache_misses: GaugeId,
     /// Track → enrich residency histogram (virtual ns).
     pub enrich_residency: HistId,
 }
@@ -122,18 +115,16 @@ impl EnrichmentPool {
     /// consumers), and pushed as the fixed binary
     /// [`crate::enrich::EnrichedMeasurement`] record on `detector_feed`,
     /// whose PUSH/PULL back-pressure means detectors never miss one. Each
-    /// worker writes its counters, geo-cache gauges and the track→enrich
-    /// residency histogram into its own `telemetry` shard, burst-framed so
-    /// the collector never reads a torn burst.
-    #[allow(clippy::too_many_arguments)]
+    /// worker writes its counters and the track→enrich residency histogram
+    /// into its own `telemetry` shard, burst-framed so the collector never
+    /// reads a torn burst.
     pub fn spawn(
         threads: usize,
         input: Pull,
         db: Arc<GeoDb>,
         tsdb: Arc<TsDb>,
         publisher: Publisher,
-        cache_capacity: usize,
-        detector_feed: PushFeed,
+        detector_feed: Push,
         telemetry: PoolTelemetry,
     ) -> EnrichmentPool {
         assert!(threads > 0, "need at least one worker");
@@ -150,7 +141,7 @@ impl EnrichmentPool {
                 std::thread::Builder::new()
                     .name(format!("enrich-{i}"))
                     .spawn(move || {
-                        let mut enricher = Enricher::new(db, cache_capacity);
+                        let mut enricher = Enricher::new(db, 0);
                         // Private lock-free stripe: points buffer here and
                         // fold into the shared store one whole shard at a
                         // time, so the write lock is taken O(points/4096)
@@ -216,7 +207,6 @@ impl EnrichmentPool {
                             }
                             // One registry burst per input burst: the
                             // collector either sees all of it or none.
-                            let (hits, misses) = enricher.cache_stats();
                             let r = &t.registry;
                             r.burst_begin(shard);
                             for &ns in &residencies {
@@ -230,8 +220,6 @@ impl EnrichmentPool {
                             r.counter_add(shard, t.bytes_out, bytes_out);
                             r.counter_add(shard, t.alloc_hits, alloc_hits);
                             r.counter_add(shard, t.tsdb_merged, merged);
-                            r.gauge_store(shard, t.geo_cache_hits, hits);
-                            r.gauge_store(shard, t.geo_cache_misses, misses);
                             r.burst_end(shard);
                         }
                         // The input pipe is closed and drained: fold the
@@ -297,8 +285,6 @@ mod tests {
         let bytes_out = b.counter("bytes_out");
         let alloc_hits = b.counter("alloc_hits");
         let tsdb_merged = b.counter("tsdb_merged");
-        let geo_cache_hits = b.gauge("geo_cache_hits");
-        let geo_cache_misses = b.gauge("geo_cache_misses");
         let enrich_residency = b.histogram("enrich_residency", 5);
         PoolTelemetry {
             registry: Arc::new(b.build(threads)),
@@ -312,8 +298,6 @@ mod tests {
             bytes_out,
             alloc_hits,
             tsdb_merged,
-            geo_cache_hits,
-            geo_cache_misses,
             enrich_residency,
         }
     }
@@ -327,22 +311,12 @@ mod tests {
         db: Arc<GeoDb>,
         tsdb: Arc<TsDb>,
         publisher: Publisher,
-        cache_capacity: usize,
         feed_hwm: usize,
     ) -> (EnrichmentPool, Pull, Arc<Registry>) {
         let (det_push, det_pull) = pipe(feed_hwm);
         let t = telemetry(threads);
         let registry = Arc::clone(&t.registry);
-        let pool = EnrichmentPool::spawn(
-            threads,
-            input,
-            db,
-            tsdb,
-            publisher,
-            cache_capacity,
-            det_push,
-            t,
-        );
+        let pool = EnrichmentPool::spawn(threads, input, db, tsdb, publisher, det_push, t);
         (pool, det_pull, registry)
     }
 
@@ -371,8 +345,7 @@ mod tests {
         let publisher = Publisher::new();
         let sub = publisher.subscribe(ENRICHED_TOPIC, 100_000);
         let (push, pull) = pipe(1024);
-        let (pool, det_pull, registry) =
-            spawn(4, pull, db, Arc::clone(&tsdb), publisher, 256, 1000);
+        let (pool, det_pull, registry) = spawn(4, pull, db, Arc::clone(&tsdb), publisher, 1000);
 
         let mut rng = StdRng::seed_from_u64(1);
         for i in 0..1000u64 {
@@ -406,7 +379,7 @@ mod tests {
         let publisher = Publisher::new();
         let sub = publisher.subscribe(ENRICHED_TOPIC, 10_000);
         let (push, pull) = pipe(1024);
-        let (pool, det_pull, registry) = spawn(2, pull, db, tsdb, publisher, 64, 10_000);
+        let (pool, det_pull, registry) = spawn(2, pull, db, tsdb, publisher, 10_000);
         let mut rng = StdRng::seed_from_u64(7);
         for i in 0..100u64 {
             let m = measurement(&world, &mut rng, i);
@@ -451,7 +424,7 @@ mod tests {
         let db = Arc::new(world.db().clone());
         let tsdb = Arc::new(TsDb::new());
         let (push, pull) = pipe(64);
-        let (pool, _det_pull, registry) = spawn(1, pull, db, tsdb, Publisher::new(), 16, 64);
+        let (pool, _det_pull, registry) = spawn(1, pull, db, tsdb, Publisher::new(), 64);
         push.send(Message::new("latency", vec![1u8, 2, 3])).unwrap();
         drop(push);
         let stats = join(pool, &registry);
@@ -465,7 +438,7 @@ mod tests {
         let db = Arc::new(world.db().clone());
         let tsdb = Arc::new(TsDb::new());
         let (push, pull) = pipe(64);
-        let (pool, _det_pull, registry) = spawn(1, pull, db, tsdb, Publisher::new(), 16, 64);
+        let (pool, _det_pull, registry) = spawn(1, pull, db, tsdb, Publisher::new(), 64);
         let m = LatencyMeasurement {
             src: IpAddress::V4(ipv4::Address([9, 9, 9, 9])),
             dst: IpAddress::V4(ipv4::Address([8, 8, 8, 8])),
@@ -491,7 +464,7 @@ mod tests {
         let tsdb = Arc::new(TsDb::new());
         let (push, pull) = pipe(10_000);
         let (pool, _det_pull, registry) =
-            spawn(8, pull, db, Arc::clone(&tsdb), Publisher::new(), 64, 5000);
+            spawn(8, pull, db, Arc::clone(&tsdb), Publisher::new(), 5000);
         let mut rng = StdRng::seed_from_u64(2);
         for i in 0..5000u64 {
             let m = measurement(&world, &mut rng, i);

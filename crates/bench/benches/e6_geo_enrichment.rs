@@ -3,12 +3,12 @@
 //!
 //! One-shot: accuracy of a 2%-perturbed database (the IP2Location LITE
 //! quality level) and multi-thread enrichment scaling. Timed: raw lookup
-//! cost, cached vs uncached.
+//! cost against a fragmented table.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ruru_bench::bench;
-use ruru_geo::{GeoDb, LruCache, SynthWorld};
+use ruru_geo::{GeoDb, SynthWorld};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,17 +56,11 @@ fn scaling_report(world: &SynthWorld) {
             let db = Arc::clone(&db);
             let keys = Arc::clone(&keys);
             handles.push(std::thread::spawn(move || {
-                let mut cache: LruCache<u128, u32> = LruCache::new(8192);
                 let chunk = keys.len() / threads;
-                let mut hits = 0u64;
-                for &k in &keys[t * chunk..(t + 1) * chunk] {
-                    let asn = cache
-                        .get_or_insert_with(&k, || db.lookup_key(k).map(|l| l.asn))
-                        .copied()
-                        .unwrap_or(0);
-                    hits += (asn != 0) as u64;
-                }
-                hits
+                keys[t * chunk..(t + 1) * chunk]
+                    .iter()
+                    .filter(|&&k| db.lookup_key(k).is_some_and(|l| l.asn != 0))
+                    .count() as u64
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -89,14 +83,11 @@ fn main() {
     accuracy_report(&world);
     scaling_report(&world);
 
-    // Cache comparison runs against a realistically fragmented table
-    // (real IP2Location DBs have millions of rows, ours would otherwise
-    // have 168) and a skewed key stream (live traffic repeats prefixes).
+    // Lookup cost against a realistically fragmented table (real
+    // IP2Location DBs have millions of rows, ours would otherwise have
+    // 168) and a skewed key stream (live traffic repeats prefixes).
     let db: GeoDb = world.fragmented(4096).unwrap();
-    println!(
-        "  fragmented table for cache comparison: {} ranges",
-        db.range_count()
-    );
+    println!("  fragmented table: {} ranges", db.range_count());
     let uniq = sample_keys(&world, 256, 63);
     // Zipf-ish skew: hot keys dominate, as on a live tap.
     let keys: Vec<u128> = (0..20_000usize)
@@ -106,15 +97,5 @@ fn main() {
     let n = keys.len() as u64;
     bench("e6_geo/lookup/uncached", n, || {
         keys.iter().map(|&k| db.lookup_key(black_box(k)).is_some() as u64).sum()
-    });
-    bench("e6_geo/lookup/lru_cached", n, || {
-        let mut cache: LruCache<u128, u32> = LruCache::new(8192);
-        keys.iter()
-            .map(|&k| {
-                cache
-                    .get_or_insert_with(&k, || db.lookup_key(k).map(|l| l.asn))
-                    .is_some() as u64
-            })
-            .sum()
     });
 }

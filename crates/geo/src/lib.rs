@@ -9,20 +9,18 @@
 //! reproduces that faithfully:
 //!
 //! * [`db`] — the range database over a unified u128 address space (IPv4
-//!   mapped into `::ffff:0:0/96`), with binary-search lookup, a compact
-//!   binary serialization, and overlap validation.
+//!   mapped into `::ffff:0:0/96`): a sorted range table searched with
+//!   `partition_point`, a compact binary serialization, and overlap
+//!   validation. Enrichment workers share one database and look every
+//!   endpoint up directly.
 //! * [`synth`] — a deterministic synthetic world: real cities with real
 //!   coordinates and plausible AS numbers, allocated address blocks; the
 //!   substitute for the proprietary IP2Location data. Includes a
 //!   `perturb`ed variant so the paper's "98% country-level accuracy" claim
 //!   can be reproduced as experiment E6.
-//! * [`cache`] — a fixed-capacity O(1) LRU, one per enrichment worker
-//!   thread (lookups in live traffic are highly repetitive).
 
-pub mod cache;
 pub mod db;
 pub mod synth;
 
-pub use cache::LruCache;
 pub use db::{GeoDb, Location};
 pub use synth::SynthWorld;

@@ -30,7 +30,6 @@
 //!   free list.
 //! * [`fault`] — wire-level fault injection (drop / corrupt / duplicate /
 //!   reorder), for testing tracker robustness.
-//! * [`shaper`] — a token-bucket rate limiter used to emulate link rates.
 //! * [`sync`] — the concurrency shim (`std` normally, `loom` under
 //!   `cfg(loom)`) every hot-path module draws its primitives from, making
 //!   the unsafe core model-checkable.
@@ -43,7 +42,6 @@ pub mod port;
 pub mod queue;
 pub mod ring;
 pub mod rss;
-pub mod shaper;
 pub mod sync;
 
 pub use clock::{Clock, Timestamp};

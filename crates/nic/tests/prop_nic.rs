@@ -1,5 +1,5 @@
 //! Property tests for the dataplane primitives: ring FIFO/conservation,
-//! pool conservation, RSS invariants, shaper rate bounds.
+//! pool conservation, RSS invariants.
 
 
 // Tests are exempt from the panic-freedom policy (DESIGN.md §10):
@@ -10,11 +10,9 @@
 // interpreter, and the properties are memory-safety-neutral anyway.
 #![cfg(not(miri))]
 
-use ruru_nic::clock::Timestamp;
 use ruru_nic::mbuf::MbufPool;
 use ruru_nic::ring;
 use ruru_nic::rss::RssHasher;
-use ruru_nic::shaper::TokenBucket;
 use ruru_prop::{bytes, check, vec, Rng, StdRng, CASES};
 use ruru_wire::ipv4::Address;
 
@@ -103,34 +101,5 @@ fn symmetric_rss_hash_has_period_16() {
         let h = RssHasher::symmetric(q);
         let hash = h.hash_v4(Address::from_u32(src), Address::from_u32(dst), sp, dp);
         assert_eq!(hash >> 16, hash & 0xffff, "hash {hash:#010x}");
-    });
-}
-
-/// The shaper never releases more bytes than rate × time + burst.
-#[test]
-fn shaper_respects_rate() {
-    let gen = |rng: &mut StdRng| {
-        let (rate_kbps, burst_bits) = (rng.gen_range(1u64..100_000), rng.gen_range(8u64..100_000));
-        (rate_kbps, burst_bits, vec(rng, 1..100, |r| r.gen_range(1usize..2000)))
-    };
-    check("shaper_respects_rate", CASES, gen, |(rate_kbps, burst_bits, sizes)| {
-        let rate_bps = rate_kbps * 1000;
-        let mut tb = TokenBucket::new(rate_bps, burst_bits);
-        let mut now = Timestamp::ZERO;
-        let mut sent_bits = 0u64;
-        for size in sizes {
-            now = tb.earliest_send(now, size);
-            if tb.try_consume(now, size) {
-                sent_bits += size as u64 * 8;
-            }
-            // Invariant: everything sent fits in the rate envelope.
-            let envelope = burst_bits as u128
-                + rate_bps as u128 * now.as_nanos() as u128 / 1_000_000_000
-                + 1; // integer rounding slack
-            assert!(
-                (sent_bits as u128) <= envelope,
-                "sent {sent_bits} bits > envelope {envelope} at {now}"
-            );
-        }
     });
 }

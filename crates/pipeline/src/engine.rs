@@ -42,8 +42,6 @@ pub struct PipelineConfig {
     pub inflow: InflowConfig,
     /// Message-bus high-water mark.
     pub mq_hwm: usize,
-    /// Geo cache capacity per enrichment worker.
-    pub geo_cache: usize,
     /// Latency-spike detector settings.
     pub spike: SpikeConfig,
     /// SYN-flood detector settings.
@@ -70,7 +68,6 @@ impl Default for PipelineConfig {
             tracker: TrackerConfig::default(),
             inflow: InflowConfig::default(),
             mq_hwm: 65536,
-            geo_cache: 4096,
             spike: SpikeConfig::default(),
             flood: FloodConfig::default(),
             rate: RateConfig::default(),
@@ -776,7 +773,6 @@ impl Pipeline {
             Arc::clone(&db),
             Arc::clone(&tsdb),
             publisher.clone(),
-            config.geo_cache,
             det_push,
             metrics.pool_telemetry(clock.clone()),
         );

@@ -119,8 +119,6 @@ pub struct SelfMetrics {
     /// flushes. Conservation: `tsdb_points_ingested == tsdb_merge_points +
     /// telemetry_points` (the `tsdb-merge-accounting` identity).
     pub(crate) tsdb_merge_points: CounterId,
-    pub(crate) geo_cache_hits: GaugeId,
-    pub(crate) geo_cache_misses: GaugeId,
     pub(crate) enrich_residency: HistId,
 
     // Detector stage (shard Q).
@@ -207,8 +205,6 @@ impl SelfMetrics {
         let inflow_nonmonotonic = b.gauge("inflow_nonmonotonic");
         let inflow_expired_flows = b.gauge("inflow_expired_flows");
         let inflow_table_occupancy = b.gauge("inflow_table_occupancy");
-        let geo_cache_hits = b.gauge("geo_cache_hits");
-        let geo_cache_misses = b.gauge("geo_cache_misses");
         let port_rx_packets = b.gauge("port_rx_packets");
         let port_rx_bytes = b.gauge("port_rx_bytes");
         let port_no_mbuf_drops = b.gauge("port_no_mbuf_drops");
@@ -281,8 +277,6 @@ impl SelfMetrics {
             enrich_batches_out,
             enrich_alloc_hits,
             tsdb_merge_points,
-            geo_cache_hits,
-            geo_cache_misses,
             enrich_residency,
             det_records_in,
             det_records_out,
@@ -360,8 +354,6 @@ impl SelfMetrics {
             bytes_out: self.enrich_bytes_out,
             alloc_hits: self.enrich_alloc_hits,
             tsdb_merged: self.tsdb_merge_points,
-            geo_cache_hits: self.geo_cache_hits,
-            geo_cache_misses: self.geo_cache_misses,
             enrich_residency: self.enrich_residency,
         }
     }

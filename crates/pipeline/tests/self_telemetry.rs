@@ -10,6 +10,8 @@ use ruru_gen::{Event, GenConfig, TrafficGen};
 use ruru_nic::Timestamp;
 use ruru_pipeline::{Pipeline, PipelineConfig};
 use ruru_tsdb::{line, Query};
+use ruru_viz::panel::Stat;
+use ruru_viz::Dashboard;
 
 fn config() -> PipelineConfig {
     PipelineConfig {
@@ -56,6 +58,17 @@ fn ruru_self_series_are_exported_and_parseable() {
         .expect("rx residency histogram");
     assert!(rx.count > 0);
     assert!(rx.value_at_quantile(0.95) >= rx.value_at_quantile(0.50));
+
+    // Every self-monitoring panel names a metric the pipeline exports.
+    let dash = Dashboard::self_monitoring().evaluate(&report.tsdb, 0, 2_000_000_000, 4);
+    for p in &dash.panels {
+        let values = p.series_for(Stat::Max).expect("every panel plots Max");
+        assert!(
+            values.iter().any(Option::is_some),
+            "{} reads no exported series",
+            p.title
+        );
+    }
 }
 
 #[test]

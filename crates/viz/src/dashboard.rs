@@ -72,7 +72,7 @@ impl Dashboard {
                 Panel::self_metric("enrich_enriched"),
                 Panel::self_metric("det_records_out"),
                 Panel::self_metric("flow_table_occupancy"),
-                Panel::self_metric("geo_cache_misses"),
+                Panel::self_metric("enrich_geo_misses"),
                 Panel::self_metric("mq_dropped"),
                 Panel::self_metric("reject_bus_closed"),
                 Panel::self_metric("snapshot_skipped_shards"),

@@ -2,7 +2,9 @@
 # The full local gate: everything CI runs, in the same order.
 # Usage: scripts/check.sh [--quick]
 #   --quick  skip the release build, bench compilation, examples smoke,
-#            perfbench compilation and smoke runs, and loom models
+#            perfbench smoke runs, and loom models (perfbench still
+#            compiles: a moved signature it calls is the cheapest way to
+#            break the benchmark)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +52,12 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
 # hotpath-check, account-check) — same step CI's static-analysis job runs;
 # check-all prints its own per-analyzer timing.
 step "cargo xtask check-all" cargo "${CARGO_FLAGS[@]}" xtask check-all
+# perfbench/ is a workspace of its own, so nothing above builds it;
+# this is what catches a moved tracker, Enricher or SelfMetrics API.
+# Not --locked: perfbench/Cargo.lock still lists two stand-ins the
+# workspace no longer names, so cargo rewrites it on every build.
+step "perfbench compiles" \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "$quick" -eq 0 ]]; then
     step "loom models (RUSTFLAGS=--cfg loom)" loom_models
@@ -58,12 +66,6 @@ if [[ "$quick" -eq 0 ]]; then
     # Examples smoke, as in CI: the map is tessellated from the PUB feed.
     step "serve_map --self-test" cargo run "${CARGO_FLAGS[@]}" --release --example serve_map -- --self-test
     step "live_map_feed" cargo run "${CARGO_FLAGS[@]}" --release --example live_map_feed
-    # perfbench/ is a workspace of its own, so nothing above builds it;
-    # this is what catches a moved tracker, Enricher or SelfMetrics API.
-    # Not --locked: perfbench/Cargo.lock still lists two stand-ins the
-    # workspace no longer names, so cargo rewrites it on every build.
-    step "perfbench compiles" \
-        cargo build --release --offline --manifest-path perfbench/Cargo.toml
     step "perfbench smoke" scripts/perfbench_smoke.sh
 fi
 
