@@ -92,15 +92,6 @@ impl AlertSink {
     pub fn snapshot(&self) -> Vec<Alert> {
         self.lock().clone()
     }
-
-    /// Alerts of one kind.
-    pub fn of_kind(&self, kind: &str) -> Vec<Alert> {
-        self.lock()
-            .iter()
-            .filter(|a| a.kind == kind)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -128,8 +119,6 @@ mod tests {
         sink.push_opt(Some(alert("b", 2)));
         sink.push_opt(None);
         assert_eq!(sink.len(), 2);
-        assert_eq!(sink.of_kind("a").len(), 1);
-        assert_eq!(sink.of_kind("c").len(), 0);
         assert_eq!(sink.snapshot().len(), 2);
     }
 

@@ -17,7 +17,6 @@
 
 use crate::alert::{Alert, Severity};
 use ruru_nic::Timestamp;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Configuration of the robust latency detector.
@@ -162,7 +161,6 @@ fn kth_of_two_runs(
 pub struct LatencySpikeDetector {
     config: SpikeConfig,
     windows: Vec<SortedWindow>,
-    alerts_raised: u64,
 }
 
 impl LatencySpikeDetector {
@@ -173,7 +171,6 @@ impl LatencySpikeDetector {
         LatencySpikeDetector {
             config,
             windows: Vec::new(),
-            alerts_raised: 0,
         }
     }
 
@@ -216,7 +213,6 @@ impl LatencySpikeDetector {
             if value_ns > threshold
                 && value_ns.saturating_sub(median) >= self.config.min_excess_ns
             {
-                self.alerts_raised += 1;
                 Some(Alert {
                     severity: if value_ns > median.saturating_mul(10) {
                         Severity::Critical
@@ -247,114 +243,9 @@ impl LatencySpikeDetector {
         alert
     }
 
-    /// Total alerts raised.
-    pub fn alerts_raised(&self) -> u64 {
-        self.alerts_raised
-    }
-
     /// Number of tracked key slots (distinct keys when ids are dense).
     pub fn key_count(&self) -> usize {
         self.windows.len()
-    }
-}
-
-/// Configuration of the EWMA baseline detector (the ablation case).
-#[derive(Debug, Clone)]
-pub struct EwmaConfig {
-    /// Smoothing factor for the mean (0 < α ≤ 1).
-    pub alpha: f64,
-    /// Alert when `value > mean + threshold_sigmas × stddev`.
-    pub threshold_sigmas: f64,
-    /// Samples before alerting is enabled.
-    pub min_samples: u64,
-}
-
-impl Default for EwmaConfig {
-    fn default() -> Self {
-        EwmaConfig {
-            alpha: 0.05,
-            threshold_sigmas: 6.0,
-            min_samples: 30,
-        }
-    }
-}
-
-struct EwmaState {
-    mean: f64,
-    var: f64,
-    n: u64,
-}
-
-/// An exponentially-weighted-moving-average latency detector — the
-/// *non-robust* alternative to [`LatencySpikeDetector`], kept as the
-/// ablation for DESIGN.md §7: every sample (anomalous or not) updates the
-/// baseline, so a sustained incident drags the mean along with it and the
-/// detector goes quiet mid-incident. The `ewma_poisoning` test demonstrates
-/// exactly that failure mode; the median/MAD detector does not suffer it.
-pub struct EwmaDetector {
-    config: EwmaConfig,
-    keys: HashMap<String, EwmaState>,
-    alerts_raised: u64,
-}
-
-impl EwmaDetector {
-    /// Create a detector.
-    pub fn new(config: EwmaConfig) -> EwmaDetector {
-        assert!(
-            config.alpha > 0.0 && config.alpha <= 1.0,
-            "alpha out of range"
-        );
-        EwmaDetector {
-            config,
-            keys: HashMap::new(),
-            alerts_raised: 0,
-        }
-    }
-
-    /// Observe one sample; returns an alert when it exceeds the EWMA band.
-    #[allow(clippy::disallowed_methods)] // sanctioned: string-keyed compat entry; hot callers intern
-    pub fn observe(&mut self, key: &str, value_ns: u64, at: Timestamp) -> Option<Alert> {
-        let v = value_ns as f64;
-        let state = self.keys.entry(key.to_string()).or_insert(EwmaState {
-            mean: v,
-            var: 0.0,
-            n: 0,
-        });
-        state.n += 1;
-        let alerted = if state.n > self.config.min_samples {
-            let sigma = state.var.sqrt().max(state.mean * 0.01).max(100_000.0);
-            v > state.mean + self.config.threshold_sigmas * sigma
-        } else {
-            false
-        };
-        // EWMA updates unconditionally — the design flaw under study.
-        let a = self.config.alpha;
-        let diff = v - state.mean;
-        state.mean += a * diff;
-        state.var = (1.0 - a) * (state.var + a * diff * diff);
-        if alerted {
-            self.alerts_raised += 1;
-            Some(Alert {
-                severity: Severity::Warning,
-                kind: "latency_spike_ewma".into(),
-                key: key.to_string(),
-                message: format!("value {:.1} ms above EWMA band", v / 1e6),
-                at,
-                value: v / 1e6,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Total alerts raised.
-    pub fn alerts_raised(&self) -> u64 {
-        self.alerts_raised
-    }
-
-    /// The current EWMA mean for a key (ns).
-    pub fn mean(&self, key: &str) -> Option<f64> {
-        self.keys.get(key).map(|s| s.mean)
     }
 }
 
@@ -385,7 +276,6 @@ pub struct SynFloodDetector {
     interval_start: Timestamp,
     syns: u64,
     completions: u64,
-    alerts_raised: u64,
 }
 
 impl SynFloodDetector {
@@ -397,7 +287,6 @@ impl SynFloodDetector {
             interval_start: Timestamp::ZERO,
             syns: 0,
             completions: 0,
-            alerts_raised: 0,
         }
     }
 
@@ -415,7 +304,6 @@ impl SynFloodDetector {
         if self.syns >= self.config.min_syns
             && (self.syns as f64) > self.config.ratio * (self.completions.max(1) as f64)
         {
-            self.alerts_raised += 1;
             alert = Some(Alert {
                 severity: Severity::Critical,
                 kind: "syn_flood".into(),
@@ -448,11 +336,6 @@ impl SynFloodDetector {
         let alert = self.roll(at);
         self.completions += 1;
         alert
-    }
-
-    /// Total alerts raised.
-    pub fn alerts_raised(&self) -> u64 {
-        self.alerts_raised
     }
 }
 
@@ -506,7 +389,6 @@ struct PairState {
 pub struct RateAnomalyDetector {
     config: RateConfig,
     pairs: Vec<Option<PairState>>,
-    alerts_raised: u64,
 }
 
 impl RateAnomalyDetector {
@@ -516,7 +398,6 @@ impl RateAnomalyDetector {
         RateAnomalyDetector {
             config,
             pairs: Vec::new(),
-            alerts_raised: 0,
         }
     }
 
@@ -547,7 +428,6 @@ impl RateAnomalyDetector {
         if state.history.len() >= config.min_history && count >= config.min_count {
             let median = state.history.median().unwrap_or(0).max(1);
             if count as f64 > config.factor * median as f64 {
-                self.alerts_raised += 1;
                 alert = Some(Alert {
                     severity: Severity::Warning,
                     kind: "connection_rate".into(),
@@ -568,16 +448,12 @@ impl RateAnomalyDetector {
         state.count = 1;
         alert
     }
-
-    /// Total alerts raised.
-    pub fn alerts_raised(&self) -> u64 {
-        self.alerts_raised
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -599,7 +475,6 @@ mod tests {
         assert_eq!(alert.key, "AKL→LAX");
         assert_eq!(alert.severity, Severity::Critical);
         assert!(alert.message.contains("4130.0 ms"));
-        assert_eq!(d.alerts_raised(), 1);
     }
 
     #[test]
@@ -822,61 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_detects_isolated_spike() {
-        let mut d = EwmaDetector::new(EwmaConfig::default());
-        for i in 0..100u64 {
-            assert!(d.observe("k", 130 * MS + (i % 5) * MS / 10, t(i)).is_none());
-        }
-        assert!(d.observe("k", 4000 * MS, t(200)).is_some());
-    }
-
-    #[test]
-    fn ewma_poisoning_vs_robust_detector() {
-        // The ablation of DESIGN.md §7: during a SUSTAINED incident the
-        // EWMA baseline is dragged up by the anomalous samples and the
-        // detector goes quiet; the median/MAD detector keeps alerting
-        // because anomalies never enter its baseline.
-        let mut ewma = EwmaDetector::new(EwmaConfig::default());
-        let mut robust = LatencySpikeDetector::new(SpikeConfig::default());
-        for i in 0..100u64 {
-            ewma.observe("k", 130 * MS, t(i));
-            robust.observe_id(0, "k", 130 * MS, t(i));
-        }
-        let (mut ewma_alerts, mut robust_alerts) = (0u64, 0u64);
-        for i in 0..300u64 {
-            if ewma.observe("k", 4000 * MS, t(1000 + i)).is_some() {
-                ewma_alerts += 1;
-            }
-            if robust.observe_id(0, "k", 4000 * MS, t(1000 + i)).is_some() {
-                robust_alerts += 1;
-            }
-        }
-        assert_eq!(robust_alerts, 300, "robust detector never goes quiet");
-        assert!(
-            ewma_alerts < 150,
-            "EWMA baseline poisoned mid-incident: only {ewma_alerts}/300"
-        );
-        // The EWMA mean has been dragged to the anomalous level.
-        assert!(ewma.mean("k").unwrap() > 3000.0 * MS as f64);
-    }
-
-    #[test]
-    fn ewma_needs_warmup() {
-        let mut d = EwmaDetector::new(EwmaConfig::default());
-        assert!(d.observe("k", 4000 * MS, t(0)).is_none());
-        assert_eq!(d.alerts_raised(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha out of range")]
-    fn ewma_rejects_bad_alpha() {
-        EwmaDetector::new(EwmaConfig {
-            alpha: 0.0,
-            ..EwmaConfig::default()
-        });
-    }
-
-    #[test]
     fn flood_detector_alerts_on_uncompleted_syns() {
         let mut d = SynFloodDetector::new(FloodConfig {
             interval_ns: 1_000_000_000,
@@ -906,7 +726,6 @@ mod tests {
                 assert!(d.observe_completion(t(s * 1000 + i)).is_none());
             }
         }
-        assert_eq!(d.alerts_raised(), 0);
     }
 
     #[test]
@@ -926,12 +745,11 @@ mod tests {
     fn flood_detector_skips_empty_intervals() {
         let mut d = SynFloodDetector::new(FloodConfig::default());
         for i in 0..1000u64 {
-            d.observe_syn(t(i));
+            assert!(d.observe_syn(t(i)).is_none());
         }
         // Next event 10 s later: the flood interval still gets reported once.
-        let alert = d.observe_syn(t(10_000));
-        assert!(alert.is_some());
-        assert_eq!(d.alerts_raised(), 1);
+        assert!(d.observe_syn(t(10_000)).is_some());
+        assert!(d.observe_syn(t(20_000)).is_none());
     }
 
     #[test]
@@ -947,7 +765,6 @@ mod tests {
         let alert = d.observe_syn(t(base + 2500)).expect("flood alert");
         assert_eq!(alert.at, t(base + 2000));
         assert!(alert.message.contains("1000 SYNs"));
-        assert_eq!(d.alerts_raised(), 1);
     }
 
     #[test]
@@ -987,16 +804,15 @@ mod tests {
             factor: 2.0,
             min_count: 10,
         });
+        // "busy" staying busy is not anomalous.
         for w in 0..4u64 {
             for i in 0..5u64 {
-                d.observe_id(0, "quiet", t(w * 1000 + i));
+                assert!(d.observe_id(0, "quiet", t(w * 1000 + i)).is_none());
             }
             for i in 0..50u64 {
-                d.observe_id(1, "busy", t(w * 1000 + i * 10));
+                assert!(d.observe_id(1, "busy", t(w * 1000 + i * 10)).is_none());
             }
         }
-        // "busy" staying busy is not anomalous.
-        assert_eq!(d.alerts_raised(), 0);
     }
 
     #[test]

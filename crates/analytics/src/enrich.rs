@@ -46,7 +46,7 @@ pub struct EndpointInfo {
 
 impl EndpointInfo {
     /// The placeholder for addresses the database does not cover.
-    pub fn unknown() -> EndpointInfo {
+    fn unknown() -> EndpointInfo {
         EndpointInfo {
             country_code: *b"??",
             city: String::new(),
@@ -62,7 +62,7 @@ impl EndpointInfo {
     }
 
     /// Country code as `&str`.
-    pub fn cc_str(&self) -> &str {
+    pub(crate) fn cc_str(&self) -> &str {
         core::str::from_utf8(&self.country_code).unwrap_or("??")
     }
 }
@@ -264,7 +264,7 @@ impl Enricher {
 
     /// Look up one address; [`EndpointInfo::unknown`] when the database
     /// does not cover it. A covered address costs one city clone.
-    pub fn lookup(&mut self, key: u128) -> EndpointInfo {
+    fn lookup(&mut self, key: u128) -> EndpointInfo {
         self.lookups += 1;
         match self.db.lookup_key(key) {
             Some(loc) => EndpointInfo {

@@ -27,7 +27,7 @@ impl Interner {
     /// The id for `name`, allocating the next dense id (and the one owned
     /// copy of the string) on first sight.
     #[allow(clippy::disallowed_methods)] // sanctioned: the interner owns the one copy of each name
-    pub fn intern(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
@@ -45,7 +45,7 @@ impl Interner {
     /// The string for an id interned earlier.
     ///
     /// # Panics
-    /// If `id` was never returned by [`Interner::intern`].
+    /// If `id` was never returned by `Interner::intern`.
     pub fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
     }
@@ -97,13 +97,6 @@ impl PairInterner {
         id
     }
 
-    /// Convenience: intern both atoms and the pair in one call.
-    pub fn pair_of(&mut self, src: &str, dst: &str) -> u32 {
-        let s = self.atom(src);
-        let d = self.atom(dst);
-        self.pair(s, d)
-    }
-
     /// The "src→dst" display name of a pair id.
     ///
     /// # Panics
@@ -127,6 +120,11 @@ impl PairInterner {
 mod tests {
     use super::*;
 
+    fn pair_of(p: &mut PairInterner, src: &str, dst: &str) -> u32 {
+        let (s, d) = (p.atom(src), p.atom(dst));
+        p.pair(s, d)
+    }
+
     #[test]
     fn interner_is_dense_and_stable() {
         let mut i = Interner::new();
@@ -144,10 +142,10 @@ mod tests {
     #[test]
     fn pair_interner_formats_name_once_and_keeps_direction() {
         let mut p = PairInterner::new();
-        let fwd = p.pair_of("Auckland", "Los Angeles");
-        let rev = p.pair_of("Los Angeles", "Auckland");
+        let fwd = pair_of(&mut p, "Auckland", "Los Angeles");
+        let rev = pair_of(&mut p, "Los Angeles", "Auckland");
         assert_ne!(fwd, rev, "direction matters");
-        assert_eq!(p.pair_of("Auckland", "Los Angeles"), fwd);
+        assert_eq!(pair_of(&mut p, "Auckland", "Los Angeles"), fwd);
         assert_eq!(p.name(fwd), "Auckland→Los Angeles");
         assert_eq!(p.name(rev), "Los Angeles→Auckland");
         assert_eq!(p.len(), 2);
@@ -157,7 +155,7 @@ mod tests {
     fn pair_ids_are_dense_from_zero() {
         let mut p = PairInterner::new();
         let ids: Vec<u32> = (0..10)
-            .map(|i| p.pair_of(&format!("a{i}"), "hub"))
+            .map(|i| pair_of(&mut p, &format!("a{i}"), "hub"))
             .collect();
         assert_eq!(ids, (0..10).collect::<Vec<u32>>());
     }

@@ -31,7 +31,7 @@ pub mod workers;
 
 pub use aggregate::{KeySpace, PairAggregator, RunningStats};
 pub use alert::{Alert, AlertSink, Severity};
-pub use detect::{EwmaDetector, LatencySpikeDetector, RateAnomalyDetector, SynFloodDetector};
+pub use detect::{LatencySpikeDetector, RateAnomalyDetector, SynFloodDetector};
 pub use enrich::{EndpointInfo, EnrichedMeasurement, Enricher};
 pub use filter::{Criterion, FilterSpec, FilterStage};
 pub use intern::{Interner, PairInterner};

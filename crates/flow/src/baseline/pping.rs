@@ -147,7 +147,7 @@ impl Pping {
     }
 
     /// Expire outstanding TSvals at `now`.
-    pub fn housekeep(&mut self, now: Timestamp) {
+    pub(crate) fn housekeep(&mut self, now: Timestamp) {
         self.packets_since_expiry = 0;
         let before = self.table.expirations();
         self.table.expire(now, |_k, _v| {});

@@ -83,11 +83,6 @@ impl SynOnly {
         None
     }
 
-    /// Expire stale SYNs.
-    pub fn housekeep(&mut self, now: Timestamp) {
-        self.table.expire(now, |_k, _v| {});
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> SynOnlyStats {
         self.stats
@@ -169,13 +164,5 @@ mod tests {
         assert!(e
             .process(&meta(ip(2), ip(1), 443, 5000, Flags::SYN | Flags::ACK, 1, 1, 0))
             .is_none());
-    }
-
-    #[test]
-    fn expiry_clears_pending() {
-        let mut e = SynOnly::new(1024, 1_000_000);
-        e.process(&meta(ip(1), ip(2), 1, 2, Flags::SYN, 1, 0, 0));
-        e.housekeep(Timestamp::from_micros(2_000));
-        assert_eq!(e.in_flight(), 0);
     }
 }

@@ -118,13 +118,6 @@ pub struct TcpMeta {
     pub timestamp: Timestamp,
 }
 
-impl TcpMeta {
-    /// The RSS-style 4-tuple.
-    pub fn tuple(&self) -> (IpAddress, IpAddress, u16, u16) {
-        (self.src, self.dst, self.src_port, self.dst_port)
-    }
-}
-
 fn parse_tcp_options(seg: &tcp::Packet<&[u8]>) -> Option<(u32, u32)> {
     for opt in seg.options() {
         match opt {

@@ -310,7 +310,7 @@ impl HandshakeTracker {
     }
 
     /// Run an expiry sweep at `now` (also run at the end of every burst).
-    pub fn housekeep(&mut self, now: Timestamp) {
+    pub(crate) fn housekeep(&mut self, now: Timestamp) {
         self.table.expire(now, |_k, _v| {});
     }
 
@@ -333,11 +333,6 @@ impl HandshakeTracker {
     /// The queue this tracker serves.
     pub fn queue_id(&self) -> u16 {
         self.queue_id
-    }
-
-    /// Timestamp of the most recent packet processed.
-    pub fn last_seen(&self) -> Timestamp {
-        self.last_seen
     }
 }
 

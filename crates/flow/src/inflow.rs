@@ -321,7 +321,7 @@ impl InflowTracker {
     }
 
     /// Run an expiry sweep at `now` (also run at the end of every burst).
-    pub fn housekeep(&mut self, now: Timestamp) {
+    pub(crate) fn housekeep(&mut self, now: Timestamp) {
         self.table.expire(now, |_k, _v| {});
     }
 

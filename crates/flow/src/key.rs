@@ -113,7 +113,7 @@ impl FlowKey {
 
     /// The `(src, dst, src_port, dst_port)` tuple as seen travelling in
     /// `dir`.
-    pub fn as_seen(&self, dir: Direction) -> (IpAddress, IpAddress, u16, u16) {
+    pub(crate) fn as_seen(&self, dir: Direction) -> (IpAddress, IpAddress, u16, u16) {
         match dir {
             Direction::Forward => (self.a.0, self.b.0, self.a.1, self.b.1),
             Direction::Reverse => (self.b.0, self.a.0, self.b.1, self.a.1),

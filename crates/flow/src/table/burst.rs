@@ -17,7 +17,7 @@ impl<K: Eq, V> FlowTable<K, V> {
     /// Stage the home bucket of `hash` into cache. Cheap enough to call
     /// once per packet at the head of a burst loop.
     #[inline]
-    pub fn prefetch(&self, hash: u32) {
+    pub(crate) fn prefetch(&self, hash: u32) {
         let b = self.home(hash);
         let (bucket, tag) = self.probe_lines(b);
         #[cfg(all(target_arch = "x86_64", not(miri)))]

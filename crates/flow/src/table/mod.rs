@@ -26,7 +26,7 @@
 //! * **Deletion** — backward-shift (Knuth), not tombstones: probe chains
 //!   stay gapless, lookups never slow down under churn, and a SYN flood's
 //!   insert/evict cycling cannot poison the table.
-//! * **Prefetch** — [`FlowTable::prefetch`] stages a hash's home bucket
+//! * **Prefetch** — `FlowTable::prefetch` stages a hash's home bucket
 //!   line into cache. The trackers' `process_burst` loops call it for a
 //!   whole RX burst before running any probe, `rte_hash_lookup_bulk`-style,
 //!   so the probes run against warmed lines.

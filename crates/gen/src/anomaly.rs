@@ -58,17 +58,6 @@ impl Anomaly {
         }
     }
 
-    /// A mid-flow congestion shift: 60 ms added to every data exchange
-    /// whose server leg falls inside the window (the elephant-flow
-    /// scenario's regression, invisible to handshake-only sampling).
-    pub fn congestion_shift_60ms(start: Timestamp, end: Timestamp) -> Anomaly {
-        Anomaly::MidFlowLatencyShift {
-            start,
-            end,
-            extra_ns: 60_000_000,
-        }
-    }
-
     /// The anomaly's active window.
     pub fn window(&self) -> (Timestamp, Timestamp) {
         match self {
@@ -79,14 +68,14 @@ impl Anomaly {
     }
 
     /// True if `t` falls inside the window.
-    pub fn active_at(&self, t: Timestamp) -> bool {
+    fn active_at(&self, t: Timestamp) -> bool {
         let (s, e) = self.window();
         t >= s && t < e
     }
 
     /// The extra setup latency this anomaly imposes on a flow starting at
     /// `t` (zero for non-latency anomalies).
-    pub fn extra_setup_ns(&self, t: Timestamp) -> u64 {
+    pub(crate) fn extra_setup_ns(&self, t: Timestamp) -> u64 {
         match self {
             Anomaly::SetupLatencySpike { extra_ns, .. } if self.active_at(t) => *extra_ns,
             _ => 0,
@@ -96,7 +85,7 @@ impl Anomaly {
     /// The extra delay this anomaly imposes on a data exchange whose
     /// request passes the tap at `t` (zero for setup-only anomalies:
     /// the firewall holds SYNs, not established traffic).
-    pub fn extra_data_ns(&self, t: Timestamp) -> u64 {
+    pub(crate) fn extra_data_ns(&self, t: Timestamp) -> u64 {
         match self {
             Anomaly::MidFlowLatencyShift { extra_ns, .. } if self.active_at(t) => *extra_ns,
             _ => 0,
@@ -121,7 +110,11 @@ mod tests {
 
     #[test]
     fn congestion_shift_affects_data_not_setup() {
-        let a = Anomaly::congestion_shift_60ms(Timestamp::from_secs(4), Timestamp::from_secs(8));
+        let a = Anomaly::MidFlowLatencyShift {
+            start: Timestamp::from_secs(4),
+            end: Timestamp::from_secs(8),
+            extra_ns: 60_000_000,
+        };
         // Setup path untouched: a flow starting mid-window still gets a
         // clean handshake.
         assert_eq!(a.extra_setup_ns(Timestamp::from_secs(5)), 0);

@@ -40,7 +40,7 @@ impl RateProfile {
     }
 
     /// The multiplier at simulated time `t`.
-    pub fn multiplier_at(&self, t: Timestamp) -> f64 {
+    fn multiplier_at(&self, t: Timestamp) -> f64 {
         match self {
             RateProfile::Constant => 1.0,
             RateProfile::Hourly(hours) => {

@@ -42,20 +42,15 @@ impl Default for PathModel {
 
 impl PathModel {
     /// Deterministic baseline one-way delay between two cities (no jitter).
-    pub fn base_owd_ns(&self, city_a: usize, city_b: usize) -> u64 {
+    pub(crate) fn base_owd_ns(&self, city_a: usize, city_b: usize) -> u64 {
         let a = &CITIES[city_a];
         let b = &CITIES[city_b];
         let d = distance_km(a.lat, a.lon, b.lat, b.lon);
         (d * NS_PER_KM * self.route_inflation) as u64 + self.owd_floor_ns
     }
 
-    /// Sample a jittered one-way delay.
-    pub fn sample_owd_ns(&self, city_a: usize, city_b: usize, rng: &mut impl Rng) -> u64 {
-        self.base_owd_ns(city_a, city_b) + self.sample_jitter_ns(rng)
-    }
-
     /// Sample exponential jitter.
-    pub fn sample_jitter_ns(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_jitter_ns(&self, rng: &mut impl Rng) -> u64 {
         if self.jitter_mean_ns == 0 {
             return 0;
         }
@@ -64,12 +59,12 @@ impl PathModel {
     }
 
     /// Sample the server's handshake processing delay.
-    pub fn sample_server_proc_ns(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_server_proc_ns(&self, rng: &mut impl Rng) -> u64 {
         rng.gen_range(self.server_proc_ns.0..=self.server_proc_ns.1)
     }
 
     /// Sample the client's ACK turnaround delay.
-    pub fn sample_client_proc_ns(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_client_proc_ns(&self, rng: &mut impl Rng) -> u64 {
         rng.gen_range(self.client_proc_ns.0..=self.client_proc_ns.1)
     }
 }
@@ -123,10 +118,7 @@ mod tests {
             ..PathModel::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(
-            m.sample_owd_ns(0, 1, &mut rng),
-            m.base_owd_ns(0, 1)
-        );
+        assert_eq!(m.sample_jitter_ns(&mut rng), 0);
     }
 
     #[test]

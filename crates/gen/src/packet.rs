@@ -100,13 +100,13 @@ impl TcpPacketSpec {
     }
 
     /// Attach a TCP timestamps option.
-    pub fn with_timestamps(mut self, tsval: u32, tsecr: u32) -> TcpPacketSpec {
+    pub(crate) fn with_timestamps(mut self, tsval: u32, tsecr: u32) -> TcpPacketSpec {
         self.timestamps = Some((tsval, tsecr));
         self
     }
 
     /// Set the payload length.
-    pub fn with_payload(mut self, len: usize) -> TcpPacketSpec {
+    pub(crate) fn with_payload(mut self, len: usize) -> TcpPacketSpec {
         self.payload_len = len;
         self
     }

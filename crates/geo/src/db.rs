@@ -27,13 +27,6 @@ pub struct Location {
     pub as_name: String,
 }
 
-impl Location {
-    /// The country code as a `&str`.
-    pub fn country_code_str(&self) -> &str {
-        core::str::from_utf8(&self.country_code).unwrap_or("??")
-    }
-}
-
 /// An address range `[start, end]` (inclusive, like IP2Location rows)
 /// mapped to a location row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +57,6 @@ pub enum DbError {
         /// Offending row index.
         at: usize,
     },
-    /// The serialized form is malformed.
-    Corrupt(&'static str),
 }
 
 impl core::fmt::Display for DbError {
@@ -74,14 +65,11 @@ impl core::fmt::Display for DbError {
             DbError::Overlap { at } => write!(f, "overlapping ranges at row {at}"),
             DbError::BadLocationIndex { at } => write!(f, "bad location index at row {at}"),
             DbError::InvertedRange { at } => write!(f, "inverted range at row {at}"),
-            DbError::Corrupt(what) => write!(f, "corrupt database: {what}"),
         }
     }
 }
 
 impl std::error::Error for DbError {}
-
-const MAGIC: &[u8; 6] = b"RGEOv1";
 
 /// The geolocation database: a location table plus sorted ranges.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,12 +108,12 @@ impl GeoDb {
     }
 
     /// The location table.
-    pub fn locations(&self) -> &[Location] {
+    pub(crate) fn locations(&self) -> &[Location] {
         &self.locations
     }
 
     /// The sorted range table.
-    pub fn ranges(&self) -> &[Range] {
+    pub(crate) fn ranges(&self) -> &[Range] {
         &self.ranges
     }
 
@@ -143,108 +131,6 @@ impl GeoDb {
         } else {
             None
         }
-    }
-
-    /// Serialize to the compact binary form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.locations.len() as u32).to_le_bytes());
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            let b = s.as_bytes();
-            out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-            out.extend_from_slice(b);
-        };
-        for loc in &self.locations {
-            out.extend_from_slice(&loc.country_code);
-            put_str(&mut out, &loc.country);
-            put_str(&mut out, &loc.region);
-            put_str(&mut out, &loc.city);
-            out.extend_from_slice(&loc.lat.to_le_bytes());
-            out.extend_from_slice(&loc.lon.to_le_bytes());
-            out.extend_from_slice(&loc.asn.to_le_bytes());
-            put_str(&mut out, &loc.as_name);
-        }
-        out.extend_from_slice(&(self.ranges.len() as u32).to_le_bytes());
-        for r in &self.ranges {
-            out.extend_from_slice(&r.start.to_le_bytes());
-            out.extend_from_slice(&r.end.to_le_bytes());
-            out.extend_from_slice(&r.location.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialize from [`GeoDb::to_bytes`] output.
-    pub fn from_bytes(data: &[u8]) -> Result<GeoDb, DbError> {
-        struct Cursor<'a> {
-            data: &'a [u8],
-            at: usize,
-        }
-        impl<'a> Cursor<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], DbError> {
-                if self.at + n > self.data.len() {
-                    return Err(DbError::Corrupt("truncated"));
-                }
-                let s = &self.data[self.at..self.at + n];
-                self.at += n;
-                Ok(s)
-            }
-            fn u16(&mut self) -> Result<u16, DbError> {
-                Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-            }
-            fn u32(&mut self) -> Result<u32, DbError> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u128(&mut self) -> Result<u128, DbError> {
-                Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-            }
-            fn f32(&mut self) -> Result<f32, DbError> {
-                Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn string(&mut self) -> Result<String, DbError> {
-                let len = self.u16()? as usize;
-                let b = self.take(len)?;
-                String::from_utf8(b.to_vec()).map_err(|_| DbError::Corrupt("bad utf8"))
-            }
-        }
-        let mut c = Cursor { data, at: 0 };
-        if c.take(6)? != MAGIC {
-            return Err(DbError::Corrupt("bad magic"));
-        }
-        let n_loc = c.u32()? as usize;
-        if n_loc > 16_000_000 {
-            return Err(DbError::Corrupt("absurd location count"));
-        }
-        let mut locations = Vec::with_capacity(n_loc);
-        for _ in 0..n_loc {
-            let cc = c.take(2)?;
-            locations.push(Location {
-                country_code: [cc[0], cc[1]],
-                country: c.string()?,
-                region: c.string()?,
-                city: c.string()?,
-                lat: c.f32()?,
-                lon: c.f32()?,
-                asn: c.u32()?,
-                as_name: c.string()?,
-            });
-        }
-        let n_ranges = c.u32()? as usize;
-        if n_ranges > 256_000_000 {
-            return Err(DbError::Corrupt("absurd range count"));
-        }
-        let mut ranges = Vec::with_capacity(n_ranges);
-        for _ in 0..n_ranges {
-            ranges.push(Range {
-                start: c.u128()?,
-                end: c.u128()?,
-                location: c.u32()?,
-            });
-        }
-        if c.at != data.len() {
-            return Err(DbError::Corrupt("trailing bytes"));
-        }
-        GeoDb::new(locations, ranges)
     }
 }
 
@@ -393,31 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip() {
-        let db = sample_db();
-        let bytes = db.to_bytes();
-        let back = GeoDb::from_bytes(&bytes).unwrap();
-        assert_eq!(back, db);
-    }
-
-    #[test]
-    fn corrupt_serializations_rejected() {
-        let db = sample_db();
-        let bytes = db.to_bytes();
-        assert!(GeoDb::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(GeoDb::from_bytes(&[]).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(GeoDb::from_bytes(&bad_magic).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(
-            GeoDb::from_bytes(&trailing).unwrap_err(),
-            DbError::Corrupt("trailing bytes")
-        );
-    }
-
-    #[test]
     fn single_address_range() {
         let db = GeoDb::new(
             vec![loc("NZ", "A", 1)],
@@ -438,10 +299,5 @@ mod tests {
         let db = GeoDb::new(vec![], vec![]).unwrap();
         assert!(db.lookup_key(0).is_none());
         assert!(db.lookup_key(12345).is_none());
-    }
-
-    #[test]
-    fn country_code_str() {
-        assert_eq!(loc("NZ", "A", 1).country_code_str(), "NZ");
     }
 }

@@ -10,8 +10,7 @@
 //!
 //! * [`db`] — the range database over a unified u128 address space (IPv4
 //!   mapped into `::ffff:0:0/96`): a sorted range table searched with
-//!   `partition_point`, a compact binary serialization, and overlap
-//!   validation. Enrichment workers share one database and look every
+//!   `partition_point`, and overlap validation. Enrichment workers share one database and look every
 //!   endpoint up directly.
 //! * [`synth`] — a deterministic synthetic world: real cities with real
 //!   coordinates and plausible AS numbers, allocated address blocks; the

@@ -176,19 +176,9 @@ impl SynthWorld {
         &self.db
     }
 
-    /// Consume the world, returning its database.
-    pub fn into_db(self) -> GeoDb {
-        self.db
-    }
-
     /// Number of cities.
     pub fn city_count(&self) -> usize {
         CITIES.len()
-    }
-
-    /// Providers allocated per city.
-    pub fn providers_per_city(&self) -> usize {
-        self.providers_per_city
     }
 
     /// A uniformly random IPv4 address (as wire bytes) belonging to `city`.
@@ -298,7 +288,7 @@ mod tests {
         assert_eq!(w.db().range_count(), CITIES.len() * 2 * 2); // v4 + v6
         let akl = w.city_location(AUCKLAND);
         assert_eq!(akl.city, "Auckland");
-        assert_eq!(akl.country_code_str(), "NZ");
+        assert_eq!(&akl.country_code, b"NZ");
         let lax = w.city_location(LOS_ANGELES);
         assert_eq!(lax.city, "Los Angeles");
     }

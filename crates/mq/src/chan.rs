@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-/// The error returned by [`Sender::try_send`].
+/// The error returned by `Sender::try_send`.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
     /// The channel is at its high-water mark; the value is handed back.
@@ -192,7 +192,7 @@ impl<T> Sender<T> {
     }
 
     /// Non-blocking send.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+    pub(crate) fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         let inner = lock(&self.chan);
         if inner.receivers == 0 {
             // account-ok: `Disconnected(value)` returns ownership — the

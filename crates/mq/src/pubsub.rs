@@ -11,9 +11,6 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, RwLock};
 use std::time::Duration;
 
-/// Default per-subscriber high-water mark (ZeroMQ's default is 1000).
-pub const DEFAULT_HWM: usize = 1000;
-
 struct SubEntry {
     prefix: Vec<u8>,
     sender: Sender<Message>,
@@ -157,11 +154,6 @@ impl Publisher {
         delivered as usize
     }
 
-    /// Number of live subscriptions.
-    pub fn subscriber_count(&self) -> usize {
-        self.inner.subs.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
     /// (published, delivered, dropped) counters.
     pub fn stats(&self) -> (u64, u64, u64) {
         (
@@ -223,6 +215,11 @@ mod tests {
     #![allow(clippy::disallowed_methods)]
     use super::*;
 
+    /// Live subscriptions, pruned ones excluded.
+    fn subscriber_count(p: &Publisher) -> usize {
+        p.inner.subs.read().unwrap().len()
+    }
+
     #[test]
     fn topic_filtering() {
         let p = Publisher::new();
@@ -243,7 +240,7 @@ mod tests {
         let _b = p.subscribe("x", 4);
         let _c = p.subscribe("y", 4);
         assert_eq!(p.publish(Message::new("x1", "m")), 2);
-        assert_eq!(p.subscriber_count(), 3);
+        assert_eq!(subscriber_count(&p), 3);
     }
 
     #[test]
@@ -312,11 +309,11 @@ mod tests {
         let p = Publisher::new();
         let a = p.subscribe("", 4);
         let _b = p.subscribe("", 4);
-        assert_eq!(p.subscriber_count(), 2);
+        assert_eq!(subscriber_count(&p), 2);
         drop(a);
         // First publish after the drop notices and prunes.
         assert_eq!(p.publish(Message::new("t", "m")), 1);
-        assert_eq!(p.subscriber_count(), 1);
+        assert_eq!(subscriber_count(&p), 1);
     }
 
     #[test]

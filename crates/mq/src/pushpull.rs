@@ -56,12 +56,6 @@ impl Push {
         Ok(sent)
     }
 
-    /// Non-blocking send; `Err` returns the message when full or
-    /// disconnected.
-    pub fn try_send(&self, msg: Message) -> Result<(), Message> {
-        self.tx.try_send(msg).map_err(|e| e.into_inner())
-    }
-
     /// Messages currently buffered in the pipe.
     pub fn backlog(&self) -> usize {
         self.tx.len()
@@ -190,18 +184,6 @@ mod tests {
         }
         let total: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(total, 10_000);
-    }
-
-    #[test]
-    fn try_send_reports_full() {
-        let (push, pull) = pipe(2);
-        push.try_send(Message::new("t", "1")).unwrap();
-        push.try_send(Message::new("t", "2")).unwrap();
-        let rejected = push.try_send(Message::new("t", "3")).unwrap_err();
-        assert_eq!(rejected.payload, &b"3"[..]);
-        assert_eq!(push.backlog(), 2);
-        pull.recv().unwrap();
-        push.try_send(Message::new("t", "3")).unwrap();
     }
 
     #[test]

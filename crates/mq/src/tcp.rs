@@ -315,17 +315,6 @@ impl TcpPublisher {
         plock(&self.peers).len()
     }
 
-    /// Largest per-peer backlog in bytes (a liveness gauge for telemetry:
-    /// a persistently high-water backlog means a subscriber is falling
-    /// behind and shedding frames).
-    pub fn max_peer_backlog(&self) -> usize {
-        plock(&self.peers)
-            .iter()
-            .map(Peer::backlog)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Publish to all matching subscribers. Never blocks: each matching
     /// peer either gets the whole frame queued (flushed opportunistically
     /// with nonblocking writes) or drops the whole frame if its backlog
@@ -401,11 +390,6 @@ impl TcpSubscriber {
     /// Blocking receive of the next frame; `None` when the publisher closed.
     pub fn recv(&mut self) -> std::io::Result<Option<Message>> {
         read_frame(&mut self.stream)
-    }
-
-    /// Set a read timeout for [`TcpSubscriber::recv`].
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
     }
 }
 
@@ -608,7 +592,7 @@ mod tests {
         }
         // Resume reading: every frame that arrives must be intact and
         // correctly framed (no torn length prefixes).
-        sub.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        sub.stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut received = 0;
         while let Ok(Some(m)) = sub.recv() {
             assert_eq!(m.topic, &b"big"[..]);

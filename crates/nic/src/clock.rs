@@ -2,14 +2,12 @@
 //!
 //! Ruru records three sub-microsecond timestamps per flow (SYN, SYN-ACK,
 //! ACK). In production those come from the DPDK RX path reading the TSC.
-//! Here a [`Clock`] either wraps a monotonic OS clock (live pipelines) or a
-//! shared virtual counter that the traffic generator advances (simulated
-//! time, so a 24-hour experiment runs in milliseconds and latencies are
-//! exactly reproducible).
+//! Here a [`Clock`] is a shared virtual counter that the code feeding the
+//! port advances (simulated time, so a 24-hour experiment runs in
+//! milliseconds and latencies are exactly reproducible).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
-use std::time::Instant;
 
 /// A monotonic timestamp in nanoseconds since the clock's origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -85,91 +83,42 @@ impl core::fmt::Display for Timestamp {
     }
 }
 
-enum ClockSource {
-    /// Real monotonic time, origin at construction.
-    Monotonic(Instant),
-    /// A shared counter advanced explicitly by the simulation driver.
-    Virtual(Arc<AtomicU64>),
-}
-
-/// A timestamp source, cloneable and shareable across threads.
+/// A timestamp source: a shared counter that the code feeding the port
+/// advances explicitly. Clones share the same counter, so they can be
+/// handed to other threads.
+#[derive(Clone)]
 pub struct Clock {
-    source: ClockSource,
+    counter: Arc<AtomicU64>,
 }
 
 impl Clock {
-    /// A clock backed by the OS monotonic clock, for live runs.
-    // The one sanctioned wall-clock read: every other component asks this
-    // Clock, so live runs and simulations share one code path.
-    #[allow(clippy::disallowed_methods)]
-    pub fn monotonic() -> Clock {
-        Clock {
-            source: ClockSource::Monotonic(Instant::now()),
-        }
-    }
-
     /// A virtual clock starting at zero. Clones share the same counter.
     pub fn virtual_clock() -> Clock {
         Clock {
-            source: ClockSource::Virtual(Arc::new(AtomicU64::new(0))),
+            counter: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// The current timestamp.
     pub fn now(&self) -> Timestamp {
-        match &self.source {
-            ClockSource::Monotonic(origin) => Timestamp(origin.elapsed().as_nanos() as u64),
-            ClockSource::Virtual(counter) => Timestamp(counter.load(Ordering::Acquire)),
-        }
+        Timestamp(self.counter.load(Ordering::Acquire))
     }
 
-    /// Advance a virtual clock by `delta_ns`. Panics on a monotonic clock.
+    /// Advance the clock by `delta_ns`.
     pub fn advance(&self, delta_ns: u64) {
-        match &self.source {
-            ClockSource::Virtual(counter) => {
-                counter.fetch_add(delta_ns, Ordering::AcqRel);
-            }
-            ClockSource::Monotonic(_) => panic!("cannot advance a monotonic clock"),
-        }
+        self.counter.fetch_add(delta_ns, Ordering::AcqRel);
     }
 
-    /// Set a virtual clock to an absolute time, which must not move
-    /// backwards. Panics on a monotonic clock.
+    /// Set the clock to an absolute time, which must not move backwards.
     pub fn set(&self, ts: Timestamp) {
-        match &self.source {
-            ClockSource::Virtual(counter) => {
-                let prev = counter.swap(ts.0, Ordering::AcqRel);
-                assert!(prev <= ts.0, "virtual clock moved backwards");
-            }
-            ClockSource::Monotonic(_) => panic!("cannot set a monotonic clock"),
-        }
-    }
-
-    /// True if this clock is virtual (simulation-driven).
-    pub fn is_virtual(&self) -> bool {
-        matches!(self.source, ClockSource::Virtual(_))
-    }
-}
-
-impl Clone for Clock {
-    fn clone(&self) -> Clock {
-        Clock {
-            source: match &self.source {
-                ClockSource::Monotonic(origin) => ClockSource::Monotonic(*origin),
-                ClockSource::Virtual(counter) => ClockSource::Virtual(Arc::clone(counter)),
-            },
-        }
+        let prev = self.counter.swap(ts.0, Ordering::AcqRel);
+        assert!(prev <= ts.0, "virtual clock moved backwards");
     }
 }
 
 impl core::fmt::Debug for Clock {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match &self.source {
-            ClockSource::Monotonic(_) => write!(f, "Clock::Monotonic"),
-            ClockSource::Virtual(c) => {
-                write!(f, "Clock::Virtual({})", c.load(Ordering::Relaxed))
-            }
-        }
+        write!(f, "Clock::Virtual({})", self.counter.load(Ordering::Relaxed))
     }
 }
 
@@ -205,21 +154,6 @@ mod tests {
         let c = Clock::virtual_clock();
         c.advance(100);
         c.set(Timestamp(50));
-    }
-
-    #[test]
-    fn monotonic_clock_is_nondecreasing() {
-        let c = Clock::monotonic();
-        let a = c.now();
-        let b = c.now();
-        assert!(b >= a);
-        assert!(!c.is_virtual());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance")]
-    fn monotonic_clock_cannot_be_advanced() {
-        Clock::monotonic().advance(1);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Probabilities (each in `[0, 1]`) for the four fault classes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Probabilities (each in `[0, 1]`) for the four fault classes; the
+/// default injects no faults.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Probability a packet is silently dropped.
     pub drop: f64,
@@ -25,25 +26,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// No faults.
-    pub const NONE: FaultConfig = FaultConfig {
-        drop: 0.0,
-        corrupt: 0.0,
-        duplicate: 0.0,
-        reorder: 0.0,
-    };
-
-    /// A lossy-link profile useful in tests (1% drop, 0.1% corrupt,
-    /// 0.1% duplicate, 0.5% reorder).
-    pub fn lossy() -> FaultConfig {
-        FaultConfig {
-            drop: 0.01,
-            corrupt: 0.001,
-            duplicate: 0.001,
-            reorder: 0.005,
-        }
-    }
-
     fn validate(&self) {
         for (name, p) in [
             ("drop", self.drop),
@@ -149,9 +131,19 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// A lossy link: 1% drop, 0.1% corrupt, 0.1% duplicate, 0.5% reorder.
+    fn lossy() -> FaultConfig {
+        FaultConfig {
+            drop: 0.01,
+            corrupt: 0.001,
+            duplicate: 0.001,
+            reorder: 0.005,
+        }
+    }
+
     #[test]
     fn no_faults_is_identity() {
-        let mut inj = FaultInjector::new(FaultConfig::NONE, 1);
+        let mut inj = FaultInjector::new(FaultConfig::default(), 1);
         for i in 0..100u8 {
             let out = inj.apply(vec![i]);
             assert_eq!(out, vec![vec![i]]);
@@ -165,7 +157,7 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultConfig {
                 drop: 1.0,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             2,
         );
@@ -180,7 +172,7 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultConfig {
                 corrupt: 1.0,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             3,
         );
@@ -200,7 +192,7 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultConfig {
                 duplicate: 1.0,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             4,
         );
@@ -214,7 +206,7 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultConfig {
                 reorder: 1.0,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             5,
         );
@@ -231,7 +223,7 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultConfig {
                 reorder: 1.0,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             6,
         );
@@ -243,7 +235,7 @@ mod tests {
     #[test]
     fn deterministic_for_same_seed() {
         let run = |seed| {
-            let mut inj = FaultInjector::new(FaultConfig::lossy(), seed);
+            let mut inj = FaultInjector::new(lossy(), seed);
             let mut delivered = Vec::new();
             for i in 0..200u8 {
                 delivered.extend(inj.apply(vec![i]));
@@ -283,7 +275,7 @@ mod tests {
         FaultInjector::new(
             FaultConfig {
                 drop: 1.5,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             0,
         );
@@ -294,7 +286,7 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultConfig {
                 corrupt: 1.0,
-                ..FaultConfig::NONE
+                ..FaultConfig::default()
             },
             8,
         );

@@ -54,15 +54,6 @@ impl Mbuf {
             .unwrap_or(&[])
     }
 
-    /// Mutable access to the packet bytes; empty under the same conditions
-    /// as [`Mbuf::data`].
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        self.storage
-            .as_deref_mut()
-            .and_then(|s| s.get_mut(..self.len))
-            .unwrap_or(&mut [])
-    }
-
     /// Packet length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -71,16 +62,6 @@ impl Mbuf {
     /// True if the packet has zero length.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Shrink or grow (within capacity) the packet length.
-    pub fn set_len(&mut self, len: usize) {
-        assert!(
-            len <= self.capacity(),
-            "mbuf data length {len} exceeds capacity {}",
-            self.capacity()
-        );
-        self.len = len;
     }
 
     /// Total data room of the underlying buffer.
@@ -167,11 +148,6 @@ impl MbufPool {
                 exhaustions: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// A pool with the conventional 2 KiB buffers.
-    pub fn with_default_bufs(count: usize) -> MbufPool {
-        Self::new(count, DEFAULT_BUF_SIZE)
     }
 
     /// Allocate a buffer and copy `data` into it.
@@ -301,23 +277,6 @@ mod tests {
         let m = Mbuf::from_bytes(&[1, 2]);
         assert_eq!(m.data(), &[1, 2]);
         drop(m); // must not panic
-    }
-
-    #[test]
-    fn set_len_within_capacity() {
-        let pool = MbufPool::new(1, 64);
-        let mut m = pool.alloc(&[0; 10]).unwrap();
-        m.set_len(5);
-        assert_eq!(m.len(), 5);
-        m.set_len(64);
-        assert_eq!(m.len(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds capacity")]
-    fn set_len_beyond_capacity_panics() {
-        let mut m = Mbuf::from_bytes(&[0; 4]);
-        m.set_len(100);
     }
 
     #[test]

@@ -204,15 +204,6 @@ impl Port {
         }
     }
 
-    /// Take ownership of queue `q`'s receive handle (once).
-    // Setup-time API: double-take is a harness bug, caught loudly.
-    #[allow(clippy::expect_used)]
-    pub fn take_rx_queue(&mut self, q: u16) -> RxQueue {
-        self.rx_queues[q as usize]
-            .take()
-            .expect("rx queue already taken")
-    }
-
     /// Take all remaining receive handles.
     pub fn take_all_rx_queues(&mut self) -> Vec<RxQueue> {
         self.rx_queues.iter_mut().filter_map(|q| q.take()).collect()
@@ -432,7 +423,7 @@ mod tests {
         let mut port = small_port(4);
         let frame = tcp_frame([10, 0, 0, 1], [10, 0, 0, 2], 40000, 443, tcp::Flags::SYN);
         let q = port.inject(&frame).unwrap();
-        let mut rx = port.take_rx_queue(q);
+        let mut rx = port.take_all_rx_queues().swap_remove(usize::from(q));
         let mut out = Vec::new();
         assert_eq!(rx.rx_burst(&mut out, 32), 1);
         assert_eq!(out[0].data(), &frame[..]);
@@ -497,7 +488,7 @@ mod tests {
         clock.advance(12_345);
         let frame = tcp_frame([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, tcp::Flags::SYN);
         port.inject(&frame).unwrap();
-        let mut rx = port.take_rx_queue(0);
+        let mut rx = port.take_all_rx_queues().swap_remove(0);
         let mut out = Vec::new();
         rx.rx_burst(&mut out, 1);
         assert_eq!(out[0].timestamp.as_nanos(), 12_345);
@@ -510,7 +501,7 @@ mod tests {
         port.inject(&garbage).unwrap();
         assert_eq!(port.stats().non_ip_packets, 1);
         let q0_expected = port.hasher().queue_for(0);
-        let mut rx = port.take_rx_queue(q0_expected);
+        let mut rx = port.take_all_rx_queues().swap_remove(usize::from(q0_expected));
         let mut out = Vec::new();
         assert_eq!(rx.rx_burst(&mut out, 8), 1);
         assert_eq!(out[0].queue_id, q0_expected);
@@ -550,7 +541,7 @@ mod tests {
             },
             Clock::virtual_clock(),
         );
-        let mut rx = port.take_rx_queue(0);
+        let mut rx = port.take_all_rx_queues().swap_remove(0);
         const N: usize = 2000;
         let consumer = std::thread::spawn(move || {
             let mut out = Vec::new();
@@ -581,7 +572,7 @@ mod tests {
         let mut port = small_port(1);
         let frame = tcp_frame([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, tcp::Flags::SYN);
         // A polling consumer is never woken.
-        let mut rx = port.take_rx_queue(0);
+        let mut rx = port.take_all_rx_queues().swap_remove(0);
         let mut out = Vec::new();
         for _ in 0..3 {
             port.inject(&frame).unwrap();
@@ -637,7 +628,7 @@ mod tests {
             Clock::virtual_clock(),
         );
         let frame = tcp_frame([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, tcp::Flags::SYN);
-        let mut rx = port.take_rx_queue(0);
+        let mut rx = port.take_all_rx_queues().swap_remove(0);
         let mut out = Vec::new();
         for _ in 0..10 {
             assert!(port.inject(&frame).is_some());
@@ -657,20 +648,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already taken")]
-    fn queue_cannot_be_taken_twice() {
-        let mut port = small_port(1);
-        let _a = port.take_rx_queue(0);
-        let _b = port.take_rx_queue(0);
-    }
-
-    #[test]
     fn take_all_returns_each_queue_once() {
         let mut port = small_port(4);
-        let _q2 = port.take_rx_queue(2);
-        let rest = port.take_all_rx_queues();
-        assert_eq!(rest.len(), 3);
-        let ids: Vec<u16> = rest.iter().map(|q| q.queue_id).collect();
-        assert_eq!(ids, vec![0, 1, 3]);
+        let ids: Vec<u16> = port.take_all_rx_queues().iter().map(|q| q.queue_id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+        assert!(port.take_all_rx_queues().is_empty());
     }
 }

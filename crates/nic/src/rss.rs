@@ -186,7 +186,7 @@ impl RssHasher {
     }
 
     /// Hash an IPv6 TCP/UDP 4-tuple.
-    pub fn hash_v6(&self, src: ipv6::Address, dst: ipv6::Address, src_port: u16, dst_port: u16) -> u32 {
+    fn hash_v6(&self, src: ipv6::Address, dst: ipv6::Address, src_port: u16, dst_port: u16) -> u32 {
         let mut input = [0u8; 36];
         put(&mut input, 0, &src.0);
         put(&mut input, 16, &dst.0);

@@ -398,15 +398,21 @@ impl WorkerState {
     }
 }
 
+/// The threads [`Pipeline::finish`] stops and joins, in this order.
+struct Stages {
+    workers: WorkerGroup<WorkerState>,
+    pool: EnrichmentPool,
+    detector: std::thread::JoinHandle<PairAggregator>,
+}
+
 /// The running pipeline.
 pub struct Pipeline {
     clock: Clock,
     lossless_inject: bool,
     publisher: Publisher,
     port: Port,
-    workers: WorkerGroup<WorkerState>,
-    pool: EnrichmentPool,
-    detector_handle: std::thread::JoinHandle<PairAggregator>,
+    /// Taken by `finish`, which then still borrows the rest of `self`.
+    stages: Option<Stages>,
     tsdb: Arc<TsDb>,
     alerts: AlertSink,
     snmp: SnmpPoller,
@@ -835,9 +841,11 @@ impl Pipeline {
             lossless_inject: config.lossless_inject,
             publisher: publisher.clone(),
             port,
-            workers,
-            pool,
-            detector_handle,
+            stages: Some(Stages {
+                workers,
+                pool,
+                detector: detector_handle,
+            }),
             tsdb,
             alerts,
             snmp,
@@ -907,12 +915,6 @@ impl Pipeline {
             .subscribe(ruru_analytics::workers::ENRICHED_TOPIC, hwm)
     }
 
-    /// The pipeline's self-metric registry + ids (live observation; the
-    /// run's final snapshot lands in [`Report::telemetry`]).
-    pub fn self_metrics(&self) -> &Arc<SelfMetrics> {
-        &self.metrics
-    }
-
     /// One self-telemetry collection: mirror the pull-based stats into the
     /// collector shard, snapshot the registry, and export the snapshot as
     /// `ruru_self` points into the tsdb.
@@ -936,12 +938,13 @@ impl Pipeline {
     // Propagating a detector panic at join is shutdown-time, by design.
     #[allow(clippy::expect_used)]
     pub fn finish(mut self) -> Report {
+        let stages = self.stages.take().expect("only finish takes the stages");
         // 1. Stop the lcore workers (they drain their queues first) and
         //    take back their states, in queue order. Each shard's only
         //    writer has exited, so flushing it here is single-writer.
         let mut trackers: Vec<(u16, TrackerStats)> = Vec::new();
         let mut inflows: Vec<(u16, InflowStats)> = Vec::new();
-        for mut state in self.workers.shutdown() {
+        for mut state in stages.workers.shutdown() {
             state.flush();
             let queue = state.tracker.queue_id();
             trackers.push((queue, state.tracker.stats()));
@@ -954,28 +957,14 @@ impl Pipeline {
         //    inside the pool's stripe flushes, so from here the store holds
         //    every measurement and `tsdb_merge_points` accounts for all of
         //    them; nothing is merged at finish time.
-        self.pool.join();
+        stages.pool.join();
         // 3. The detector drains its closed pipe, releases its reorder
         //    buffer and returns.
-        let aggregates = self.detector_handle.join().expect("detector panicked");
+        let aggregates = stages.detector.join().expect("detector panicked");
 
         // 4. Final telemetry collection: every writer has joined, so the
         //    snapshot is exact (no skipped shards).
-        //    (Inlined from `collect_telemetry` — joining `detector_handle`
-        //    partially moved `self`, ruling out the `&mut self` call.)
-        let final_ns = self.last_event.as_nanos().max(self.last_telemetry);
-        let port_stats = self.port.stats();
-        let mq = self.publisher.stats();
-        let ingested = self.tsdb.points_ingested();
-        self.metrics.collect_into(
-            final_ns,
-            &port_stats,
-            mq,
-            (ingested, self.tsdb.storage_stats()),
-            &mut self.telemetry_snap,
-            &mut self.telemetry_scratch,
-        );
-        self.telemetry_points += self.telemetry_snap.write_into(&self.tsdb) as u64;
+        self.collect_telemetry(self.last_event.as_nanos().max(self.last_telemetry));
 
         // 5. Every stage count in the report is read from that one
         //    snapshot — the numbers the live `ruru_self` export carries, so
@@ -1019,7 +1008,7 @@ impl Pipeline {
             decode_errors: t.counter("det_decode_errors"),
         };
         Report {
-            port: port_stats,
+            port: self.port.stats(),
             trackers,
             inflows,
             pool,

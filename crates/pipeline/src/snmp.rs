@@ -2,12 +2,9 @@
 //!
 //! What a WAN operator's SNMP polling actually sees: per-interval interface
 //! counters (packets, bytes) averaged over the poll period — five minutes
-//! in the paper's comparison. No flow state, no latency. To be generous to
-//! the baseline we also give it a per-interval *mean* of any latency
-//! samples it is handed (a "NetFlow-style" coarse aggregate), which is
-//! still blind to short spikes: a 4000 ms anomaly lasting 30 s inside a
-//! 5-minute window moves the mean by a factor easily mistaken for noise,
-//! while Ruru's per-flow stream flags every affected connection.
+//! in the paper's comparison. No flow state, no latency: a 4000 ms anomaly
+//! lasting 30 s inside a 5-minute window leaves the counters flat, while
+//! Ruru's per-flow stream flags every affected connection.
 
 use ruru_nic::Timestamp;
 
@@ -22,8 +19,6 @@ pub struct SnmpSample {
     pub bytes: u64,
     /// Average utilization over the interval against the link rate, 0..=1.
     pub utilization: f64,
-    /// Mean of latency samples handed to the poller (ms), if any.
-    pub mean_latency_ms: Option<f64>,
 }
 
 /// A fixed-interval counter poller.
@@ -35,8 +30,6 @@ pub struct SnmpPoller {
     window_start: Timestamp,
     packets: u64,
     bytes: u64,
-    latency_sum_ms: f64,
-    latency_count: u64,
     samples: Vec<SnmpSample>,
 }
 
@@ -53,15 +46,8 @@ impl SnmpPoller {
             window_start: Timestamp::ZERO,
             packets: 0,
             bytes: 0,
-            latency_sum_ms: 0.0,
-            latency_count: 0,
             samples: Vec::new(),
         }
-    }
-
-    /// The conventional five-minute poller on a 10 Gbit/s link.
-    pub fn five_minute_10g() -> SnmpPoller {
-        SnmpPoller::new(300 * 1_000_000_000, 10_000_000_000)
     }
 
     /// Close every interval that ends at or before `at`. The first event
@@ -83,50 +69,31 @@ impl SnmpPoller {
                 packets: self.packets,
                 bytes: self.bytes,
                 utilization: (self.bytes as f64 * 8.0 / secs) / self.link_bps as f64,
-                mean_latency_ms: if self.latency_count > 0 {
-                    Some(self.latency_sum_ms / self.latency_count as f64)
-                } else {
-                    None
-                },
             });
             self.packets = 0;
             self.bytes = 0;
-            self.latency_sum_ms = 0.0;
-            self.latency_count = 0;
             self.window_start = self.window_start.advanced(self.interval_ns);
         }
     }
 
     /// Count one packet of `bytes` at `at`.
-    pub fn observe_packet(&mut self, at: Timestamp, bytes: usize) {
+    pub(crate) fn observe_packet(&mut self, at: Timestamp, bytes: usize) {
         self.roll(at);
         self.packets += 1;
         self.bytes += bytes as u64;
-    }
-
-    /// Hand the poller a latency sample (the generous NetFlow-style mean).
-    pub fn observe_latency(&mut self, at: Timestamp, latency_ms: f64) {
-        self.roll(at);
-        self.latency_sum_ms += latency_ms;
-        self.latency_count += 1;
     }
 
     /// Close intervals up to `at`, flush any non-empty partial interval,
     /// and return all samples.
     pub fn finish(mut self, at: Timestamp) -> Vec<SnmpSample> {
         self.roll(at);
-        if self.packets > 0 || self.latency_count > 0 {
+        if self.packets > 0 {
             let secs = self.interval_ns as f64 / 1e9;
             self.samples.push(SnmpSample {
                 start: self.window_start,
                 packets: self.packets,
                 bytes: self.bytes,
                 utilization: (self.bytes as f64 * 8.0 / secs) / self.link_bps as f64,
-                mean_latency_ms: if self.latency_count > 0 {
-                    Some(self.latency_sum_ms / self.latency_count as f64)
-                } else {
-                    None
-                },
             });
         }
         self.samples
@@ -159,32 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_mean_dilutes_short_spikes() {
-        // 5-minute interval; 30 s of 4000 ms flows inside it, 130 ms
-        // otherwise, 10 flows/s: exactly the paper's firewall scenario.
-        let mut p = SnmpPoller::five_minute_10g();
-        for s in 0..300u64 {
-            for f in 0..10u64 {
-                let at = Timestamp::from_nanos(s * SEC + f * SEC / 10);
-                let lat = if (100..130).contains(&s) { 4130.0 } else { 130.0 };
-                p.observe_latency(at, lat);
-            }
-        }
-        let samples = p.finish(Timestamp::from_secs(300));
-        assert_eq!(samples.len(), 1);
-        let mean = samples[0].mean_latency_ms.unwrap();
-        // The mean moves from 130 to ~530: a 4× dilution of a 31× spike —
-        // and operators watching utilization see nothing at all.
-        assert!((mean - 530.0).abs() < 5.0, "mean {mean}");
-        assert!(mean < 4130.0 / 4.0);
-    }
-
-    #[test]
-    fn empty_intervals_have_no_latency() {
+    fn gaps_close_as_empty_intervals() {
         let mut p = SnmpPoller::new(SEC, 1_000);
         p.observe_packet(Timestamp::from_secs(0), 100);
         let samples = p.finish(Timestamp::from_secs(3));
-        assert!(samples[0].mean_latency_ms.is_none());
+        assert_eq!(samples.len(), 3);
         assert!(samples.iter().skip(1).all(|s| s.packets == 0));
     }
 
@@ -193,7 +139,7 @@ mod tests {
         // An epoch-stamped capture: one sample, starting at the five-minute
         // boundary before the first packet.
         let first = 1_700_000_123u64;
-        let mut p = SnmpPoller::five_minute_10g();
+        let mut p = SnmpPoller::new(300 * SEC, 10_000_000_000);
         p.observe_packet(Timestamp::from_secs(first), 1500);
         p.observe_packet(Timestamp::from_secs(first + 10), 1500);
         let samples = p.finish(Timestamp::from_secs(first + 10));

@@ -307,22 +307,22 @@ impl SelfMetrics {
     }
 
     /// Shard owned by the dataplane worker of RX queue `queue`.
-    pub fn dataplane_shard(&self, queue: u16) -> usize {
+    pub(crate) fn dataplane_shard(&self, queue: u16) -> usize {
         (queue as usize).min(self.num_queues.saturating_sub(1))
     }
 
     /// Shard owned by the detector thread.
-    pub fn detector_shard(&self) -> usize {
+    pub(crate) fn detector_shard(&self) -> usize {
         self.num_queues
     }
 
     /// First shard of the enrichment pool (worker `i` owns base + i).
-    pub fn enrich_shard_base(&self) -> usize {
+    fn enrich_shard_base(&self) -> usize {
         self.num_queues + 1
     }
 
     /// Shard owned by the collector (mirrored port/mq/tsdb gauges).
-    pub fn collector_shard(&self) -> usize {
+    fn collector_shard(&self) -> usize {
         self.num_queues + 1 + self.enrich_threads
     }
 
@@ -341,7 +341,7 @@ impl SelfMetrics {
 
     /// The enrichment pool's handle bundle (worker `i` writes shard
     /// `enrich_shard_base() + i`).
-    pub fn pool_telemetry(&self, clock: Clock) -> PoolTelemetry {
+    pub(crate) fn pool_telemetry(&self, clock: Clock) -> PoolTelemetry {
         PoolTelemetry {
             registry: Arc::clone(&self.registry),
             clock,

@@ -1,10 +1,11 @@
-//! The detector thread blocks on its one feed instead of polling it: under
-//! a trickle of SYNs — one every 200 µs of wall time — it sleeps between
-//! arrivals and uses a small share of one core.
+//! Idle threads cost nothing: under a trickle of SYNs — one every 200 µs
+//! of wall time — the RX lcore parks on its empty ring until the port wakes
+//! it, and the detector blocks on its one feed instead of polling it. Each
+//! sleeps between arrivals and uses a small share of one core.
 //!
-//! Linux-only: per-thread CPU time is read from `/proc/self/task/*/stat`.
-//! The test is its own binary, so the process has exactly one
-//! `ruru-detect` thread.
+//! Linux-only: per-thread CPU time is read from
+//! `/proc/self/task/<tid>/schedstat`. The tests take turns on one lock, so
+//! the process has exactly one thread of each name at a time.
 #![cfg(target_os = "linux")]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 // Pacing the feed needs wall-clock sleeps; this is a test, not a hot path.
@@ -14,16 +15,17 @@ use ruru_gen::packet::TcpPacketSpec;
 use ruru_gen::Event;
 use ruru_nic::port::PortConfig;
 use ruru_nic::Timestamp;
-use ruru_pipeline::{conservation, Pipeline, PipelineConfig};
+use ruru_pipeline::{conservation, Pipeline, PipelineConfig, Report};
 use ruru_wire::tcp::Flags;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// `/proc` reports per-thread CPU time in USER_HZ ticks, 100 per second
-/// on Linux.
-const TICK: Duration = Duration::from_millis(10);
+/// Serialises the tests: both look their thread up by name.
+static ONE_PIPELINE: Mutex<()> = Mutex::new(());
 
-/// utime + stime of the thread named `name`, in clock ticks.
-fn thread_cpu_ticks(name: &str) -> Option<u64> {
+/// CPU time of the thread named `name` (the first field of its
+/// `schedstat`, nanoseconds spent on a CPU), and whether it is asleep.
+fn thread_cpu(name: &str) -> Option<(Duration, bool)> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     tasks.filter_map(Result::ok).find_map(|task| {
         let path = task.path();
@@ -31,21 +33,20 @@ fn thread_cpu_ticks(name: &str) -> Option<u64> {
         if comm.trim_end() != name {
             return None;
         }
+        let schedstat = std::fs::read_to_string(path.join("schedstat")).ok()?;
+        let ns = schedstat.split_whitespace().next()?.parse().ok()?;
+        // The state letter follows the parenthesised comm.
         let stat = std::fs::read_to_string(path.join("stat")).ok()?;
-        // The fields after the parenthesised comm start at field 3
-        // (state); utime and stime are fields 14 and 15.
-        let fields: Vec<&str> = stat
-            .get(stat.rfind(')')? + 2..)?
-            .split_whitespace()
-            .collect();
-        let utime: u64 = fields.get(11)?.parse().ok()?;
-        let stime: u64 = fields.get(12)?.parse().ok()?;
-        Some(utime + stime)
+        let asleep = stat.get(stat.rfind(')')? + 2..)?.starts_with('S');
+        Some((Duration::from_nanos(ns), asleep))
     })
 }
 
-#[test]
-fn detector_sleeps_under_a_syn_trickle() {
+/// Feed a 300 ms SYN trickle through a one-queue pipeline, assert that
+/// thread `name` used under a quarter of the wall time, and return the
+/// report.
+fn trickle(name: &str) -> Report {
+    let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
     let (mut pipeline, _world) = Pipeline::with_synth_world(PipelineConfig {
         port: PortConfig {
             num_queues: 1,
@@ -53,10 +54,12 @@ fn detector_sleeps_under_a_syn_trickle() {
         },
         ..PipelineConfig::default()
     });
-    // A new thread takes its name from inside itself, so wait for it.
+    // A new thread takes its name from inside itself, then builds its
+    // state (the lcore's flow tables take tens of ms in a debug build):
+    // count from its first sleep, once both are done.
     let before = loop {
-        if let Some(ticks) = thread_cpu_ticks("ruru-detect") {
-            break ticks;
+        if let Some((cpu, true)) = thread_cpu(name) {
+            break cpu;
         }
         std::thread::yield_now();
     };
@@ -86,7 +89,7 @@ fn detector_sleeps_under_a_syn_trickle() {
         }
     }
     let wall = start.elapsed();
-    let cpu = TICK * u32::try_from(thread_cpu_ticks("ruru-detect").unwrap() - before).unwrap();
+    let cpu = thread_cpu(name).unwrap().0 - before;
     let report = pipeline.finish();
 
     assert_eq!(report.syns(), u64::from(sent));
@@ -101,6 +104,21 @@ fn detector_sleeps_under_a_syn_trickle() {
     assert!(violations.is_empty(), "{}", violations.join("\n"));
     assert!(
         cpu < wall / 4,
-        "ruru-detect used {cpu:?} of CPU over {wall:?} for {sent} SYNs"
+        "{name} used {cpu:?} of CPU over {wall:?} for {sent} SYNs"
     );
+    report
+}
+
+#[test]
+fn rx_lcore_sleeps_under_a_syn_trickle() {
+    let report = trickle("lcore-rx0");
+    assert!(
+        report.port.rx_wakeups > 0,
+        "the port never woke the lcore: it never parked"
+    );
+}
+
+#[test]
+fn detector_sleeps_under_a_syn_trickle() {
+    trickle("ruru-detect");
 }

@@ -220,12 +220,6 @@ impl Registry {
         self.shards.len()
     }
 
-    /// Total `u64` cells per shard — the registry's whole memory bound is
-    /// `shards × cells_per_shard × 8` bytes plus fixed headers.
-    pub fn cells_per_shard(&self) -> usize {
-        self.cells_per_shard
-    }
-
     /// Open a write burst on `shard`: readers will reject the shard until
     /// the matching [`Registry::burst_end`]. Never blocks.
     #[inline]
@@ -533,7 +527,7 @@ impl Snapshot {
     /// and gauge (`metric=<name>` tag, `value` field) and one per
     /// histogram (`count/sum/min/max/mean/p50/p95/p99` fields).
     #[allow(clippy::disallowed_methods)] // sanctioned: control-plane export builds owned tag strings per snapshot
-    pub fn to_points(&self) -> Vec<Point> {
+    fn to_points(&self) -> Vec<Point> {
         let mut points = Vec::with_capacity(
             self.counters.len() + self.gauges.len() + self.hists.len() + 1,
         );

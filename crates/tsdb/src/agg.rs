@@ -25,7 +25,7 @@ pub struct Aggregate {
 impl Aggregate {
     /// Compute aggregates; returns `None` for an empty set. `values` is
     /// sorted in place (callers hand over scratch buffers).
-    pub fn compute(values: &mut [f64]) -> Option<Aggregate> {
+    pub(crate) fn compute(values: &mut [f64]) -> Option<Aggregate> {
         if values.is_empty() {
             return None;
         }
@@ -56,7 +56,7 @@ impl Aggregate {
 ///
 /// Total: an empty slice yields NaN (there is no percentile to report) and
 /// `pct` is clamped to `0..=100`, so no input can abort a query path.
-pub fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
     let Some((&first, _)) = sorted.split_first() else {
         return f64::NAN;
     };

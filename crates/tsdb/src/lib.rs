@@ -17,15 +17,15 @@
 //!   mean / median / p95 / p99 / stddev.
 //! * [`store`] — [`store::TsDb`]: two-phase (active → sealed) storage,
 //!   tag-filtered and time-bucketed queries with bounded parallel
-//!   fan-out, retention enforcement and downsampling.
+//!   fan-out and retention enforcement.
 //! * [`sharded`] — [`sharded::IngestShard`] / [`sharded::StripeWriter`]:
 //!   contention-free single-writer ingest stripes folded into the store
 //!   per rotation — the first-class dataplane write path.
 //! * `compress` (private) — Gorilla-style sealed-chunk codec: timestamp
 //!   delta-of-delta varints + value XOR with leading/trailing-zero
 //!   windows, decoded in place by query cursors.
-//! * `seal` (private) — sealing, chunk retention and downsample-rewrite:
-//!   the cold maintenance half of the lifecycle.
+//! * `seal` (private) — sealing and chunk retention: the cold
+//!   maintenance half of the lifecycle.
 
 pub mod agg;
 mod compress;

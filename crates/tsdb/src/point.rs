@@ -41,7 +41,7 @@ impl Point {
     }
 
     /// The series key: `measurement,k1=v1,k2=v2` over sorted tags.
-    pub fn series_key(&self) -> String {
+    pub(crate) fn series_key(&self) -> String {
         // alloc-ok: one owned series key per buffered point — the by-design
         // string cost of striped ingest, bounded per point and enforced by
         // the counting-allocator audit (tests/alloc_stripe_ingest.rs).

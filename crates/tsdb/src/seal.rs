@@ -1,4 +1,4 @@
-//! Sealing, retention and downsample-rewrite of compressed chunks — the
+//! Sealing and retention of compressed chunks — the
 //! **cold** half of the store's two-phase shard lifecycle (DESIGN.md §16).
 //!
 //! Active runs are plain sorted `Vec<(u64, f64)>`s fed by the striped
@@ -7,11 +7,10 @@
 //! Gorilla-compressed [`Chunk`]s; only a short mutable tail stays
 //! uncompressed so late stragglers keep their cheap binary-insert path.
 //! Retention drops whole expired chunks without decompressing and
-//! rewrites the one straddling chunk; downsampling rewrites old chunks
-//! in place at a coarser resolution.
+//! rewrites the one straddling chunk.
 //!
 //! Everything here runs under the store's write lock on maintenance
-//! paths (seal points, retention sweeps, downsample rewrites) — never
+//! paths (seal points, retention sweeps) — never
 //! per point — which is why this module, and only this module, keeps an
 //! audited allocation exemption in `cargo xtask hotpath-check`.
 
@@ -79,53 +78,6 @@ pub(crate) fn retain_chunks(chunks: &mut Vec<Chunk>, cutoff: u64) -> u64 {
     dropped
 }
 
-/// Rewrite every chunk whose samples all predate `before_ns` at a
-/// coarser resolution: one mean-valued sample per `bucket_ns` window,
-/// stamped at the window start. Returns `(samples_before,
-/// samples_after)` across the rewritten chunks.
-pub(crate) fn downsample_chunks(chunks: &mut Vec<Chunk>, bucket_ns: u64, before_ns: u64) -> (u64, u64) {
-    let bucket_ns = bucket_ns.max(1);
-    let old = chunks.partition_point(|c| c.end_ns() < before_ns);
-    if old == 0 {
-        return (0, 0);
-    }
-    let mut samples = Vec::new();
-    let mut before = 0u64;
-    for c in chunks.iter().take(old) {
-        before += c.count() as u64;
-        c.decompress_into(&mut samples);
-    }
-    let mut coarse: Vec<Sample> = Vec::new();
-    let mut acc: Option<(u64, f64, u64)> = None; // (window start, sum, count)
-    for &(t, v) in &samples {
-        let w = (t / bucket_ns).saturating_mul(bucket_ns);
-        match &mut acc {
-            Some((start, sum, n)) if *start == w => {
-                *sum += v;
-                *n += 1;
-            }
-            _ => {
-                if let Some((start, sum, n)) = acc.take() {
-                    coarse.push((start, sum / n as f64));
-                }
-                acc = Some((w, v, 1));
-            }
-        }
-    }
-    if let Some((start, sum, n)) = acc {
-        coarse.push((start, sum / n as f64));
-    }
-    let after = coarse.len() as u64;
-    let mut rewritten: Vec<Chunk> = Vec::new();
-    for piece in coarse.chunks(CHUNK_LEN) {
-        if let Some(chunk) = Chunk::compress(piece) {
-            rewritten.push(chunk);
-        }
-    }
-    chunks.splice(..old, rewritten);
-    (before, after)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,35 +142,5 @@ mod tests {
         seal_run(&mut active, &mut sealed, true);
         assert_eq!(retain_chunks(&mut sealed, u64::MAX), 100);
         assert!(sealed.is_empty());
-    }
-
-    #[test]
-    fn downsample_rewrites_old_chunks_with_means() {
-        // Two sealed chunks at 1khz cadence, downsample the first to 100x
-        // coarser windows.
-        let mut active = run(CHUNK_LEN as u64 * 2);
-        let mut sealed = Vec::new();
-        seal_run(&mut active, &mut sealed, false);
-        let horizon = CHUNK_LEN as u64 * 1000;
-        let (before, after) = downsample_chunks(&mut sealed, 100_000, horizon);
-        assert_eq!(before, CHUNK_LEN as u64);
-        assert_eq!(after, (CHUNK_LEN as u64).div_ceil(100));
-        let decoded: Vec<Sample> = sealed.iter().flat_map(|c| c.iter()).collect();
-        // First coarse window holds means of samples 0..100 → 49.5.
-        assert_eq!(decoded.first().map(|&(t, v)| (t, v)), Some((0, 49.5)));
-        // The untouched second chunk still follows at full resolution.
-        assert_eq!(
-            decoded.len(),
-            (CHUNK_LEN as u64).div_ceil(100) as usize + CHUNK_LEN
-        );
-    }
-
-    #[test]
-    fn downsample_with_no_old_chunks_is_noop() {
-        let mut active = run(CHUNK_LEN as u64);
-        let mut sealed = Vec::new();
-        seal_run(&mut active, &mut sealed, true);
-        assert_eq!(downsample_chunks(&mut sealed, 100, 0), (0, 0));
-        assert_eq!(sealed.len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! private, single-writer mini-store (same sorted-run-per-series layout
 //! as the shared store, no lock at all) that each writer fills
 //! independently and folds into the shared [`crate::TsDb`] with
-//! [`crate::store::TsDb::merge_shard`] — once per rotation interval
+//! `TsDb::merge_shard` — once per rotation interval
 //! (mid-run, via [`StripeWriter`]) rather than once per point. The
 //! pipeline's enrichment workers each write through a [`StripeWriter`].
 //!

@@ -9,7 +9,7 @@
 //! that queries decode in place. Steady-state ingest never touches the
 //! store lock per point: writers buffer into private
 //! [`crate::sharded::IngestShard`]s (via [`crate::sharded::StripeWriter`])
-//! and fold them in with [`TsDb::merge_shard`], one short write-lock
+//! and fold them in with `TsDb::merge_shard`, one short write-lock
 //! hold per rotation instead of one per sample.
 
 use crate::agg::Aggregate;
@@ -220,7 +220,7 @@ impl TsDb {
     /// Runs crossing the seal threshold are compressed on the way in.
     /// Returns the number of points merged, which is also added to
     /// [`TsDb::points_ingested`] so ingest accounting reconciles exactly.
-    pub fn merge_shard(&self, shard: crate::sharded::IngestShard) -> u64 {
+    pub(crate) fn merge_shard(&self, shard: crate::sharded::IngestShard) -> u64 {
         let points = shard.points;
         if points == 0 {
             return 0;
@@ -281,13 +281,6 @@ impl TsDb {
     /// write path touches only writer-local memory.
     pub fn stripe(self: &std::sync::Arc<Self>, flush_points: u64) -> crate::sharded::StripeWriter {
         crate::sharded::StripeWriter::new(std::sync::Arc::clone(self), flush_points)
-    }
-
-    /// Ingest a line-protocol line.
-    pub fn write_line(&self, line: &str) -> Result<(), crate::line::LineError> {
-        let point = crate::line::parse(line)?;
-        self.write(&point);
-        Ok(())
     }
 
     /// Total points ingested (including later-retained ones).
@@ -574,94 +567,6 @@ impl TsDb {
         }
         dropped
     }
-
-    /// Retention-driven downsample **rewrite**: replace sealed chunks of
-    /// `(measurement, field)` whose samples all predate `before_ns` with
-    /// mean-per-`bucket_ns`-window chunks at coarser resolution, in
-    /// place (same series, tags preserved). Returns total
-    /// `(samples_before, samples_after)` across rewritten chunks.
-    pub fn downsample_sealed(
-        &self,
-        measurement: &str,
-        field: &str,
-        bucket_ns: u64,
-        before_ns: u64,
-    ) -> (u64, u64) {
-        // lock-ok: cold retention-driven rewrite — re-chunking holds the
-        // store lock by design; never on the per-point ingest path.
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let Some(series_map) = inner.get_mut(measurement) else {
-            return (0, 0);
-        };
-        let (mut before, mut after) = (0u64, 0u64);
-        for series in series_map.values_mut() {
-            if let Some(fs) = series.fields.get_mut(field) {
-                let (b, a) = seal::downsample_chunks(&mut fs.sealed, bucket_ns, before_ns);
-                before += b;
-                after += a;
-            }
-        }
-        (before, after)
-    }
-
-    /// Downsample: write `mean` of each `bucket_ns` window of
-    /// `(measurement, field)` into `target_measurement` (tags preserved),
-    /// over `[start_ns, end_ns)`. Returns points written.
-    #[allow(clippy::disallowed_methods)] // sanctioned: retention maintenance, control-plane
-    pub fn downsample(
-        &self,
-        measurement: &str,
-        field: &str,
-        target_measurement: &str,
-        bucket_ns: u64,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> usize {
-        // A zero bucket width is meaningless; treat it as the full range
-        // rather than aborting mid-pipeline.
-        let bucket_ns = bucket_ns.max(1);
-        // Collect first (cannot hold the read lock while writing).
-        let mut out: Vec<Point> = Vec::new();
-        {
-            // lock-ok: retention downsampling is control-plane maintenance;
-            // aggregates under the read lock by design.
-            let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-            let Some(series_map) = inner.get(measurement) else {
-                return 0;
-            };
-            for series in series_map.values() {
-                let Some(fs) = series.fields.get(field) else {
-                    continue;
-                };
-                let n_buckets = bucket_count(start_ns, end_ns, bucket_ns);
-                let mut sums = vec![(0.0f64, 0usize); n_buckets];
-                fs.for_each_in_range(start_ns, end_ns, &mut |t, v| {
-                    // panic-ok: bucket_ns is clamped to at least 1 above
-                    let b = (t.saturating_sub(start_ns) / bucket_ns) as usize;
-                    if let Some((sum, count)) = sums.get_mut(b) {
-                        *sum += v;
-                        *count = count.saturating_add(1);
-                    }
-                });
-                for (i, (sum, count)) in sums.into_iter().enumerate() {
-                    if count > 0 {
-                        out.push(Point::new(
-                            target_measurement,
-                            series.tags.clone(),
-                            // panic-ok: f64 division never panics (flagged conservatively)
-                            vec![(field.to_string(), sum / count as f64)],
-                            start_ns.saturating_add((i as u64).saturating_mul(bucket_ns)),
-                        ));
-                    }
-                }
-            }
-        }
-        let n = out.len();
-        for p in &out {
-            self.write(p);
-        }
-        n
-    }
 }
 
 /// Seal full chunks off an active run that crossed the threshold.
@@ -851,26 +756,12 @@ mod tests {
     #[test]
     fn line_protocol_ingest() {
         let db = TsDb::new();
-        db.write_line("latency,city=akl total_ms=130 100").unwrap();
-        assert!(db.write_line("garbage").is_err());
+        db.write(&crate::line::parse("latency,city=akl total_ms=130 100").unwrap());
+        assert!(crate::line::parse("garbage").is_err());
         let agg = db.query(&Query::range("latency", "total_ms", 0, 200))[0]
             .agg
             .unwrap();
         assert_eq!(agg.count, 1);
-    }
-
-    #[test]
-    fn downsample_writes_means() {
-        let db = TsDb::new();
-        for i in 0..100u64 {
-            db.write(&point("akl", i as f64, i * 10));
-        }
-        let n = db.downsample("latency", "total_ms", "latency_1us", 500, 0, 1000);
-        assert_eq!(n, 2);
-        let buckets = db.query(&Query::range("latency_1us", "total_ms", 0, 1000).with_buckets(500));
-        assert_eq!(buckets[0].agg.unwrap().count, 1);
-        assert_eq!(buckets[0].agg.unwrap().mean, 24.5); // mean of 0..49
-        assert_eq!(buckets[1].agg.unwrap().mean, 74.5); // mean of 50..99
     }
 
     #[test]
@@ -968,25 +859,5 @@ mod tests {
             assert_eq!(*start, bucket.start_ns);
             assert_eq!(vals.len(), bucket.agg.map_or(0, |a| a.count));
         }
-    }
-
-    #[test]
-    fn downsample_sealed_rewrites_in_place() {
-        let db = TsDb::new();
-        let n = crate::seal::SEAL_THRESHOLD as u64;
-        for i in 0..n {
-            db.write(&point("akl", i as f64, i * 1000));
-        }
-        db.seal();
-        let horizon = n * 1000;
-        let (before, after) = db.downsample_sealed("latency", "total_ms", 100_000, horizon);
-        assert_eq!(before, n);
-        assert!(after < before);
-        // The rewritten series still answers queries, with fewer samples.
-        let agg = db.query(&Query::range("latency", "total_ms", 0, horizon))[0]
-            .agg
-            .unwrap();
-        assert_eq!(agg.count as u64, after);
-        assert_eq!(db.series_count("latency"), 1);
     }
 }

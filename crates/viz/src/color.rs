@@ -46,7 +46,7 @@ impl Color {
     }
 
     /// Linear interpolation between two colours.
-    pub fn lerp(a: Color, b: Color, t: f32) -> Color {
+    fn lerp(a: Color, b: Color, t: f32) -> Color {
         let t = t.clamp(0.0, 1.0);
         let mix = |x: u8, y: u8| (x as f32 + (y as f32 - x as f32) * t).round() as u8;
         Color {

@@ -114,11 +114,6 @@ impl FrameBatcher {
         }
     }
 
-    /// The frame period in nanoseconds.
-    pub fn frame_ns(&self) -> u64 {
-        self.frame_ns
-    }
-
     /// Add one connection arc at time `at`. Returns completed frames (all
     /// windows that closed strictly before `at`).
     pub fn add(
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn frame_period_is_33ms_at_30fps() {
         let b = batcher(100);
-        assert_eq!(b.frame_ns(), 33_333_333);
+        assert_eq!(b.frame_ns, 33_333_333);
     }
 
     #[test]

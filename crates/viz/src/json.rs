@@ -47,7 +47,7 @@ impl JsonWriter {
     }
 
     /// Begin an array (as a value).
-    pub fn begin_array(&mut self) -> &mut Self {
+    pub(crate) fn begin_array(&mut self) -> &mut Self {
         self.pre_value();
         self.out.push('[');
         self.comma.push(false);
@@ -55,7 +55,7 @@ impl JsonWriter {
     }
 
     /// End the current array.
-    pub fn end_array(&mut self) -> &mut Self {
+    pub(crate) fn end_array(&mut self) -> &mut Self {
         self.comma.pop();
         self.out.push(']');
         self
@@ -156,15 +156,8 @@ impl JsonWriter {
         self
     }
 
-    /// Write a boolean value.
-    pub fn boolean(&mut self, v: bool) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
     /// Write a null value.
-    pub fn null(&mut self) -> &mut Self {
+    pub(crate) fn null(&mut self) -> &mut Self {
         self.pre_value();
         self.out.push_str("null");
         self
@@ -214,14 +207,12 @@ mod tests {
             .string("ruru")
             .key("count")
             .integer(3)
-            .key("ok")
-            .boolean(true)
             .key("ratio")
             .number(0.5)
             .end_object();
         assert_eq!(
             w.finish(),
-            r#"{"name":"ruru","count":3,"ok":true,"ratio":0.5}"#
+            r#"{"name":"ruru","count":3,"ratio":0.5}"#
         );
     }
 

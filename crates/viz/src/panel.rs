@@ -77,7 +77,7 @@ impl Panel {
     /// bucket is the right statistic for cumulative counters — each export
     /// is a running total, so the bucket's last (= largest) value is the
     /// state at bucket end.
-    pub fn self_metric(metric: &str) -> Panel {
+    pub(crate) fn self_metric(metric: &str) -> Panel {
         Panel {
             title: format!("self: {metric}"),
             measurement: "ruru_self".into(),
@@ -90,7 +90,7 @@ impl Panel {
     /// A self-monitoring panel over one `ruru_self` stage-residency
     /// histogram export: plots the exported p95 (tail residency) per
     /// collection interval.
-    pub fn stage_residency(metric: &str) -> Panel {
+    pub(crate) fn stage_residency(metric: &str) -> Panel {
         Panel {
             title: format!("residency: {metric}"),
             measurement: "ruru_self".into(),

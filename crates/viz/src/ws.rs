@@ -10,7 +10,7 @@
 const WS_GUID: &str = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11";
 
 /// Compute the SHA-1 digest of `data` (RFC 3174).
-pub fn sha1(data: &[u8]) -> [u8; 20] {
+fn sha1(data: &[u8]) -> [u8; 20] {
     let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
     let ml = (data.len() as u64) * 8;
     let mut msg = data.to_vec();
@@ -61,7 +61,7 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
 }
 
 /// Standard Base64 (with padding).
-pub fn base64(data: &[u8]) -> String {
+fn base64(data: &[u8]) -> String {
     const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {

@@ -81,17 +81,6 @@ impl PseudoHeader {
         PseudoHeader { partial: acc }
     }
 
-    /// A pseudo-header that contributes nothing (for protocols whose
-    /// checksum does not cover one, e.g. the IPv4 header checksum itself).
-    pub fn none() -> Self {
-        PseudoHeader { partial: 0 }
-    }
-
-    /// The partial ones-complement sum of this pseudo-header.
-    pub fn partial(&self) -> u32 {
-        self.partial
-    }
-
     /// Checksum `data` under this pseudo-header.
     pub fn checksum(&self, data: &[u8]) -> u16 {
         checksum(self.partial, data)
@@ -142,7 +131,7 @@ mod tests {
     fn v6_pseudo_header_differs_from_v4() {
         let p4 = PseudoHeader::v4([1, 2, 3, 4], [5, 6, 7, 8], 6, 20);
         let p6 = PseudoHeader::v6([1; 16], [2; 16], 6, 20);
-        assert_ne!(p4.partial(), p6.partial());
+        assert_ne!(p4.partial, p6.partial);
     }
 
     #[test]

@@ -16,28 +16,6 @@ pub const VLAN_TAG_LEN: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Address(pub [u8; 6]);
 
-impl Address {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: Address = Address([0xff; 6]);
-
-    /// True for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the group bit (multicast) is set.
-    pub fn is_multicast(&self) -> bool {
-        let [first, ..] = self.0;
-        first & 0x01 != 0
-    }
-
-    /// True if the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        let [first, ..] = self.0;
-        first & 0x02 != 0
-    }
-}
-
 impl core::fmt::Display for Address {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let [a, b, c, d, e, g] = self.0;
@@ -170,17 +148,17 @@ impl<T: AsRef<[u8]>> Frame<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
     /// Set the destination MAC.
-    pub fn set_dst(&mut self, addr: Address) {
+    pub(crate) fn set_dst(&mut self, addr: Address) {
         field::set_bytes(self.buffer.as_mut(), 0, &addr.0);
     }
 
     /// Set the source MAC.
-    pub fn set_src(&mut self, addr: Address) {
+    pub(crate) fn set_src(&mut self, addr: Address) {
         field::set_bytes(self.buffer.as_mut(), 6, &addr.0);
     }
 
     /// Set the EtherType (untagged form).
-    pub fn set_ethertype(&mut self, ty: EtherType) {
+    pub(crate) fn set_ethertype(&mut self, ty: EtherType) {
         field::set_be16(self.buffer.as_mut(), 12, ty.into());
     }
 
@@ -285,11 +263,6 @@ mod tests {
 
     #[test]
     fn address_properties() {
-        assert!(Address::BROADCAST.is_broadcast());
-        assert!(Address::BROADCAST.is_multicast());
-        assert!(Address([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
-        assert!(!Address([2, 0, 0, 0, 0, 1]).is_multicast());
-        assert!(Address([2, 0, 0, 0, 0, 1]).is_local());
         assert_eq!(
             Address([0xde, 0xad, 0xbe, 0xef, 0x00, 0x01]).to_string(),
             "de:ad:be:ef:00:01"

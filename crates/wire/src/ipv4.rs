@@ -21,23 +21,6 @@ impl Address {
     pub fn from_u32(v: u32) -> Self {
         Address(v.to_be_bytes())
     }
-
-    /// The address as a host-order u32.
-    pub fn to_u32(&self) -> u32 {
-        u32::from_be_bytes(self.0)
-    }
-
-    /// True for addresses in 10/8, 172.16/12, 192.168/16 (RFC 1918).
-    pub fn is_private(&self) -> bool {
-        let [a, b, ..] = self.0;
-        a == 10 || (a == 172 && (16..=31).contains(&b)) || (a == 192 && b == 168)
-    }
-
-    /// True for 127/8.
-    pub fn is_loopback(&self) -> bool {
-        let [a, ..] = self.0;
-        a == 127
-    }
 }
 
 impl core::fmt::Display for Address {
@@ -122,7 +105,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// IP version field (must be 4).
-    pub fn version(&self) -> u8 {
+    pub(crate) fn version(&self) -> u8 {
         field::byte(self.buffer.as_ref(), 0) >> 4
     }
 
@@ -141,18 +124,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
         field::be16(self.buffer.as_ref(), 4)
     }
 
-    /// Don't Fragment bit.
-    pub fn dont_frag(&self) -> bool {
-        field::byte(self.buffer.as_ref(), 6) & 0x40 != 0
-    }
-
-    /// More Fragments bit.
-    pub fn more_frags(&self) -> bool {
-        field::byte(self.buffer.as_ref(), 6) & 0x20 != 0
-    }
-
     /// Fragment offset in bytes.
-    pub fn frag_offset(&self) -> usize {
+    pub(crate) fn frag_offset(&self) -> usize {
         usize::from(field::be16(self.buffer.as_ref(), 6) & 0x1fff) << 3
     }
 
@@ -170,11 +143,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Payload protocol.
     pub fn protocol(&self) -> Protocol {
         Protocol::from(field::byte(self.buffer.as_ref(), 9))
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        field::be16(self.buffer.as_ref(), 10)
     }
 
     /// Source address.
@@ -215,44 +183,44 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set version=4 and the header length (bytes; must be a multiple of 4).
-    pub fn set_version_and_header_len(&mut self, header_len: usize) {
+    pub(crate) fn set_version_and_header_len(&mut self, header_len: usize) {
         debug_assert!(header_len.is_multiple_of(4) && (MIN_HEADER_LEN..=60).contains(&header_len));
         field::set_byte(self.buffer.as_mut(), 0, 0x40 | (header_len / 4) as u8);
     }
 
     /// Set the total length field.
-    pub fn set_total_len(&mut self, len: usize) {
+    pub(crate) fn set_total_len(&mut self, len: usize) {
         field::set_be16(self.buffer.as_mut(), 2, len as u16);
     }
 
     /// Set the identification field.
-    pub fn set_ident(&mut self, v: u16) {
+    pub(crate) fn set_ident(&mut self, v: u16) {
         field::set_be16(self.buffer.as_mut(), 4, v);
     }
 
     /// Clear fragmentation fields and set Don't Fragment.
-    pub fn set_unfragmented(&mut self) {
+    pub(crate) fn set_unfragmented(&mut self) {
         field::set_byte(self.buffer.as_mut(), 6, 0x40);
         field::set_byte(self.buffer.as_mut(), 7, 0);
     }
 
     /// Set the TTL.
-    pub fn set_ttl(&mut self, ttl: u8) {
+    pub(crate) fn set_ttl(&mut self, ttl: u8) {
         field::set_byte(self.buffer.as_mut(), 8, ttl);
     }
 
     /// Set the payload protocol.
-    pub fn set_protocol(&mut self, p: Protocol) {
+    pub(crate) fn set_protocol(&mut self, p: Protocol) {
         field::set_byte(self.buffer.as_mut(), 9, p.into());
     }
 
     /// Set the source address.
-    pub fn set_src(&mut self, a: Address) {
+    pub(crate) fn set_src(&mut self, a: Address) {
         field::set_bytes(self.buffer.as_mut(), 12, &a.0);
     }
 
     /// Set the destination address.
-    pub fn set_dst(&mut self, a: Address) {
+    pub(crate) fn set_dst(&mut self, a: Address) {
         field::set_bytes(self.buffer.as_mut(), 16, &a.0);
     }
 
@@ -366,7 +334,7 @@ mod tests {
         assert_eq!(r.ttl, 64);
         assert_eq!(r.payload_len, 8);
         assert!(p.verify_header_checksum());
-        assert!(p.dont_frag());
+        assert_eq!(buf[6], 0x40, "DF set, fragment offset 0");
         assert!(!p.is_non_initial_fragment());
     }
 
@@ -423,27 +391,14 @@ mod tests {
         buf[6] = 0x20;
         buf[7] = 0x01;
         let p = Packet::new_unchecked(&buf[..]);
-        assert!(p.more_frags());
         assert_eq!(p.frag_offset(), 8);
         assert!(p.is_non_initial_fragment());
-    }
-
-    #[test]
-    fn address_classification() {
-        assert!(Address([10, 1, 2, 3]).is_private());
-        assert!(Address([172, 16, 0, 1]).is_private());
-        assert!(Address([172, 31, 255, 1]).is_private());
-        assert!(!Address([172, 32, 0, 1]).is_private());
-        assert!(Address([192, 168, 9, 9]).is_private());
-        assert!(!Address([8, 8, 8, 8]).is_private());
-        assert!(Address([127, 0, 0, 1]).is_loopback());
     }
 
     #[test]
     fn address_u32_roundtrip() {
         let a = Address::from_u32(0xc0a80101);
         assert_eq!(a, Address([192, 168, 1, 1]));
-        assert_eq!(a.to_u32(), 0xc0a80101);
         assert_eq!(a.to_string(), "192.168.1.1");
     }
 }

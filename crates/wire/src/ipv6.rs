@@ -27,23 +27,12 @@ impl Address {
     }
 
     /// The eight 16-bit groups of the address.
-    pub fn groups(&self) -> [u16; 8] {
+    pub(crate) fn groups(&self) -> [u16; 8] {
         let mut g = [0u16; 8];
         for (item, chunk) in g.iter_mut().zip(self.0.chunks_exact(2)) {
             *item = field::be16(chunk, 0);
         }
         g
-    }
-
-    /// True for `::1`.
-    pub fn is_loopback(&self) -> bool {
-        u128::from_be_bytes(self.0) == 1
-    }
-
-    /// True for fc00::/7 unique-local addresses.
-    pub fn is_unique_local(&self) -> bool {
-        let [first, ..] = self.0;
-        first & 0xfe == 0xfc
     }
 }
 
@@ -132,7 +121,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Version field (must be 6).
-    pub fn version(&self) -> u8 {
+    pub(crate) fn version(&self) -> u8 {
         field::byte(self.buffer.as_ref(), 0) >> 4
     }
 
@@ -142,7 +131,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Raw Next Header field of the fixed header.
-    pub fn next_header(&self) -> u8 {
+    pub(crate) fn next_header(&self) -> u8 {
         field::byte(self.buffer.as_ref(), 6)
     }
 
@@ -220,32 +209,32 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set version=6 and zero traffic class / flow label.
-    pub fn set_version(&mut self) {
+    pub(crate) fn set_version(&mut self) {
         field::set_be32(self.buffer.as_mut(), 0, 0x6000_0000);
     }
 
     /// Set the payload length field.
-    pub fn set_payload_len(&mut self, len: usize) {
+    pub(crate) fn set_payload_len(&mut self, len: usize) {
         field::set_be16(self.buffer.as_mut(), 4, len as u16);
     }
 
     /// Set the Next Header field.
-    pub fn set_next_header(&mut self, nh: u8) {
+    pub(crate) fn set_next_header(&mut self, nh: u8) {
         field::set_byte(self.buffer.as_mut(), 6, nh);
     }
 
     /// Set the hop limit.
-    pub fn set_hop_limit(&mut self, hl: u8) {
+    pub(crate) fn set_hop_limit(&mut self, hl: u8) {
         field::set_byte(self.buffer.as_mut(), 7, hl);
     }
 
     /// Set the source address.
-    pub fn set_src(&mut self, a: Address) {
+    pub(crate) fn set_src(&mut self, a: Address) {
         field::set_bytes(self.buffer.as_mut(), 8, &a.0);
     }
 
     /// Set the destination address.
-    pub fn set_dst(&mut self, a: Address) {
+    pub(crate) fn set_dst(&mut self, a: Address) {
         field::set_bytes(self.buffer.as_mut(), 24, &a.0);
     }
 
@@ -423,13 +412,6 @@ mod tests {
             Address::from_groups([0xfe80, 0, 0, 0, 1, 0, 0, 1]).to_string(),
             "fe80::1:0:0:1"
         );
-    }
-
-    #[test]
-    fn address_classification() {
-        assert!(Address::from_groups([0, 0, 0, 0, 0, 0, 0, 1]).is_loopback());
-        assert!(Address::from_groups([0xfd00, 0, 0, 0, 0, 0, 0, 1]).is_unique_local());
-        assert!(!Address::from_groups([0x2404, 0, 0, 0, 0, 0, 0, 1]).is_unique_local());
     }
 
     #[test]

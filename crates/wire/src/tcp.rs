@@ -34,12 +34,6 @@ impl Flags {
     pub const PSH: Flags = Flags(0x08);
     /// ACK: the acknowledgment field is significant.
     pub const ACK: Flags = Flags(0x10);
-    /// URG: the urgent pointer is significant.
-    pub const URG: Flags = Flags(0x20);
-    /// ECE: ECN echo.
-    pub const ECE: Flags = Flags(0x40);
-    /// CWR: congestion window reduced.
-    pub const CWR: Flags = Flags(0x80);
 
     /// Reconstruct from the raw flag byte.
     pub fn from_bits(bits: u8) -> Flags {
@@ -52,7 +46,7 @@ impl Flags {
     }
 
     /// True if any flag in `other` is set in `self`.
-    pub fn intersects(&self, other: Flags) -> bool {
+    pub(crate) fn intersects(&self, other: Flags) -> bool {
         self.0 & other.0 != 0
     }
 
@@ -143,7 +137,7 @@ pub enum TcpOption {
 
 impl TcpOption {
     /// The emitted size of this option in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             TcpOption::Mss(_) => 4,
             TcpOption::WindowScale(_) => 3,
@@ -279,7 +273,7 @@ impl OptionList {
     }
 
     /// The emitted size, padded to a multiple of 4.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         self.wire_len_unpadded().next_multiple_of(4)
     }
 
@@ -413,7 +407,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
     /// Raw option bytes (between byte 20 and the data offset); empty when
     /// the offsets are out of range for the buffer.
-    pub fn options_raw(&self) -> &[u8] {
+    pub(crate) fn options_raw(&self) -> &[u8] {
         self.buffer
             .as_ref()
             .get(MIN_HEADER_LEN..self.header_len())
@@ -439,43 +433,43 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set the source port.
-    pub fn set_src_port(&mut self, v: u16) {
+    pub(crate) fn set_src_port(&mut self, v: u16) {
         field::set_be16(self.buffer.as_mut(), 0, v);
     }
 
     /// Set the destination port.
-    pub fn set_dst_port(&mut self, v: u16) {
+    pub(crate) fn set_dst_port(&mut self, v: u16) {
         field::set_be16(self.buffer.as_mut(), 2, v);
     }
 
     /// Set the sequence number.
-    pub fn set_seq(&mut self, v: u32) {
+    pub(crate) fn set_seq(&mut self, v: u32) {
         field::set_be32(self.buffer.as_mut(), 4, v);
     }
 
     /// Set the acknowledgment number.
-    pub fn set_ack(&mut self, v: u32) {
+    pub(crate) fn set_ack(&mut self, v: u32) {
         field::set_be32(self.buffer.as_mut(), 8, v);
     }
 
     /// Set the data offset (header length in bytes, multiple of 4).
-    pub fn set_header_len(&mut self, len: usize) {
+    pub(crate) fn set_header_len(&mut self, len: usize) {
         debug_assert!(len.is_multiple_of(4) && (MIN_HEADER_LEN..=MAX_HEADER_LEN).contains(&len));
         field::set_byte(self.buffer.as_mut(), 12, ((len / 4) as u8) << 4);
     }
 
     /// Set the flag byte.
-    pub fn set_flags(&mut self, flags: Flags) {
+    pub(crate) fn set_flags(&mut self, flags: Flags) {
         field::set_byte(self.buffer.as_mut(), 13, flags.0);
     }
 
     /// Set the receive window.
-    pub fn set_window(&mut self, v: u16) {
+    pub(crate) fn set_window(&mut self, v: u16) {
         field::set_be16(self.buffer.as_mut(), 14, v);
     }
 
     /// Compute and store the checksum under `ph` (call last).
-    pub fn fill_checksum(&mut self, ph: &PseudoHeader) {
+    pub(crate) fn fill_checksum(&mut self, ph: &PseudoHeader) {
         field::set_be16(self.buffer.as_mut(), 16, 0);
         let c = ph.checksum(self.buffer.as_ref());
         field::set_be16(self.buffer.as_mut(), 16, c);

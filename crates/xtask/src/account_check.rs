@@ -120,7 +120,6 @@ const SEND_PATTERNS: &[&str] = &[
     ".publish(",
     "publish_batch(",
     ".write(",
-    "write_line(",
 ];
 
 /// Crates exempt from discard scanning: tsdb `Result`s are query-path

@@ -16,13 +16,41 @@
 //! 6. **raw-atomic-import** — inside the shimmed crates (`ruru-nic`,
 //!    `ruru-mq`), production code must take atomics from the crate's
 //!    `sync` shim, never `std::sync::atomic` directly.
+//! 7. **unused-pub** — a `pub fn` in a library crate's `src/` must be named
+//!    in code by some file outside that `src/`: another crate, a `src/bin/`,
+//!    a `tests/` or `benches/` file, the umbrella crate's `src/` and
+//!    `tests/`, `examples/` or `perfbench/src`. Comments and strings do not
+//!    count. A fn only its own crate calls is `pub(crate)` or private, so
+//!    rustc's `dead_code` lint sees it; the exceptions are [`UNUSED_PUB_OK`].
 //!
 //! Test code (`mod tests` regions, `tests/` files, `benches/`) is exempt
 //! from 4–6.
 
 use crate::lexer::{annotated_above, collect_rs_files, lex, unicode_ident, FileView};
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// The library crates whose `pub fn`s rule 7 checks (`crates/<name>/src`).
+const LIBRARY_CRATES: [&str; 11] = [
+    "analytics", "flow", "gen", "geo", "mq", "nic", "pipeline", "telemetry", "tsdb", "viz",
+    "wire",
+];
+
+/// Rule 7's exceptions: `(path, fn name, reason)`. Each needs a reason,
+/// and an entry that excuses nothing is itself a finding.
+const UNUSED_PUB_OK: &[(&str, &str, &str)] = &[
+    (
+        "crates/tsdb/src/store.rs",
+        "enforce_retention",
+        "the retention policy that bounds the store's memory; the pipeline is to call it",
+    ),
+    (
+        "crates/analytics/src/filter.rs",
+        "and",
+        "the only way to add a criterion to a FilterSpec, the paper's example extension module",
+    ),
+];
 
 /// Run the lint over `<root>/crates`, printing violations.
 pub fn lint(root: &Path) -> ExitCode {
@@ -46,14 +74,17 @@ pub fn lint(root: &Path) -> ExitCode {
     }
 }
 
-/// Collect every violation under `<root>/crates`; returns (files checked,
-/// violations). Separated from [`lint`] so fixture tests can drive it.
+/// Collect every violation under `<root>/crates`, reading `src/`, `tests/`,
+/// `examples/` and `perfbench/src` as users for rule 7; returns (files
+/// read, violations). Separated from [`lint`] so fixture tests can drive it.
 pub fn lint_dir(root: &Path) -> Result<(usize, Vec<Violation>), String> {
-    let mut files = Vec::new();
-    collect_rs_files(&root.join("crates"), &mut files);
-    files.sort();
-    let mut violations = Vec::new();
-    for path in &files {
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        collect_rs_files(&root.join(dir), &mut paths);
+    }
+    paths.sort();
+    let mut files = Vec::with_capacity(paths.len());
+    for path in &paths {
         let source = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let rel = path
@@ -61,9 +92,116 @@ pub fn lint_dir(root: &Path) -> Result<(usize, Vec<Violation>), String> {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        violations.extend(check_file(&rel, &source));
+        files.push((rel, source));
     }
-    Ok((files.len(), violations))
+    Ok((files.len(), check_files(&files)))
+}
+
+/// Apply rules 1–6 to every file under `crates/` and rule 7 across all of
+/// `files` (workspace-relative path, source).
+pub fn check_files(files: &[(String, String)]) -> Vec<Violation> {
+    let views: Vec<FileView> = files.iter().map(|(_, src)| lex(src)).collect();
+    let mut out = Vec::new();
+    for ((path, _), view) in files.iter().zip(&views) {
+        if path.starts_with("crates/") {
+            out.extend(check_view(path, view));
+        }
+    }
+    out.extend(unused_pub(files, &views));
+    out
+}
+
+/// The library crate whose non-binary `src/` holds `path`, if any.
+fn library_src(path: &str) -> Option<&'static str> {
+    let rest = path.strip_prefix("crates/")?;
+    let (name, inner) = rest.split_once('/')?;
+    let krate = LIBRARY_CRATES.iter().find(|c| **c == name)?;
+    (inner.starts_with("src/") && !inner.starts_with("src/bin/")).then_some(*krate)
+}
+
+/// The name declared by a bare `pub fn` (qualifiers allowed, `pub(…)` not).
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let mut words = line.split_whitespace();
+    if words.next()? != "pub" {
+        return None;
+    }
+    let mut word = words.next()?;
+    while matches!(word, "const" | "unsafe" | "async") {
+        word = words.next()?;
+    }
+    if word != "fn" {
+        return None;
+    }
+    let name = words.next()?;
+    let end = name.find(|c: char| !unicode_ident(c)).unwrap_or(name.len());
+    (end > 0).then(|| &name[..end])
+}
+
+/// Rule 7: every library-crate `pub fn` must be named in code outside its
+/// crate's `src/`.
+fn unused_pub(files: &[(String, String)], views: &[FileView]) -> Vec<Violation> {
+    // Where each identifier is named: `Some(krate)` while every use is in
+    // that library crate's `src/`, `None` once any use is elsewhere.
+    let mut named_only_in: HashMap<&str, Option<&str>> = HashMap::new();
+    for ((path, _), view) in files.iter().zip(views) {
+        let owner = library_src(path);
+        for line in &view.code {
+            for word in line.split(|c: char| !unicode_ident(c)).filter(|w| !w.is_empty()) {
+                named_only_in
+                    .entry(word)
+                    .and_modify(|only| {
+                        if *only != owner {
+                            *only = None;
+                        }
+                    })
+                    .or_insert(owner);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    let mut excused = [false; UNUSED_PUB_OK.len()];
+    for ((path, _), view) in files.iter().zip(views) {
+        let Some(krate) = library_src(path) else {
+            continue;
+        };
+        for (idx, line) in view.code.iter().enumerate() {
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            let used_outside = named_only_in.get(name) != Some(&Some(krate));
+            if view.in_tests[idx] || used_outside {
+                continue;
+            }
+            let entry = UNUSED_PUB_OK
+                .iter()
+                .position(|(p, n, _)| *p == path.as_str() && *n == name);
+            if let Some(i) = entry {
+                excused[i] = true;
+                continue;
+            }
+            out.push(Violation {
+                path: path.clone(),
+                line: idx + 1,
+                rule: "unused-pub",
+                message: format!(
+                    "`pub fn {name}` is named by nothing outside crates/{krate}/src; make it pub(crate) or private"
+                ),
+            });
+        }
+    }
+    // A stale entry is reported only when its file was read, so fixtures
+    // without it stay quiet.
+    for ((path, name, _), excused) in UNUSED_PUB_OK.iter().zip(excused) {
+        if !excused && files.iter().any(|(p, _)| p == path) {
+            out.push(Violation {
+                path: path.to_string(),
+                line: 1,
+                rule: "unused-pub",
+                message: format!("allowlist entry `{name}` excuses no unused `pub fn`; remove it"),
+            });
+        }
+    }
+    out
 }
 
 /// One lint finding, displayed as `path:line: [rule] message`.
@@ -134,9 +272,8 @@ fn test_file(path: &str) -> bool {
     path.contains("/tests/") || path.contains("/benches/")
 }
 
-/// Apply every rule to one file.
-pub fn check_file(path: &str, source: &str) -> Vec<Violation> {
-    let view: FileView = lex(source);
+/// Apply rules 1–6 to one lexed file.
+fn check_view(path: &str, view: &FileView) -> Vec<Violation> {
     let mut out = Vec::new();
     let push = |out: &mut Vec<Violation>, line: usize, rule: &'static str, message: String| {
         out.push(Violation {
@@ -166,7 +303,7 @@ pub fn check_file(path: &str, source: &str) -> Vec<Violation> {
                     "`unsafe` outside the audited lock-free modules (ring.rs, queue.rs, crates/loom)"
                         .into(),
                 );
-            } else if !annotated_above(&view, idx, "SAFETY:") {
+            } else if !annotated_above(view, idx, "SAFETY:") {
                 push(
                     &mut out,
                     idx,
@@ -194,7 +331,7 @@ pub fn check_file(path: &str, source: &str) -> Vec<Violation> {
             && !seqcst_allowed(path)
             && line.contains("Relaxed")
             && (has_word("head") || has_word("tail"))
-            && !annotated_above(&view, idx, "lint: relaxed-ok")
+            && !annotated_above(view, idx, "lint: relaxed-ok")
         {
             push(
                 &mut out,
@@ -235,7 +372,20 @@ mod tests {
     use super::*;
 
     fn rules(path: &str, src: &str) -> Vec<&'static str> {
-        check_file(path, src).into_iter().map(|v| v.rule).collect()
+        check_view(path, &lex(src)).into_iter().map(|v| v.rule).collect()
+    }
+
+    /// Rule 7's findings over in-memory `(path, source)` fixtures.
+    fn unused(files: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect();
+        check_files(&files)
+            .into_iter()
+            .filter(|v| v.rule == "unused-pub")
+            .map(|v| format!("{}:{}", v.path, v.line))
+            .collect()
     }
 
     #[test]
@@ -335,5 +485,90 @@ mod tests {
     fn lexer_handles_raw_strings_and_lifetimes() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { x }\nconst R: &str = r#\"unsafe SeqCst thread::sleep\"#;\nconst C: char = '\\'';\n";
         assert!(rules("crates/nic/src/port.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unnamed_pub_fn_flagged() {
+        let lib = "pub fn probe_unused() {}\npub(crate) fn inner() {}\nfn private() {}\n";
+        assert_eq!(unused(&[("crates/flow/src/lib.rs", lib)]), ["crates/flow/src/lib.rs:1"]);
+        // Its own crate's callers and unit tests do not count.
+        let caller = "fn f() { crate::probe_unused(); }\n#[cfg(test)]\nmod tests {\n    fn t() { super::probe_unused(); }\n}\n";
+        assert_eq!(
+            unused(&[("crates/flow/src/lib.rs", lib), ("crates/flow/src/key.rs", caller)]),
+            ["crates/flow/src/lib.rs:1"]
+        );
+    }
+
+    #[test]
+    fn pub_fn_named_only_in_comments_or_strings_flagged() {
+        let lib = "pub const fn probe_unused() {}\n";
+        let user = "// probe_unused\nconst S: &str = \"probe_unused\";\n/* probe_unused */\n";
+        assert_eq!(
+            unused(&[("crates/flow/src/lib.rs", lib), ("tests/end_to_end.rs", user)]),
+            ["crates/flow/src/lib.rs:1"]
+        );
+    }
+
+    #[test]
+    fn pub_fn_named_from_outside_its_src_passes() {
+        let lib = "pub fn probe_used() {}\n";
+        let call = "fn main() { ruru_flow::probe_used(); }\n";
+        for user in [
+            "crates/flow/tests/prop_table.rs",
+            "crates/flow/benches/b.rs",
+            "crates/pipeline/src/engine.rs",
+            "crates/pipeline/src/bin/ruru-sim.rs",
+            "src/lib.rs",
+            "tests/end_to_end.rs",
+            "examples/quickstart.rs",
+            "perfbench/src/main.rs",
+        ] {
+            assert!(
+                unused(&[("crates/flow/src/lib.rs", lib), (user, call)]).is_empty(),
+                "{user}"
+            );
+        }
+        // A binary inside the crate is a user of its library too.
+        assert!(unused(&[
+            ("crates/pipeline/src/lib.rs", lib),
+            ("crates/pipeline/src/bin/ruru-sim.rs", call),
+        ])
+        .is_empty());
+    }
+
+    #[test]
+    fn allowlisted_pub_fn_passes() {
+        for (path, name, reason) in UNUSED_PUB_OK {
+            assert!(!reason.is_empty());
+            let src = format!("impl T {{\n    pub fn {name}(&mut self) {{}}\n}}\n");
+            assert!(unused(&[(path, &src)]).is_empty(), "{path} {name}");
+            // The entry covers that file only.
+            assert_eq!(unused(&[("crates/wire/src/lib.rs", &src)]).len(), 1);
+            // Once something outside names the fn, the entry is stale.
+            let call = format!("fn main() {{ t.{name}(); }}\n");
+            assert_eq!(
+                unused(&[(path, &src), ("examples/demo.rs", &call)]),
+                [format!("{path}:1")]
+            );
+        }
+    }
+
+    #[test]
+    fn lint_dir_reads_users_outside_crates() {
+        let root = std::env::temp_dir().join(format!("xtask-lint-{}", std::process::id()));
+        let write = |rel: &str, src: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, src).unwrap();
+        };
+        write("crates/flow/src/lib.rs", "pub fn from_example() {}\npub fn from_perfbench() {}\n");
+        write("examples/demo.rs", "fn main() { ruru_flow::from_example(); }\n");
+        let (files, violations) = lint_dir(&root).unwrap();
+        assert_eq!(files, 2);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].message.split('`').nth(1), Some("pub fn from_perfbench"));
+        write("perfbench/src/main.rs", "fn main() { ruru_flow::from_perfbench(); }\n");
+        assert!(lint_dir(&root).unwrap().1.is_empty());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

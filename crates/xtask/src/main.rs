@@ -4,7 +4,8 @@
 //!
 //! - `lint` — the six concurrency invariants rustc cannot enforce
 //!   (unsafe allowlist, SAFETY comments, SeqCst ban, relaxed-ok audit,
-//!   sleep ban, sync-shim imports). See [`lint`] and DESIGN.md §9.
+//!   sleep ban, sync-shim imports), and rule 7: every library `pub fn` is
+//!   named outside its crate. See [`lint`] and DESIGN.md §9.
 //! - `panic-check [--root DIR] [--json PATH]` — dataplane panic-freedom
 //!   analyzer: call-graph reachability from the RX/parse/flow/codec/mq
 //!   entry points to classified panic sites, with `panic-ok` annotation

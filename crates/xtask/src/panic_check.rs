@@ -98,13 +98,11 @@ const ROOTS: &[(&str, &str)] = &[
     ("mq", "read_frame"),
     // Time-series ingest/query path.
     ("tsdb", "write"),
-    ("tsdb", "write_line"),
     ("tsdb", "parse"),
     ("tsdb", "encode"),
     ("tsdb", "query"),
     ("tsdb", "to_snapshot"),
     ("tsdb", "from_snapshot"),
-    ("tsdb", "downsample"),
     ("tsdb", "compute"),
     ("tsdb", "percentile_sorted"),
     // Self-telemetry registry: worker-side writes and the collector's

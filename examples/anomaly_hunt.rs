@@ -80,13 +80,10 @@ fn main() {
     println!("\n== SNMP-style 5-minute poller ==");
     for s in &report.snmp {
         println!(
-            "  t={:>6} packets={:<7} util={:.4}%  mean_latency={}",
+            "  t={:>6} packets={:<7} util={:.4}%",
             s.start,
             s.packets,
             s.utilization * 100.0,
-            s.mean_latency_ms
-                .map(|v| format!("{v:.1} ms"))
-                .unwrap_or_else(|| "-".into()),
         );
     }
     let utils: Vec<f64> = report.snmp.iter().map(|s| s.utilization).collect();
