@@ -63,13 +63,6 @@ impl Mbuf {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total data room of the underlying buffer.
-    pub fn capacity(&self) -> usize {
-        // Storage is only vacated in Drop; report 0 rather than panic if a
-        // view outlives it somehow.
-        self.storage.as_ref().map_or(0, |s| s.len())
-    }
 }
 
 impl Drop for Mbuf {
@@ -231,7 +224,6 @@ mod tests {
         let m = pool.alloc(&[5, 6, 7]).unwrap();
         assert_eq!(m.data(), &[5, 6, 7]);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.capacity(), 64);
     }
 
     #[test]

@@ -579,13 +579,10 @@ impl Snapshot {
         self.to_points().iter().map(line::encode).collect()
     }
 
-    /// Write every point into `db`; returns the number written.
+    /// Write every point into `db` as one batch (one store lock per
+    /// collection); returns the number written.
     pub fn write_into(&self, db: &TsDb) -> usize {
-        let points = self.to_points();
-        for p in &points {
-            db.write(p);
-        }
-        points.len()
+        db.write_batch(self.to_points()) as usize
     }
 }
 

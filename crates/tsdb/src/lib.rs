@@ -18,9 +18,10 @@
 //! * [`store`] — [`store::TsDb`]: two-phase (active → sealed) storage,
 //!   tag-filtered and time-bucketed queries with bounded parallel
 //!   fan-out and retention enforcement.
-//! * [`sharded`] — [`sharded::IngestShard`] / [`sharded::StripeWriter`]:
-//!   contention-free single-writer ingest stripes folded into the store
-//!   per rotation — the first-class dataplane write path.
+//! * [`sharded`] — the one way in: every write fills a private ingest
+//!   shard in the store's own layout and folds it in with one merge;
+//!   [`sharded::StripeWriter`] is the dataplane's per-writer stripe,
+//!   flushed once per rotation.
 //! * `compress` (private) — Gorilla-style sealed-chunk codec: timestamp
 //!   delta-of-delta varints + value XOR with leading/trailing-zero
 //!   windows, decoded in place by query cursors.
@@ -38,5 +39,5 @@ pub mod store;
 
 pub use agg::Aggregate;
 pub use point::Point;
-pub use sharded::{IngestShard, StripeWriter};
+pub use sharded::StripeWriter;
 pub use store::{Query, StorageStats, TsDb, MAX_QUERY_WORKERS};

@@ -40,21 +40,6 @@ impl Point {
         self.tags.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
-    /// The series key: `measurement,k1=v1,k2=v2` over sorted tags.
-    pub(crate) fn series_key(&self) -> String {
-        // alloc-ok: one owned series key per buffered point — the by-design
-        // string cost of striped ingest, bounded per point and enforced by
-        // the counting-allocator audit (tests/alloc_stripe_ingest.rs).
-        let mut key = self.measurement.clone();
-        for (k, v) in &self.tags {
-            key.push(',');
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v);
-        }
-        key
-    }
-
     /// The value of tag `key`, if present.
     pub fn tag(&self, key: &str) -> Option<&str> {
         self.tags
@@ -69,11 +54,32 @@ impl Point {
     }
 }
 
+/// Write the series key `measurement,k1=v1,k2=v2` (over `tags` as given,
+/// sorted for a normalized point) into `out`, replacing its contents. The
+/// caller keeps `out` as a scratch buffer, so a repeat series costs no
+/// allocation.
+pub(crate) fn series_key(measurement: &str, tags: &[(String, String)], out: &mut String) {
+    out.clear();
+    out.push_str(measurement);
+    for (k, v) in tags {
+        out.push(',');
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     // Display/ToString in assertions is fine; the ban targets hot paths.
     #![allow(clippy::disallowed_methods)]
     use super::*;
+
+    fn key(p: &Point) -> String {
+        let mut out = String::from("stale");
+        series_key(&p.measurement, &p.tags, &mut out);
+        out
+    }
 
     fn tags(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs
@@ -96,8 +102,8 @@ mod tests {
             vec![("total_ms".into(), 130.0)],
             2,
         );
-        assert_eq!(a.series_key(), b.series_key());
-        assert_eq!(a.series_key(), "latency,asn=64000,city=akl");
+        assert_eq!(key(&a), key(&b));
+        assert_eq!(key(&a), "latency,asn=64000,city=akl");
     }
 
     #[test]
@@ -117,6 +123,6 @@ mod tests {
     #[test]
     fn tagless_series_key_is_measurement() {
         let p = Point::new("m", vec![], vec![("x".into(), 0.0)], 0);
-        assert_eq!(p.series_key(), "m");
+        assert_eq!(key(&p), "m");
     }
 }

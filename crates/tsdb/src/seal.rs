@@ -1,11 +1,11 @@
 //! Sealing and retention of compressed chunks — the
 //! **cold** half of the store's two-phase shard lifecycle (DESIGN.md §16).
 //!
-//! Active runs are plain sorted `Vec<(u64, f64)>`s fed by the striped
-//! ingest path. Once a run crosses [`SEAL_THRESHOLD`], the store cuts
+//! Active runs are plain sorted `Vec<(u64, f64)>`s fed by the ingest
+//! merge. Once a run crosses [`SEAL_THRESHOLD`], the store cuts
 //! [`CHUNK_LEN`]-sample prefixes and rewrites them into immutable
 //! Gorilla-compressed [`Chunk`]s; only a short mutable tail stays
-//! uncompressed so late stragglers keep their cheap binary-insert path.
+//! uncompressed so late stragglers are still sorted into it.
 //! Retention drops whole expired chunks without decompressing and
 //! rewrites the one straddling chunk.
 //!

@@ -16,8 +16,9 @@
 //!       per field: str name, u64 sample_count, (u64 ts, f64 value)*
 //! ```
 
-use crate::point::Point;
-use crate::store::TsDb;
+use crate::point::series_key;
+use crate::sharded::IngestShard;
+use crate::store::{FieldStore, Series, TsDb};
 
 const MAGIC: &[u8; 6] = b"RTSDB1";
 
@@ -113,25 +114,36 @@ impl TsDb {
         out
     }
 
-    /// Restore a database from a snapshot image.
+    /// Restore a database from a snapshot image. Each series' runs go
+    /// into one ingest shard whole and the shard is merged once; the
+    /// merge's stable sort by timestamp keeps ties in their stored order.
+    /// A series counts as many ingested points as its longest field run.
     pub fn from_snapshot(data: &[u8]) -> Result<TsDb, SnapshotError> {
         let mut c = Cursor { data, at: 0 };
         if c.take(6)? != MAGIC {
             return Err(SnapshotError::Corrupt("bad magic"));
         }
-        let db = TsDb::new();
+        let mut shard = IngestShard::default();
+        let mut key = String::new();
         let n_measurements = c.u32()?;
         for _ in 0..n_measurements {
             let measurement = c.string()?;
+            let series_map = shard.measurements.entry(measurement.clone()).or_default();
             let n_series = c.u32()?;
             for _ in 0..n_series {
                 let n_tags = c.u32()?;
-                let mut tags = Vec::with_capacity(n_tags as usize);
+                let mut tags = Vec::new();
                 for _ in 0..n_tags {
                     let k = c.string()?;
                     let v = c.string()?;
                     tags.push((k, v));
                 }
+                tags.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut series = Series {
+                    tags,
+                    ..Series::default()
+                };
+                let mut rows = 0;
                 let n_fields = c.u32()?;
                 for _ in 0..n_fields {
                     let field = c.string()?;
@@ -139,22 +151,27 @@ impl TsDb {
                     if n_samples > 1 << 40 {
                         return Err(SnapshotError::Corrupt("absurd sample count"));
                     }
+                    rows = rows.max(n_samples);
+                    let mut fs = FieldStore::default();
                     for _ in 0..n_samples {
-                        let ts = c.u64()?;
-                        let v = c.f64()?;
-                        db.write(&Point::new(
-                            measurement.clone(),
-                            tags.clone(),
-                            vec![(field.clone(), v)],
-                            ts,
-                        ));
+                        fs.active.push((c.u64()?, c.f64()?));
+                    }
+                    if series.fields.insert(field, fs).is_some() {
+                        return Err(SnapshotError::Corrupt("duplicate field"));
                     }
                 }
+                series_key(&measurement, &series.tags, &mut key);
+                if series_map.insert(key.clone(), series).is_some() {
+                    return Err(SnapshotError::Corrupt("duplicate series"));
+                }
+                shard.points += rows;
             }
         }
         if c.at != data.len() {
             return Err(SnapshotError::Corrupt("trailing bytes"));
         }
+        let db = TsDb::new();
+        db.merge_shard(shard);
         Ok(db)
     }
 }
@@ -162,6 +179,7 @@ impl TsDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point;
     use crate::store::Query;
 
     fn seeded() -> TsDb {
@@ -193,6 +211,8 @@ mod tests {
         let q = Query::range("latency", "total_ms", 0, u64::MAX).with_tag("city", "akl");
         assert_eq!(db.query(&q)[0].agg, restored.query(&q)[0].agg);
         assert_eq!(restored.series_count("latency"), 2);
+        // One ingested point per stored row, not per field sample.
+        assert_eq!(restored.points_ingested(), db.points_ingested());
     }
 
     #[test]
@@ -213,6 +233,16 @@ mod tests {
         assert_eq!(
             TsDb::from_snapshot(&bad).err(),
             Some(SnapshotError::Corrupt("bad magic"))
+        );
+        // A corrupt tag count is an error, not a huge allocation.
+        let mut huge = MAGIC.to_vec();
+        huge.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut huge, "m");
+        huge.extend_from_slice(&1u32.to_le_bytes());
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            TsDb::from_snapshot(&huge).err(),
+            Some(SnapshotError::Corrupt("truncated"))
         );
         let mut trailing = image.clone();
         trailing.push(1);

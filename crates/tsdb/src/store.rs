@@ -1,21 +1,24 @@
-//! The time-series store: striped concurrent ingest, a two-phase
-//! (active → sealed) shard lifecycle, tag-filtered bucketed queries with
-//! bounded parallel fan-out, retention and downsampling.
+//! The time-series store: a two-phase (active → sealed) series
+//! lifecycle, tag-filtered bucketed queries with bounded parallel
+//! fan-out, and retention.
 //!
 //! Storage is one run per series field in two phases (DESIGN.md §16):
-//! a mutable **active** tail — a plain sorted `Vec`, appended in O(1)
-//! with a binary-search fallback for stragglers — and an immutable
+//! a mutable **active** tail — a plain sorted `Vec` that each merge
+//! extends, stably re-sorting it only when the merge brings stragglers —
+//! and an immutable
 //! **sealed** prefix of Gorilla-compressed chunks (`compress::Chunk`)
-//! that queries decode in place. Steady-state ingest never touches the
-//! store lock per point: writers buffer into private
-//! [`crate::sharded::IngestShard`]s (via [`crate::sharded::StripeWriter`])
-//! and fold them in with `TsDb::merge_shard`, one short write-lock
-//! hold per rotation instead of one per sample.
+//! that queries decode in place. Samples enter the store one way only:
+//! every writer fills a private `IngestShard` in the same layout and
+//! folds it in with `TsDb::merge_shard`, one short write-lock hold per
+//! shard instead of one per sample.
 
 use crate::agg::Aggregate;
 use crate::compress::Sample;
 use crate::point::Point;
 use crate::seal;
+use crate::sharded::IngestShard;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{PoisonError, RwLock};
 
@@ -23,13 +26,38 @@ use std::sync::{PoisonError, RwLock};
 pub const MAX_QUERY_WORKERS: usize = 16;
 
 /// One series field's storage: sealed compressed prefix + mutable tail.
+/// An ingest shard holds the same type and only appends to the tail, in
+/// arrival order; the merge sorts it.
 #[derive(Debug, Default)]
-struct FieldStore {
+pub(crate) struct FieldStore {
     sealed: Vec<crate::compress::Chunk>,
-    active: Vec<Sample>,
+    pub(crate) active: Vec<Sample>,
 }
 
 impl FieldStore {
+    /// Append a shard's `run` to the active tail and restore time order,
+    /// then seal full chunks once the tail crosses the threshold. The
+    /// sort is stable, so samples already stored stay ahead of incoming
+    /// ones on timestamp ties and incoming ties keep their arrival order:
+    /// the order point-by-point writes would leave.
+    fn absorb(&mut self, run: Vec<Sample>) {
+        let from = self.active.len();
+        if from == 0 {
+            self.active = run;
+        } else {
+            // alloc-ok: the run's wholesale extend, once per field per
+            // merge, never per point.
+            self.active.extend(run);
+        }
+        let appended = self.active.get(from.saturating_sub(1)..).unwrap_or(&[]);
+        if !appended.is_sorted_by_key(|&(t, _)| t) {
+            self.active.sort_by_key(|&(t, _)| t);
+        }
+        if self.active.len() >= seal::SEAL_THRESHOLD {
+            seal::seal_run(&mut self.active, &mut self.sealed, false);
+        }
+    }
+
     /// Visit every sample in `[start, end)` in storage order: sealed
     /// chunks first (each internally time-sorted), then the active tail.
     fn for_each_in_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64, f64)) {
@@ -61,34 +89,46 @@ impl FieldStore {
     }
 }
 
+/// One series: its tag set and a two-phase run per field.
 #[derive(Debug, Default)]
-struct Series {
-    tags: Vec<(String, String)>,
-    /// Per-field two-phase runs.
-    fields: HashMap<String, FieldStore>,
+pub(crate) struct Series {
+    pub(crate) tags: Vec<(String, String)>,
+    pub(crate) fields: HashMap<String, FieldStore>,
 }
 
 impl Series {
-    #[allow(clippy::disallowed_methods)] // sanctioned: owned field key on first sight only; repeats hit the map
-    fn insert(&mut self, field: &str, ts: u64, value: f64) {
-        // alloc-ok: owned field key + map slot on first sight of a field;
-        // repeats hit the existing entry (control-plane write path — the
-        // dataplane buffers into stripes and merges wholesale).
-        let fs = self.fields.entry(field.to_string()).or_default();
-        let run = &mut fs.active;
-        match run.last() {
-            Some(&(last_ts, _)) if last_ts > ts => {
-                // Out-of-order straggler: binary insert.
-                let idx = run.partition_point(|&(t, _)| t <= ts);
-                run.insert(idx, (ts, value));
+    /// Add one sample per field. An owned field name moves in and a
+    /// borrowed one is copied, either only on the field's first sight.
+    pub(crate) fn push_fields(&mut self, fields: Cow<'_, [(String, f64)]>, ts: u64) {
+        match fields {
+            Cow::Borrowed(fields) => {
+                for (name, value) in fields {
+                    self.push(Cow::Borrowed(name), ts, *value);
+                }
             }
-            _ => run.push((ts, value)),
-        }
-        if run.len() >= seal::SEAL_THRESHOLD {
-            seal::seal_run(&mut fs.active, &mut fs.sealed, false);
+            Cow::Owned(fields) => {
+                for (name, value) in fields {
+                    self.push(Cow::Owned(name), ts, value);
+                }
+            }
         }
     }
+
+    fn push(&mut self, field: Cow<'_, str>, ts: u64, value: f64) {
+        if let Cow::Borrowed(name) = field {
+            if let Some(fs) = self.fields.get_mut(name) {
+                fs.active.push((ts, value));
+                return;
+            }
+        }
+        // alloc-ok: the field's map slot on its first sight in this series,
+        // and a borrowed name's copy then only; an owned name moves in.
+        self.fields.entry(field.into_owned()).or_default().active.push((ts, value));
+    }
 }
+
+/// measurement → series key → series: the store's layout, and a shard's.
+pub(crate) type Measurements = HashMap<String, HashMap<String, Series>>;
 
 /// A tag-filtered, time-bounded, optionally bucketed aggregate query.
 #[derive(Debug, Clone)]
@@ -175,7 +215,7 @@ pub struct TsDb {
     /// measurement → series key → series. Every access recovers a
     /// poisoned lock: the store keeps serving after a holder panics, which
     /// can at worst lose the samples that holder was moving.
-    inner: RwLock<HashMap<String, HashMap<String, Series>>>,
+    inner: RwLock<Measurements>,
     ingested: std::sync::atomic::AtomicU64,
 }
 
@@ -188,84 +228,63 @@ impl TsDb {
         }
     }
 
-    /// Ingest one point directly. This is the **control-plane** path
-    /// (telemetry export, snapshot restore, line protocol): it takes the
-    /// store lock per call. Dataplane writers use [`TsDb::stripe`] and
-    /// never contend here.
+    /// Ingest one point under the store lock — the control-plane path
+    /// (line protocol, tests). Dataplane writers use [`TsDb::stripe`],
+    /// which takes the lock once per flush instead.
     pub fn write(&self, point: &Point) {
-        // Control-plane ingest: telemetry export and snapshot restore;
-        // dataplane writers go through stripes + merge_shard.
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        // alloc-ok: owned measurement/series keys per point — the
-        // control-plane ingest cost; the dataplane never takes this path.
-        let series_map = inner.entry(point.measurement.clone()).or_default();
-        let series = series_map
-            .entry(point.series_key()) // alloc-ok: control-plane path, owned key per point
-            .or_insert_with(|| Series { // alloc-ok: once per new series, not per point
-                tags: point.tags.clone(), // alloc-ok: once per new series, not per point
-                fields: HashMap::new(),
-            });
-        for (field, value) in &point.fields {
-            series.insert(field, point.timestamp_ns, *value);
-        }
-        self.ingested
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut shard = IngestShard::default();
+        shard.insert(Cow::Borrowed(point));
+        self.merge_shard(shard);
     }
 
-    /// Fold one [`crate::sharded::IngestShard`] into the store — the
-    /// merge half of the striped ingest path, called per rotation (not
-    /// per point) by every writer. One write lock covers the whole shard;
-    /// disjoint series move in wholesale, overlapping series merge their
-    /// sorted runs with existing samples staying ahead on timestamp ties.
-    /// Runs crossing the seal threshold are compressed on the way in.
-    /// Returns the number of points merged, which is also added to
-    /// [`TsDb::points_ingested`] so ingest accounting reconciles exactly.
-    pub(crate) fn merge_shard(&self, shard: crate::sharded::IngestShard) -> u64 {
+    /// Ingest a batch of owned points under one lock hold; their tags and
+    /// field names move into the store instead of being copied. Returns
+    /// the number of points written. Telemetry export writes each
+    /// collection this way.
+    pub fn write_batch(&self, points: Vec<Point>) -> u64 {
+        let mut shard = IngestShard::default();
+        for point in points {
+            shard.insert(Cow::Owned(point));
+        }
+        self.merge_shard(shard)
+    }
+
+    /// Fold one [`IngestShard`] into the store: the only code that adds
+    /// samples to the shared store. One write lock covers the whole
+    /// shard; new series move in wholesale, a field already stored takes
+    /// the shard's run on its tail, and every touched run is put back in
+    /// time order (`FieldStore::absorb`). Runs crossing the seal
+    /// threshold are compressed on the way in. Returns the number of
+    /// points merged, which is also added to [`TsDb::points_ingested`]
+    /// so ingest accounting reconciles exactly.
+    pub(crate) fn merge_shard(&self, shard: IngestShard) -> u64 {
         let points = shard.points;
         if points == 0 {
             return 0;
         }
-        // lock-ok: one short write-lock hold per shard rotation is the
-        // amortised merge contract of the striped ingest path.
+        // lock-ok: one short write-lock hold per shard is the amortised
+        // merge contract of every ingest path.
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         for (measurement, incoming) in shard.measurements {
             // alloc-ok: map entry per shard measurement — O(series) work
             // per merge, not per point; keys move in from the shard, no
             // new strings are built here.
             let series_map = inner.entry(measurement).or_default();
-            for (key, s) in incoming {
+            for (key, series) in incoming {
                 // alloc-ok: map slot per incoming series, O(series) per
                 // merge; vacant inserts move the shard's data wholesale.
                 match series_map.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let series = e.insert(Series {
-                            tags: s.tags,
-                            fields: HashMap::with_capacity(s.fields.len()),
-                        });
-                        for (field, run) in s.fields {
-                            series.fields.insert(field, FieldStore { sealed: Vec::new(), active: run });
-                        }
-                        for fs in series.fields.values_mut() {
-                            maybe_seal(fs);
+                    Entry::Vacant(e) => {
+                        for fs in e.insert(series).fields.values_mut() {
+                            let run = core::mem::take(&mut fs.active);
+                            fs.absorb(run);
                         }
                     }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let dst = e.get_mut();
-                        for (field, run) in s.fields {
+                    Entry::Occupied(mut e) => {
+                        for (field, fs) in series.fields {
                             // alloc-ok: map slot per incoming field,
-                            // O(series) per merge; runs move or extend
-                            // wholesale below, never per point.
-                            match dst.fields.entry(field) {
-                                std::collections::hash_map::Entry::Vacant(f) => {
-                                    let fs = f.insert(FieldStore { sealed: Vec::new(), active: run });
-                                    maybe_seal(fs);
-                                }
-                                std::collections::hash_map::Entry::Occupied(mut f) => {
-                                    let fs = f.get_mut();
-                                    crate::sharded::merge_runs(&mut fs.active, run);
-                                    maybe_seal(fs);
-                                }
-                            }
+                            // O(series) per merge.
+                            e.get_mut().fields.entry(field).or_default().absorb(fs.active);
                         }
                     }
                 }
@@ -569,13 +588,6 @@ impl TsDb {
     }
 }
 
-/// Seal full chunks off an active run that crossed the threshold.
-fn maybe_seal(fs: &mut FieldStore) {
-    if fs.active.len() >= seal::SEAL_THRESHOLD {
-        seal::seal_run(&mut fs.active, &mut fs.sealed, false);
-    }
-}
-
 /// Scan one series' field into per-bucket value vectors.
 fn scan_series(series: &Series, q: &Query, bucket_ns: u64, per_bucket: &mut [Vec<f64>]) {
     let Some(fs) = series.fields.get(&q.field) else {
@@ -762,6 +774,45 @@ mod tests {
             .agg
             .unwrap();
         assert_eq!(agg.count, 1);
+    }
+
+    #[test]
+    fn merge_keeps_stored_samples_ahead_on_ties() {
+        let db = TsDb::new();
+        db.write(&point("akl", 1.0, 10));
+        db.write(&point("akl", 2.0, 20));
+        // Older than the stored tail: the merge sorts.
+        db.write_batch(vec![point("akl", 0.5, 5), point("akl", 1.5, 10), point("akl", 3.0, 30)]);
+        // In order: the merge only appends.
+        db.write_batch(vec![point("akl", 3.5, 30), point("akl", 4.0, 40)]);
+        let q = Query::range("latency", "total_ms", 0, 100);
+        let values = vec![0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0];
+        assert_eq!(db.query_values(&q), vec![(0, values)]);
+    }
+
+    #[test]
+    fn batch_write_matches_point_by_point() {
+        // Out-of-order and duplicate stamps: one batched merge must leave
+        // every series in the order single writes leave it, ties included.
+        let pts: Vec<Point> = (0..60u64)
+            .map(|i| {
+                let city = if i % 3 == 0 { "akl" } else { "lax" };
+                point(city, i as f64, (i * 37) % 50)
+            })
+            .collect();
+        let single = TsDb::new();
+        for p in &pts {
+            single.write(p);
+        }
+        let batch = TsDb::new();
+        assert_eq!(batch.write_batch(pts), 60);
+        assert_eq!(batch.points_ingested(), single.points_ingested());
+        for city in ["akl", "lax"] {
+            let q = Query::range("latency", "total_ms", 0, 100)
+                .with_tag("city", city)
+                .with_buckets(10);
+            assert_eq!(single.query_values(&q), batch.query_values(&q), "city {city}");
+        }
     }
 
     #[test]

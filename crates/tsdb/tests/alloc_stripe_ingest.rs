@@ -1,17 +1,17 @@
-//! Allocation audit for the striped ingest path. The dataplane's claim is
-//! not "zero allocations" — buffering a point clones its series strings
-//! into the stripe — but **bounded, small, and amortized**:
+//! Allocation audit for the striped ingest path. The dataplane's claim:
 //!
-//! * a steady-state stripe write costs a small constant number of
-//!   allocator hits per point (string keys + amortized run growth), with
-//!   no per-point interaction with the shared store at all;
+//! * a steady-state stripe write allocates nothing per point: the
+//!   measurement, series and field are looked up by `&str`, and their
+//!   names are copied only on first sight in the stripe. What remains is
+//!   amortized sorted-run growth, well under one allocator hit per ten
+//!   points even for the pipeline's seven-field `latency` point;
 //! * folding a stripe into the store costs O(series) allocator hits, not
 //!   O(points) — the run-move/extend merge is the whole point of
 //!   shard-then-merge over per-point locked writes.
 //!
 //! Both bounds are enforced here with a counting pass-through allocator,
-//! so a regression that sneaks a per-point allocation into `merge_shard`
-//! (or makes `IngestShard::write` quadratic in strings) fails loudly.
+//! so a regression that sneaks a per-point or per-field allocation into
+//! the shard insert or the merge fails loudly.
 
 // Tests are exempt from the panic-freedom policy (DESIGN.md §10).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -74,7 +74,8 @@ fn audited(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) + REALLOCS.load(Ordering::Relaxed)
 }
 
-fn template(series: usize) -> Point {
+/// A 1-field point on a two-tag series.
+fn narrow(series: usize) -> Point {
     Point::new(
         "latency",
         vec![
@@ -86,8 +87,45 @@ fn template(series: usize) -> Point {
     )
 }
 
+/// The pipeline's `latency` point: seven tags and seven fields, so a
+/// per-field cost shows seven times per point.
+fn latency(series: usize) -> Point {
+    let tag = |k: &str, v: String| (k.into(), v);
+    Point::new(
+        "latency",
+        vec![
+            tag("queue", format!("{}", series % 4)),
+            tag("src_cc", "NZ".into()),
+            tag("src_city", format!("city-{series:03}")),
+            tag("src_asn", "64500".into()),
+            tag("dst_cc", "US".into()),
+            tag("dst_city", "Los Angeles".into()),
+            tag("dst_asn", "64501".into()),
+        ],
+        [
+            "internal_ms",
+            "external_ms",
+            "total_ms",
+            "src_lat",
+            "src_lon",
+            "dst_lat",
+            "dst_lon",
+        ]
+        .iter()
+        .map(|&f| (f.into(), 0.0))
+        .collect(),
+        0,
+    )
+}
+
 #[test]
 fn stripe_ingest_allocations_are_bounded_and_merge_is_amortized() {
+    for template in [narrow as fn(usize) -> Point, latency] {
+        audit(template);
+    }
+}
+
+fn audit(template: fn(usize) -> Point) {
     let db = Arc::new(TsDb::new());
 
     // Warm-up: create every series in the store and in a stripe once, so
@@ -104,24 +142,26 @@ fn stripe_ingest_allocations_are_bounded_and_merge_is_amortized() {
     // plain fields, so every counted hit belongs to the ingest path itself.
     let mut points: Vec<Point> = (0..SERIES).map(template).collect();
 
-    // Window 1: steady-state stripe writes — never flushing — must cost a
-    // small constant per point: measurement + series-key + field-key
-    // strings plus amortized sorted-run growth. The shared store is not
-    // touched at all.
+    // Window 1: steady-state stripe writes — never flushing — allocate
+    // only for amortized sorted-run growth (measured: 0.012 hits/point
+    // with one field, 0.062 with seven). The shared store is not touched
+    // at all.
     let mut stripe = db.stripe(u64::MAX);
     let write_hits = audited(|| {
         for i in 0..POINTS {
             let p = &mut points[(i % SERIES as u64) as usize];
             p.timestamp_ns = 1_000 + i * 1_000;
-            p.fields[0].1 = (i % 977) as f64 * 0.1;
+            for f in &mut p.fields {
+                f.1 = (i % 977) as f64 * 0.1;
+            }
             stripe.write(p);
         }
     });
     assert_eq!(stripe.points_buffered(), POINTS);
     let per_point = write_hits as f64 / POINTS as f64;
     assert!(
-        per_point <= 10.0,
-        "stripe write must stay a small constant: {write_hits} hits / {POINTS} points = {per_point:.2}"
+        per_point <= 0.1,
+        "stripe write must not allocate per point: {write_hits} hits / {POINTS} points = {per_point:.4}"
     );
 
     // Window 2: folding the stripe into the store must be O(series), not

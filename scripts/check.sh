@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full local gate: everything CI runs, in the same order.
 # Usage: scripts/check.sh [--quick]
-#   --quick  skip the release build, bench compilation, examples smoke,
-#            perfbench smoke runs, and loom models (perfbench still
+#   --quick  skip the release build, bench compilation, the TSDB and
+#            inflow report smokes, examples smoke, perfbench smoke runs,
+#            and loom models (perfbench still
 #            compiles: a moved signature it calls is the cheapest way to
 #            break the benchmark)
 set -euo pipefail
@@ -44,6 +45,14 @@ telemetry_smoke() {
     cargo test "${CARGO_FLAGS[@]}" -q -p ruru-pipeline --test self_telemetry
 }
 
+# Scaled-down bench report run, as CI's "TSDB smoke" and "Inflow smoke":
+# the reporter must finish and write valid JSON.
+report_smoke() {
+    local out="${TMPDIR:-/tmp}/BENCH_${1%_report}_smoke.json"
+    cargo run "${CARGO_FLAGS[@]}" --release -p ruru-bench --bin "$1" -- --smoke --out "$out"
+    python3 -c "import json, sys; json.load(open(sys.argv[1]))" "$out"
+}
+
 step "cargo test -q --workspace" cargo test "${CARGO_FLAGS[@]}" -q --workspace
 step "telemetry smoke (conservation + ruru_self export)" telemetry_smoke
 step "cargo clippy --workspace --all-targets -- -D warnings" \
@@ -63,6 +72,8 @@ if [[ "$quick" -eq 0 ]]; then
     step "loom models (RUSTFLAGS=--cfg loom)" loom_models
     step "cargo build --release --workspace" cargo build "${CARGO_FLAGS[@]}" --release --workspace
     step "cargo bench --no-run --workspace" cargo bench "${CARGO_FLAGS[@]}" --no-run --workspace
+    step "TSDB smoke" report_smoke tsdb_report
+    step "Inflow smoke" report_smoke inflow_report
     # Examples smoke, as in CI: the map is tessellated from the PUB feed.
     step "serve_map --self-test" cargo run "${CARGO_FLAGS[@]}" --release --example serve_map -- --self-test
     step "live_map_feed" cargo run "${CARGO_FLAGS[@]}" --release --example live_map_feed

@@ -182,6 +182,8 @@ fn tsdb_snapshot_survives_pipeline_restart() {
 
     // "Restart": restore into a fresh store and compare panel output.
     let restored = ruru::tsdb::TsDb::from_snapshot(&image).unwrap();
+    // Restore counts points, not samples: one per stored row.
+    assert_eq!(restored.points_ingested(), report.tsdb.points_ingested());
     let panel = ruru::viz::Panel::latency_overview();
     let before = panel.evaluate(&report.tsdb, 0, 1_000_000_000, 4);
     let after = panel.evaluate(&restored, 0, 1_000_000_000, 4);
