@@ -8,7 +8,10 @@
 //!   own cadence): buffered runs, periodic merges, incremental sealing.
 //! * **storage** — after a retention-style `seal()` drain, compressed
 //!   bytes/point from [`ruru_tsdb::TsDb::storage_stats`]. Gated ≤ 4.0
-//!   (16 bytes/point raw).
+//!   (16 bytes/point raw). A second, latency-shaped store — 120 series of
+//!   the pipeline's seven-field `latency` point at irregular timestamps:
+//!   three varying latencies and four per-series coordinates — reports
+//!   sealed bytes per row (`latency_row_bytes`), gated ≤ 28.
 //! * **query** — p50/p99 serial latency of a bucketed day-range scan, and
 //!   the best-of-25 wall clock of [`ruru_tsdb::TsDb::query_parallel`] with
 //!   2 workers against the best serial run (interleaved, so both see the
@@ -123,6 +126,75 @@ fn ingest(db: &Arc<TsDb>, shape: &Shape, writers: usize) -> f64 {
     started.elapsed().as_nanos() as f64
 }
 
+/// Fields of the pipeline's `latency` point, in its order.
+const LATENCY_FIELDS: [&str; 7] = [
+    "internal_ms",
+    "external_ms",
+    "total_ms",
+    "src_lat",
+    "src_lon",
+    "dst_lat",
+    "dst_lon",
+];
+
+/// Deterministic 64-bit mix of (series, row) for the latency-shaped store.
+fn mix(series: usize, row: u64) -> u64 {
+    let mut x = (series as u64) << 32 ^ row;
+    x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 29;
+    x.wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ (x >> 32)
+}
+
+/// Stream `rows_per_series` seven-field `latency` rows per series through
+/// 4 stripes, seal everything, and return (rows, sealed bytes per row).
+/// Each series gets handshake-like arrivals (gaps of 0.2–2.2 ms at ns
+/// resolution), internal and external latencies in whole nanoseconds
+/// reported in ms as the enricher does, their sum, and four constant
+/// coordinates.
+fn latency_row_bytes(series: usize, rows_per_series: u64) -> (u64, f64) {
+    let db = Arc::new(TsDb::new());
+    let mut stripes: Vec<_> = (0..4).map(|_| db.stripe(FLUSH_POINTS)).collect();
+    let mut points: Vec<Point> = (0..series)
+        .map(|s| {
+            // A per-series f32 coordinate, widened as the enricher does.
+            let coord =
+                |k: usize| f64::from(((s * 7919 + k * 104_729) % 18_000) as f32 / 100.0 - 90.0);
+            let fields = LATENCY_FIELDS
+                .iter()
+                .enumerate()
+                .map(|(k, &name)| (name.into(), if k < 3 { 0.0 } else { coord(k) }))
+                .collect();
+            let tags = vec![
+                ("queue".into(), format!("{}", s % 4)),
+                ("src_city".into(), format!("city-{:03}", s / 4)),
+            ];
+            Point::new("latency", tags, fields, 0)
+        })
+        .collect();
+    let mut clock = vec![1_000_000_000u64; series];
+    for row in 0..rows_per_series {
+        for (s, p) in points.iter_mut().enumerate() {
+            let h = mix(s, row);
+            clock[s] += 200_000 + h % 2_000_000;
+            p.timestamp_ns = clock[s];
+            let internal_ns = 50_000 + (h >> 21) % 2_000_000;
+            let external_ns = 20_000_000 + (s as u64 % 7) * 15_000_000 + (h >> 42) % 5_000_000;
+            p.fields[0].1 = internal_ns as f64 / 1e6;
+            p.fields[1].1 = external_ns as f64 / 1e6;
+            p.fields[2].1 = (internal_ns + external_ns) as f64 / 1e6;
+            stripes[s % 4].write(black_box(p));
+        }
+    }
+    for stripe in &mut stripes {
+        stripe.flush();
+    }
+    db.seal();
+    let stats = db.storage_stats();
+    let rows = stats.sealed_points / LATENCY_FIELDS.len() as u64;
+    assert_eq!(rows, series as u64 * rows_per_series, "latency store lost rows");
+    (rows, stats.sealed_bytes as f64 / rows.max(1) as f64)
+}
+
 /// Steady-state allocation audit: warmed stripe, counting allocator armed
 /// over a bounded window; allocator hits per point.
 fn audit_allocs_per_point(db: &Arc<TsDb>, shape: &Shape) -> f64 {
@@ -213,6 +285,9 @@ fn main() {
         stats.sealed_points, sealed_now, stats.sealed_bytes
     );
 
+    let (latency_rows, row_bytes) = latency_row_bytes(shape.series, shape.points_per_series / 8);
+    eprintln!("storage: {latency_rows} seven-field latency rows -> {row_bytes:.2} bytes/row sealed");
+
     // --- query: bucketed day-range scan over the sealed store -----------
     let span_ns = 1_000_000_000 * (shape.points_per_series + 1);
     let q = Query::range("latency", "total_ms", 0, span_ns).with_buckets(60_000_000_000);
@@ -258,7 +333,9 @@ fn main() {
     "sealed_bytes": {sb},
     "bytes_per_point": {bpp:.3},
     "raw_bytes_per_point": 16,
-    "compression_ratio": {cr:.1}
+    "compression_ratio": {cr:.1},
+    "latency_rows": {latency_rows},
+    "latency_row_bytes": {row_bytes:.3}
   }},
   "query": {{
     "range_seconds": {range_s},

@@ -15,16 +15,18 @@
 //!   format of the deployed system.
 //! * [`agg`] — the aggregates Grafana panels request: count / min / max /
 //!   mean / median / p95 / p99 / stddev.
-//! * [`store`] — [`store::TsDb`]: two-phase (active → sealed) storage,
+//! * [`store`] — [`store::TsDb`]: two-phase (active → sealed) storage
+//!   of each series as columns sharing one timestamp column,
 //!   tag-filtered and time-bucketed queries with bounded parallel
 //!   fan-out and retention enforcement.
 //! * [`sharded`] — the one way in: every write fills a private ingest
 //!   shard in the store's own layout and folds it in with one merge;
 //!   [`sharded::StripeWriter`] is the dataplane's per-writer stripe,
 //!   flushed once per rotation.
-//! * `compress` (private) — Gorilla-style sealed-chunk codec: timestamp
-//!   delta-of-delta varints + value XOR with leading/trailing-zero
-//!   windows, decoded in place by query cursors.
+//! * `compress` (private) — Gorilla-style sealed-chunk codec: one
+//!   timestamp delta-of-delta varint stream per chunk + one value XOR
+//!   stream (leading/trailing-zero windows) per column, decoded in place
+//!   by query cursors.
 //! * `seal` (private) — sealing and chunk retention: the cold
 //!   maintenance half of the lifecycle.
 

@@ -2,22 +2,24 @@
 //! store.
 //!
 //! An [`IngestShard`] is a private, lock-free buffer in the shared
-//! store's own layout (`store::Series` per series key). Every write fills
-//! one and folds it into the shared [`crate::TsDb`] with
-//! `TsDb::merge_shard`: a [`StripeWriter`] once per rotation, and
-//! `TsDb::write`, `TsDb::write_batch` and snapshot restore once per call.
-//! One global write lock taken per point would serialize every producer
-//! (the measured `tsdb_write_lock` scaling ceiling); the pipeline's
+//! store's own layout (`store::Series` per series key, one `store::Block`
+//! of columns per field list). Every write fills one and folds it into
+//! the shared [`crate::TsDb`] with `TsDb::merge_shard`: a
+//! [`StripeWriter`] once per rotation, and `TsDb::write`,
+//! `TsDb::write_batch` and snapshot restore once per call. One global
+//! write lock taken per point would serialize every producer (the
+//! measured `tsdb_write_lock` scaling ceiling); the pipeline's
 //! enrichment workers each write through a [`StripeWriter`] instead.
 //!
-//! A shard appends samples in arrival order and never seals. The merge
-//! moves a new series in wholesale (every `latency` series carries a
-//! `queue` tag, so stripes rarely overlap) and appends a known field's
-//! run to the stored tail (e.g. `ruru_self` exports); either way a
-//! stable sort, skipped when the run is already in order, puts it in
-//! time order. Ties keep the shared store's insertion order: samples
-//! already in the store stay ahead of incoming equal-timestamp samples,
-//! exactly as writing the points one by one would have left them.
+//! A shard appends rows in arrival order and never seals. The merge
+//! appends each shard block's rows to the stored block with the same
+//! field list (every `latency` series carries a `queue` tag, so stripes
+//! rarely overlap; `ruru_self` exports append to known series) or keeps
+//! the block as a new one; either way a stable sort, skipped when the
+//! rows are already in order, puts the tail in time order. Ties keep the
+//! shared store's insertion order: rows already in the store stay ahead
+//! of incoming equal-timestamp rows, exactly as writing the points one by
+//! one would have left them.
 
 use crate::point::{series_key, Point};
 use crate::store::{Measurements, Series};
@@ -36,9 +38,9 @@ pub(crate) struct IngestShard {
 
 impl IngestShard {
     /// Buffer one point: the crate's only conversion of a point into
-    /// samples, one appended per field. An owned point's strings move in
-    /// and a borrowed point's are copied, either only on first sight of a
-    /// series or field in this shard.
+    /// samples, one row appended to the block of its field list. An owned
+    /// point's strings move in and a borrowed point's are copied, either
+    /// only on first sight of a series or field list in this shard.
     pub(crate) fn insert(&mut self, point: Cow<'_, Point>) {
         series_key(&point.measurement, &point.tags, &mut self.key);
         let ts = point.timestamp_ns;

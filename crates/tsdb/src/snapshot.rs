@@ -18,7 +18,7 @@
 
 use crate::point::series_key;
 use crate::sharded::IngestShard;
-use crate::store::{FieldStore, Series, TsDb};
+use crate::store::{Block, Series, TsDb};
 
 const MAGIC: &[u8; 6] = b"RTSDB1";
 
@@ -114,10 +114,12 @@ impl TsDb {
         out
     }
 
-    /// Restore a database from a snapshot image. Each series' runs go
-    /// into one ingest shard whole and the shard is merged once; the
-    /// merge's stable sort by timestamp keeps ties in their stored order.
-    /// A series counts as many ingested points as its longest field run.
+    /// Restore a database from a snapshot image. Fields of a series whose
+    /// timestamp runs are equal become the columns of one block; each
+    /// series' blocks go into one ingest shard whole and the shard is
+    /// merged once, where the stable sort by timestamp keeps ties in
+    /// their stored order. A series counts as many ingested points as its
+    /// longest field run.
     pub fn from_snapshot(data: &[u8]) -> Result<TsDb, SnapshotError> {
         let mut c = Cursor { data, at: 0 };
         if c.take(6)? != MAGIC {
@@ -152,12 +154,20 @@ impl TsDb {
                         return Err(SnapshotError::Corrupt("absurd sample count"));
                     }
                     rows = rows.max(n_samples);
-                    let mut fs = FieldStore::default();
+                    let (mut ts, mut col) = (Vec::new(), Vec::new());
                     for _ in 0..n_samples {
-                        fs.active.push((c.u64()?, c.f64()?));
+                        ts.push(c.u64()?);
+                        col.push(c.f64()?);
                     }
-                    if series.fields.insert(field, fs).is_some() {
+                    if series.blocks.iter().any(|b| b.names.contains(&field)) {
                         return Err(SnapshotError::Corrupt("duplicate field"));
+                    }
+                    match series.blocks.iter_mut().find(|b| b.ts == ts) {
+                        Some(block) => {
+                            block.names.push(field);
+                            block.cols.push(col);
+                        }
+                        None => series.blocks.push(Block::new(vec![field], ts, vec![col])),
                     }
                 }
                 series_key(&measurement, &series.tags, &mut key);
@@ -213,6 +223,41 @@ mod tests {
         assert_eq!(restored.series_count("latency"), 2);
         // One ingested point per stored row, not per field sample.
         assert_eq!(restored.points_ingested(), db.points_ingested());
+    }
+
+    #[test]
+    fn restore_shares_one_timestamp_column_per_field_list() {
+        let db = seeded();
+        db.write(&Point::new(
+            "latency",
+            vec![("city".into(), "akl".into())],
+            vec![("total_ms".into(), 1.0)],
+            5,
+        ));
+        let image = db.to_snapshot();
+        let restored = TsDb::from_snapshot(&image).unwrap();
+        // `lax` has one field list; `akl` has two, whose `total_ms` runs
+        // differ from its `int_ms` run; `other` has one.
+        assert_eq!(restored.block_count(), 4);
+        assert_eq!(restored.storage_stats(), {
+            let mut s = db.storage_stats();
+            s.active_points += s.sealed_points;
+            s.sealed_points = 0;
+            s.sealed_bytes = 0;
+            s
+        });
+        // Re-dumping the restored store gives back the same image, and new
+        // writes in the original field order join the restored block.
+        assert_eq!(restored.to_snapshot(), image);
+        restored.write(&Point::new(
+            "latency",
+            vec![("city".into(), "lax".into())],
+            vec![("total_ms".into(), 7.0), ("int_ms".into(), 1.0)],
+            1_000_000,
+        ));
+        assert_eq!(restored.block_count(), 4);
+        let lax = Query::range("latency", "int_ms", 0, u64::MAX).with_tag("city", "lax");
+        assert_eq!(restored.query(&lax)[0].agg.map(|a| a.count), Some(51));
     }
 
     #[test]

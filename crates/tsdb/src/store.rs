@@ -2,128 +2,302 @@
 //! lifecycle, tag-filtered bucketed queries with bounded parallel
 //! fan-out, and retention.
 //!
-//! Storage is one run per series field in two phases (DESIGN.md §16):
-//! a mutable **active** tail — a plain sorted `Vec` that each merge
-//! extends, stably re-sorting it only when the merge brings stragglers —
-//! and an immutable
-//! **sealed** prefix of Gorilla-compressed chunks (`compress::Chunk`)
-//! that queries decode in place. Samples enter the store one way only:
-//! every writer fills a private `IngestShard` in the same layout and
-//! folds it in with `TsDb::merge_shard`, one short write-lock hold per
-//! shard instead of one per sample.
+//! A series stores its rows in one block per distinct field list
+//! (DESIGN.md §16): one timestamp column shared by one value column per
+//! field. Each block has two phases: a mutable **active** tail — plain
+//! sorted `Vec`s that each merge extends, stably re-sorting them only
+//! when the merge brings stragglers — and an immutable **sealed** prefix
+//! of Gorilla-compressed chunks (`compress::Chunk`), cut one
+//! [`seal::CHUNK_LEN`]-row chunk at a time as soon as the tail holds
+//! one, that queries decode in place. Samples enter the store one way
+//! only: every writer fills a private `IngestShard` in the same layout
+//! and folds it in with `TsDb::merge_shard`, one short write-lock hold
+//! per shard instead of one per sample.
 
 use crate::agg::Aggregate;
-use crate::compress::Sample;
+use crate::compress::Chunk;
 use crate::point::Point;
 use crate::seal;
 use crate::sharded::IngestShard;
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{PoisonError, RwLock};
 
 /// Upper bound on query fan-out threads, whatever the caller asks for.
 pub const MAX_QUERY_WORKERS: usize = 16;
 
-/// One series field's storage: sealed compressed prefix + mutable tail.
-/// An ingest shard holds the same type and only appends to the tail, in
-/// arrival order; the merge sorts it.
+/// The rows of one series that carry one field list, in columns: row `i`
+/// has timestamp `ts[i]` and value `cols[j][i]` for field `names[j]`.
+/// Sealed chunks hold the older rows, the tail the newest. An ingest
+/// shard holds the same type and only appends rows in arrival order; the
+/// merge sorts and seals.
 #[derive(Debug, Default)]
-pub(crate) struct FieldStore {
-    sealed: Vec<crate::compress::Chunk>,
-    pub(crate) active: Vec<Sample>,
+pub(crate) struct Block {
+    /// Field names in column order, as the block's first point gave them.
+    pub(crate) names: Vec<String>,
+    sealed: Vec<Chunk>,
+    pub(crate) ts: Vec<u64>,
+    pub(crate) cols: Vec<Vec<f64>>,
 }
 
-impl FieldStore {
-    /// Append a shard's `run` to the active tail and restore time order,
-    /// then seal full chunks once the tail crosses the threshold. The
-    /// sort is stable, so samples already stored stay ahead of incoming
-    /// ones on timestamp ties and incoming ties keep their arrival order:
-    /// the order point-by-point writes would leave.
-    fn absorb(&mut self, run: Vec<Sample>) {
-        let from = self.active.len();
-        if from == 0 {
-            self.active = run;
-        } else {
-            // alloc-ok: the run's wholesale extend, once per field per
-            // merge, never per point.
-            self.active.extend(run);
-        }
-        let appended = self.active.get(from.saturating_sub(1)..).unwrap_or(&[]);
-        if !appended.is_sorted_by_key(|&(t, _)| t) {
-            self.active.sort_by_key(|&(t, _)| t);
-        }
-        if self.active.len() >= seal::SEAL_THRESHOLD {
-            seal::seal_run(&mut self.active, &mut self.sealed, false);
+impl Block {
+    /// An unsealed block of the given columns.
+    pub(crate) fn new(names: Vec<String>, ts: Vec<u64>, cols: Vec<Vec<f64>>) -> Block {
+        Block {
+            names,
+            sealed: Vec::new(),
+            ts,
+            cols,
         }
     }
 
-    /// Visit every sample in `[start, end)` in storage order: sealed
-    /// chunks first (each internally time-sorted), then the active tail.
-    fn for_each_in_range(&self, start: u64, end: u64, f: &mut impl FnMut(u64, f64)) {
+    /// Whether a point with `fields` is a row of this block: the same
+    /// field names in the same positions.
+    fn holds(&self, fields: &[(String, f64)]) -> bool {
+        self.names.len() == fields.len()
+            && self.names.iter().zip(fields).all(|(name, (field, _))| name == field)
+    }
+
+    fn push_row(&mut self, ts: u64, values: impl Iterator<Item = f64>) {
+        self.ts.push(ts);
+        for (col, value) in self.cols.iter_mut().zip(values) {
+            col.push(value);
+        }
+    }
+
+    /// Append a shard block's rows to the tail, each incoming column onto
+    /// the stored column it maps to (`stored_column`), then settle it.
+    fn append(&mut self, incoming: Block) {
+        let from = self.ts.len();
+        extend_tail(&mut self.ts, incoming.ts);
+        for (j, col) in incoming.cols.into_iter().enumerate() {
+            let stored = stored_column(&self.names, &incoming.names, j);
+            if let Some(dst) = stored.and_then(|k| self.cols.get_mut(k)) {
+                extend_tail(dst, col);
+            }
+        }
+        self.settle(from);
+    }
+
+    /// Restore time order after rows were appended at `from`, then seal
+    /// every whole chunk. The sort is stable, so rows already stored stay
+    /// ahead of incoming ones on timestamp ties and incoming ties keep
+    /// their arrival order: the order point-by-point writes would leave.
+    fn settle(&mut self, from: usize) {
+        let appended = self.ts.get(from.saturating_sub(1)..).unwrap_or(&[]);
+        if !appended.is_sorted() {
+            // alloc-ok: the tail's row order, once per merge that brings
+            // stragglers, never per point.
+            let mut order: Vec<usize> = (0..self.ts.len()).collect();
+            order.sort_by_key(|&i| self.ts.get(i).copied());
+            permute_rows(&mut self.ts, &mut self.cols, &mut order);
+        }
+        if self.ts.len() >= seal::CHUNK_LEN {
+            seal::seal_rows(&mut self.ts, &mut self.cols, &mut self.sealed, false);
+        }
+    }
+
+    /// Column indices holding field `name` (several if the field list
+    /// repeats it).
+    fn columns_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = usize> + 'a {
+        self.names.iter().enumerate().filter(move |(_, n)| *n == name).map(|(j, _)| j)
+    }
+
+    /// Visit column `col`'s samples with `first <= t <= last` in storage
+    /// order: sealed chunks first (each internally time-sorted), then the
+    /// active tail.
+    fn scan(&self, col: usize, first: u64, last: u64, f: &mut impl FnMut(u64, f64)) {
         for chunk in &self.sealed {
-            if chunk.end_ns() < start || chunk.start_ns() >= end {
+            if chunk.end_ns() < first || chunk.start_ns() > last {
                 continue;
             }
-            for (t, v) in chunk.iter() {
-                if t >= end {
+            for (t, v) in chunk.iter(col) {
+                if t > last {
                     break;
                 }
-                if t >= start {
+                if t >= first {
                     f(t, v);
                 }
             }
         }
-        let lo = self.active.partition_point(|&(t, _)| t < start);
-        for &(t, v) in self.active.get(lo..).unwrap_or(&[]) {
-            if t >= end {
+        let lo = self.ts.partition_point(|&t| t < first);
+        let values = self.cols.get(col).and_then(|c| c.get(lo..)).unwrap_or(&[]);
+        for (&t, &v) in self.ts.get(lo..).unwrap_or(&[]).iter().zip(values) {
+            if t > last {
                 break;
             }
             f(t, v);
         }
     }
 
-    fn len(&self) -> u64 {
-        let sealed: usize = self.sealed.iter().map(|c| c.count()).sum();
-        sealed as u64 + self.active.len() as u64
+    /// Whether storage order is time order: no chunk starts before the
+    /// previous one ends, nor the tail before the last chunk ends. Only a
+    /// straggler older than an already sealed row breaks it.
+    fn in_time_order(&self) -> bool {
+        let ends = self.sealed.iter().map(Chunk::end_ns);
+        let next_starts = (self.sealed.iter().skip(1).map(Chunk::start_ns))
+            .chain(self.ts.first().copied());
+        ends.zip(next_starts).all(|(end, start)| end <= start)
+    }
+
+    /// Rows in sealed chunks and in the tail.
+    fn rows(&self) -> (u64, u64) {
+        let sealed: usize = self.sealed.iter().map(Chunk::rows).sum();
+        (sealed as u64, self.ts.len() as u64)
     }
 }
 
-/// One series: its tag set and a two-phase run per field.
+/// Append `src` to a tail column. Capacity doubles up to one chunk and
+/// grows exactly past it: the tail seals at [`seal::CHUNK_LEN`] rows, so
+/// its capacity settles at one chunk plus the largest merge's rows
+/// instead of the next power of two.
+fn extend_tail<T>(dst: &mut Vec<T>, src: Vec<T>) {
+    let need = dst.len() + src.len();
+    if need > dst.capacity() {
+        let doubled = (2 * dst.capacity()).min(seal::CHUNK_LEN);
+        dst.reserve_exact(need.max(doubled) - dst.len());
+    }
+    // alloc-ok: within the capacity reserved above, once per column per
+    // merge, never per point.
+    dst.extend(src);
+}
+
+/// Reorder the tail's rows in place so that row `i` becomes the old row
+/// `order[i]`, in O(rows): each cycle of the permutation is rotated once
+/// through the timestamps and every column, then marked done by pointing
+/// its entries at themselves.
+fn permute_rows(ts: &mut [u64], cols: &mut [Vec<f64>], order: &mut [usize]) {
+    for start in 0..order.len() {
+        if order.get(start) == Some(&start) {
+            continue;
+        }
+        rotate_cycle(ts, order, start);
+        for col in cols.iter_mut() {
+            rotate_cycle(col, order, start);
+        }
+        let mut k = start;
+        while let Some(slot) = order.get_mut(k) {
+            k = core::mem::replace(slot, k);
+            if k == start {
+                break;
+            }
+        }
+    }
+}
+
+/// Move `v[order[k]]` into `v[k]` along the cycle through `start`.
+fn rotate_cycle<T: Copy>(v: &mut [T], order: &[usize], start: usize) {
+    let Some(&first) = v.get(start) else {
+        return;
+    };
+    let mut k = start;
+    loop {
+        let src = order.get(k).copied().unwrap_or(start);
+        let value = if src == start { first } else { v.get(src).copied().unwrap_or(first) };
+        if let Some(slot) = v.get_mut(k) {
+            *slot = value;
+        }
+        if src == start {
+            return;
+        }
+        k = src;
+    }
+}
+
+/// The stored column that takes column `j` of an incoming field list:
+/// the one with the same name, and for a repeated name the same
+/// occurrence of it.
+fn stored_column(stored: &[String], incoming: &[String], j: usize) -> Option<usize> {
+    let name = incoming.get(j)?;
+    let nth = incoming.iter().take(j).filter(|&n| n == name).count();
+    stored
+        .iter()
+        .enumerate()
+        .filter(|&(_, n)| n == name)
+        .nth(nth)
+        .map(|(k, _)| k)
+}
+
+/// Whether rows with field list `incoming` fit a block of `stored`: the
+/// same names, in any order.
+fn same_fields(stored: &[String], incoming: &[String]) -> bool {
+    stored.len() == incoming.len()
+        && (0..incoming.len()).all(|j| stored_column(stored, incoming, j).is_some())
+}
+
+/// One series: its tag set and one block per distinct field list.
 #[derive(Debug, Default)]
 pub(crate) struct Series {
     pub(crate) tags: Vec<(String, String)>,
-    pub(crate) fields: HashMap<String, FieldStore>,
+    pub(crate) blocks: Vec<Block>,
 }
 
 impl Series {
-    /// Add one sample per field. An owned field name moves in and a
-    /// borrowed one is copied, either only on the field's first sight.
+    /// Add one row to the block holding this field list, opening one on
+    /// the list's first sight in the series: an owned point's field names
+    /// move in and a borrowed point's are copied, either only then. A
+    /// point without fields stores nothing.
     pub(crate) fn push_fields(&mut self, fields: Cow<'_, [(String, f64)]>, ts: u64) {
-        match fields {
-            Cow::Borrowed(fields) => {
-                for (name, value) in fields {
-                    self.push(Cow::Borrowed(name), ts, *value);
-                }
-            }
-            Cow::Owned(fields) => {
-                for (name, value) in fields {
-                    self.push(Cow::Owned(name), ts, value);
-                }
+        if let Some(block) = self.blocks.iter_mut().find(|b| b.holds(&fields)) {
+            return block.push_row(ts, fields.iter().map(|&(_, v)| v));
+        }
+        if fields.is_empty() {
+            return;
+        }
+        let mut block = Block::default();
+        for (name, value) in fields.into_owned() {
+            block.names.push(name);
+            // alloc-ok: one column per field, on the field list's first
+            // sight in this series only.
+            block.cols.push(vec![value]);
+        }
+        block.ts.push(ts);
+        self.blocks.push(block);
+    }
+
+    /// Fold a shard block into the block with the same field names, in
+    /// any order, else keep it as a new block.
+    fn absorb(&mut self, incoming: Block) {
+        match self.blocks.iter_mut().find(|b| same_fields(&b.names, &incoming.names)) {
+            Some(block) => block.append(incoming),
+            None => {
+                let mut block = incoming;
+                block.settle(0);
+                self.blocks.push(block);
             }
         }
     }
 
-    fn push(&mut self, field: Cow<'_, str>, ts: u64, value: f64) {
-        if let Cow::Borrowed(name) = field {
-            if let Some(fs) = self.fields.get_mut(name) {
-                fs.active.push((ts, value));
-                return;
+    /// Every (block, column) holding field `name`.
+    fn columns<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (&'a Block, usize)> + 'a {
+        self.blocks
+            .iter()
+            .flat_map(move |b| b.columns_named(name).map(move |j| (b, j)))
+    }
+
+    /// Visit field `name`'s samples with `first <= t <= last` in time
+    /// order, ties in storage order: by block, then column (a repeated
+    /// name), then row. A field held in one column whose storage order
+    /// is time order streams straight from it; otherwise its samples are
+    /// gathered and stably sorted.
+    fn for_each_sample(&self, name: &str, first: u64, last: u64, f: &mut impl FnMut(u64, f64)) {
+        let mut columns = self.columns(name);
+        match (columns.next(), columns.next()) {
+            (None, _) => {}
+            (Some((block, col)), None) if block.in_time_order() => {
+                block.scan(col, first, last, f);
+            }
+            _ => {
+                let mut samples = Vec::new();
+                for (block, col) in self.columns(name) {
+                    block.scan(col, first, last, &mut |t, v| samples.push((t, v)));
+                }
+                samples.sort_by_key(|&(t, _)| t);
+                for (t, v) in samples {
+                    f(t, v);
+                }
             }
         }
-        // alloc-ok: the field's map slot on its first sight in this series,
-        // and a borrowed name's copy then only; an owned name moves in.
-        self.fields.entry(field.into_owned()).or_default().active.push((ts, value));
     }
 }
 
@@ -203,7 +377,8 @@ pub struct StorageStats {
     pub sealed_points: u64,
     /// Compressed payload bytes across all sealed chunks.
     pub sealed_bytes: u64,
-    /// Samples still in mutable active tails (16 bytes each in memory).
+    /// Samples still in mutable active tails (8 bytes each in memory,
+    /// plus one 8-byte timestamp per row of a block).
     pub active_points: u64,
 }
 
@@ -251,12 +426,12 @@ impl TsDb {
 
     /// Fold one [`IngestShard`] into the store: the only code that adds
     /// samples to the shared store. One write lock covers the whole
-    /// shard; new series move in wholesale, a field already stored takes
-    /// the shard's run on its tail, and every touched run is put back in
-    /// time order (`FieldStore::absorb`). Runs crossing the seal
-    /// threshold are compressed on the way in. Returns the number of
-    /// points merged, which is also added to [`TsDb::points_ingested`]
-    /// so ingest accounting reconciles exactly.
+    /// shard; each shard block's rows go onto the tail of the stored
+    /// block with the same field list (or move in as a new block), the
+    /// tail is put back in time order and every whole chunk in it is
+    /// sealed (`Block::append`). Returns the number of points merged,
+    /// which is also added to [`TsDb::points_ingested`] so ingest
+    /// accounting reconciles exactly.
     pub(crate) fn merge_shard(&self, shard: IngestShard) -> u64 {
         let points = shard.points;
         if points == 0 {
@@ -270,23 +445,15 @@ impl TsDb {
             // per merge, not per point; keys move in from the shard, no
             // new strings are built here.
             let series_map = inner.entry(measurement).or_default();
-            for (key, series) in incoming {
+            for (key, mut series) in incoming {
                 // alloc-ok: map slot per incoming series, O(series) per
-                // merge; vacant inserts move the shard's data wholesale.
-                match series_map.entry(key) {
-                    Entry::Vacant(e) => {
-                        for fs in e.insert(series).fields.values_mut() {
-                            let run = core::mem::take(&mut fs.active);
-                            fs.absorb(run);
-                        }
-                    }
-                    Entry::Occupied(mut e) => {
-                        for (field, fs) in series.fields {
-                            // alloc-ok: map slot per incoming field,
-                            // O(series) per merge.
-                            e.get_mut().fields.entry(field).or_default().absorb(fs.active);
-                        }
-                    }
+                // merge; a new series' tags move in from the shard.
+                let stored = series_map.entry(key).or_insert_with(|| Series {
+                    tags: core::mem::take(&mut series.tags),
+                    blocks: Vec::new(),
+                });
+                for block in series.blocks {
+                    stored.absorb(block);
                 }
             }
         }
@@ -316,10 +483,10 @@ impl TsDb {
             .map_or(0, |m| m.len())
     }
 
-    /// Force-seal every active run into compressed chunks (retention
+    /// Force-seal every active tail into compressed chunks (retention
     /// horizon flushes, snapshot sizing, benchmarks). Returns samples
-    /// sealed. Steady-state sealing happens incrementally at merge time
-    /// once a run crosses the threshold; this drains the tails too.
+    /// sealed. Steady-state sealing happens at merge time, one whole
+    /// chunk at a time; this drains the partial tails too.
     pub fn seal(&self) -> u64 {
         // lock-ok: cold control-plane compaction — draining tails into
         // compressed chunks holds the store lock by design; never on the
@@ -328,8 +495,9 @@ impl TsDb {
         let mut sealed = 0u64;
         for series_map in inner.values_mut() {
             for series in series_map.values_mut() {
-                for fs in series.fields.values_mut() {
-                    sealed += seal::seal_run(&mut fs.active, &mut fs.sealed, true);
+                for b in &mut series.blocks {
+                    let rows = seal::seal_rows(&mut b.ts, &mut b.cols, &mut b.sealed, true);
+                    sealed += rows * b.names.len() as u64;
                 }
             }
         }
@@ -342,12 +510,14 @@ impl TsDb {
         let mut stats = StorageStats::default();
         for series_map in inner.values() {
             for series in series_map.values() {
-                for fs in series.fields.values() {
-                    for c in &fs.sealed {
-                        stats.sealed_points += c.count() as u64;
+                for b in &series.blocks {
+                    let columns = b.names.len() as u64;
+                    let (sealed, active) = b.rows();
+                    stats.sealed_points += sealed * columns;
+                    stats.active_points += active * columns;
+                    for c in &b.sealed {
                         stats.sealed_bytes += c.encoded_bytes() as u64;
                     }
-                    stats.active_points += fs.active.len() as u64;
                 }
             }
         }
@@ -493,8 +663,9 @@ impl TsDb {
     }
 
     /// Stable dump of all data for snapshot serialization (sorted for
-    /// deterministic images). Sealed chunks are decoded for the image —
-    /// the snapshot format stays raw samples.
+    /// deterministic images): one sample run per field name, in the order
+    /// queries read it. Sealed chunks are decoded for the image — the
+    /// snapshot format stays raw samples per field.
     #[allow(clippy::type_complexity)]
     pub(crate) fn dump_for_snapshot(
         &self,
@@ -517,25 +688,31 @@ impl TsDb {
                     .into_iter()
                     .filter_map(|k| {
                         let s = series_map.get(k)?;
-                        let mut fields: Vec<(String, Vec<(u64, f64)>)> = s
-                            .fields
-                            .iter()
-                            .map(|(name, fs)| {
-                                let mut run = Vec::with_capacity(fs.len() as usize);
-                                for c in &fs.sealed {
-                                    c.decompress_into(&mut run);
-                                }
-                                run.extend_from_slice(&fs.active);
+                        let mut names: Vec<&String> =
+                            s.blocks.iter().flat_map(|b| &b.names).collect();
+                        names.sort_unstable();
+                        names.dedup();
+                        let fields = names
+                            .into_iter()
+                            .map(|name| {
+                                let mut run = Vec::new();
+                                s.for_each_sample(name, 0, u64::MAX, &mut |t, v| run.push((t, v)));
                                 (name.clone(), run)
                             })
                             .collect();
-                        fields.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                         Some((s.tags.clone(), fields))
                     })
                     .collect();
                 Some((m.clone(), series))
             })
             .collect()
+    }
+
+    /// Blocks across every series of every measurement.
+    #[cfg(test)]
+    pub(crate) fn block_count(&self) -> usize {
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        inner.values().flat_map(|m| m.values()).map(|s| s.blocks.len()).sum()
     }
 
     /// Distinct values of tag `key` across a measurement's series, sorted —
@@ -572,17 +749,19 @@ impl TsDb {
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         for series_map in inner.values_mut() {
             for series in series_map.values_mut() {
-                for fs in series.fields.values_mut() {
-                    dropped += seal::retain_chunks(&mut fs.sealed, cutoff);
-                    let keep_from = fs.active.partition_point(|&(t, _)| t < cutoff);
-                    dropped += keep_from as u64;
-                    fs.active.drain(..keep_from);
+                for b in &mut series.blocks {
+                    let mut rows = seal::retain_chunks(&mut b.sealed, b.names.len(), cutoff);
+                    let keep_from = b.ts.partition_point(|&t| t < cutoff);
+                    rows += keep_from as u64;
+                    b.ts.drain(..keep_from);
+                    for col in &mut b.cols {
+                        col.drain(..keep_from);
+                    }
+                    dropped += rows * b.names.len() as u64;
                 }
-                series
-                    .fields
-                    .retain(|_, fs| !(fs.sealed.is_empty() && fs.active.is_empty()));
+                series.blocks.retain(|b| b.rows() != (0, 0));
             }
-            series_map.retain(|_, s| !s.fields.is_empty());
+            series_map.retain(|_, s| !s.blocks.is_empty());
         }
         dropped
     }
@@ -590,10 +769,11 @@ impl TsDb {
 
 /// Scan one series' field into per-bucket value vectors.
 fn scan_series(series: &Series, q: &Query, bucket_ns: u64, per_bucket: &mut [Vec<f64>]) {
-    let Some(fs) = series.fields.get(&q.field) else {
+    // The range is half-open: an empty one scans nothing.
+    let Some(last) = q.end_ns.checked_sub(1).filter(|&l| l >= q.start_ns) else {
         return;
     };
-    fs.for_each_in_range(q.start_ns, q.end_ns, &mut |t, v| {
+    series.for_each_sample(&q.field, q.start_ns, last, &mut |t, v| {
         // panic-ok: bucket_ns is clamped to at least 1 by bucket_width
         let b = (t.saturating_sub(q.start_ns) / bucket_ns) as usize;
         if let Some(bucket) = per_bucket.get_mut(b) {
@@ -749,12 +929,12 @@ mod tests {
     #[test]
     fn retention_spans_sealed_chunks() {
         let db = TsDb::new();
-        let n = crate::seal::SEAL_THRESHOLD as u64 + 100;
+        let n = crate::seal::CHUNK_LEN as u64 + 100;
         for i in 0..n {
             db.write(&point("akl", i as f64, i * 1000));
         }
         let stats = db.storage_stats();
-        assert!(stats.sealed_points > 0, "threshold crossing must seal");
+        assert!(stats.sealed_points > 0, "a whole chunk must seal");
         // Keep only the newest 100 samples' worth of time.
         let dropped = db.enforce_retention(n * 1000, 100 * 1000);
         assert_eq!(dropped, n - 100);
@@ -855,12 +1035,12 @@ mod tests {
     #[test]
     fn sealing_is_transparent_to_queries() {
         let db = TsDb::new();
-        let n = crate::seal::SEAL_THRESHOLD as u64 * 2 + 17;
+        let n = crate::seal::CHUNK_LEN as u64 * 2 + 17;
         for i in 0..n {
             db.write(&point("akl", (i % 97) as f64, i * 1000));
         }
         let stats = db.storage_stats();
-        assert!(stats.sealed_points >= crate::seal::SEAL_THRESHOLD as u64);
+        assert_eq!(stats.sealed_points, crate::seal::CHUNK_LEN as u64 * 2);
         assert_eq!(stats.sealed_points + stats.active_points, n);
         assert!(stats.sealed_bytes > 0);
         // Compression must beat raw 16 bytes/sample on a regular cadence.
@@ -909,6 +1089,77 @@ mod tests {
         for ((start, vals), bucket) in values.iter().zip(&buckets) {
             assert_eq!(*start, bucket.start_ns);
             assert_eq!(vals.len(), bucket.agg.map_or(0, |a| a.count));
+        }
+    }
+
+    fn fields(measurement: &str, names: &[&str], ts: u64) -> Point {
+        let fields = names.iter().enumerate().map(|(i, &n)| (n.into(), i as f64)).collect();
+        Point::new(measurement, vec![], fields, ts)
+    }
+
+    #[test]
+    fn one_block_per_field_list_and_reorderings_join_it() {
+        let db = TsDb::new();
+        db.write(&fields("m", &["a", "b"], 10));
+        db.write(&fields("m", &["a", "b"], 20));
+        assert_eq!(db.block_count(), 1);
+        // Reordered: same block, column by name.
+        db.write(&fields("m", &["b", "a"], 30));
+        assert_eq!(db.block_count(), 1);
+        // Missing, extra and repeated names: a block each.
+        db.write(&fields("m", &["a"], 40));
+        db.write(&fields("m", &["a", "b", "c"], 50));
+        db.write(&fields("m", &["a", "a"], 60));
+        assert_eq!(db.block_count(), 4);
+        // No fields: nothing stored, but the series exists.
+        db.write(&fields("n", &[], 70));
+        assert_eq!((db.block_count(), db.series_count("n")), (4, 1));
+        let a = Query::range("m", "a", 0, 100);
+        assert_eq!(db.query_values(&a), vec![(0, vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])]);
+        let b = Query::range("m", "b", 0, 100);
+        assert_eq!(db.query_values(&b), vec![(0, vec![1.0, 1.0, 0.0, 1.0])]);
+        assert_eq!(db.points_ingested(), 7);
+        let stats = db.storage_stats();
+        assert_eq!(stats.active_points, 2 * 3 + 1 + 3 + 2);
+    }
+
+    #[test]
+    fn block_tail_seals_one_chunk_at_a_time() {
+        let db = std::sync::Arc::new(TsDb::new());
+        let names = ["a", "b", "c"];
+        let mut stripe = db.stripe(100);
+        for i in 0..crate::seal::CHUNK_LEN as u64 * 3 {
+            stripe.write(&fields("m", &names, i));
+            let stats = db.storage_stats();
+            // The tail never holds a whole chunk after a merge.
+            assert!(stats.active_points < 3 * crate::seal::CHUNK_LEN as u64);
+        }
+        stripe.flush();
+        let stats = db.storage_stats();
+        assert_eq!((stats.sealed_points, stats.active_points), (3 * 3 * 1024, 0));
+        // One timestamp stream per chunk, shared by the three columns: the
+        // constant columns cost about a bit per row each.
+        assert!(stats.sealed_bytes < 3 * 1024 * 2, "{} sealed bytes", stats.sealed_bytes);
+    }
+
+    #[test]
+    fn permute_matches_gather() {
+        // Every permutation of up to six elements.
+        for n in 0..=6usize {
+            for code in 0..n.pow(n as u32) {
+                let order: Vec<usize> = (0..n).map(|d| code / n.pow(d as u32) % n).collect();
+                if (0..n).any(|i| !order.contains(&i)) {
+                    continue;
+                }
+                let ts: Vec<u64> = (0..n as u64).map(|i| i * 10).collect();
+                let cols: Vec<Vec<f64>> = vec![ts.iter().map(|&t| -(t as f64)).collect()];
+                let (mut pts, mut pcols) = (ts.clone(), cols.clone());
+                permute_rows(&mut pts, &mut pcols, &mut order.clone());
+                let gathered: Vec<u64> = order.iter().map(|&i| ts[i]).collect();
+                assert_eq!(pts, gathered, "order {order:?}");
+                let gathered: Vec<f64> = order.iter().map(|&i| cols[0][i]).collect();
+                assert_eq!(pcols[0], gathered, "order {order:?}");
+            }
         }
     }
 }

@@ -1,12 +1,13 @@
 //! Allocation audit for the striped ingest path. The dataplane's claim:
 //!
 //! * a steady-state stripe write allocates nothing per point: the
-//!   measurement, series and field are looked up by `&str`, and their
-//!   names are copied only on first sight in the stripe. What remains is
-//!   amortized sorted-run growth, well under one allocator hit per ten
-//!   points even for the pipeline's seven-field `latency` point;
+//!   measurement and series are looked up by `&str`, the fields match
+//!   the series' block by position, and names are copied only on first
+//!   sight in the stripe. What remains is amortized column growth, well
+//!   under one allocator hit per ten points even for the pipeline's
+//!   seven-field `latency` point;
 //! * folding a stripe into the store costs O(series) allocator hits, not
-//!   O(points) — the run-move/extend merge is the whole point of
+//!   O(points) — the move/extend merge is the whole point of
 //!   shard-then-merge over per-point locked writes.
 //!
 //! Both bounds are enforced here with a counting pass-through allocator,
@@ -129,7 +130,7 @@ fn audit(template: fn(usize) -> Point) {
     let db = Arc::new(TsDb::new());
 
     // Warm-up: create every series in the store and in a stripe once, so
-    // one-time setup (hash maps, first runs) predates the audit windows.
+    // one-time setup (hash maps, first columns) predates the audit windows.
     let mut warm = db.stripe(u64::MAX);
     for s in 0..SERIES {
         let mut p = template(s);
@@ -143,8 +144,8 @@ fn audit(template: fn(usize) -> Point) {
     let mut points: Vec<Point> = (0..SERIES).map(template).collect();
 
     // Window 1: steady-state stripe writes — never flushing — allocate
-    // only for amortized sorted-run growth (measured: 0.012 hits/point
-    // with one field, 0.062 with seven). The shared store is not touched
+    // only for amortized column growth (measured: 0.021 hits/point
+    // with one field, 0.074 with seven). The shared store is not touched
     // at all.
     let mut stripe = db.stripe(u64::MAX);
     let write_hits = audited(|| {
@@ -165,7 +166,7 @@ fn audit(template: fn(usize) -> Point) {
     );
 
     // Window 2: folding the stripe into the store must be O(series), not
-    // O(points) — runs move or extend wholesale. Budget: a generous
+    // O(points) — columns move or extend wholesale. Budget: a generous
     // per-series constant, still ~50x below one hit per point.
     let merge_hits = audited(|| {
         assert_eq!(stripe.flush(), POINTS);

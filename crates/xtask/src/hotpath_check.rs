@@ -179,7 +179,7 @@ const GUARD_HELPERS: &[&str] = &["lock", "plock"];
 /// still applies): the tsdb's sealing/compression modules. Sealing is the
 /// cold phase transition — it drains an active tail into a freshly
 /// compressed chunk, inherently building buffers — and runs once per
-/// `SEAL_THRESHOLD` points at merge boundaries, never per point. The
+/// whole chunk (`CHUNK_LEN` rows) at merge boundaries, never per point. The
 /// striped ingest path itself (`store.rs`, `sharded.rs`, `point.rs`)
 /// carries no blanket exemption since the lock-free rework (ROADMAP
 /// item 4): every allocation site reachable from the hot roots there is

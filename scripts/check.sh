@@ -46,11 +46,19 @@ telemetry_smoke() {
 }
 
 # Scaled-down bench report run, as CI's "TSDB smoke" and "Inflow smoke":
-# the reporter must finish and write valid JSON.
+# the reporter must finish and write valid JSON holding every
+# `section.key` named after the binary.
 report_smoke() {
-    local out="${TMPDIR:-/tmp}/BENCH_${1%_report}_smoke.json"
-    cargo run "${CARGO_FLAGS[@]}" --release -p ruru-bench --bin "$1" -- --smoke --out "$out"
-    python3 -c "import json, sys; json.load(open(sys.argv[1]))" "$out"
+    local bin=$1 out="${TMPDIR:-/tmp}/BENCH_${1%_report}_smoke.json"
+    shift
+    cargo run "${CARGO_FLAGS[@]}" --release -p ruru-bench --bin "$bin" -- --smoke --out "$out"
+    python3 - "$out" "$@" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+for path in sys.argv[2:]:
+    section, key = path.split(".")
+    assert key in report[section], f"{sys.argv[1]} has no {path}"
+PY
 }
 
 step "cargo test -q --workspace" cargo test "${CARGO_FLAGS[@]}" -q --workspace
@@ -72,7 +80,7 @@ if [[ "$quick" -eq 0 ]]; then
     step "loom models (RUSTFLAGS=--cfg loom)" loom_models
     step "cargo build --release --workspace" cargo build "${CARGO_FLAGS[@]}" --release --workspace
     step "cargo bench --no-run --workspace" cargo bench "${CARGO_FLAGS[@]}" --no-run --workspace
-    step "TSDB smoke" report_smoke tsdb_report
+    step "TSDB smoke" report_smoke tsdb_report storage.latency_row_bytes
     step "Inflow smoke" report_smoke inflow_report
     # Examples smoke, as in CI: the map is tessellated from the PUB feed.
     step "serve_map --self-test" cargo run "${CARGO_FLAGS[@]}" --release --example serve_map -- --self-test

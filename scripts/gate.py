@@ -7,8 +7,9 @@ Subcommands:
                         allocation count must be 0.
   tsdb PATH             gate BENCH_tsdb.json: the day-scale workload must
                         hold >= 10M points, sealed storage must cost <= 4.0
-                        bytes/point and account for every point, and the
-                        measured 2-worker query speedup must be >= 1.2x,
+                        bytes/point and account for every point, a sealed
+                        seven-field latency row must cost <= 28 bytes, and
+                        the measured 2-worker query speedup must be >= 1.2x,
                         on a host with >= 2 cores.
   inflow PATH           gate BENCH_inflow.json: the in-flow tracker must
                         sustain >= 2M packets/s, beat the pping baseline by
@@ -57,6 +58,10 @@ def gate_flowtable(path):
 # Measured 2-worker query speedup floor, set below the slowest of the
 # recorded full runs on a 2-CPU host (EXPERIMENTS.md E11).
 TSDB_SPEEDUP_FLOOR = 1.2
+# Sealed bytes per seven-field latency row: one shared timestamp stream
+# (~3 B at irregular arrivals) plus three varying (~21 B) and four
+# constant (~0.5 B) value columns. Per-field timestamp streams cost ~44 B.
+TSDB_LATENCY_ROW_CEILING = 28.0
 
 
 def gate_tsdb(path):
@@ -71,6 +76,10 @@ def gate_tsdb(path):
     bpp = r["storage"]["bytes_per_point"]
     print(f"  storage.bytes_per_point: {bpp:.3f} (ceiling 4.0, raw 16)")
     ok &= bpp <= 4.0
+    row = r["storage"]["latency_row_bytes"]
+    print(f"  storage.latency_row_bytes: {row:.3f} (ceiling "
+          f"{TSDB_LATENCY_ROW_CEILING}, seven fields)")
+    ok &= row <= TSDB_LATENCY_ROW_CEILING
     sealed = r["storage"]["sealed_points"] + r["storage"]["active_points"]
     print(f"  storage accounting: {sealed} sealed+active (must equal points)")
     ok &= sealed == points
