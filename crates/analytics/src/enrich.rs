@@ -5,12 +5,12 @@
 //! requires. What remains is exactly what the tsdb indexes and the frontend
 //! draws: locations, AS numbers, and the three latency components.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use core::cell::RefCell;
+use bytes::{BufMut, BytesMut};
+use core::fmt::{self, Write};
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::GeoDb;
 use ruru_nic::Timestamp;
-use ruru_tsdb::Point;
+use ruru_tsdb::{line, Point};
 use std::sync::Arc;
 
 /// Wire length of the fixed binary enriched record.
@@ -23,10 +23,52 @@ pub const MAX_CITY_BYTES: usize = 32;
 const ENRICHED_VERSION: u8 = 1;
 /// cc(2) + asn(4) + lat(4) + lon(4) + city_len(1) + city(32)
 const ENDPOINT_WIRE_LEN: usize = 47;
-const SCRATCH_CHUNK: usize = 64 * 1024;
 
-thread_local! {
-    static ENRICHED_SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+/// The measurement every enriched record is stored and published under.
+const LATENCY: &str = "latency";
+
+/// Tag names of a `latency` point, in the sorted order a normalized point
+/// keeps. With [`LATENCY_FIELDS`], the one name table behind
+/// [`EnrichedMeasurement::to_point`], its in-place refill and its line.
+const LATENCY_TAGS: [&str; 7] = [
+    "dst_asn", "dst_cc", "dst_city", "queue", "src_asn", "src_cc", "src_city",
+];
+
+/// Field names of a `latency` point, in the order they are written.
+const LATENCY_FIELDS: [&str; 7] = [
+    "internal_ms",
+    "external_ms",
+    "total_ms",
+    "src_lat",
+    "src_lon",
+    "dst_lat",
+    "dst_lon",
+];
+
+/// An empty `latency` point, named from [`LATENCY_TAGS`] and
+/// [`LATENCY_FIELDS`]: what [`EnrichedMeasurement::refill`] fills.
+pub(crate) fn latency_template() -> Point {
+    Point::new(
+        LATENCY,
+        LATENCY_TAGS.map(|k| (k.into(), String::new())).into(),
+        LATENCY_FIELDS.map(|k| (k.into(), 0.0)).into(),
+        0,
+    )
+}
+
+/// One `latency` tag value, written without building a `String` first.
+enum TagValue<'a> {
+    Text(&'a str),
+    Number(u32),
+}
+
+impl fmt::Display for TagValue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TagValue::Text(s) => f.write_str(s),
+            TagValue::Number(n) => fmt::Display::fmt(n, f),
+        }
+    }
 }
 
 /// Geographic summary of one endpoint (IP removed).
@@ -90,60 +132,89 @@ impl EnrichedMeasurement {
         self.internal_ns + self.external_ns
     }
 
+    /// Tag values in [`LATENCY_TAGS`] order.
+    fn tag_values(&self) -> [TagValue<'_>; 7] {
+        use TagValue::{Number, Text};
+        [
+            Number(self.dst.asn),
+            Text(self.dst.cc_str()),
+            Text(&self.dst.city),
+            Number(self.queue_id.into()),
+            Number(self.src.asn),
+            Text(self.src.cc_str()),
+            Text(&self.src.city),
+        ]
+    }
+
+    /// Field values in [`LATENCY_FIELDS`] order.
+    fn field_values(&self) -> [f64; 7] {
+        [
+            self.internal_ns as f64 / 1e6,
+            self.external_ns as f64 / 1e6,
+            self.total_ns() as f64 / 1e6,
+            self.src.lat as f64,
+            self.src.lon as f64,
+            self.dst.lat as f64,
+            self.dst.lon as f64,
+        ]
+    }
+
     /// Convert to a tsdb point on the `latency` measurement, tagged by
     /// country / city / ASN of both sides.
-    #[allow(clippy::disallowed_methods)] // sanctioned: tsdb export path, off the capture loop
     pub fn to_point(&self) -> Point {
-        Point::new(
-            "latency",
-            vec![
-                ("queue".into(), self.queue_id.to_string()),
-                ("src_cc".into(), self.src.cc_str().to_string()),
-                ("src_city".into(), self.src.city.clone()),
-                ("src_asn".into(), self.src.asn.to_string()),
-                ("dst_cc".into(), self.dst.cc_str().to_string()),
-                ("dst_city".into(), self.dst.city.clone()),
-                ("dst_asn".into(), self.dst.asn.to_string()),
-            ],
-            vec![
-                ("internal_ms".into(), self.internal_ns as f64 / 1e6),
-                ("external_ms".into(), self.external_ns as f64 / 1e6),
-                ("total_ms".into(), self.total_ns() as f64 / 1e6),
-                ("src_lat".into(), self.src.lat as f64),
-                ("src_lon".into(), self.src.lon as f64),
-                ("dst_lat".into(), self.dst.lat as f64),
-                ("dst_lon".into(), self.dst.lon as f64),
-            ],
+        let mut p = latency_template();
+        self.refill(&mut p);
+        p
+    }
+
+    /// Overwrite the values of `p`, a [`latency_template`] or a point an
+    /// earlier refill filled, so that it equals
+    /// [`EnrichedMeasurement::to_point`]. The names stay, and the tag
+    /// strings keep their capacity, so a refill allocates only when a tag
+    /// value outgrows every earlier value of its tag.
+    pub(crate) fn refill(&self, p: &mut Point) {
+        debug_assert!(
+            p.measurement == LATENCY
+                && p.tags.iter().map(|(k, _)| k.as_str()).eq(LATENCY_TAGS)
+                && p.fields.iter().map(|(k, _)| k.as_str()).eq(LATENCY_FIELDS),
+            "refill needs a latency_template: {p:?}"
+        );
+        for ((_, slot), value) in p.tags.iter_mut().zip(self.tag_values()) {
+            slot.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(slot, "{value}");
+        }
+        for ((_, slot), value) in p.fields.iter_mut().zip(self.field_values()) {
+            *slot = value;
+        }
+        p.timestamp_ns = self.completed_at.as_nanos();
+    }
+
+    /// Write the line-protocol form into `out`: byte for byte
+    /// `line::encode(&self.to_point())`, without building the point.
+    pub(crate) fn write_line<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        line::write(
+            out,
+            LATENCY,
+            LATENCY_TAGS.into_iter().zip(self.tag_values()),
+            LATENCY_FIELDS.into_iter().zip(self.field_values()),
             self.completed_at.as_nanos(),
         )
     }
 
-    /// Encode as a line-protocol string — the bus format between analytics,
-    /// storage and the frontend feed.
+    /// Encode as a line-protocol string: the PUB edge's payload, which
+    /// external subscribers parse.
     pub fn to_line(&self) -> String {
-        ruru_tsdb::line::encode(&self.to_point())
-    }
-
-    /// Encode into the fixed binary wire form ([`ENRICHED_WIRE_LEN`]
-    /// bytes), appending into a thread-local scratch block and freezing a
-    /// zero-copy slice — no per-record allocation in the steady state.
-    ///
-    /// This is the **internal** bus format (enrichment → detector). The
-    /// external PUB edge keeps [`EnrichedMeasurement::to_line`] so outside
-    /// subscribers parse text, as documented in DESIGN.md.
-    pub fn encode(&self) -> Bytes {
-        ENRICHED_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.capacity() < ENRICHED_WIRE_LEN {
-                buf.reserve(SCRATCH_CHUNK);
-            }
-            self.encode_into(&mut buf);
-            buf.split().freeze()
-        })
+        // Room for a typical line (about 280 bytes) in one allocation.
+        let mut out = String::with_capacity(384);
+        // Writing into a `String` cannot fail.
+        let _ = self.write_line(&mut out);
+        out
     }
 
     /// Append the fixed binary wire form to `buf` (exactly
-    /// [`ENRICHED_WIRE_LEN`] bytes); capacity management is the caller's.
+    /// [`ENRICHED_WIRE_LEN`] bytes): the internal bus format (enrichment →
+    /// detector). Capacity management is the caller's.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         let start = buf.len();
         buf.reserve(ENRICHED_WIRE_LEN);
@@ -403,6 +474,100 @@ mod tests {
         assert_eq!(e.stats(), (1000, misses));
     }
 
+    /// A city name of characters the line protocol escapes, multibyte
+    /// characters and plain ones, possibly empty.
+    fn random_city(rng: &mut StdRng) -> String {
+        const CHARS: [char; 12] = ['a', 'Z', '0', '-', ' ', ',', '=', '\\', 'é', 'Ā', '北', '😀'];
+        (0..rng.gen_range(0..12))
+            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+            .collect()
+    }
+
+    /// A finite `f32` from random bits: subnormal, huge and everything
+    /// between.
+    fn random_coordinate(rng: &mut StdRng) -> f32 {
+        let x = f32::from_bits(rng.gen());
+        if x.is_finite() {
+            x
+        } else {
+            0.0
+        }
+    }
+
+    /// The `latency` point as built field by field, with owned strings and
+    /// a tag sort: the reference `to_point` and its refill must match.
+    fn reference_point(em: &EnrichedMeasurement) -> Point {
+        let tag = |k: &str, v: String| (k.to_string(), v);
+        Point::new(
+            "latency",
+            vec![
+                tag("queue", em.queue_id.to_string()),
+                tag("src_cc", em.src.cc_str().to_string()),
+                tag("src_city", em.src.city.clone()),
+                tag("src_asn", em.src.asn.to_string()),
+                tag("dst_cc", em.dst.cc_str().to_string()),
+                tag("dst_city", em.dst.city.clone()),
+                tag("dst_asn", em.dst.asn.to_string()),
+            ],
+            vec![
+                ("internal_ms".into(), em.internal_ns as f64 / 1e6),
+                ("external_ms".into(), em.external_ns as f64 / 1e6),
+                ("total_ms".into(), em.total_ns() as f64 / 1e6),
+                ("src_lat".into(), em.src.lat as f64),
+                ("src_lon".into(), em.src.lon as f64),
+                ("dst_lat".into(), em.dst.lat as f64),
+                ("dst_lon".into(), em.dst.lon as f64),
+            ],
+            em.completed_at.as_nanos(),
+        )
+    }
+
+    /// Differential: over random records (covered and unknown endpoints,
+    /// IPv4 and IPv6, cities that need escaping or are multibyte, odd
+    /// country codes and coordinates, latencies up to 2^62 ns), the line
+    /// written without a point is byte for byte `line::encode` of
+    /// `to_point()`, and `to_point()` and a refill of one reused point
+    /// both equal the reference point.
+    #[test]
+    fn line_and_refill_match_the_point_byte_for_byte() {
+        let (w, mut e) = world_enricher();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut reused = latency_template();
+        let codes: [[u8; 2]; 5] = [*b"NZ", *b"??", *b",=", *b"\\ ", [0xff, 0]];
+        let (mut unknown, mut v6, mut escaped) = (0, 0, 0);
+        for i in 0..4000 {
+            let mut m = measurement([0; 4], [0; 4]);
+            m.src = random_address(&w, &mut rng);
+            m.dst = random_address(&w, &mut rng);
+            let bits = rng.gen_range(0..=62);
+            m.internal_ns = rng.gen_range(0..=1u64 << bits);
+            m.external_ns = rng.gen_range(0..=1u64 << 62);
+            m.completed_at = Timestamp::from_nanos(rng.gen());
+            m.queue_id = rng.gen();
+            v6 += usize::from(matches!(m.src, IpAddress::V6(_)));
+            let mut em = e.enrich(&m);
+            unknown += usize::from(em.src.is_unknown() || em.dst.is_unknown());
+            if i % 2 == 0 {
+                em.src.city = random_city(&mut rng);
+                em.dst.city = random_city(&mut rng);
+                em.dst.country_code = codes[rng.gen_range(0..codes.len())];
+                em.src.lat = random_coordinate(&mut rng);
+                em.dst.lon = random_coordinate(&mut rng);
+            }
+            let point = em.to_point();
+            assert_eq!(point, reference_point(&em), "{em:?}");
+            let line = em.to_line();
+            escaped += usize::from(line.contains('\\'));
+            assert_eq!(line, ruru_tsdb::line::encode(&point), "{em:?}");
+            em.refill(&mut reused);
+            assert_eq!(reused, point, "{em:?}");
+        }
+        assert!(
+            unknown > 100 && v6 > 100 && escaped > 1000,
+            "every kind exercised: {unknown} unknown, {v6} IPv6, {escaped} escaped"
+        );
+    }
+
     #[test]
     fn line_roundtrip_preserves_fields() {
         let (w, mut e) = world_enricher();
@@ -434,6 +599,13 @@ mod tests {
         assert!(!line.contains(&dst_str), "line leaks dst IP: {line}");
     }
 
+    /// The binary wire form of `em`.
+    fn wire(em: &EnrichedMeasurement) -> BytesMut {
+        let mut buf = BytesMut::new();
+        em.encode_into(&mut buf);
+        buf
+    }
+
     fn enriched(src_city: &str, dst_city: &str) -> EnrichedMeasurement {
         EnrichedMeasurement {
             src: EndpointInfo {
@@ -460,7 +632,7 @@ mod tests {
     #[test]
     fn binary_roundtrip_preserves_everything() {
         let em = enriched("Auckland", "Los Angeles");
-        let wire = em.encode();
+        let wire = wire(&em);
         assert_eq!(wire.len(), ENRICHED_WIRE_LEN);
         assert_eq!(EnrichedMeasurement::decode(&wire), Some(em));
     }
@@ -470,7 +642,7 @@ mod tests {
         let max = "m".repeat(MAX_CITY_BYTES);
         for (s, d) in [("", ""), (max.as_str(), "x")] {
             let em = enriched(s, d);
-            let back = EnrichedMeasurement::decode(&em.encode()).unwrap();
+            let back = EnrichedMeasurement::decode(&wire(&em)).unwrap();
             assert_eq!(back, em);
         }
     }
@@ -481,7 +653,7 @@ mod tests {
         // 32-byte cap mid-character.
         let long = format!("{}city{}", "Ā".repeat(12), "Ā".repeat(8));
         let em = enriched(&long, "ok");
-        let back = EnrichedMeasurement::decode(&em.encode()).unwrap();
+        let back = EnrichedMeasurement::decode(&wire(&em)).unwrap();
         assert!(back.src.city.len() <= MAX_CITY_BYTES);
         assert!(long.starts_with(&back.src.city));
         assert_eq!(back.src.city, format!("{}city{}", "Ā".repeat(12), "Ā".repeat(2)));
@@ -491,7 +663,7 @@ mod tests {
         // cap lands mid-character and must back off to 31.
         let awkward = format!("x{}", "Ā".repeat(20));
         let em = enriched(&awkward, "ok");
-        let back = EnrichedMeasurement::decode(&em.encode()).unwrap();
+        let back = EnrichedMeasurement::decode(&wire(&em)).unwrap();
         assert_eq!(back.src.city.len(), 31);
         assert!(awkward.starts_with(&back.src.city));
     }
@@ -499,7 +671,7 @@ mod tests {
     #[test]
     fn binary_decode_rejects_garbage() {
         let em = enriched("Auckland", "Los Angeles");
-        let wire = em.encode();
+        let wire = wire(&em);
         assert_eq!(EnrichedMeasurement::decode(&wire[..wire.len() - 1]), None);
         assert_eq!(EnrichedMeasurement::decode(&[]), None);
         assert_eq!(EnrichedMeasurement::decode(&[0u8; ENRICHED_WIRE_LEN]), None);
@@ -521,7 +693,7 @@ mod tests {
         let src = w.sample_v4(AUCKLAND, &mut rng);
         let dst = w.sample_v4(LOS_ANGELES, &mut rng);
         let em = e.enrich(&measurement(src, dst));
-        let from_bin = EnrichedMeasurement::decode(&em.encode()).unwrap();
+        let from_bin = EnrichedMeasurement::decode(&wire(&em)).unwrap();
         let from_line = EnrichedMeasurement::from_line(&em.to_line()).unwrap();
         assert_eq!(from_bin, em, "binary is lossless");
         assert_eq!(from_bin.src.city, from_line.src.city);

@@ -35,4 +35,4 @@ pub use detect::{LatencySpikeDetector, RateAnomalyDetector, SynFloodDetector};
 pub use enrich::{EndpointInfo, EnrichedMeasurement, Enricher};
 pub use filter::{Criterion, FilterSpec, FilterStage};
 pub use intern::{Interner, PairInterner};
-pub use workers::{EnrichmentPool, PoolTelemetry};
+pub use workers::{EnrichmentPool, PoolTelemetry, Rendered, Renderer};

@@ -7,22 +7,23 @@
 //! republished on a PUB socket (topic `enriched`) for the frontend feed.
 //!
 //! Workers run in DPDK-style bursts: up to [`WORKER_BURST`] records per
-//! [`Pull::recv_batch`], encoded into a per-thread scratch buffer, and
-//! forwarded with one [`Push::send_batch`] / `publish_batch` per burst.
-//! Every count the pool makes goes into its own shards of the pipeline's
-//! telemetry registry, once per burst.
-//! The detector feed carries the fixed **binary**
-//! [`crate::enrich::EnrichedMeasurement`] record; the PUB edge keeps the
-//! line protocol so external subscribers stay text-parseable.
+//! [`Pull::recv_batch`], each rendered once by the worker's [`Renderer`],
+//! and forwarded with one [`Push::send_batch`] / `publish_batch` per
+//! burst. The renderer refills one reused `latency` point for the tsdb
+//! stripe and writes both bus payloads into one scratch block: the fixed
+//! **binary** [`EnrichedMeasurement`] record for the detector feed, and
+//! the line-protocol line for the PUB edge, so external subscribers stay
+//! text-parseable. Every count the pool makes goes into its own shards of
+//! the pipeline's telemetry registry, once per burst.
 
-use crate::enrich::{Enricher, ENRICHED_WIRE_LEN};
+use crate::enrich::{latency_template, EnrichedMeasurement, Enricher, ENRICHED_WIRE_LEN};
 use bytes::{Bytes, BytesMut};
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::GeoDb;
 use ruru_mq::{Message, Publisher, Pull, Push};
 use ruru_nic::Clock;
 use ruru_telemetry::{CounterId, HistId, Registry};
-use ruru_tsdb::TsDb;
+use ruru_tsdb::{Point, StripeWriter, TsDb};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -35,6 +36,12 @@ pub const WORKER_BURST: usize = 32;
 
 /// Scratch-block size for the per-worker encode buffer.
 const SCRATCH_CHUNK: usize = 64 * 1024;
+
+/// Room a PUB line needs besides its two city names, which escaping at
+/// most doubles: the names, ten numbers and the timestamp. `f64`'s
+/// `Display` writes no exponent, so the longest value, a subnormal `f32`
+/// coordinate, takes 64 bytes; the whole rest stays under 530.
+const LINE_HEADROOM: usize = 640;
 
 /// Points a worker buffers in its private tsdb stripe before folding it
 /// into the shared store. The stripe is the lock-free striped-ingest
@@ -57,8 +64,9 @@ pub struct PoolStats {
     pub batches_out: u64,
     /// Payload bytes emitted on both output edges.
     pub bytes_out: u64,
-    /// Times the scratch encode path had to allocate a fresh block
-    /// (≈ one per [`SCRATCH_CHUNK`] bytes of binary output, not per record).
+    /// Times a worker reserved a fresh scratch block for its payloads
+    /// (≈ one per [`SCRATCH_CHUNK`] bytes of binary records and PUB lines
+    /// together, not per record).
     pub alloc_hits: u64,
     /// Points folded into the shared tsdb by stripe merges. Once the pool
     /// has joined this equals `enriched`: every buffered point was merged
@@ -91,13 +99,80 @@ pub struct PoolTelemetry {
     pub batches_out: CounterId,
     /// Payload bytes emitted on the output edges.
     pub bytes_out: CounterId,
-    /// Scratch-block allocations on the binary encode path.
+    /// Scratch-block allocations for the two bus payloads.
     pub alloc_hits: CounterId,
     /// Points folded into the shared tsdb by stripe merges (the
     /// `tsdb-merge-accounting` conservation term).
     pub tsdb_merged: CounterId,
     /// Track → enrich residency histogram (virtual ns).
     pub enrich_residency: HistId,
+}
+
+/// One worker's per-record output path: a reused `latency` point, the
+/// tsdb stripe it is written to, and the scratch block both bus payloads
+/// are written into. Each record is rendered once: the point is refilled
+/// in place, and the binary record and the PUB line are written straight
+/// into the block and split off as zero-copy views.
+pub struct Renderer {
+    point: Point,
+    stripe: StripeWriter,
+    scratch: BytesMut,
+}
+
+/// What rendering one record produced.
+pub struct Rendered {
+    /// The fixed binary record, for the detector feed.
+    pub binary: Bytes,
+    /// The line-protocol line, for the PUB edge.
+    pub line: Bytes,
+    /// Points the stripe merged into the store on this write (0 unless it
+    /// flushed).
+    pub merged: u64,
+    /// The scratch block ran short, so a fresh one was reserved.
+    pub fresh_block: bool,
+}
+
+impl Renderer {
+    /// A renderer writing points to `stripe` and payloads into scratch
+    /// blocks of [`SCRATCH_CHUNK`] bytes.
+    pub fn new(stripe: StripeWriter) -> Renderer {
+        Renderer {
+            point: latency_template(),
+            stripe,
+            scratch: BytesMut::new(),
+        }
+    }
+
+    /// Render one record: write its point to the stripe, then its binary
+    /// record and its PUB line into the scratch block.
+    pub fn render(&mut self, em: &EnrichedMeasurement) -> Rendered {
+        em.refill(&mut self.point);
+        let merged = self.stripe.write(&self.point);
+        // Room for the whole record first: a line that crossed the end of
+        // the block would move to a fresh block only its own size, and
+        // every record after it would allocate again.
+        let need = ENRICHED_WIRE_LEN + LINE_HEADROOM + 2 * (em.src.city.len() + em.dst.city.len());
+        let fresh_block = self.scratch.capacity() < need;
+        if fresh_block {
+            self.scratch.reserve(SCRATCH_CHUNK.max(need));
+        }
+        em.encode_into(&mut self.scratch);
+        let binary = self.scratch.split().freeze();
+        // Writing into a `BytesMut` cannot fail.
+        let _ = em.write_line(&mut self.scratch);
+        let line = self.scratch.split().freeze();
+        Rendered {
+            binary,
+            line,
+            merged,
+            fresh_block,
+        }
+    }
+
+    /// Fold the stripe's buffered points into the store; returns how many.
+    fn flush(&mut self) -> u64 {
+        self.stripe.flush()
+    }
 }
 
 /// A running pool of enrichment workers.
@@ -146,11 +221,10 @@ impl EnrichmentPool {
                         // fold into the shared store one whole shard at a
                         // time, so the write lock is taken O(points/4096)
                         // times instead of once per point.
-                        let mut stripe = tsdb.stripe(STRIPE_FLUSH_POINTS);
+                        let mut renderer = Renderer::new(tsdb.stripe(STRIPE_FLUSH_POINTS));
                         let mut batch: Vec<Message> = Vec::with_capacity(WORKER_BURST);
                         let mut feed_out: Vec<Message> = Vec::with_capacity(WORKER_BURST);
                         let mut pub_out: Vec<Message> = Vec::with_capacity(WORKER_BURST);
-                        let mut scratch = BytesMut::new();
                         // Reused residency scratch: no steady-state allocation.
                         let mut residencies: Vec<u64> = Vec::with_capacity(WORKER_BURST);
                         loop {
@@ -177,22 +251,17 @@ impl EnrichmentPool {
                                 if em.src.is_unknown() || em.dst.is_unknown() {
                                     geo_misses += 1;
                                 }
-                                let point = em.to_point();
-                                merged += stripe.write(&point);
-                                if scratch.capacity() < ENRICHED_WIRE_LEN {
-                                    scratch.reserve(SCRATCH_CHUNK);
-                                    alloc_hits += 1;
-                                }
-                                em.encode_into(&mut scratch);
-                                let bin = scratch.split().freeze();
-                                bytes_out += bin.len() as u64;
-                                feed_out
-                                    .push(Message::new(Bytes::from_static(ENRICHED_TOPIC), bin));
-                                let line = Bytes::from(em.to_line());
-                                bytes_out += line.len() as u64;
+                                let out = renderer.render(&em);
+                                merged += out.merged;
+                                alloc_hits += u64::from(out.fresh_block);
+                                bytes_out += (out.binary.len() + out.line.len()) as u64;
+                                feed_out.push(Message::new(
+                                    Bytes::from_static(ENRICHED_TOPIC),
+                                    out.binary,
+                                ));
                                 pub_out.push(Message::new(
                                     Bytes::from_static(ENRICHED_TOPIC),
-                                    line,
+                                    out.line,
                                 ));
                                 enriched += 1;
                             }
@@ -226,7 +295,7 @@ impl EnrichmentPool {
                         // stripe's tail so no buffered point is lost. The
                         // merge is counted like any other flush — this is
                         // what keeps `tsdb-merge-accounting` exact.
-                        let flushed = stripe.flush();
+                        let flushed = renderer.flush();
                         if flushed > 0 {
                             t.registry.burst_begin(shard);
                             t.registry.counter_add(shard, t.tsdb_merged, flushed);
@@ -416,6 +485,41 @@ mod tests {
             "one scratch block per worker, not per record: {}",
             stats.alloc_hits
         );
+    }
+
+    /// The longest line a record can have fits the room the renderer
+    /// reserves for it: escaped country codes and cities, the widest
+    /// numbers, and subnormal coordinates.
+    #[test]
+    fn the_longest_line_fits_the_reserved_room() {
+        use crate::enrich::EndpointInfo;
+        let endpoint = |city: &str, coordinate: f32| EndpointInfo {
+            country_code: *b",=",
+            city: city.into(),
+            lat: coordinate,
+            lon: coordinate,
+            asn: u32::MAX,
+        };
+        for (city, coordinate) in [
+            (",= \\", -f32::from_bits(1)),
+            ("", -f32::from_bits(0x007f_ffff)),
+            ("Ā", f32::MIN),
+        ] {
+            let em = EnrichedMeasurement {
+                src: endpoint(city, coordinate),
+                dst: endpoint(city, coordinate),
+                internal_ns: u64::MAX / 2,
+                external_ns: u64::MAX / 2 - 1,
+                completed_at: Timestamp::from_nanos(u64::MAX),
+                queue_id: u16::MAX,
+            };
+            let line = em.to_line();
+            assert!(
+                line.len() <= LINE_HEADROOM + 2 * (em.src.city.len() + em.dst.city.len()),
+                "{} bytes: {line}",
+                line.len()
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! Drop accounting mirrors hardware: pool exhaustion and ring overflow are
 //! both RX drops (`imissed`), visible in [`PortStats`].
 //! [`Port::inject_lossless_at`] waits instead of dropping, and counts the
-//! packets that had to wait apart from the drops.
+//! packets that had to wait apart from the drops. On a full ring it parks
+//! until the queue's worker has drained half of it.
 
 use crate::clock::{Clock, Timestamp};
 use crate::mbuf::{Mbuf, MbufPool};
@@ -96,6 +97,9 @@ pub struct PortStats {
     pub inject_waits: u64,
     /// Times a delivery woke a parked queue consumer, summed over queues.
     pub rx_wakeups: u64,
+    /// Times a queue's worker woke a lossless inject parked on its full
+    /// ring, summed over queues.
+    pub inject_parks: u64,
 }
 
 /// Per-queue statistics.
@@ -293,11 +297,15 @@ impl Port {
         }
     }
 
-    /// Deliver one frame without loss: wait for a free mbuf, then for
-    /// space in its queue's ring, yielding to the workers that free both.
-    /// The frame is parsed and copied once however long it waits, and a
-    /// packet that waited counts in [`PortStats::inject_waits`], never as
-    /// a drop. Returns the queue it was delivered to.
+    /// Deliver one frame without loss: wait for a free mbuf, yielding to
+    /// the workers that free them, then for space in its queue's ring. On
+    /// a full ring the caller parks, instead of spinning, until the
+    /// queue's [`RxQueue::rx_burst`] has drained the ring to half (see
+    /// [`crate::ring::Producer::park_while_full`]); each wake from such a
+    /// park counts in [`PortStats::inject_parks`]. The frame is parsed and
+    /// copied once however long it waits, and a packet that waited counts
+    /// in [`PortStats::inject_waits`], never as a drop. Returns the queue
+    /// it was delivered to.
     pub fn inject_lossless_at(&mut self, frame: &[u8], timestamp: Timestamp) -> Option<u16> {
         let queue = self.rss_queue(frame);
         let mut waited = false;
@@ -312,7 +320,7 @@ impl Port {
         while let Err(back) = producer.push(mbuf) {
             mbuf = back;
             waited = true;
-            thread::yield_now();
+            producer.park_while_full();
         }
         c.delivered(frame.len());
         if waited {
@@ -357,6 +365,7 @@ impl Port {
             s.ring_full_drops += c.ring_full_drops.load(Ordering::Relaxed);
         }
         s.rx_wakeups = self.producers.iter().map(Producer::wakeups).sum();
+        s.inject_parks = self.producers.iter().map(Producer::parks).sum();
         s
     }
 }

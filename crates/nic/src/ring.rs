@@ -29,14 +29,14 @@
 //! # Waking a parked consumer
 //!
 //! A consumer that finds the ring empty may [`Consumer::park_while_empty`],
-//! the RX-interrupt mode of DPDK's `l3fwd-power` in miniature. The ring
-//! carries one `sleeping` flag, and two read-modify-writes on it close the
-//! lost-wakeup window without `SeqCst`:
+//! the RX-interrupt mode of DPDK's `l3fwd-power` in miniature. The
+//! consumer's `Waiter` carries one `waiting` flag, and two
+//! read-modify-writes on it close the lost-wakeup window without `SeqCst`:
 //!
-//! - the consumer announces with an `AcqRel` swap of `sleeping` to true,
+//! - the consumer announces with an `AcqRel` swap of `waiting` to true,
 //!   then re-checks `head` and parks only if the ring is still empty;
 //! - the producer, after its Release store of `head`, does an `AcqRel`
-//!   swap of `sleeping` to false and unparks the consumer only if the
+//!   swap of `waiting` to false and unparks the consumer only if the
 //!   flag was set.
 //!
 //! Both swaps hit one location, so they are totally ordered. If the
@@ -44,6 +44,23 @@
 //! `head` store happens-before the re-check, which sees the item. If the
 //! consumer's comes first, the producer reads `true` and unparks; a park
 //! token set before the consumer parks makes that park return at once.
+//!
+//! # Waking a parked producer
+//!
+//! A producer that must not drop (the port's lossless inject) may
+//! [`Producer::park_while_full`] instead of spinning on a full ring. The
+//! same protocol runs with the roles swapped, on a second flag: the
+//! producer announces, re-checks `tail` and parks only while the ring is
+//! still more than half full; [`Consumer::pop_burst`], after its Release
+//! stores of `tail`, swaps that flag at most once per burst, only for a
+//! burst that took something and left the ring at most half full, and
+//! unparks the producer if it was set. Each direction is one `Waiter`, so
+//! the protocol is written once.
+//!
+//! The half-full mark is the hysteresis: a parked producer sleeps while
+//! the consumer drains half a ring, then refills it in one go, so a full
+//! ring costs one park and one unpark per half ring instead of a wake per
+//! burst.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::cell::UnsafeCell;
@@ -60,25 +77,87 @@ struct RingInner<T> {
     tail: AtomicUsize,
     /// Items rejected because the ring was full.
     drops: AtomicU64,
-    /// The consumer has announced that it is about to park.
-    sleeping: AtomicBool,
-    /// The thread the producer unparks: the consumer's, written once
-    /// before its first announcement and only read after that.
-    parker: UnsafeCell<Option<Thread>>,
-    /// Unparks the producer has issued.
-    wakeups: AtomicU64,
+    /// The consumer's wait for an item on an empty ring.
+    consumer: Waiter,
+    /// The producer's wait for room on a full ring.
+    producer: Waiter,
 }
 
 // SAFETY: the producer only writes slots in [head, tail+capacity) and the
 // consumer only reads slots in [tail, head); the head/tail Acquire/Release
-// pairs order those accesses (model-checked by the loom tests). `parker` is
-// written once by the consumer before it first sets `sleeping`, and read
-// by the producer only after an Acquire swap saw that flag set. T must be
-// Send for values to cross the thread boundary.
+// pairs order those accesses (model-checked by the loom tests). Each
+// `Waiter`'s thread is written once by the side that parks on it, before
+// it first sets the waiter's flag, and read by the other side only after
+// an Acquire swap saw that flag set. T must be Send for values to cross
+// the thread boundary.
 unsafe impl<T: Send> Send for RingInner<T> {}
 // SAFETY: as above — the head/tail protocol gives each slot a single owner
 // at any point in the happens-before order, so `&RingInner` may be shared.
 unsafe impl<T: Send> Sync for RingInner<T> {}
+
+/// One side's half of the wake protocol (see the module docs): the flag
+/// it announces a park on, the thread the other side unparks, and the
+/// unparks issued.
+struct Waiter {
+    /// The waiting side has announced that it is about to park.
+    waiting: AtomicBool,
+    /// The thread to unpark: the waiting side's, written once before its
+    /// first announcement and only read after that.
+    thread: UnsafeCell<Option<Thread>>,
+    /// Unparks the other side has issued.
+    wakeups: AtomicU64,
+}
+
+impl Waiter {
+    fn new() -> Waiter {
+        Waiter {
+            waiting: AtomicBool::new(false),
+            thread: UnsafeCell::new(None),
+            wakeups: AtomicU64::new(0),
+        }
+    }
+
+    /// Announce a park, re-check with `ready`, and park the calling thread
+    /// unless it is ready. `registered` says an earlier call already
+    /// stored the caller's thread: the first thread to park is the one
+    /// [`Waiter::wake`] unparks, so a side parks from one thread only. The
+    /// park may also end spuriously, so callers re-check either way.
+    fn park_unless(&self, registered: bool, ready: impl FnOnce() -> bool) {
+        if !registered {
+            let me = thread::current();
+            self.thread.with_mut(|slot| {
+                // SAFETY: `wake` reads `thread` only after acquiring a
+                // `waiting` flag this side sets below, so nothing reads it
+                // yet; this is its only write.
+                unsafe { *slot = Some(me) }
+            });
+        }
+        self.waiting.swap(true, Ordering::AcqRel);
+        if !ready() {
+            thread::park();
+        }
+        // Awake again, so the other side need not unpark us. A racing
+        // `wake` at worst leaves a token that ends the next park early, so
+        // the clear needs no ordering.
+        self.waiting.store(false, Ordering::Relaxed);
+    }
+
+    /// Unpark the waiting side if it has announced a park. Called after
+    /// the Release store that may have made it ready.
+    fn wake(&self) {
+        if self.waiting.swap(false, Ordering::AcqRel) {
+            self.thread.with(|slot| {
+                // SAFETY: the waiting side wrote `thread` before the swap
+                // that set `waiting`, which the swap above acquired, and
+                // never writes it again.
+                if let Some(waiter) = unsafe { &*slot } {
+                    waiter.unpark();
+                }
+            });
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 impl<T> Drop for RingInner<T> {
     fn drop(&mut self) {
@@ -107,6 +186,8 @@ pub struct Producer<T> {
     /// Producer-local cache of the consumer's tail, refreshed on apparent
     /// fullness to avoid cacheline ping-pong on every enqueue.
     cached_tail: usize,
+    /// The producer's waiter holds this producer's thread.
+    parker_set: bool,
 }
 
 /// The consumer half of an SPSC ring.
@@ -114,7 +195,7 @@ pub struct Consumer<T> {
     inner: Arc<RingInner<T>>,
     /// Consumer-local cache of the producer's head.
     cached_head: usize,
-    /// `parker` holds this consumer's thread.
+    /// The consumer's waiter holds this consumer's thread.
     parker_set: bool,
 }
 
@@ -141,14 +222,14 @@ pub fn ring_with_counters<T>(capacity: usize, initial: usize) -> (Producer<T>, C
         head: AtomicUsize::new(initial),
         tail: AtomicUsize::new(initial),
         drops: AtomicU64::new(0),
-        sleeping: AtomicBool::new(false),
-        parker: UnsafeCell::new(None),
-        wakeups: AtomicU64::new(0),
+        consumer: Waiter::new(),
+        producer: Waiter::new(),
     });
     (
         Producer {
             inner: Arc::clone(&inner),
             cached_tail: initial,
+            parker_set: false,
         },
         Consumer {
             inner,
@@ -189,17 +270,7 @@ impl<T> Producer<T> {
         });
         self.inner.head.store(head.wrapping_add(1), Ordering::Release);
         // The producer's half of the wake protocol (see the module docs).
-        if self.inner.sleeping.swap(false, Ordering::AcqRel) {
-            self.inner.parker.with(|parker| {
-                // SAFETY: the consumer wrote `parker` before the swap that
-                // set `sleeping`, which the swap above acquired, and never
-                // writes it again.
-                if let Some(consumer) = unsafe { &*parker } {
-                    consumer.unpark();
-                }
-            });
-            self.inner.wakeups.fetch_add(1, Ordering::Relaxed);
-        }
+        self.inner.consumer.wake();
         Ok(())
     }
 
@@ -225,13 +296,32 @@ impl<T> Producer<T> {
 
     /// Times a push unparked the consumer.
     pub fn wakeups(&self) -> u64 {
-        self.inner.wakeups.load(Ordering::Relaxed)
+        self.inner.consumer.wakeups.load(Ordering::Relaxed)
     }
 
     /// True while the consumer has announced that it is parking.
     #[cfg(test)]
     pub(crate) fn consumer_sleeping(&self) -> bool {
-        self.inner.sleeping.load(Ordering::Acquire)
+        self.inner.consumer.waiting.load(Ordering::Acquire)
+    }
+
+    /// Park the calling thread while the ring is more than half full,
+    /// until a [`Consumer::pop_burst`] leaves it at most half full (see
+    /// the module docs). It may also return spuriously, so callers retry
+    /// their push either way.
+    ///
+    /// The first thread to park a producer is the one the consumer wakes,
+    /// so a producer parks from one thread only.
+    pub fn park_while_full(&mut self) {
+        let registered = std::mem::replace(&mut self.parker_set, true);
+        self.inner
+            .producer
+            .park_unless(registered, || self.len() <= self.capacity() / 2);
+    }
+
+    /// Times a burst unparked this producer from a park on a full ring.
+    pub fn parks(&self) -> u64 {
+        self.inner.producer.wakeups.load(Ordering::Relaxed)
     }
 
     /// Number of items currently queued (approximate under concurrency,
@@ -280,7 +370,8 @@ impl<T> Consumer<T> {
     }
 
     /// Dequeue up to `max` items into `out`; returns how many were taken.
-    /// This is the `rx_burst` primitive.
+    /// This is the `rx_burst` primitive. A burst that leaves the ring at
+    /// most half full wakes a producer parked on it.
     pub fn pop_burst(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let mut taken = 0;
         while taken < max {
@@ -294,6 +385,11 @@ impl<T> Consumer<T> {
                 None => break,
             }
         }
+        // The consumer's half of the producer's wake protocol (see the
+        // module docs), once per burst that freed space.
+        if taken > 0 && self.len() <= self.capacity() / 2 {
+            self.inner.producer.wake();
+        }
         taken
     }
 
@@ -304,7 +400,13 @@ impl<T> Consumer<T> {
 
     /// Times the producer unparked this consumer.
     pub fn wakeups(&self) -> u64 {
-        self.inner.wakeups.load(Ordering::Relaxed)
+        self.inner.consumer.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// True while the producer has announced that it is parking.
+    #[cfg(test)]
+    pub(crate) fn producer_waiting(&self) -> bool {
+        self.inner.producer.waiting.load(Ordering::Acquire)
     }
 
     /// Park the calling thread until the producer's next push, unless the
@@ -316,24 +418,10 @@ impl<T> Consumer<T> {
     /// The first thread to park a consumer is the one the producer wakes,
     /// so a consumer parks from one thread only.
     pub fn park_while_empty(&mut self, stop: impl FnOnce() -> bool) {
-        if !self.parker_set {
-            let me = thread::current();
-            self.inner.parker.with_mut(|parker| {
-                // SAFETY: the producer reads `parker` only after acquiring
-                // a `sleeping` flag this consumer sets below, so nothing
-                // reads it yet; this is its only write.
-                unsafe { *parker = Some(me) }
-            });
-            self.parker_set = true;
-        }
-        self.inner.sleeping.swap(true, Ordering::AcqRel);
-        if self.is_empty() && !stop() {
-            thread::park();
-        }
-        // Awake again, so pushes need not unpark us. A racing producer
-        // swap at worst leaves a token that ends the next park early, so
-        // the clear needs no ordering.
-        self.inner.sleeping.store(false, Ordering::Relaxed);
+        let registered = std::mem::replace(&mut self.parker_set, true);
+        self.inner
+            .consumer
+            .park_unless(registered, || !self.is_empty() || stop());
     }
 
     /// Number of items currently queued (approximate under concurrency,
@@ -468,6 +556,45 @@ mod tests {
             }
         }
         producer.join().unwrap();
+    }
+
+    /// The producer's park has hysteresis: a producer parked on a full
+    /// ring stays parked while bursts leave the ring more than half full,
+    /// and the burst that leaves it at most half full wakes it.
+    #[test]
+    #[cfg_attr(miri, ignore)] // parks a real thread
+    #[allow(clippy::disallowed_methods)] // the sleep gives a wrong wake time to show
+    fn parked_producer_wakes_once_the_ring_is_half_full() {
+        let (mut p, mut c) = ring::<u32>(8);
+        let producer = std::thread::spawn(move || {
+            for i in 0..4 {
+                p.push(i).unwrap();
+            }
+            // A half-full ring does not park: this returns at once.
+            p.park_while_full();
+            let mut next = 4;
+            while next < 10 {
+                match p.push(next) {
+                    Ok(()) => next += 1,
+                    Err(_) => p.park_while_full(),
+                }
+            }
+            p.parks()
+        });
+        while !(c.len() == 8 && c.producer_waiting()) {
+            std::thread::yield_now();
+        }
+        let mut got = Vec::new();
+        assert_eq!(c.pop_burst(&mut got, 3), 3);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(c.len(), 5, "five of eight left: the producer sleeps on");
+        assert_eq!(c.pop_burst(&mut got, 1), 1);
+        while got.len() < 10 {
+            c.pop_burst(&mut got, 8);
+            std::thread::yield_now();
+        }
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        assert!(producer.join().unwrap() >= 1, "the producer parked");
     }
 
     #[test]

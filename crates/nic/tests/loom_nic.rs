@@ -243,6 +243,48 @@ fn loom_parked_consumer_always_receives_a_racing_push() {
     });
 }
 
+/// The producer's wake protocol: a consumer's `pop_burst` races the
+/// producer's spin → announce → re-check → park on a full ring. Either the
+/// consumer's swap sees the producer's `waiting` flag and unparks, or the
+/// producer's re-check sees the freed slots, so the blocked push always
+/// lands. A lost wakeup leaves the producer parked on a ring the consumer
+/// has emptied, and the consumer parked waiting for the push, which the
+/// checker reports as a deadlock.
+#[test]
+fn loom_parked_producer_always_sees_a_racing_pop() {
+    loom::model(|| {
+        let (mut p, mut c) = ring::<u32>(2);
+        p.push(1).unwrap();
+        p.push(2).unwrap();
+        let t = thread::spawn(move || {
+            let mut v = 3;
+            let mut spun = false;
+            while let Err(back) = p.push(v) {
+                v = back;
+                if spun {
+                    p.park_while_full();
+                } else {
+                    hint::spin_loop();
+                }
+                spun = true;
+            }
+            p.parks()
+        });
+        // Let the producer start retrying without spending a preemption,
+        // so the bound goes on the race between the pop and the park.
+        thread::yield_now();
+        let mut got = Vec::new();
+        while got.len() < 3 {
+            if c.pop_burst(&mut got, 2) == 0 {
+                c.park_while_empty(|| false);
+            }
+        }
+        let parks = t.join().unwrap();
+        assert_eq!(got, [1, 2, 3]);
+        assert!(parks <= 1, "one freeing burst wakes at most once");
+    });
+}
+
 /// Shutdown races the park: `WorkerGroup::shutdown` raises the stop flag
 /// and unparks every worker, so a worker anywhere between its last empty
 /// poll and its park still exits, after draining a packet delivered just

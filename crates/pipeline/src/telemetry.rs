@@ -139,6 +139,8 @@ pub struct SelfMetrics {
     pub(crate) port_inject_waits: GaugeId,
     /// Times the port woke a parked RX lcore.
     pub(crate) port_rx_wakeups: GaugeId,
+    /// Times an RX lcore woke a lossless inject parked on its full ring.
+    pub(crate) port_inject_parks: GaugeId,
     pub(crate) mq_published: GaugeId,
     pub(crate) mq_delivered: GaugeId,
     pub(crate) mq_dropped: GaugeId,
@@ -212,6 +214,7 @@ impl SelfMetrics {
         let port_non_ip_packets = b.gauge("port_non_ip_packets");
         let port_inject_waits = b.gauge("port_inject_waits");
         let port_rx_wakeups = b.gauge("port_rx_wakeups");
+        let port_inject_parks = b.gauge("port_inject_parks");
         let mq_published = b.gauge("mq_published");
         let mq_delivered = b.gauge("mq_delivered");
         let mq_dropped = b.gauge("mq_dropped");
@@ -291,6 +294,7 @@ impl SelfMetrics {
             port_non_ip_packets,
             port_inject_waits,
             port_rx_wakeups,
+            port_inject_parks,
             mq_published,
             mq_delivered,
             mq_dropped,
@@ -387,6 +391,8 @@ impl SelfMetrics {
             .gauge_store(shard, self.port_inject_waits, port.inject_waits);
         self.registry
             .gauge_store(shard, self.port_rx_wakeups, port.rx_wakeups);
+        self.registry
+            .gauge_store(shard, self.port_inject_parks, port.inject_parks);
         self.registry.gauge_store(shard, self.mq_published, mq.0);
         self.registry.gauge_store(shard, self.mq_delivered, mq.1);
         self.registry.gauge_store(shard, self.mq_dropped, mq.2);
@@ -464,6 +470,7 @@ mod tests {
             non_ip_packets: 3,
             inject_waits: 4,
             rx_wakeups: 5,
+            inject_parks: 6,
         };
         let mut snap = ruru_telemetry::Snapshot::default();
         let mut scratch = Vec::new();
@@ -477,6 +484,7 @@ mod tests {
         assert_eq!(snap.gauge("port_rx_packets"), 100);
         assert_eq!(snap.gauge("port_inject_waits"), 4);
         assert_eq!(snap.gauge("port_rx_wakeups"), 5);
+        assert_eq!(snap.gauge("port_inject_parks"), 6);
         assert_eq!(snap.gauge("mq_delivered"), 20);
         assert_eq!(snap.gauge("tsdb_points"), 55);
         assert_eq!(snap.gauge("tsdb_sealed_points"), 40);

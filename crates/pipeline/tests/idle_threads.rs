@@ -1,7 +1,8 @@
 //! Idle threads cost nothing: under a trickle of SYNs — one every 200 µs
 //! of wall time — the RX lcore parks on its empty ring until the port wakes
 //! it, and the detector blocks on its one feed instead of polling it. Each
-//! sleeps between arrivals and uses a small share of one core.
+//! sleeps between arrivals and uses a small share of one core. A lossless
+//! feeder ahead of its RX lcore parks on the full ring the same way.
 //!
 //! Linux-only: per-thread CPU time is read from
 //! `/proc/self/task/<tid>/schedstat`. The tests take turns on one lock, so
@@ -13,8 +14,8 @@
 
 use ruru_gen::packet::TcpPacketSpec;
 use ruru_gen::Event;
-use ruru_nic::port::PortConfig;
-use ruru_nic::Timestamp;
+use ruru_nic::port::{Port, PortConfig};
+use ruru_nic::{Clock, Timestamp};
 use ruru_pipeline::{conservation, Pipeline, PipelineConfig, Report};
 use ruru_wire::tcp::Flags;
 use std::sync::Mutex;
@@ -121,4 +122,77 @@ fn rx_lcore_sleeps_under_a_syn_trickle() {
 #[test]
 fn detector_sleeps_under_a_syn_trickle() {
     trickle("ruru-detect");
+}
+
+/// A lossless feeder whose RX ring is full, with the ring's consumer
+/// stalled, sleeps instead of spinning: blocked for 200 ms, it gains under
+/// 10 ms of CPU. Once the consumer drains, every packet is delivered, the
+/// ones that found the ring full counted as waits, none as drops.
+#[test]
+fn lossless_feeder_sleeps_on_a_full_ring() {
+    let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    const DEPTH: usize = 64;
+    const PACKETS: usize = 4 * DEPTH;
+    let mut port = Port::new(
+        PortConfig {
+            num_queues: 1,
+            queue_depth: DEPTH,
+            pool_size: 2 * PACKETS,
+            ..PortConfig::default()
+        },
+        Clock::virtual_clock(),
+    );
+    let mut rx = port.take_all_rx_queues().swap_remove(0);
+    let feeder = std::thread::Builder::new()
+        .name("lossless-feeder".into())
+        .spawn(move || {
+            // Not TCP: every frame steers to queue 0.
+            let frame = vec![0xffu8; 60];
+            for _ in 0..PACKETS {
+                assert_eq!(port.inject_lossless_at(&frame, Timestamp::ZERO), Some(0));
+            }
+            port.stats()
+        })
+        .unwrap();
+    // The ring fills, then the feeder blocks on it: count from its sleep.
+    while rx.backlog() < DEPTH {
+        std::thread::yield_now();
+    }
+    let blocked = Instant::now();
+    let before = loop {
+        match thread_cpu("lossless-feeder") {
+            Some((cpu, true)) => break cpu,
+            _ => assert!(
+                blocked.elapsed() < Duration::from_secs(1),
+                "the feeder never slept on its full ring"
+            ),
+        }
+        std::thread::yield_now();
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    let (after, asleep) = thread_cpu("lossless-feeder").unwrap();
+    assert!(asleep, "the blocked feeder sleeps");
+    assert!(
+        after - before < Duration::from_millis(10),
+        "the blocked feeder used {:?} of CPU in 200 ms",
+        after - before
+    );
+    assert_eq!(rx.backlog(), DEPTH, "nothing drained, nothing delivered");
+
+    let mut out = Vec::new();
+    let mut drained = 0;
+    while drained < PACKETS {
+        drained += rx.rx_burst(&mut out, 32);
+        out.clear();
+        std::thread::yield_now();
+    }
+    let stats = feeder.join().unwrap();
+    assert_eq!(stats.rx_packets, PACKETS as u64);
+    assert_eq!((stats.ring_full_drops, stats.no_mbuf_drops), (0, 0));
+    assert!(
+        (1..=(PACKETS - DEPTH) as u64).contains(&stats.inject_waits),
+        "waits: {}",
+        stats.inject_waits
+    );
+    assert!(stats.inject_parks >= 1, "the drain woke the parked feeder");
 }

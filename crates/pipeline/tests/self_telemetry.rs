@@ -51,6 +51,19 @@ fn ruru_self_series_are_exported_and_parseable() {
         assert!(p.tags.iter().any(|(k, _)| k == "metric"), "{l}");
     }
 
+    // The wakes of a feeder parked on a full RX ring are exported with
+    // the port's other gauges, and mirror the port's own count.
+    let parks = lines
+        .iter()
+        .filter_map(|l| line::parse(l).ok())
+        .find(|p| p.tag("metric") == Some("port_inject_parks"))
+        .expect("port_inject_parks is exported");
+    assert_eq!(parks.field("value"), Some(report.port.inject_parks as f64));
+    assert_eq!(
+        report.telemetry.gauge("port_inject_parks"),
+        report.port.inject_parks
+    );
+
     // Histogram exports carry the quantile fields the panel reads.
     let rx = report
         .telemetry

@@ -9,6 +9,7 @@
 //! (the only kind Ruru writes).
 
 use crate::point::Point;
+use core::fmt::{self, Write};
 
 /// Errors from parsing a protocol line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,37 +28,69 @@ pub enum LineError {
     NoFields,
 }
 
-fn escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        if ch == ',' || ch == ' ' || ch == '=' || ch == '\\' {
-            out.push('\\');
+/// A writer that escapes `,`, ` `, `=` and `\` in everything written
+/// through it, as InfluxDB escapes names and tag values.
+struct Escaped<'a, W: ?Sized>(&'a mut W);
+
+impl<W: Write + ?Sized> Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut plain = 0;
+        for (at, special) in s.match_indices([',', ' ', '=', '\\']) {
+            self.0.write_str(s.get(plain..at).unwrap_or_default())?;
+            self.0.write_char('\\')?;
+            self.0.write_str(special)?;
+            plain = at + special.len();
         }
-        out.push(ch);
+        self.0.write_str(s.get(plain..).unwrap_or_default())
     }
 }
 
+/// Write one protocol line into `out`: the crate's only line encoder.
+///
+/// Tags are written in the order given (a normalized point keeps them
+/// sorted) and may be any `Display`, so a caller can write numbers and
+/// borrowed text without building strings first. Names and tag values
+/// are escaped; field values are written with `f64`'s `Display`.
+pub fn write<'a, W, V>(
+    out: &mut W,
+    measurement: &str,
+    tags: impl IntoIterator<Item = (&'a str, V)>,
+    fields: impl IntoIterator<Item = (&'a str, f64)>,
+    timestamp_ns: u64,
+) -> fmt::Result
+where
+    W: Write + ?Sized,
+    V: fmt::Display,
+{
+    Escaped(&mut *out).write_str(measurement)?;
+    for (k, v) in tags {
+        out.write_char(',')?;
+        Escaped(&mut *out).write_str(k)?;
+        out.write_char('=')?;
+        write!(Escaped(&mut *out), "{v}")?;
+    }
+    out.write_char(' ')?;
+    for (i, (k, v)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        Escaped(&mut *out).write_str(k)?;
+        write!(out, "={v}")?;
+    }
+    write!(out, " {timestamp_ns}")
+}
+
 /// Encode a point as one protocol line.
-#[allow(clippy::disallowed_methods)] // sanctioned: the line protocol is text by definition
 pub fn encode(p: &Point) -> String {
     let mut out = String::new();
-    escape(&p.measurement, &mut out);
-    for (k, v) in &p.tags {
-        out.push(',');
-        escape(k, &mut out);
-        out.push('=');
-        escape(v, &mut out);
-    }
-    out.push(' ');
-    for (i, (k, v)) in p.fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape(k, &mut out);
-        out.push('=');
-        out.push_str(&format!("{v}"));
-    }
-    out.push(' ');
-    out.push_str(&p.timestamp_ns.to_string());
+    // Writing into a `String` cannot fail.
+    let _ = write(
+        &mut out,
+        &p.measurement,
+        p.tags.iter().map(|(k, v)| (k.as_str(), v)),
+        p.fields.iter().map(|(k, v)| (k.as_str(), *v)),
+        p.timestamp_ns,
+    );
     out
 }
 
