@@ -15,10 +15,7 @@ use ruru_pipeline::{Pipeline, PipelineConfig};
 fn case_study() {
     let window = (Timestamp::from_secs(300), Timestamp::from_secs(330));
     let duration = Timestamp::from_secs(900);
-    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        snmp_interval_ns: 300 * 1_000_000_000,
-        ..PipelineConfig::default()
-    });
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig::default());
     let mut gen = TrafficGen::with_world(
         GenConfig {
             seed: 31,

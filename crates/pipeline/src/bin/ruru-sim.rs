@@ -133,7 +133,6 @@ fn main() {
             pool_size: 1 << 17,
             ..PortConfig::default()
         },
-        snmp_interval_ns: (args.secs.max(10) / 10) * 1_000_000_000,
         ..PipelineConfig::default()
     });
     let mut gen = TrafficGen::with_world(

@@ -48,8 +48,6 @@ pub struct PipelineConfig {
     pub flood: FloodConfig,
     /// Connection-rate detector settings.
     pub rate: RateConfig,
-    /// SNMP baseline poll interval (ns).
-    pub snmp_interval_ns: u64,
     /// Interval (virtual ns) between self-telemetry collections: each one
     /// snapshots the sharded registry and writes `ruru_self` points into
     /// the tsdb (see [`crate::telemetry`]).
@@ -71,7 +69,6 @@ impl Default for PipelineConfig {
             spike: SpikeConfig::default(),
             flood: FloodConfig::default(),
             rate: RateConfig::default(),
-            snmp_interval_ns: 300 * 1_000_000_000,
             telemetry_interval_ns: 1_000_000_000,
             lossless_inject: true,
         }
@@ -834,7 +831,8 @@ impl Pipeline {
         // ZeroMQ PUSH semantics).
         let workers = WorkerGroup::spawn_bursts(queues, init, dataplane_worker);
 
-        let snmp = SnmpPoller::new(config.snmp_interval_ns, 10_000_000_000);
+        // The paper's five-minute SNMP poll, of a 10 Gbit/s link.
+        let snmp = SnmpPoller::new(300 * 1_000_000_000, 10_000_000_000);
 
         Pipeline {
             clock,
@@ -1039,7 +1037,6 @@ mod tests {
                 buf_size: 2048,
                 symmetric_rss: true,
             },
-            snmp_interval_ns: 1_000_000_000,
             ..PipelineConfig::default()
         }
     }

@@ -25,9 +25,9 @@
 //! * [`engine`] — [`engine::Pipeline`]: construction, event injection (from
 //!   `ruru-gen` or a pcap), shutdown, and the final [`engine::Report`].
 //! * [`snmp`] — the conventional-monitoring baseline: a poller that sees
-//!   only interval counters (the SNMP view) plus a coarse interval-mean
-//!   latency aggregate, used by experiment E3 to reproduce "the 4000 ms
-//!   increase had not been noticed by conventional measurement tools".
+//!   only five-minute interface counters (the SNMP view), used by
+//!   experiment E3 to reproduce "the 4000 ms increase had not been noticed
+//!   by conventional measurement tools".
 
 pub mod conservation;
 pub mod engine;

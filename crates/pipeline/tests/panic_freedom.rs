@@ -24,7 +24,6 @@ fn quick_config() -> PipelineConfig {
             buf_size: 2048,
             symmetric_rss: true,
         },
-        snmp_interval_ns: 1_000_000_000,
         ..PipelineConfig::default()
     }
 }

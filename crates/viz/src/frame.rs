@@ -232,6 +232,23 @@ mod tests {
     }
 
     #[test]
+    fn late_arc_lands_in_the_open_frame() {
+        // Enrichers publish per queue, so an arc can arrive after the
+        // window of its completion closed: it is drawn late, never lost.
+        let mut b = batcher(100);
+        b.add(Timestamp::from_millis(1), AKL, LAX, 1.0);
+        assert_eq!(b.advance_to(Timestamp::from_millis(40)).len(), 1);
+        assert!(b.add(Timestamp::from_millis(10), AKL, LAX, 2.0).is_empty());
+        assert_eq!(b.stats(), (2, 0));
+        let frames = b.advance_to(Timestamp::from_millis(70));
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].seq, 1);
+        assert_eq!(frames[0].arcs.len(), 1);
+        assert_eq!(frames[0].arcs[0].latency_ms, 2.0);
+        assert_eq!(frames[0].dropped, 0);
+    }
+
+    #[test]
     fn long_idle_gap_does_not_flood_empty_frames() {
         let mut b = batcher(100);
         b.add(Timestamp::from_millis(1), AKL, LAX, 1.0);

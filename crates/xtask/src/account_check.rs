@@ -145,7 +145,8 @@ pub struct AccountAnalysis {
     pub violations: Vec<Finding>,
     /// Suppressed sites: (path, 1-based line, audited reason).
     pub audited: Vec<(String, usize, String)>,
-    /// `account-ok` audit failures (empty reason, unused annotation).
+    /// `account-ok` audit failures (empty reason, unused annotation) and
+    /// root specs that match no fn.
     pub annotation_errors: Vec<Finding>,
     /// Reachable discard shapes that were paired with accounting.
     pub paired_sites: usize,
@@ -385,6 +386,7 @@ pub fn analyze(root: &Path) -> Result<AccountAnalysis, String> {
     }
 
     sup.audit_unused(&ws);
+    sup.errors.extend(reach.unmatched.iter().cloned());
 
     // --- per-crate rollup -------------------------------------------------
     let mut per_crate = Vec::new();

@@ -119,6 +119,9 @@ impl std::fmt::Display for Finding {
 pub struct Reach {
     pub reachable: Vec<bool>,
     parent: Vec<Option<usize>>,
+    /// One `unmatched-root` finding per root spec that names no fn: a
+    /// renamed or deleted root would otherwise shrink the gate silently.
+    pub unmatched: Vec<Finding>,
 }
 
 impl Reach {
@@ -338,6 +341,8 @@ impl Workspace {
     }
 
     /// BFS reachability from `(crate, spec)` roots, with parent pointers.
+    /// An unmatched spec's finding points at the caller's `reach` call.
+    #[track_caller]
     pub fn reach(&self, roots: &[(&str, &str)]) -> Reach {
         let mut parent: Vec<Option<usize>> = vec![None; self.fns.len()];
         let mut reachable = vec![false; self.fns.len()];
@@ -348,6 +353,19 @@ impl Workspace {
                 queue.push_back(id);
             }
         }
+        let caller = std::panic::Location::caller();
+        let unmatched = roots
+            .iter()
+            .filter(|(c, n)| !(0..self.fns.len()).any(|id| self.is_root(id, c, n)))
+            .map(|(c, n)| Finding {
+                rule: "unmatched-root",
+                path: caller.file().to_string(),
+                line: caller.line() as usize,
+                func: format!("{c}::{n}"),
+                snippet: "root spec matches no fn in the scanned crates".to_string(),
+                witness: Vec::new(),
+            })
+            .collect();
         while let Some(id) = queue.pop_front() {
             for &next in &self.edges[id] {
                 if !reachable[next] {
@@ -357,7 +375,11 @@ impl Workspace {
                 }
             }
         }
-        Reach { reachable, parent }
+        Reach {
+            reachable,
+            parent,
+            unmatched,
+        }
     }
 
     /// Propagate a per-fn property from callees up to callers (fixed point
@@ -906,6 +928,21 @@ mod tests {
         assert!(reached.contains(&"::fan".to_string()));
         assert!(!reached.contains(&"Tcp::publish".to_string()));
         assert!(!reached.contains(&"::frame".to_string()));
+        assert!(reach.unmatched.is_empty());
+    }
+
+    #[test]
+    fn unmatched_root_spec_is_a_finding() {
+        let root = std::env::temp_dir().join(format!("ruru-unmatched-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("crates/mq/src")).expect("mkdir");
+        std::fs::write(root.join("crates/mq/src/lib.rs"), "pub fn send() {}\n").expect("write");
+        let ws = Workspace::load(&root, &["mq"]).expect("load");
+        std::fs::remove_dir_all(&root).ok();
+        let reach = ws.reach(&[("mq", "send"), ("mq", "Push::try_send"), ("flow", "send")]);
+        let unmatched: Vec<&str> = reach.unmatched.iter().map(|f| f.func.as_str()).collect();
+        assert_eq!(unmatched, ["mq::Push::try_send", "flow::send"]);
+        assert!(reach.unmatched.iter().all(|f| f.rule == "unmatched-root"));
+        assert_eq!(reach.unmatched[0].path, file!());
     }
 
     #[test]

@@ -79,7 +79,6 @@ const ALLOC_ROOTS: &[(&str, &str)] = &[
     ("mq", "Receiver::try_recv"),
     ("mq", "Push::send"),
     ("mq", "Push::send_batch"),
-    ("mq", "Push::try_send"),
     ("mq", "Pull::recv"),
     ("mq", "Pull::try_recv"),
     ("mq", "Pull::recv_batch"),
@@ -194,7 +193,8 @@ pub struct HotAnalysis {
     pub alloc_violations: Vec<Finding>,
     /// Guard-across-blocking/alloc and lock-order-cycle findings.
     pub lock_violations: Vec<Finding>,
-    /// `alloc-ok`/`lock-ok` audit failures (empty reason, unused).
+    /// `alloc-ok`/`lock-ok` audit failures (empty reason, unused) and
+    /// root specs that match no fn.
     pub annotation_errors: Vec<Finding>,
     pub audited_alloc: usize,
     pub audited_lock: usize,
@@ -631,6 +631,7 @@ pub fn analyze(root: &Path) -> Result<HotAnalysis, String> {
     let mut annotation_errors: Vec<Finding> = Vec::new();
     annotation_errors.append(&mut sup_alloc.errors);
     annotation_errors.append(&mut sup_lock.errors);
+    annotation_errors.extend(reach.unmatched);
 
     alloc_violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     lock_violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

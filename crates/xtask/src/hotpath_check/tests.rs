@@ -14,10 +14,13 @@ fn fixture(files: &[(&str, &str)]) -> std::path::PathBuf {
     root
 }
 
+/// Analyze a fixture. It holds a few files, so most roots match nothing
+/// in it; `callgraph` tests the `unmatched-root` finding.
 fn run_on(files: &[(&str, &str)]) -> HotAnalysis {
     let root = fixture(files);
-    let a = analyze(&root).expect("analyze fixture");
+    let mut a = analyze(&root).expect("analyze fixture");
     std::fs::remove_dir_all(&root).ok();
+    a.annotation_errors.retain(|f| f.rule != "unmatched-root");
     a
 }
 

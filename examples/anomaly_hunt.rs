@@ -21,10 +21,7 @@ fn main() {
     let window = (Timestamp::from_secs(600), Timestamp::from_secs(630));
 
     println!("anomaly hunt — firewall window {}..{}", window.0, window.1);
-    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        snmp_interval_ns: 300 * 1_000_000_000, // the conventional 5-minute poll
-        ..PipelineConfig::default()
-    });
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig::default());
     let mut gen = TrafficGen::with_world(
         GenConfig {
             seed: 4000,

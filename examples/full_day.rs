@@ -25,10 +25,7 @@ fn main() {
     };
 
     println!("simulating 48 h of diurnal traffic with a nightly 03:10 firewall window…");
-    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        snmp_interval_ns: 300 * 1_000_000_000,
-        ..PipelineConfig::default()
-    });
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig::default());
     let mut gen = TrafficGen::with_world(
         GenConfig {
             seed: 4848,

@@ -15,10 +15,7 @@ fn main() {
     let duration = Timestamp::from_secs(120);
     println!("ruru quickstart — {} of simulated Auckland↔world traffic", duration);
 
-    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        snmp_interval_ns: 30 * 1_000_000_000,
-        ..PipelineConfig::default()
-    });
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig::default());
     let mut gen = TrafficGen::with_world(
         GenConfig {
             seed: 2017,

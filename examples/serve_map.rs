@@ -1,24 +1,34 @@
-//! Serve the live 3D-map frontend to a real browser.
+//! Serve the live 3D map to a real browser, drawn from what the pipeline
+//! measures while it measures ("multiple thousands of connections per
+//! second on a live 3D map", 30 fps, fed from the PUB socket):
 //!
-//! A miniature of the deployed Ruru frontend: this binary simulates
-//! traffic, batches connection arcs into 30 fps frames, and runs a tiny
-//! HTTP server that delivers an HTML5-canvas world map which subscribes to
-//! the frame stream over a WebSocket (handshake and framing from
-//! `ruru::viz::ws`).
+//! * the main thread feeds generated traffic at 4 500 connections/s, paced
+//!   so that virtual time is wall time since start;
+//! * a frontend thread subscribes to PUB `enriched` before the first
+//!   packet, batches each decoded line into 30 fps frames, and every 33 ms
+//!   closes the frames that are due, empty ones included;
+//! * each frame is encoded once (JSON in a WebSocket text frame) and fanned
+//!   out to the browsers over a PUB socket, which drops frames for a slow
+//!   browser instead of stalling the map. A tiny HTTP server delivers the
+//!   HTML5-canvas page that subscribes to it.
 //!
 //! ```sh
-//! cargo run --release --example serve_map            # visit the printed URL
+//! cargo run --release --example serve_map                  # visit the printed URL
 //! cargo run --release --example serve_map -- --self-test   # CI smoke mode
 //! ```
 
+use ruru::analytics::EnrichedMeasurement;
 use ruru::gen::{GenConfig, TrafficGen};
-use ruru::geo::SynthWorld;
-use ruru::nic::Timestamp;
+use ruru::mq::{Message, Publisher, Subscriber};
+use ruru::nic::{Clock, Timestamp};
+use ruru::pipeline::{Pipeline, PipelineConfig};
 use ruru::viz::frame::{Frame, FrameBatcher, FrameConfig};
 use ruru::viz::ws;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const PAGE: &str = r#"<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>ruru — live latency map</title>
@@ -86,95 +96,116 @@ ws.onmessage = ev => {
 ws.onclose = () => hud.textContent += ' — stream ended';
 </script></body></html>"#;
 
-/// Pre-compute a loopable frame reel from a simulated run.
-fn build_frames() -> Vec<Arc<String>> {
-    let world = SynthWorld::generate(2);
-    let mut gen = TrafficGen::with_world(
-        GenConfig {
-            seed: 3030,
-            flows_per_sec: 250.0,
-            duration: Timestamp::from_secs(30),
-            data_exchanges: (0, 0),
-            ..GenConfig::default()
-        },
-        world,
-    );
-    for _ in gen.by_ref() {}
-    let world = gen.world();
-    let mut batcher = FrameBatcher::new(
-        FrameConfig {
-            segments: 24,
-            ..FrameConfig::default()
-        },
-        Timestamp::ZERO,
-    );
-    let mut frames: Vec<Frame> = Vec::new();
-    for t in gen.truths() {
-        let src = world.city_location(t.client_city);
-        let dst = world.city_location(t.server_city);
-        frames.extend(batcher.add(
-            t.t_syn_tap.advanced(t.external_ns + t.internal_ns),
-            (src.lat, src.lon),
-            (dst.lat, dst.lon),
-            (t.external_ns + t.internal_ns) as f64 / 1e6,
-        ));
-    }
-    frames.extend(batcher.advance_to(Timestamp::from_secs(31)));
-    frames
-        .into_iter()
-        .map(|f| Arc::new(f.to_json()))
-        .collect()
+/// Offered connections per second: the paper's "multiple thousands".
+const RATE: f64 = 4_500.0;
+/// How long the interactive demo measures before it stops.
+const DEMO_SECS: u64 = 300;
+/// How long the self-test measures.
+const SELF_TEST_SECS: u64 = 5;
+/// The frontend's frame tick: 30 fps.
+const TICK: Duration = Duration::from_millis(33);
+/// Enriched lines the frontend may fall behind before PUB drops them.
+const FEED_HWM: usize = 1 << 16;
+/// Frames a browser may fall behind (about 30 s) before PUB drops them.
+const BROWSER_HWM: usize = 1024;
+/// Topics on the frame PUB socket; browsers subscribe to their prefix.
+const FRAME_TOPIC: &str = "map.frame";
+const CLOSE_TOPIC: &str = "map.close";
+
+/// The frontend: PUB `enriched` in, 30 fps WebSocket frames out.
+struct Frontend {
+    feed: Subscriber,
+    clock: Clock,
+    batcher: FrameBatcher,
+    /// Completion times of the records in the open frame.
+    open: Vec<Timestamp>,
+    out: Publisher,
+    /// The wall instant of virtual time zero.
+    start: Instant,
+    /// Set once every record is published.
+    done: Arc<AtomicBool>,
+    /// Enriched lines received from the pipeline.
+    received: u64,
+    /// Per frame sent: the instant it was published and its encode time.
+    sent: Vec<(Instant, Duration)>,
+    /// Per record: its completion to the send of the frame carrying it.
+    lags: Vec<Duration>,
 }
 
-fn handle_client(mut stream: TcpStream, frames: Arc<Vec<Arc<String>>>, max_frames: Option<usize>) {
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("/").to_string();
-    let mut ws_key = String::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).is_err() {
-            return;
-        }
-        let l = line.trim();
-        if let Some(k) = l.strip_prefix("Sec-WebSocket-Key:") {
-            ws_key = k.trim().to_string();
-        }
-        if l.is_empty() {
-            break;
-        }
-    }
-    if path == "/ws" && !ws_key.is_empty() {
-        let response = format!(
-            "HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\
-             Connection: Upgrade\r\nSec-WebSocket-Accept: {}\r\n\r\n",
-            ws::accept_key(&ws_key)
+impl Frontend {
+    fn take(&mut self, msg: Message) {
+        let em = std::str::from_utf8(&msg.payload)
+            .ok()
+            .and_then(EnrichedMeasurement::from_line)
+            .expect("the pipeline publishes well-formed enriched lines");
+        self.received += 1;
+        // Enrichers publish per queue, out of completion order: an arc
+        // whose window already closed lands in the open frame.
+        let frames = self.batcher.add(
+            em.completed_at,
+            (em.src.lat, em.src.lon),
+            (em.dst.lat, em.dst.lon),
+            em.total_ns() as f64 / 1e6,
         );
-        if stream.write_all(response.as_bytes()).is_err() {
-            return;
-        }
-        // Stream the reel at wall-clock 30 fps, looping.
-        let mut sent = 0usize;
-        'outer: loop {
-            for frame in frames.iter() {
-                let data = ws::encode_frame(ws::Opcode::Text, frame.as_bytes());
-                if stream.write_all(&data).is_err() {
-                    break 'outer;
-                }
-                sent += 1;
-                if let Some(max) = max_frames {
-                    if sent >= max {
-                        let _ = stream.write_all(&ws::encode_frame(ws::Opcode::Close, &[]));
-                        break 'outer;
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(33));
+        self.send(frames);
+        self.open.push(em.completed_at);
+    }
+
+    /// Encode each frame once and publish it to every browser.
+    fn send(&mut self, frames: Vec<Frame>) {
+        for frame in frames {
+            let t = Instant::now();
+            let bytes = ws::encode_frame(ws::Opcode::Text, frame.to_json().as_bytes());
+            let encode = t.elapsed();
+            self.out.publish(Message::new(FRAME_TOPIC, bytes));
+            let at = Instant::now();
+            self.sent.push((at, encode));
+            // Only the first closed frame is the one that was open.
+            for completed in self.open.drain(..) {
+                let completed = self.start + Duration::from_nanos(completed.as_nanos());
+                self.lags.push(at.saturating_duration_since(completed));
             }
         }
-    } else {
+    }
+
+    /// Run until `done` is set and the feed is drained, then close the open
+    /// frame and publish a close.
+    fn run(mut self) -> Frontend {
+        let mut tick = Instant::now() + TICK;
+        loop {
+            match self.feed.recv_timeout(tick.saturating_duration_since(Instant::now())) {
+                Some(msg) => self.take(msg),
+                None if self.done.load(Ordering::Acquire) => break,
+                None => {}
+            }
+            if Instant::now() >= tick {
+                let frames = self.batcher.advance_to(self.clock.now());
+                self.send(frames);
+                tick += TICK;
+            }
+        }
+        // A line may have landed after the last receive timed out.
+        while let Some(msg) = self.feed.try_recv() {
+            self.take(msg);
+        }
+        let frames = self.batcher.advance_to(self.clock.now().advanced(1_000_000_000 / 30));
+        self.send(frames);
+        self.out
+            .publish(Message::new(CLOSE_TOPIC, ws::encode_frame(ws::Opcode::Close, &[])));
+        self
+    }
+}
+
+/// Serve one HTTP connection: the map page, or a WebSocket that streams
+/// every frame published on `frames` until the close.
+fn handle_client(mut stream: TcpStream, frames: &Publisher) {
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut lines = reader.lines().map_while(Result::ok);
+    let Some(request) = lines.next() else { return };
+    let ws_key = lines
+        .take_while(|l| !l.is_empty())
+        .find_map(|l| Some(l.strip_prefix("Sec-WebSocket-Key:")?.trim().to_string()));
+    let Some(ws_key) = ws_key.filter(|_| request.starts_with("GET /ws ")) else {
         let response = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -182,63 +213,171 @@ fn handle_client(mut stream: TcpStream, frames: Arc<Vec<Arc<String>>>, max_frame
             PAGE
         );
         let _ = stream.write_all(response.as_bytes());
+        return;
+    };
+    // Subscribe before the handshake reply: a client that has read the
+    // reply receives every frame published after it.
+    let sub = frames.subscribe("map.", BROWSER_HWM);
+    let response = format!(
+        "HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\
+         Connection: Upgrade\r\nSec-WebSocket-Accept: {}\r\n\r\n",
+        ws::accept_key(&ws_key)
+    );
+    if stream.write_all(response.as_bytes()).is_err() {
+        return;
     }
+    loop {
+        let Some(msg) = sub.recv_timeout(Duration::from_secs(1)) else {
+            continue;
+        };
+        if stream.write_all(&msg.payload).is_err() || &msg.topic[..] == CLOSE_TOPIC.as_bytes() {
+            return;
+        }
+    }
+}
+
+/// Text frames in a server's byte stream, and the arcs and dropped arcs
+/// they carry.
+fn count_frames(buf: &[u8]) -> (u64, u64, u64) {
+    let (mut at, mut frames, mut arcs, mut dropped) = (0, 0, 0, 0);
+    while at < buf.len() {
+        let (len, hdr) = match buf[at + 1] & 0x7f {
+            126 => (u16::from_be_bytes([buf[at + 2], buf[at + 3]]) as usize, 4),
+            127 => (u64::from_be_bytes(buf[at + 2..at + 10].try_into().unwrap()) as usize, 10),
+            n => (n as usize, 2),
+        };
+        let payload = std::str::from_utf8(&buf[at + hdr..at + hdr + len]).expect("UTF-8");
+        if buf[at] & 0x0f == 0x1 {
+            frames += 1;
+            arcs += payload.matches(r#"{"color":"#).count() as u64;
+            let (_, rest) = payload.split_once(r#""dropped":"#).expect("a dropped count");
+            dropped += rest.split(',').next().and_then(|d| d.parse::<u64>().ok()).unwrap();
+        }
+        at += hdr + len;
+    }
+    (frames, arcs, dropped)
 }
 
 fn main() {
     let self_test = std::env::args().any(|a| a == "--self-test");
-    println!("building frame reel from a 30 s simulated run…");
-    let frames = Arc::new(build_frames());
-    println!("{} frames ready", frames.len());
+    let secs = if self_test { SELF_TEST_SECS } else { DEMO_SECS };
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig::default());
+    let feed = pipeline.subscribe_enriched(FEED_HWM);
+    let frames = Publisher::new();
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap();
-    println!("serving live map on http://{addr}/  (Ctrl-C to stop)");
-
-    if self_test {
-        // Smoke mode: fetch the page and a few frames, then exit.
-        let frames2 = Arc::clone(&frames);
-        let server = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let (stream, _) = listener.accept().expect("accept");
-                let f = Arc::clone(&frames2);
-                handle_client(stream, f, Some(5));
-            }
-        });
-        // 1. Page fetch.
-        let mut s = TcpStream::connect(addr).unwrap();
-        write!(s, "GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let addr = listener.local_addr().expect("bound address");
+    println!("serving live map on http://{addr}/  (measuring for {secs} s)");
+    // Browsers come and go; the accept loop lives until the process exits.
+    let server = frames.clone();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let frames = server.clone();
+            std::thread::spawn(move || handle_client(stream, &frames));
+        }
+    });
+    // Self-test: one page fetch, then one WebSocket client attached before
+    // the first packet, reading until the server closes.
+    let client = self_test.then(|| {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        write!(s, "GET / HTTP/1.1\r\nHost: x\r\n\r\n").expect("request page");
         let mut page = String::new();
-        s.read_to_string(&mut page).unwrap();
+        s.read_to_string(&mut page).expect("read page");
         assert!(page.contains("200 OK") && page.contains("ruru — live latency map"));
-        // 2. WebSocket: handshake + 5 frames.
-        let mut s = TcpStream::connect(addr).unwrap();
+        let mut s = TcpStream::connect(addr).expect("connect");
         write!(
             s,
             "GET /ws HTTP/1.1\r\nHost: x\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n\
              Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\nSec-WebSocket-Version: 13\r\n\r\n"
         )
-        .unwrap();
+        .expect("request upgrade");
         let mut r = BufReader::new(s);
-        loop {
-            let mut line = String::new();
-            r.read_line(&mut line).unwrap();
-            if line.trim().is_empty() {
-                break;
-            }
+        let mut line = String::new();
+        r.read_line(&mut line).expect("read upgrade reply");
+        assert!(line.starts_with("HTTP/1.1 101"), "upgrade refused: {line}");
+        while line.trim() != "" {
+            line.clear();
+            r.read_line(&mut line).expect("read upgrade reply");
         }
-        let mut body = Vec::new();
-        r.read_to_end(&mut body).unwrap();
-        let text_frames = body.iter().filter(|&&b| b == 0x81).count();
-        assert!(text_frames >= 5, "got {text_frames} ws frames");
-        server.join().unwrap();
-        println!("self-test ok: page + {text_frames} websocket frames delivered");
-        return;
-    }
+        std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            r.read_to_end(&mut buf).expect("read frames");
+            buf
+        })
+    });
 
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let frames = Arc::clone(&frames);
-        std::thread::spawn(move || handle_client(stream, frames, None));
+    let mut gen = TrafficGen::with_world(
+        GenConfig {
+            seed: 3030,
+            flows_per_sec: RATE,
+            duration: Timestamp::from_secs(secs),
+            data_exchanges: (0, 0),
+            record_truth: false,
+            ..GenConfig::default()
+        },
+        world,
+    );
+    let done = Arc::new(AtomicBool::new(false));
+    let start = Instant::now();
+    let frontend = Frontend {
+        feed,
+        clock: pipeline.clock().clone(),
+        batcher: FrameBatcher::new(FrameConfig::default(), Timestamp::ZERO),
+        open: Vec::new(),
+        out: frames,
+        start,
+        done: Arc::clone(&done),
+        received: 0,
+        sent: Vec::new(),
+        lags: Vec::new(),
+    };
+    let frontend = std::thread::spawn(move || frontend.run());
+    // Open loop: each packet is fed when its virtual time comes due.
+    for event in gen.by_ref() {
+        let due = start + Duration::from_nanos(event.at.as_nanos());
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        pipeline.feed(&event);
+    }
+    let fed_until = Instant::now();
+    let report = pipeline.finish();
+    done.store(true, Ordering::Release);
+    let mut fe = frontend.join().expect("frontend panicked");
+
+    // While the feeder ran: frame spacing and encode cost.
+    let live: Vec<(Instant, Duration)> =
+        fe.sent.iter().copied().filter(|&(at, _)| at <= fed_until).collect();
+    let mut gaps: Vec<Duration> = live.windows(2).map(|w| w[1].0 - w[0].0).collect();
+    gaps.sort();
+    let median_gap = gaps[gaps.len() / 2];
+    let max_encode = live.iter().map(|&(_, e)| e).max().unwrap_or_default();
+    fe.lags.sort();
+    let rate = report.measurements() as f64 / secs as f64;
+    let feed_drops = fe.feed.drops();
+    println!(
+        "measured {} connections ({rate:.0}/s); frontend received {} ({feed_drops} dropped \
+         by PUB); sent {} frames: median interval {median_gap:.1?}, max encode {max_encode:.2?}, \
+         frame lag p50 {:.1?} p99 {:.1?}",
+        report.measurements(),
+        fe.received,
+        fe.sent.len(),
+        fe.lags[fe.lags.len() / 2],
+        fe.lags[fe.lags.len() * 99 / 100],
+    );
+    if let Some(client) = client {
+        let (frames, arcs, dropped) = count_frames(&client.join().expect("client panicked"));
+        assert_eq!(frames, fe.sent.len() as u64, "the client got every frame sent");
+        assert_eq!(arcs + dropped, fe.received, "one arc (or drop) per record received");
+        assert!(fe.received > 0, "the frontend received records");
+        assert_eq!(fe.received, report.measurements() - feed_drops);
+        assert!(rate >= 4_000.0, "offered {rate:.0} connections/s");
+        assert!(
+            median_gap.abs_diff(TICK) <= Duration::from_millis(5),
+            "median frame interval {median_gap:?}"
+        );
+        assert!(max_encode < TICK, "a frame took {max_encode:?} to encode");
+        println!("self-test ok: page + {frames} live frames, {arcs} arcs, {dropped} dropped");
     }
 }

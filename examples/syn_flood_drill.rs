@@ -29,7 +29,6 @@ fn main() {
             capacity: 100_000, // bounded per-queue tables
             ..ruru::flow::TrackerConfig::default()
         },
-        snmp_interval_ns: 10_000_000_000,
         ..PipelineConfig::default()
     });
     let mut gen = TrafficGen::with_world(

@@ -82,9 +82,9 @@ if [[ "$quick" -eq 0 ]]; then
     step "cargo bench --no-run --workspace" cargo bench "${CARGO_FLAGS[@]}" --no-run --workspace
     step "TSDB smoke" report_smoke tsdb_report storage.latency_row_bytes
     step "Inflow smoke" report_smoke inflow_report
-    # Examples smoke, as in CI: the map is tessellated from the PUB feed.
+    # Examples smoke, as in CI: the live map, drawn from the PUB feed
+    # while the pipeline runs.
     step "serve_map --self-test" cargo run "${CARGO_FLAGS[@]}" --release --example serve_map -- --self-test
-    step "live_map_feed" cargo run "${CARGO_FLAGS[@]}" --release --example live_map_feed
     step "perfbench smoke" scripts/perfbench_smoke.sh
 fi
 

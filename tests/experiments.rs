@@ -92,7 +92,6 @@ fn e3_firewall_anomaly_detected_with_high_recall() {
     let window = (Timestamp::from_secs(60), Timestamp::from_secs(75));
     let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
         spike: SpikeConfig::default(),
-        snmp_interval_ns: 60 * 1_000_000_000,
         ..PipelineConfig::default()
     });
     let mut gen = TrafficGen::with_world(
@@ -117,8 +116,10 @@ fn e3_firewall_anomaly_detected_with_high_recall() {
         spikes <= affected + affected / 20,
         "false positives: {spikes} alerts vs {affected} affected"
     );
-    // SNMP view: utilization flat across polls.
+    // SNMP view: the whole 180 s run, window included, is one five-minute
+    // poll, and its utilization stays flat.
     let utils: Vec<f64> = report.snmp.iter().map(|s| s.utilization).collect();
+    assert_eq!(utils.len(), 1, "one five-minute poll");
     let spread = utils.iter().cloned().fold(0.0, f64::max)
         - utils.iter().cloned().fold(f64::INFINITY, f64::min);
     assert!(spread < 0.001, "utilization moved {spread}");
