@@ -9,7 +9,8 @@
 //! Workers run in DPDK-style bursts: up to [`WORKER_BURST`] records per
 //! [`Pull::recv_batch`], each rendered once by the worker's [`Renderer`],
 //! and forwarded with one [`Push::send_batch`] / `publish_batch` per
-//! burst. The renderer refills one reused `latency` point for the tsdb
+//! burst. A worker blocks only on an empty input, and flushes
+//! ([`Push::flush`]) the detector feed before it does. The renderer refills one reused `latency` point for the tsdb
 //! stripe and writes both bus payloads into one scratch block: the fixed
 //! **binary** [`EnrichedMeasurement`] record for the detector feed, and
 //! the line-protocol line for the PUB edge, so external subscribers stay
@@ -228,9 +229,15 @@ impl EnrichmentPool {
                         // Reused residency scratch: no steady-state allocation.
                         let mut residencies: Vec<u64> = Vec::with_capacity(WORKER_BURST);
                         loop {
-                            // One blocking rendezvous per burst.
-                            if input.recv_batch(&mut batch, WORKER_BURST) == 0 {
-                                break;
+                            // Take what is buffered; only an empty input
+                            // blocks, and the detector feed is flushed
+                            // first, so no record of this worker's part
+                            // bursts waits for more traffic.
+                            if input.try_recv_batch(&mut batch, WORKER_BURST) == 0 {
+                                detector_feed.flush();
+                                if input.recv_batch(&mut batch, WORKER_BURST) == 0 {
+                                    break;
+                                }
                             }
                             let mut enriched = 0u64;
                             let mut decode_errors = 0u64;

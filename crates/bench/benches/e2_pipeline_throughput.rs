@@ -127,6 +127,7 @@ fn run_threaded(events: &[(Timestamp, Vec<u8>)], queues: u16) -> f64 {
             }
             p2.fetch_add(n, Ordering::Relaxed);
         },
+        |_| {},
     );
     let start = Instant::now();
     let total = events.len() as u64;

@@ -26,16 +26,16 @@
 //! clones a reference count, never the bytes — the "zero-copy" the paper
 //! leans on. Experiment E8 benchmarks this against a copying bus.
 //!
-//! All three patterns also expose **vectored batch transfer**
-//! ([`Push::send_batch`], [`Pull::recv_batch`], [`Publisher::publish_batch`])
-//! so stages that already work in DPDK-style bursts make one call per
-//! burst. The channel lock is still taken once per message:
-//! `send_batch` and `recv_batch` loop over the per-message operations
-//! (`recv_batch` blocks only for the first), and `publish_batch` takes
-//! the subscriber-list lock once per batch but enqueues message by
-//! message. Batch calls are semantically identical to their per-message
-//! forms — same ordering, same HWM back-pressure (PUSH) and drop-on-full
-//! (PUB) behaviour — batched and unbatched endpoints interoperate freely.
+//! All three patterns move **bursts**: [`Push::send_batch`],
+//! [`Pull::recv_batch`] and [`Publisher::publish_batch`] take each channel
+//! lock once per burst (a PUB burst once per subscriber queue), and the
+//! one-message calls are one-message bursts. A PUSH wakes a sleeping
+//! puller only once the pipe holds a full burst or the producer flushes
+//! ([`Push::flush`], which every producer calls when it goes idle);
+//! [`Pull::probe`] counts those wakes. Batch calls keep the per-message
+//! semantics — same ordering, same HWM back-pressure (PUSH) and
+//! drop-on-full (PUB) behaviour — and batched and unbatched endpoints
+//! interoperate freely.
 
 pub mod chan;
 pub mod message;

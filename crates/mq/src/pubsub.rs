@@ -4,8 +4,12 @@
 //! mark, the message is dropped *for that subscriber* and counted — exactly
 //! ZeroMQ's PUB behaviour, chosen so a slow analytics module can never stall
 //! the DPDK dataplane.
+//!
+//! A burst is handed to each subscriber under one lock of its queue, and a
+//! subscriber waiting on an empty queue is woken once per publish call:
+//! PUB has no flush, so every publish ends its burst.
 
-use crate::chan::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use crate::chan::{bounded, Disconnected, Receiver, Sender, TryRecvError, WAKE_BURST};
 use crate::message::Message;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, RwLock};
@@ -64,10 +68,10 @@ impl Publisher {
         Subscriber { rx, drops, alive }
     }
 
-    /// Deliver one message to every matching subscriber under an
-    /// already-held subscriber list. Returns the delivery count and sets
-    /// `gone` when a dead subscription was seen.
-    fn deliver(&self, subs: &[SubEntry], msg: &Message, gone: &mut bool) -> u64 {
+    /// Deliver a staged burst to every matching subscriber under an
+    /// already-held subscriber list, one queue lock per subscriber. Returns
+    /// the delivery count and sets `gone` when a dead subscription was seen.
+    fn deliver(&self, subs: &[SubEntry], burst: &[Option<Message>], gone: &mut bool) -> u64 {
         let mut delivered = 0;
         for sub in subs.iter() {
             if !sub.alive.load(Ordering::Acquire) {
@@ -76,22 +80,19 @@ impl Publisher {
                 // copy; live subscribers still receive the message.
                 continue;
             }
-            if !msg.matches(&sub.prefix) {
-                // account-ok: topic filter — the subscriber never asked for
-                // this prefix, so no delivery is owed.
-                continue;
-            }
-            // alloc-ok: Message holds Bytes — clone is two refcount bumps,
+            // Only the messages the subscriber's prefix asked for, cloned:
+            // a `Message` holds `Bytes`, so a clone is two refcount bumps,
             // no payload copy.
-            match sub.sender.try_send(msg.clone()) {
-                Ok(()) => delivered += 1,
-                Err(TrySendError::Full(_)) => {
-                    sub.drops.fetch_add(1, Ordering::Relaxed);
-                    self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            let matching = burst.iter().flatten().filter(|m| m.matches(&sub.prefix));
+            match sub.sender.try_send_batch(matching.cloned()) {
+                Ok((sent, dropped)) => {
+                    delivered += sent;
+                    if dropped > 0 {
+                        sub.drops.fetch_add(dropped, Ordering::Relaxed);
+                        self.inner.dropped.fetch_add(dropped, Ordering::Relaxed);
+                    }
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    *gone = true;
-                }
+                Err(Disconnected) => *gone = true,
             }
         }
         delivered
@@ -109,26 +110,17 @@ impl Publisher {
     }
 
     /// Publish a message to every matching subscriber. Never blocks;
-    /// returns the number of subscribers that received it.
+    /// returns the number of subscribers that received it. A one-message
+    /// [`Publisher::publish_batch`].
     pub fn publish(&self, msg: Message) -> usize {
-        self.inner.published.fetch_add(1, Ordering::Relaxed);
-        let mut gone = false;
-        let delivered = {
-            let subs = self.inner.subs.read().unwrap_or_else(|e| e.into_inner());
-            self.deliver(&subs, &msg, &mut gone)
-        };
-        if gone {
-            // Prune dead subscriptions outside the read lock.
-            self.prune();
-        }
-        self.inner.delivered.fetch_add(delivered, Ordering::Relaxed);
-        delivered as usize
+        self.publish_batch(Some(msg))
     }
 
     /// Publish a burst of messages under a single subscriber-list lock
-    /// acquisition, amortizing the fan-out synchronization over the batch.
-    /// Per-message semantics are identical to [`Publisher::publish`]:
-    /// never blocks, a subscriber at its high-water mark drops exactly the
+    /// acquisition. The burst is staged [`WAKE_BURST`] messages at a time,
+    /// and each stage goes to each subscriber under one lock of its queue.
+    /// Per-message semantics are those of a loop of publishes: never
+    /// blocks, a subscriber at its high-water mark drops exactly the
     /// messages that did not fit (counted per subscriber), and delivery
     /// order within the batch is preserved. Returns the total number of
     /// (message, subscriber) deliveries.
@@ -136,17 +128,32 @@ impl Publisher {
     where
         I: IntoIterator<Item = Message>,
     {
+        let mut msgs = msgs.into_iter();
         let mut gone = false;
         let mut published = 0u64;
         let mut delivered = 0u64;
         {
             let subs = self.inner.subs.read().unwrap_or_else(|e| e.into_inner());
-            for msg in msgs {
-                published += 1;
-                delivered += self.deliver(&subs, &msg, &mut gone);
+            let mut stage: [Option<Message>; WAKE_BURST] = Default::default();
+            // A full stage may have more behind it; a part stage ends it.
+            let mut more = true;
+            while more {
+                let mut n = 0;
+                for (slot, msg) in stage.iter_mut().zip(msgs.by_ref()) {
+                    *slot = Some(msg);
+                    n += 1;
+                }
+                more = n == WAKE_BURST;
+                if n > 0 {
+                    published += n as u64;
+                    let burst = stage.get(..n).unwrap_or(&[]);
+                    delivered += self.deliver(&subs, burst, &mut gone);
+                    stage.iter_mut().take(n).for_each(|slot| *slot = None);
+                }
             }
         }
         if gone {
+            // Prune dead subscriptions outside the read lock.
             self.prune();
         }
         self.inner.published.fetch_add(published, Ordering::Relaxed);

@@ -6,8 +6,15 @@
 //! ZeroMQ semantics, blocks at the high-water mark instead of dropping —
 //! analytics must see every measurement, unlike the best-effort frontend
 //! feed.
+//!
+//! A PUSH hands work over in bursts: it wakes a puller that sleeps on an
+//! empty pipe only once the pipe holds a full burst
+//! ([`WAKE_BURST`](crate::chan::WAKE_BURST)), or
+//! when the producer calls [`Push::flush`], which every producer does when
+//! it goes idle. A dropped [`Push`] flushes too, and [`Push::send`] is a
+//! one-message burst plus a flush.
 
-use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender};
+use crate::chan::{bounded, Probe, Receiver, RecvTimeoutError, Sender};
 use crate::message::Message;
 use std::time::Duration;
 
@@ -28,32 +35,33 @@ pub struct Push {
 }
 
 impl Push {
-    /// Send, blocking while the pipe is at its high-water mark.
-    /// Returns `Err` with the message if every puller is gone.
+    /// Send one message and flush, blocking while the pipe is at its
+    /// high-water mark. Returns `Err` with the message if every puller is
+    /// gone.
     pub fn send(&self, msg: Message) -> Result<(), Message> {
         self.tx.send(msg).map_err(|e| e.0)
     }
 
-    /// Send a burst of messages in order, one call per burst. This is a
-    /// loop over [`Push::send`], so the channel lock is taken once per
-    /// message, and the semantics are identical: messages occupy the pipe
-    /// individually, ordering is preserved, and the call blocks mid-batch
-    /// whenever the pipe is at its high-water mark (back-pressure, never
-    /// loss). Returns the number of messages sent, or `Err` with the first
-    /// unsendable message once every puller is gone (the rest of the batch
-    /// is dropped — the pipe is dead either way).
+    /// Send a burst of messages in order under one pipe lock. Messages
+    /// occupy the pipe individually, ordering is preserved, and the call
+    /// blocks mid-burst whenever the pipe is at its high-water mark
+    /// (back-pressure, never loss). A sleeping puller is woken once the
+    /// pipe holds a full burst; a part burst waits for more or for
+    /// [`Push::flush`]. Returns the number of messages sent, or `Err` with
+    /// the first unsendable message once every puller is gone (the rest of
+    /// the batch is dropped — the pipe is dead either way).
     pub fn send_batch<I>(&self, msgs: I) -> Result<usize, Message>
     where
         I: IntoIterator<Item = Message>,
     {
-        let mut sent = 0;
-        for msg in msgs {
-            // account-ok: a closed-pipe send returns the message; the
-            // engine catch-site records it as Reject::BusClosed.
-            self.tx.send(msg).map_err(|e| e.0)?;
-            sent += 1;
-        }
-        Ok(sent)
+        self.tx.send_batch(msgs, false).map_err(|e| e.0)
+    }
+
+    /// Wake a sleeping puller if anything is buffered. A producer calls
+    /// this when it goes idle, so a part burst never waits for traffic
+    /// that may not come.
+    pub fn flush(&self) {
+        self.tx.flush();
     }
 
     /// Messages currently buffered in the pipe.
@@ -88,51 +96,24 @@ impl Pull {
         self.rx.try_recv().ok()
     }
 
-    /// Receive up to `max` messages into `out`, blocking only for the
-    /// first. Everything already buffered behind the first message is
-    /// drained without further blocking, taking the channel lock once per
-    /// message. Returns how many messages were
-    /// appended; `0` means every pusher is gone and the pipe is drained
-    /// (or `max == 0`).
+    /// Receive up to `max` messages into `out` under one pipe lock,
+    /// blocking only while the pipe is empty. Returns how many messages
+    /// were appended; `0` means every pusher is gone and the pipe is
+    /// drained (or `max == 0`).
     pub fn recv_batch(&self, out: &mut Vec<Message>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let Ok(first) = self.rx.recv() else {
-            return 0;
-        };
-        out.push(first);
-        let mut n = 1;
-        while n < max {
-            match self.rx.try_recv() {
-                Ok(m) => {
-                    out.push(m);
-                    n += 1;
-                }
-                // account-ok: drain stops at empty/disconnected; every
-                // message received so far is in `out`.
-                Err(_) => break,
-            }
-        }
-        n
+        self.rx.recv_batch(out, max)
     }
 
-    /// Non-blocking batch receive: drain up to `max` buffered messages
-    /// into `out` and return how many were appended (possibly zero).
+    /// Non-blocking batch receive: move up to `max` buffered messages into
+    /// `out` under one pipe lock and return how many (possibly zero).
     pub fn try_recv_batch(&self, out: &mut Vec<Message>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.rx.try_recv() {
-                Ok(m) => {
-                    out.push(m);
-                    n += 1;
-                }
-                // account-ok: drain stops at empty/disconnected; every
-                // message received so far is in `out`.
-                Err(_) => break,
-            }
-        }
-        n
+        self.rx.try_recv_batch(out, max)
+    }
+
+    /// The pipe's counters ([`Probe::wakeups`]: how often a PUSH woke a
+    /// sleeping puller), through a handle that keeps no end open.
+    pub fn probe(&self) -> Probe<Message> {
+        self.rx.probe()
     }
 
     /// Messages currently buffered.

@@ -6,7 +6,9 @@
 //! leans on — PUSH *blocks* at the high-water mark (analytics must see
 //! every measurement), PUB *drops* at the high-water mark (a slow consumer
 //! must never stall the dataplane) — plus the disconnect handshakes that
-//! wake blocked peers.
+//! wake blocked peers, and the burst-or-flush rule by which a PUSH wakes a
+//! sleeping puller: a part burst must reach it after a flush, and after
+//! its pusher is dropped, with no more traffic.
 //!
 //! Run with:
 //!
@@ -146,5 +148,79 @@ fn loom_counted_notify_wakes_blocked_sender_and_receiver() {
         assert_eq!(rx.recv(), Ok(2));
         let tx = t.join().unwrap();
         assert!(tx.is_empty());
+    });
+}
+
+/// A part burst reaches a sleeping puller once the pusher flushes: the
+/// send alone (two messages, far below a burst) does not wake it, the
+/// flush must. The pusher stays alive until the puller has returned, so
+/// no disconnect can stand in for a lost flush; a flush that skips its
+/// notify leaves the puller blocked, which the checker reports as a
+/// deadlock.
+#[test]
+fn loom_parked_puller_receives_a_part_burst_after_flush() {
+    loom::model(|| {
+        let (push, pull) = pipe(64);
+        let t = thread::spawn(move || {
+            let mut got = Vec::new();
+            pull.recv_batch(&mut got, 32);
+            got
+        });
+        let part = vec![Message::new("t", "a"), Message::new("t", "b")];
+        assert_eq!(push.send_batch(part), Ok(2));
+        push.flush();
+        let got = t.join().unwrap();
+        let payloads: Vec<&[u8]> = got.iter().map(|m| &m.payload[..]).collect();
+        assert_eq!(payloads, [&b"a"[..], &b"b"[..]], "the whole part burst, in order");
+        drop(push);
+    });
+}
+
+/// A part burst reaches a sleeping puller when its pusher is dropped
+/// without a flush. A second pusher outlives the puller, so the drop is
+/// not the pipe's disconnect: only the drop's own flush can wake it.
+#[test]
+fn loom_parked_puller_receives_a_part_burst_when_its_pusher_drops() {
+    loom::model(|| {
+        let (push, pull) = pipe(64);
+        let keep = push.clone();
+        let t = thread::spawn(move || {
+            let mut got = Vec::new();
+            pull.recv_batch(&mut got, 32);
+            got
+        });
+        assert_eq!(push.send_batch(vec![Message::new("t", "a")]), Ok(1));
+        drop(push);
+        let got = t.join().unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload, &b"a"[..]);
+        drop(keep);
+    });
+}
+
+/// Two pullers sleep on one pipe, and each part burst is flushed to them
+/// one message at a time. A receiver already being woken takes no second
+/// notify, so the second flush must wake the other puller: each takes one
+/// message and returns. The pusher outlives both, so no disconnect can
+/// stand in for a missed notify.
+#[test]
+fn loom_two_sleeping_pullers_are_each_woken() {
+    loom::model(|| {
+        let (push, pull) = pipe(64);
+        let pullers: Vec<_> = (0..2)
+            .map(|_| {
+                let pull = pull.clone();
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    pull.recv_batch(&mut got, 1);
+                    got.len()
+                })
+            })
+            .collect();
+        push.send(Message::new("t", "a")).unwrap();
+        push.send(Message::new("t", "b")).unwrap();
+        let got: usize = pullers.into_iter().map(|t| t.join().unwrap()).sum();
+        assert_eq!(got, 2, "each puller took one message");
+        drop(push);
     });
 }

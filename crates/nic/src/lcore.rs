@@ -1,11 +1,15 @@
 //! Worker-core harness — the DPDK lcore analogue.
 //!
 //! Ruru allocates one processing thread per RX queue, each polling its
-//! ring. [`WorkerGroup`] spawns those threads, hands each a queue and a
-//! burst callback, and coordinates cooperative shutdown. Workers poll in
-//! bursts. After [`SPIN_POLLS`] empty polls in a row a worker parks until
-//! the port delivers to its queue, as DPDK's RX-interrupt mode (the
-//! `l3fwd-power` example) lets a poll-mode lcore sleep. At shutdown each
+//! ring. [`WorkerGroup`] spawns those threads, hands each a queue, a
+//! burst callback and an idle callback, and coordinates cooperative
+//! shutdown. Workers poll in bursts. The first empty poll after work calls
+//! the idle callback, once, so a worker hands on whatever its bursts left
+//! buffered before it spins, as DPDK's `l3fwd` drains its TX buffers when
+//! a poll comes back empty. After [`SPIN_POLLS`] empty polls in a row a
+//! worker parks until the port delivers to its queue, as DPDK's
+//! RX-interrupt mode (the `l3fwd-power` example) lets a poll-mode lcore
+//! sleep. At shutdown each
 //! worker drains its queue and hands its state back to the caller, so
 //! whatever it owned — tracker tables, bus endpoints — is read and dropped
 //! on the joining thread.
@@ -46,23 +50,33 @@ impl<S: Send + 'static> WorkerGroup<S> {
     /// (up to [`BURST_SIZE`] packets) and is expected to drain it, so
     /// stages that pipeline across a burst — prefetch-staged table lookups,
     /// bulk classification, one vectored bus send — see every packet of a
-    /// poll at once.
+    /// poll at once. `on_idle` runs on the first empty poll after a burst,
+    /// and never twice without a burst between: the place to flush what
+    /// the bursts buffered. Neither callback sees an empty burst.
     // Thread spawn/creation failure is a startup-time OS error, not a
     // dataplane condition; failing loudly is the right behaviour.
     #[allow(clippy::expect_used)]
-    pub fn spawn_bursts<I, F>(queues: Vec<RxQueue>, init: I, on_burst: F) -> WorkerGroup<S>
+    pub fn spawn_bursts<I, F, G>(
+        queues: Vec<RxQueue>,
+        init: I,
+        on_burst: F,
+        on_idle: G,
+    ) -> WorkerGroup<S>
     where
         I: Fn(u16) -> S + Send + Sync + 'static,
         F: Fn(&mut S, &mut Vec<Mbuf>) + Send + Sync + 'static,
+        G: Fn(&mut S) + Send + Sync + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
         let init = Arc::new(init);
         let on_burst = Arc::new(on_burst);
+        let on_idle = Arc::new(on_idle);
         let mut handles = Vec::with_capacity(queues.len());
         for mut queue in queues {
             let stop = Arc::clone(&stop);
             let init = Arc::clone(&init);
             let on_burst = Arc::clone(&on_burst);
+            let on_idle = Arc::clone(&on_idle);
             handles.push(
                 thread::Builder::new()
                     .name(format!("lcore-rx{}", queue.queue_id))
@@ -70,6 +84,8 @@ impl<S: Send + 'static> WorkerGroup<S> {
                         let mut state = init(queue.queue_id);
                         let mut burst: Vec<Mbuf> = Vec::with_capacity(BURST_SIZE);
                         let mut empty_polls = 0;
+                        // A burst ran since the last idle call.
+                        let mut busy = false;
                         loop {
                             // Read `stop` before polling: a stop seen here
                             // was raised after every packet delivered
@@ -77,6 +93,7 @@ impl<S: Send + 'static> WorkerGroup<S> {
                             let stopping = stop.load(Ordering::Acquire);
                             if queue.rx_burst(&mut burst, BURST_SIZE) > 0 {
                                 empty_polls = 0;
+                                busy = true;
                                 on_burst(&mut state, &mut burst);
                                 // A callback that chose not to drain
                                 // everything must not see stale packets
@@ -84,6 +101,9 @@ impl<S: Send + 'static> WorkerGroup<S> {
                                 burst.clear();
                             } else if stopping {
                                 break;
+                            } else if busy {
+                                busy = false;
+                                on_idle(&mut state);
                             } else if empty_polls < SPIN_POLLS {
                                 empty_polls += 1;
                                 hint::spin_loop();
@@ -159,6 +179,7 @@ mod tests {
                     seen2.fetch_add(1, Ordering::Relaxed);
                 }
             },
+            |_| {},
         );
         (group, seen)
     }
@@ -269,6 +290,43 @@ mod tests {
         assert!(port.stats().rx_wakeups > 0, "the worker never parked");
     }
 
+    /// The idle callback runs after the burst that ends a stretch of work
+    /// and before the worker sleeps, and never twice without a burst in
+    /// between: each call sees more packets than the one before, and the
+    /// last sees them all.
+    #[test]
+    #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
+    fn idle_callback_runs_once_after_each_stretch_of_work() {
+        // Packets seen, and packets seen as of each idle call.
+        type Log = (u64, Vec<u64>);
+        let mut port = port(1);
+        let idle_at = Arc::new(AtomicU64::new(0));
+        let idle_at2 = Arc::clone(&idle_at);
+        let group = WorkerGroup::spawn_bursts(
+            port.take_all_rx_queues(),
+            |_q| -> Log { (0, Vec::new()) },
+            |(seen, _): &mut Log, burst: &mut Vec<Mbuf>| *seen += burst.drain(..).count() as u64,
+            move |(seen, calls): &mut Log| {
+                calls.push(*seen);
+                idle_at2.store(*seen, Ordering::Release);
+            },
+        );
+        for round in 1..=3u64 {
+            for _ in 0..5 {
+                port.inject(&frame_with_marker(3)).unwrap();
+            }
+            // Only an idle call after the round's last burst says 5 * round.
+            while idle_at.load(Ordering::Acquire) < 5 * round {
+                std::thread::yield_now();
+            }
+        }
+        let (seen, calls) = group.shutdown().remove(0);
+        assert_eq!(seen, 15);
+        assert!(calls.len() >= 3, "an idle call per stretch: {calls:?}");
+        assert!(calls.windows(2).all(|w| w[0] < w[1]), "a burst between calls: {calls:?}");
+        assert_eq!(calls.last(), Some(&15));
+    }
+
     #[test]
     #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
     fn burst_workers_see_whole_bursts() {
@@ -286,6 +344,7 @@ mod tests {
                     seen2.fetch_add(1, Ordering::Relaxed);
                 }
             },
+            |_| {},
         );
         for _ in 0..100 {
             while port.inject(&frame_with_marker(2)).is_none() {

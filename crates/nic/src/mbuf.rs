@@ -10,7 +10,6 @@
 
 use crate::clock::Timestamp;
 use crate::queue::MpmcQueue;
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
 
 /// Default data-room size of a pool buffer (DPDK's conventional 2 KiB).
@@ -84,17 +83,17 @@ impl core::fmt::Debug for Mbuf {
     }
 }
 
+/// The pool keeps no per-packet counters: the feeder allocates and the
+/// lcore frees every packet, so a shared counter would be one more cache
+/// line pulled between them. An allocation that finds the pool empty is
+/// counted by the port, as `no_mbuf_drops`.
 struct PoolInner {
     free: MpmcQueue<Box<[u8]>>,
     buf_size: usize,
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    exhaustions: AtomicU64,
 }
 
 impl PoolInner {
     fn put_back(&self, storage: Box<[u8]>) {
-        self.frees.fetch_add(1, Ordering::Relaxed);
         // If the pool somehow receives more buffers than capacity, drop the
         // excess on the floor (cannot happen through the public API).
         let _ = self.free.push(storage);
@@ -133,28 +132,20 @@ impl MbufPool {
                 .expect("queue sized for count");
         }
         MbufPool {
-            inner: Arc::new(PoolInner {
-                free,
-                buf_size,
-                allocs: AtomicU64::new(0),
-                frees: AtomicU64::new(0),
-                exhaustions: AtomicU64::new(0),
-            }),
+            inner: Arc::new(PoolInner { free, buf_size }),
         }
     }
 
     /// Allocate a buffer and copy `data` into it.
     ///
-    /// Returns `None` when the pool is exhausted (counted in
-    /// [`MbufPoolStats::exhaustions`]) or `data` exceeds the buffer size —
-    /// the dataplane treats both as an RX drop.
+    /// Returns `None` when the pool is exhausted or `data` exceeds the
+    /// buffer size — the dataplane treats both as an RX drop.
     pub fn alloc(&self, data: &[u8]) -> Option<Mbuf> {
         if data.len() > self.inner.buf_size {
             return None;
         }
         match self.inner.free.pop() {
             Some(mut storage) => {
-                self.inner.allocs.fetch_add(1, Ordering::Relaxed);
                 // data.len() <= buf_size == storage.len(), checked above.
                 if let Some(dst) = storage.get_mut(..data.len()) {
                     dst.copy_from_slice(data);
@@ -167,10 +158,7 @@ impl MbufPool {
                     pool: Some(Arc::clone(&self.inner)),
                 })
             }
-            None => {
-                self.inner.exhaustions.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            None => None,
         }
     }
 
@@ -183,15 +171,6 @@ impl MbufPool {
     pub fn buf_size(&self) -> usize {
         self.inner.buf_size
     }
-
-    /// Counters since pool creation.
-    pub fn stats(&self) -> MbufPoolStats {
-        MbufPoolStats {
-            allocs: self.inner.allocs.load(Ordering::Relaxed),
-            frees: self.inner.frees.load(Ordering::Relaxed),
-            exhaustions: self.inner.exhaustions.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl core::fmt::Debug for MbufPool {
@@ -201,17 +180,6 @@ impl core::fmt::Debug for MbufPool {
             .field("buf_size", &self.inner.buf_size)
             .finish()
     }
-}
-
-/// Allocation counters for a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MbufPoolStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Buffers returned.
-    pub frees: u64,
-    /// Allocation attempts that found the pool empty.
-    pub exhaustions: u64,
 }
 
 #[cfg(test)]
@@ -227,11 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_returns_none_and_counts() {
+    fn exhaustion_returns_none() {
         let pool = MbufPool::new(1, 64);
-        let _a = pool.alloc(&[0]).unwrap();
+        let a = pool.alloc(&[0]).unwrap();
         assert!(pool.alloc(&[0]).is_none());
-        assert_eq!(pool.stats().exhaustions, 1);
+        assert_eq!(pool.available(), 0);
+        drop(a);
+        assert!(pool.alloc(&[0]).is_some(), "the returned buffer is reusable");
     }
 
     #[test]
@@ -241,9 +211,6 @@ mod tests {
         assert_eq!(pool.available(), 0);
         drop(m);
         assert_eq!(pool.available(), 1);
-        let stats = pool.stats();
-        assert_eq!(stats.allocs, 1);
-        assert_eq!(stats.frees, 1);
         // Buffer is reusable.
         let m2 = pool.alloc(&[2, 3]).unwrap();
         assert_eq!(m2.data(), &[2, 3]);
@@ -290,7 +257,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(pool.available(), 64, "all buffers returned");
-        let s = pool.stats();
-        assert_eq!(s.allocs, s.frees);
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::cell::UnsafeCell;
-use crate::sync::{hint, thread};
+use crate::sync::{hint, thread, CachePadded};
 use std::mem::MaybeUninit;
 
 struct Slot<T> {
@@ -42,13 +42,16 @@ struct Slot<T> {
 }
 
 /// A bounded MPMC queue with power-of-two capacity (rounded up, minimum 2).
+/// The two claim positions sit on cache lines of their own
+/// (`CachePadded`): as the mbuf free list, the feeder advances
+/// `dequeue_pos` and the lcore `enqueue_pos` for every packet.
 pub struct MpmcQueue<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
     /// Next claim ticket for producers (monotonic wrapping counter).
-    enqueue_pos: AtomicUsize,
+    enqueue_pos: CachePadded<AtomicUsize>,
     /// Next claim ticket for consumers.
-    dequeue_pos: AtomicUsize,
+    dequeue_pos: CachePadded<AtomicUsize>,
 }
 
 // SAFETY: a slot's value is written by exactly one producer (the CAS winner
@@ -75,8 +78,8 @@ impl<T> MpmcQueue<T> {
         MpmcQueue {
             slots,
             mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            enqueue_pos: CachePadded(AtomicUsize::new(0)),
+            dequeue_pos: CachePadded(AtomicUsize::new(0)),
         }
     }
 

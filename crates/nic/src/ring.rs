@@ -65,22 +65,27 @@
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::cell::UnsafeCell;
 use crate::sync::thread::{self, Thread};
-use crate::sync::Arc;
+use crate::sync::{Arc, CachePadded};
 use std::mem::MaybeUninit;
 
+/// The ring's shared state. The fields each side writes per item sit on
+/// cache lines of their own (`CachePadded`): the producer's `head`, the
+/// consumer's `tail`, and the two waiters, each announced on by one side
+/// and woken by the other. The slot array, the mask and the rarely written
+/// drop count share the rest.
 struct RingInner<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     mask: usize,
     /// Next slot the producer writes (monotonic wrapping counter).
-    head: AtomicUsize,
+    head: CachePadded<AtomicUsize>,
     /// Next slot the consumer reads (monotonic wrapping counter).
-    tail: AtomicUsize,
+    tail: CachePadded<AtomicUsize>,
     /// Items rejected because the ring was full.
     drops: AtomicU64,
     /// The consumer's wait for an item on an empty ring.
-    consumer: Waiter,
+    consumer: CachePadded<Waiter>,
     /// The producer's wait for room on a full ring.
-    producer: Waiter,
+    producer: CachePadded<Waiter>,
 }
 
 // SAFETY: the producer only writes slots in [head, tail+capacity) and the
@@ -219,11 +224,11 @@ pub fn ring_with_counters<T>(capacity: usize, initial: usize) -> (Producer<T>, C
     let inner = Arc::new(RingInner {
         slots,
         mask: cap - 1,
-        head: AtomicUsize::new(initial),
-        tail: AtomicUsize::new(initial),
+        head: CachePadded(AtomicUsize::new(initial)),
+        tail: CachePadded(AtomicUsize::new(initial)),
         drops: AtomicU64::new(0),
-        consumer: Waiter::new(),
-        producer: Waiter::new(),
+        consumer: CachePadded(Waiter::new()),
+        producer: CachePadded(Waiter::new()),
     });
     (
         Producer {

@@ -14,6 +14,10 @@
 //! [`cell::UnsafeCell`]: access goes through `with` / `with_mut` closures
 //! (loom's API) so that each access is a single event the checker can test
 //! against the happens-before relation.
+//!
+//! One addition has no `std` counterpart: `CachePadded`, which gives a
+//! value written by one side of a lock-free structure a cache block of its
+//! own.
 
 #[cfg(loom)]
 pub use loom::sync::{
@@ -74,5 +78,22 @@ pub mod cell {
         pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
             f(self.0.get())
         }
+    }
+}
+
+/// A value aligned, and so padded, to its own 128-byte block, so that no
+/// other field shares its cache line: the SPSC ring's `head`, `tail` and
+/// two waiters, and the free list's two positions, are each written by a
+/// different thread, and on one line every write would steal the line from
+/// the other side. 128 bytes, not 64, because x86-64 prefetches lines in
+/// adjacent pairs (crossbeam's `CachePadded` does the same).
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(pub(crate) T);
+
+impl<T> core::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
     }
 }

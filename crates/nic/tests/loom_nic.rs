@@ -309,6 +309,7 @@ fn loom_shutdown_wakes_a_parking_worker() {
                 *seen += burst.len();
                 burst.clear();
             },
+            |_| {},
         );
         port.inject(&[0u8; 60]).unwrap();
         assert_eq!(group.shutdown(), [1], "the worker drained its queue");

@@ -76,8 +76,6 @@ fn pool_conserves_buffers() {
         }
         held.clear();
         assert_eq!(pool.available(), cap);
-        let stats = pool.stats();
-        assert_eq!(stats.allocs, stats.frees);
     });
 }
 

@@ -6,7 +6,7 @@
 //! [`Report`] with the statistics every experiment reads.
 
 use crate::snmp::{SnmpPoller, SnmpSample};
-use crate::telemetry::SelfMetrics;
+use crate::telemetry::{BusStats, SelfMetrics};
 use bytes::{BufMut, Bytes, BytesMut};
 use ruru_analytics::detect::{FloodConfig, RateConfig, SpikeConfig};
 use ruru_analytics::workers::PoolStats;
@@ -22,6 +22,7 @@ use ruru_flow::{
 };
 use ruru_gen::Event;
 use ruru_geo::{GeoDb, SynthWorld};
+use ruru_mq::chan::Probe;
 use ruru_mq::{pipe, Message, Publisher, Pull, Push};
 use ruru_nic::lcore::{WorkerGroup, BURST_SIZE};
 use ruru_nic::port::{Port, PortConfig, PortStats};
@@ -258,7 +259,8 @@ impl WorkerState {
     /// Send the burst's SYN events and accumulated measurements downstream
     /// and flush local counters into this worker's registry shard — one
     /// epoch-framed burst per RX burst, called at every burst end and once
-    /// more at shutdown.
+    /// more at shutdown. The sends wake a sleeping puller only once its
+    /// pipe holds a full burst; [`dataplane_idle`] flushes the rest.
     fn flush(&mut self) {
         if !self.syn_stamps.is_empty() {
             let len = 2 + 8 * self.syn_stamps.len();
@@ -268,7 +270,7 @@ impl WorkerState {
             let msg = Message::new(Bytes::from_static(SYN_TOPIC), payload);
             // Like a measurement batch: a send fails only once the
             // detector is gone, and its events count as bus-closed drops.
-            if self.det_push.send(msg).is_err() {
+            if self.det_push.send_batch(Some(msg)).is_err() {
                 if let Some(n) = self.reject_counts.get_mut(reject_idx(Reject::BusClosed)) {
                     *n += self.syn_stamps.len() as u64;
                 }
@@ -414,6 +416,10 @@ pub struct Pipeline {
     alerts: AlertSink,
     snmp: SnmpPoller,
     metrics: Arc<SelfMetrics>,
+    /// Wake counters of the enrichers' input pipe and of the detector's
+    /// feed, read at each collection.
+    enrich_probe: Probe<Message>,
+    detect_probe: Probe<Message>,
     telemetry_interval_ns: u64,
     last_telemetry: u64,
     telemetry_points: u64,
@@ -514,6 +520,15 @@ fn dataplane_worker(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
     // Burst boundary: at most one measurement per packet, so the batch is
     // bounded by BURST_SIZE; one vectored send covers the whole burst.
     state.flush();
+}
+
+/// The lcore's idle hook, run on its first empty poll after a burst:
+/// wake the enrichers and the detector for whatever part bursts this
+/// lcore left in their pipes, so no record waits for more traffic (DPDK
+/// `l3fwd`'s TX drain). Named so the static checkers root here.
+fn dataplane_idle(state: &mut WorkerState) {
+    state.push.flush();
+    state.det_push.flush();
 }
 
 /// The classification half of a dataplane burst: drain the RX burst
@@ -760,6 +775,7 @@ impl Pipeline {
         // side stays available for best-effort consumers like external
         // frontends.
         let (det_push, det_pull) = pipe(config.mq_hwm);
+        let detect_probe = det_pull.probe();
         let lcore_det_push = det_push.clone();
         let tsdb = Arc::new(TsDb::new());
         let alerts = AlertSink::new();
@@ -770,6 +786,7 @@ impl Pipeline {
         // The enrichment pool sits between the lcores and the detector
         // feed: lcores PUSH binary measurements, enrichers PULL them.
         let (worker_push, pull) = pipe(config.mq_hwm);
+        let enrich_probe = pull.probe();
         let pool = EnrichmentPool::spawn(
             num_queues,
             pull,
@@ -828,8 +845,8 @@ impl Pipeline {
         // Whole-burst workers: classify the burst, prefetch-staged table
         // walk, one vectored PUSH at the burst boundary (PUSH blocks at
         // the HWM, so that is back-pressure, never measurement loss —
-        // ZeroMQ PUSH semantics).
-        let workers = WorkerGroup::spawn_bursts(queues, init, dataplane_worker);
+        // ZeroMQ PUSH semantics), and a flush when the ring runs dry.
+        let workers = WorkerGroup::spawn_bursts(queues, init, dataplane_worker, dataplane_idle);
 
         // The paper's five-minute SNMP poll, of a 10 Gbit/s link.
         let snmp = SnmpPoller::new(300 * 1_000_000_000, 10_000_000_000);
@@ -848,6 +865,8 @@ impl Pipeline {
             alerts,
             snmp,
             metrics,
+            enrich_probe,
+            detect_probe,
             telemetry_interval_ns: config.telemetry_interval_ns.max(1),
             last_telemetry: 0,
             telemetry_points: 0,
@@ -913,18 +932,31 @@ impl Pipeline {
             .subscribe(ruru_analytics::workers::ENRICHED_TOPIC, hwm)
     }
 
+    /// Collect self-telemetry now, mid-run, and return the snapshot: every
+    /// registry counter and gauge as the stages have flushed them so far.
+    /// Like a periodic collection, it exports `ruru_self` points.
+    pub fn telemetry_now(&mut self) -> &Snapshot {
+        let now_ns = self.clock.now().as_nanos().max(self.last_telemetry);
+        self.collect_telemetry(now_ns);
+        &self.telemetry_snap
+    }
+
     /// One self-telemetry collection: mirror the pull-based stats into the
     /// collector shard, snapshot the registry, and export the snapshot as
     /// `ruru_self` points into the tsdb.
     fn collect_telemetry(&mut self, now_ns: u64) {
         self.last_telemetry = now_ns;
         let port = self.port.stats();
-        let mq = self.publisher.stats();
+        let mq = BusStats {
+            publisher: self.publisher.stats(),
+            enrich_wakeups: self.enrich_probe.wakeups(),
+            detect_wakeups: self.detect_probe.wakeups(),
+        };
         let ingested = self.tsdb.points_ingested();
         self.metrics.collect_into(
             now_ns,
             &port,
-            mq,
+            &mq,
             (ingested, self.tsdb.storage_stats()),
             &mut self.telemetry_snap,
             &mut self.telemetry_scratch,

@@ -63,17 +63,23 @@ impl SnmpPoller {
             return;
         }
         while at.saturating_nanos_since(self.window_start) >= self.interval_ns {
-            let secs = self.interval_ns as f64 / 1e9;
-            self.samples.push(SnmpSample {
-                start: self.window_start,
-                packets: self.packets,
-                bytes: self.bytes,
-                utilization: (self.bytes as f64 * 8.0 / secs) / self.link_bps as f64,
-            });
-            self.packets = 0;
-            self.bytes = 0;
+            self.close(self.interval_ns);
             self.window_start = self.window_start.advanced(self.interval_ns);
         }
+    }
+
+    /// Record the open interval as a sample averaged over its first
+    /// `elapsed_ns` (at least 1 ns), and reset the counters.
+    fn close(&mut self, elapsed_ns: u64) {
+        let secs = elapsed_ns.max(1) as f64 / 1e9;
+        self.samples.push(SnmpSample {
+            start: self.window_start,
+            packets: self.packets,
+            bytes: self.bytes,
+            utilization: (self.bytes as f64 * 8.0 / secs) / self.link_bps as f64,
+        });
+        self.packets = 0;
+        self.bytes = 0;
     }
 
     /// Count one packet of `bytes` at `at`.
@@ -84,17 +90,14 @@ impl SnmpPoller {
     }
 
     /// Close intervals up to `at`, flush any non-empty partial interval,
-    /// and return all samples.
+    /// and return all samples. The partial interval's utilization is
+    /// averaged over the part of it that elapsed, `at` less its start: a
+    /// run that ends a second into a five-minute poll reports that
+    /// second's rate, not a fifth of a percent of it.
     pub fn finish(mut self, at: Timestamp) -> Vec<SnmpSample> {
         self.roll(at);
         if self.packets > 0 {
-            let secs = self.interval_ns as f64 / 1e9;
-            self.samples.push(SnmpSample {
-                start: self.window_start,
-                packets: self.packets,
-                bytes: self.bytes,
-                utilization: (self.bytes as f64 * 8.0 / secs) / self.link_bps as f64,
-            });
+            self.close(at.saturating_nanos_since(self.window_start));
         }
         self.samples
     }
@@ -155,5 +158,23 @@ mod tests {
         let samples = p.finish(Timestamp::from_secs(1));
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].packets, 1);
+    }
+
+    /// A steady rate reads the same in the trailing partial poll as in
+    /// the full ones: its bytes are averaged over the part that elapsed.
+    #[test]
+    fn the_partial_interval_is_averaged_over_its_elapsed_part() {
+        let mut p = SnmpPoller::new(10 * SEC, 1_000_000);
+        // 1250 B (10 kbit) every second from 0 s to 22 s: two full polls,
+        // then 20 s..22 s.
+        for i in 0..=22u64 {
+            p.observe_packet(Timestamp::from_secs(i), 1250);
+        }
+        let samples = p.finish(Timestamp::from_secs(22));
+        assert_eq!(samples.len(), 3);
+        assert!((samples[0].utilization - 0.01).abs() < 1e-9);
+        assert_eq!(samples[2].packets, 3);
+        // 3 × 10 kbit over the 2 s elapsed, on a 1 Mbit/s link.
+        assert!((samples[2].utilization - 0.015).abs() < 1e-9, "{}", samples[2].utilization);
     }
 }

@@ -141,6 +141,10 @@ pub struct SelfMetrics {
     pub(crate) port_rx_wakeups: GaugeId,
     /// Times an RX lcore woke a lossless inject parked on its full ring.
     pub(crate) port_inject_parks: GaugeId,
+    /// Times a PUSH woke an enricher sleeping on its empty input pipe.
+    pub(crate) enrich_wakeups: GaugeId,
+    /// Times a PUSH woke the detector sleeping on its empty feed.
+    pub(crate) detect_wakeups: GaugeId,
     pub(crate) mq_published: GaugeId,
     pub(crate) mq_delivered: GaugeId,
     pub(crate) mq_dropped: GaugeId,
@@ -150,6 +154,17 @@ pub struct SelfMetrics {
     pub(crate) tsdb_sealed_points: GaugeId,
     pub(crate) tsdb_sealed_bytes: GaugeId,
     pub(crate) tsdb_active_points: GaugeId,
+}
+
+/// The message-bus counters one collection mirrors.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BusStats {
+    /// The PUB edge's `(published, delivered, dropped)`.
+    pub(crate) publisher: (u64, u64, u64),
+    /// Wakes of the enrichers' input pipe (`enrich_wakeups`).
+    pub(crate) enrich_wakeups: u64,
+    /// Wakes of the detector's feed (`detect_wakeups`).
+    pub(crate) detect_wakeups: u64,
 }
 
 impl SelfMetrics {
@@ -215,6 +230,8 @@ impl SelfMetrics {
         let port_inject_waits = b.gauge("port_inject_waits");
         let port_rx_wakeups = b.gauge("port_rx_wakeups");
         let port_inject_parks = b.gauge("port_inject_parks");
+        let enrich_wakeups = b.gauge("enrich_wakeups");
+        let detect_wakeups = b.gauge("detect_wakeups");
         let mq_published = b.gauge("mq_published");
         let mq_delivered = b.gauge("mq_delivered");
         let mq_dropped = b.gauge("mq_dropped");
@@ -295,6 +312,8 @@ impl SelfMetrics {
             port_inject_waits,
             port_rx_wakeups,
             port_inject_parks,
+            enrich_wakeups,
+            detect_wakeups,
             mq_published,
             mq_delivered,
             mq_dropped,
@@ -362,7 +381,7 @@ impl SelfMetrics {
         }
     }
 
-    /// One collection: mirror the pull-based stats (port, in-proc PUB bus,
+    /// One collection: mirror the pull-based stats (port, in-proc bus,
     /// tsdb ingest) into the collector shard, then take an epoch-validated
     /// snapshot. `snap`/`scratch` are reused buffers — after warm-up the
     /// collection allocates nothing.
@@ -370,7 +389,7 @@ impl SelfMetrics {
         &self,
         timestamp_ns: u64,
         port: &PortStats,
-        mq: (u64, u64, u64),
+        mq: &BusStats,
         tsdb: (u64, ruru_tsdb::StorageStats),
         snap: &mut Snapshot,
         scratch: &mut Vec<u64>,
@@ -393,9 +412,14 @@ impl SelfMetrics {
             .gauge_store(shard, self.port_rx_wakeups, port.rx_wakeups);
         self.registry
             .gauge_store(shard, self.port_inject_parks, port.inject_parks);
-        self.registry.gauge_store(shard, self.mq_published, mq.0);
-        self.registry.gauge_store(shard, self.mq_delivered, mq.1);
-        self.registry.gauge_store(shard, self.mq_dropped, mq.2);
+        self.registry
+            .gauge_store(shard, self.enrich_wakeups, mq.enrich_wakeups);
+        self.registry
+            .gauge_store(shard, self.detect_wakeups, mq.detect_wakeups);
+        let (published, delivered, dropped) = mq.publisher;
+        self.registry.gauge_store(shard, self.mq_published, published);
+        self.registry.gauge_store(shard, self.mq_delivered, delivered);
+        self.registry.gauge_store(shard, self.mq_dropped, dropped);
         let (points_ingested, storage) = tsdb;
         self.registry
             .gauge_store(shard, self.tsdb_points, points_ingested);
@@ -479,12 +503,19 @@ mod tests {
             sealed_bytes: 120,
             active_points: 15,
         };
-        m.collect_into(42, &port, (10, 20, 30), (55, storage), &mut snap, &mut scratch);
+        let mq = BusStats {
+            publisher: (10, 20, 30),
+            enrich_wakeups: 7,
+            detect_wakeups: 8,
+        };
+        m.collect_into(42, &port, &mq, (55, storage), &mut snap, &mut scratch);
         assert_eq!(snap.timestamp_ns, 42);
         assert_eq!(snap.gauge("port_rx_packets"), 100);
         assert_eq!(snap.gauge("port_inject_waits"), 4);
         assert_eq!(snap.gauge("port_rx_wakeups"), 5);
         assert_eq!(snap.gauge("port_inject_parks"), 6);
+        assert_eq!(snap.gauge("enrich_wakeups"), 7);
+        assert_eq!(snap.gauge("detect_wakeups"), 8);
         assert_eq!(snap.gauge("mq_delivered"), 20);
         assert_eq!(snap.gauge("tsdb_points"), 55);
         assert_eq!(snap.gauge("tsdb_sealed_points"), 40);

@@ -2,7 +2,10 @@
 //! of wall time — the RX lcore parks on its empty ring until the port wakes
 //! it, and the detector blocks on its one feed instead of polling it. Each
 //! sleeps between arrivals and uses a small share of one core. A lossless
-//! feeder ahead of its RX lcore parks on the full ring the same way.
+//! feeder ahead of its RX lcore parks on the full ring the same way. Under
+//! steady load the bus wakes a sleeping stage once per burst, not per few
+//! records, and a lone record still reaches every stage without more
+//! traffic behind it.
 //!
 //! Linux-only: per-thread CPU time is read from
 //! `/proc/self/task/<tid>/schedstat`. The tests take turns on one lock, so
@@ -12,8 +15,9 @@
 // Pacing the feed needs wall-clock sleeps; this is a test, not a hot path.
 #![allow(clippy::disallowed_methods)]
 
+use ruru_analytics::enrich::ENRICHED_WIRE_LEN;
 use ruru_gen::packet::TcpPacketSpec;
-use ruru_gen::Event;
+use ruru_gen::{Event, GenConfig, TrafficGen};
 use ruru_nic::port::{Port, PortConfig};
 use ruru_nic::{Clock, Timestamp};
 use ruru_pipeline::{conservation, Pipeline, PipelineConfig, Report};
@@ -21,7 +25,8 @@ use ruru_wire::tcp::Flags;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Serialises the tests: both look their thread up by name.
+/// Serialises the tests: most look their thread up by name, and the
+/// others measure a steady run that a second pipeline would slow.
 static ONE_PIPELINE: Mutex<()> = Mutex::new(());
 
 /// CPU time of the thread named `name` (the first field of its
@@ -195,4 +200,99 @@ fn lossless_feeder_sleeps_on_a_full_ring() {
         stats.inject_waits
     );
     assert!(stats.inject_parks >= 1, "the drain woke the parked feeder");
+}
+
+/// A one-queue pipeline with the default settings otherwise.
+fn one_queue() -> PipelineConfig {
+    PipelineConfig {
+        port: PortConfig {
+            num_queues: 1,
+            ..PortConfig::default()
+        },
+        ..PipelineConfig::default()
+    }
+}
+
+/// Under a steady closed loop, a PUSH wakes the sleeping detector once per
+/// burst: over 2 s of handshakes fed as fast as the pipeline takes them,
+/// the detector is woken at most once per 8 records it receives. (A wake
+/// per send, as the bus once did, made about one per 3.)
+#[test]
+fn the_detector_is_woken_once_per_burst_under_steady_load() {
+    let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut pipeline, world) = Pipeline::with_synth_world(one_queue());
+    // A pass of traffic generated up front and replayed, shifted in time,
+    // so the feeder is not slowed by the generator.
+    let span = Timestamp::from_secs(5);
+    let gen = TrafficGen::with_world(
+        GenConfig {
+            seed: 12,
+            flows_per_sec: 5_000.0,
+            duration: span,
+            data_exchanges: (0, 1),
+            ..GenConfig::default()
+        },
+        world,
+    );
+    let pass: Vec<Event> = gen.collect();
+    let run = Duration::from_secs(2);
+    let start = Instant::now();
+    let mut offset = 0;
+    'feed: loop {
+        for (i, ev) in pass.iter().enumerate() {
+            pipeline.feed(&Event {
+                at: Timestamp::from_nanos(ev.at.as_nanos() + offset),
+                frame: ev.frame.clone(),
+            });
+            if i % 1024 == 0 && start.elapsed() >= run {
+                break 'feed;
+            }
+        }
+        offset += span.as_nanos();
+    }
+    let report = pipeline.finish();
+    let t = &report.telemetry;
+    let records = t.counter("det_records_in");
+    let wakes = t.gauge("detect_wakeups");
+    assert!(records > 10_000, "a steady run: {records} records");
+    assert!(
+        wakes * 8 <= records,
+        "{wakes} detector wakes for {records} records"
+    );
+}
+
+/// One handshake, one record, far below a burst: it reaches the detector
+/// and a PUB subscriber with no more traffic behind it, because the lcore
+/// flushes its pipes on its first empty poll and the enricher flushes the
+/// detector feed before it blocks.
+#[test]
+fn a_lone_record_reaches_the_detector_and_a_subscriber() {
+    let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut pipeline, _world) = Pipeline::with_synth_world(one_queue());
+    let sub = pipeline.subscribe_enriched(16);
+    let (client, server) = ([10, 0, 0, 1], [10, 0, 0, 2]);
+    let handshake = [
+        TcpPacketSpec::control(client, server, 40_000, 443, 100, 0, Flags::SYN),
+        TcpPacketSpec::control(server, client, 443, 40_000, 500, 101, Flags::SYN | Flags::ACK),
+        TcpPacketSpec::control(client, server, 40_000, 443, 101, 501, Flags::ACK),
+    ];
+    for (i, spec) in handshake.iter().enumerate() {
+        assert!(pipeline.feed(&Event {
+            at: Timestamp::from_millis(1 + i as u64),
+            frame: spec.build(),
+        }));
+    }
+    let line = sub.recv_timeout(Duration::from_secs(5));
+    assert!(line.is_some(), "the record never reached the PUB subscriber");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while pipeline.telemetry_now().counter("det_bytes") < ENRICHED_WIRE_LEN as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "the record never reached the detector"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let report = pipeline.finish();
+    assert_eq!(report.measurements(), 1);
+    assert_eq!(report.telemetry.counter("det_bytes"), ENRICHED_WIRE_LEN as u64);
 }

@@ -64,6 +64,19 @@ fn ruru_self_series_are_exported_and_parseable() {
         report.port.inject_parks
     );
 
+    // The bus's wake counts, of the enrichers' input pipe and of the
+    // detector's feed, are exported with them.
+    for name in ["enrich_wakeups", "detect_wakeups"] {
+        let wakes = lines
+            .iter()
+            .filter_map(|l| line::parse(l).ok())
+            .find(|p| p.tag("metric") == Some(name))
+            .unwrap_or_else(|| panic!("{name} is exported"));
+        let gauge = report.telemetry.gauge(name);
+        assert_eq!(wakes.field("value"), Some(gauge as f64));
+        assert!(gauge > 0, "{name}: the stage slept and was woken");
+    }
+
     // Histogram exports carry the quantile fields the panel reads.
     let rx = report
         .telemetry

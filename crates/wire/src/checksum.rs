@@ -7,20 +7,27 @@
 
 /// Running ones-complement sum of `data`, pre-folded to 16 bits.
 ///
-/// Data of odd length is padded with a zero byte, per RFC 1071. The sum is
-/// accumulated in 64 bits (which cannot overflow for any in-memory slice)
-/// and folded before returning, so combining partial sums with plain u32
-/// addition stays exact.
+/// Data of odd length is padded with a zero byte, per RFC 1071. The sum
+/// adds big-endian 32-bit words (RFC 1071 §2(B): any word size whose
+/// modulus is a multiple of 2^16 − 1 folds to the same result, because
+/// 2^16 ≡ 1 there, and a zero sum stays zero) into a 64-bit accumulator,
+/// which cannot wrap for any in-memory slice, and folds it before
+/// returning, so combining partial sums with plain u32 addition stays
+/// exact.
 pub fn sum(data: &[u8]) -> u32 {
     let mut acc: u64 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
+    let (words, rest) = data.as_chunks::<4>();
+    for w in words {
+        acc = acc.wrapping_add(u64::from(u32::from_be_bytes(*w)));
+    }
+    let mut pairs = rest.chunks_exact(2);
+    for c in &mut pairs {
         if let &[a, b] = c {
-            acc = acc.saturating_add(u64::from(u16::from_be_bytes([a, b])));
+            acc = acc.wrapping_add(u64::from(u16::from_be_bytes([a, b])));
         }
     }
-    if let &[last] = chunks.remainder() {
-        acc = acc.saturating_add(u64::from(u16::from_be_bytes([last, 0])));
+    if let &[last] = pairs.remainder() {
+        acc = acc.wrapping_add(u64::from(u16::from_be_bytes([last, 0])));
     }
     u32::from(fold_u64(acc))
 }

@@ -44,6 +44,49 @@ fn checksum_sum_is_associative() {
     });
 }
 
+/// The RFC 1071 reference: big-endian 16-bit words added one by one,
+/// an odd last byte padded with zero, then folded.
+fn reference_sum(data: &[u8]) -> u32 {
+    let mut acc: u64 = 0;
+    let mut pairs = data.chunks_exact(2);
+    for c in &mut pairs {
+        acc = acc.saturating_add(u64::from(u16::from_be_bytes([c[0], c[1]])));
+    }
+    if let &[last] = pairs.remainder() {
+        acc = acc.saturating_add(u64::from(u16::from_be_bytes([last, 0])));
+    }
+    while acc > 0xffff {
+        acc = (acc & 0xffff) + (acc >> 16);
+    }
+    acc as u32
+}
+
+/// The word-at-a-time sum equals the 16-bit reference for every length
+/// from 0 to 2000 bytes, odd ones included: each case checks every prefix
+/// of a 2000-byte buffer. Buffers are uniform, or mostly `0xff` or `0x00`
+/// bytes, so long carry chains and sums that are multiples of 0xffff come
+/// up too.
+#[test]
+fn checksum_sum_matches_the_16_bit_reference_at_every_length() {
+    let gen = |rng: &mut StdRng| {
+        let mode = rng.gen_range(0..3u8);
+        (0..2000)
+            .map(|_| match (mode, rng.gen_range(0..8u8)) {
+                (1, 0) | (2, 0) => rng.gen(),
+                (1, _) => 0xff,
+                (2, _) => 0x00,
+                _ => rng.gen(),
+            })
+            .collect::<Vec<u8>>()
+    };
+    check("checksum_sum_matches_the_16_bit_reference_at_every_length", 12, gen, |data| {
+        for len in 0..=data.len() {
+            let prefix = &data[..len];
+            assert_eq!(checksum::sum(prefix), reference_sum(prefix), "length {len}");
+        }
+    });
+}
+
 /// IPv4 emit→parse is the identity on the representation.
 #[test]
 fn ipv4_roundtrip() {

@@ -73,12 +73,17 @@ const ALLOC_ROOTS: &[(&str, &str)] = &[
     ("flow", "encode_into"),
     ("flow", "decode"),
     ("mq", "Sender::send"),
-    ("mq", "Sender::try_send"),
+    ("mq", "Sender::send_batch"),
+    ("mq", "Sender::try_send_batch"),
+    ("mq", "Sender::flush"),
     ("mq", "Receiver::recv"),
     ("mq", "Receiver::recv_timeout"),
     ("mq", "Receiver::try_recv"),
+    ("mq", "Receiver::recv_batch"),
+    ("mq", "Receiver::try_recv_batch"),
     ("mq", "Push::send"),
     ("mq", "Push::send_batch"),
+    ("mq", "Push::flush"),
     ("mq", "Pull::recv"),
     ("mq", "Pull::try_recv"),
     ("mq", "Pull::recv_batch"),
@@ -92,6 +97,7 @@ const ALLOC_ROOTS: &[(&str, &str)] = &[
     ("telemetry", "hist_record"),
     ("telemetry", "snapshot_into"),
     ("pipeline", "dataplane_worker"),
+    ("pipeline", "dataplane_idle"),
     ("pipeline", "detector_loop"),
 ];
 

@@ -86,7 +86,6 @@ const ROOTS: &[(&str, &str)] = &[
     // Message-queue send/recv surface.
     ("mq", "send"),
     ("mq", "send_batch"),
-    ("mq", "try_send"),
     ("mq", "recv"),
     ("mq", "recv_timeout"),
     ("mq", "try_recv"),
@@ -94,6 +93,14 @@ const ROOTS: &[(&str, &str)] = &[
     ("mq", "try_recv_batch"),
     ("mq", "publish"),
     ("mq", "publish_batch"),
+    // The burst hand-off: the channel's batch primitives and the flush
+    // every idle producer calls, pinned by type.
+    ("mq", "Sender::send_batch"),
+    ("mq", "Sender::try_send_batch"),
+    ("mq", "Sender::flush"),
+    ("mq", "Receiver::recv_batch"),
+    ("mq", "Receiver::try_recv_batch"),
+    ("mq", "Push::flush"),
     ("mq", "encode_frame"),
     ("mq", "read_frame"),
     // Time-series ingest/query path.
@@ -115,6 +122,7 @@ const ROOTS: &[(&str, &str)] = &[
     ("telemetry", "snapshot_into"),
     // Engine worker + detector loops (named fns, not spawn closures).
     ("pipeline", "dataplane_worker"),
+    ("pipeline", "dataplane_idle"),
     ("pipeline", "detector_loop"),
 ];
 

@@ -107,6 +107,8 @@ fn e3_firewall_anomaly_detected_with_high_recall() {
     );
     pipeline.run(&mut gen);
     let affected = gen.truths().iter().filter(|t| t.anomalous).count();
+    // The virtual clock stands at the last packet fed.
+    let last_packet = pipeline.clock().now();
     let report = pipeline.finish();
     let spikes = report.alerts.iter().filter(|a| a.kind == "latency_spike").count();
     assert!(affected > 100, "window produced {affected} affected flows");
@@ -117,12 +119,21 @@ fn e3_firewall_anomaly_detected_with_high_recall() {
         "false positives: {spikes} alerts vs {affected} affected"
     );
     // SNMP view: the whole 180 s run, window included, is one five-minute
-    // poll, and its utilization stays flat.
-    let utils: Vec<f64> = report.snmp.iter().map(|s| s.utilization).collect();
-    assert_eq!(utils.len(), 1, "one five-minute poll");
-    let spread = utils.iter().cloned().fold(0.0, f64::max)
-        - utils.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(spread < 0.001, "utilization moved {spread}");
+    // poll. It counts every packet the NIC received, and its utilization
+    // is those bytes averaged over the part of the poll the run covered,
+    // on the 10 Gbit/s link the poller assumes.
+    assert_eq!(report.snmp.len(), 1, "one five-minute poll");
+    let poll = report.snmp[0];
+    assert_eq!(poll.packets, report.port.rx_packets);
+    assert_eq!(poll.bytes, report.port.rx_bytes);
+    let secs = last_packet.saturating_nanos_since(poll.start) as f64 / 1e9;
+    assert!(secs > 170.0 && secs < 181.0, "the poll covered {secs} s");
+    let expected = poll.bytes as f64 * 8.0 / (secs * 10e9);
+    assert!(
+        (poll.utilization - expected).abs() <= expected * 1e-9,
+        "utilization {} against {expected} from the run's own counters",
+        poll.utilization
+    );
 }
 
 /// E4: SYN floods are detected within ~1 detector interval and legitimate
