@@ -10,8 +10,10 @@
 //! [`Pull::recv_batch`], each rendered once by the worker's [`Renderer`],
 //! and forwarded with one [`Push::send_batch`] / `publish_batch` per
 //! burst. A worker blocks only on an empty input, and flushes
-//! ([`Push::flush`]) the detector feed before it does. The renderer refills one reused `latency` point for the tsdb
-//! stripe and writes both bus payloads into one scratch block: the fixed
+//! ([`Push::flush`]) the detector feed before it does.
+//!
+//! The renderer refills one reused `latency` point for the tsdb stripe
+//! and writes both bus payloads into one scratch block: the fixed
 //! **binary** [`EnrichedMeasurement`] record for the detector feed, and
 //! the line-protocol line for the PUB edge, so external subscribers stay
 //! text-parseable. Every count the pool makes goes into its own shards of
@@ -49,31 +51,6 @@ const LINE_HEADROOM: usize = 640;
 /// write path: workers never take the store lock per point, only one
 /// whole-shard merge per `STRIPE_FLUSH_POINTS` (and one on exit).
 const STRIPE_FLUSH_POINTS: u64 = 4096;
-
-/// Counters for the pool, as read back from the telemetry registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Measurements enriched.
-    pub enriched: u64,
-    /// Bus payloads that failed to decode.
-    pub decode_errors: u64,
-    /// Records with either endpoint unknown to the geo database.
-    pub geo_misses: u64,
-    /// Input batches drained from the PULL socket.
-    pub batches_in: u64,
-    /// Output batches forwarded (detector feed + PUB, counted per edge).
-    pub batches_out: u64,
-    /// Payload bytes emitted on both output edges.
-    pub bytes_out: u64,
-    /// Times a worker reserved a fresh scratch block for its payloads
-    /// (≈ one per [`SCRATCH_CHUNK`] bytes of binary records and PUB lines
-    /// together, not per record).
-    pub alloc_hits: u64,
-    /// Points folded into the shared tsdb by stripe merges. Once the pool
-    /// has joined this equals `enriched`: every buffered point was merged
-    /// (conservation, not silent loss, is the stripe contract).
-    pub tsdb_merged: u64,
-}
 
 /// Handles into the pipeline's self-telemetry registry for the pool's
 /// worker threads. Worker `i` owns shard `shard_base + i`, so its updates
@@ -332,7 +309,7 @@ mod tests {
     use ruru_geo::synth::{SynthWorld, AUCKLAND, LOS_ANGELES};
     use ruru_mq::pipe;
     use ruru_nic::Timestamp;
-    use ruru_telemetry::RegistryBuilder;
+    use ruru_telemetry::{RegistryBuilder, Snapshot};
     use ruru_wire::{ipv4, IpAddress};
 
     fn measurement(w: &SynthWorld, rng: &mut StdRng, i: u64) -> LatencyMeasurement {
@@ -396,21 +373,12 @@ mod tests {
         (pool, det_pull, registry)
     }
 
-    /// Join the pool and read its counters from one registry snapshot.
-    fn join(pool: EnrichmentPool, registry: &Registry) -> PoolStats {
+    /// Join the pool and take one snapshot of the counters it made.
+    fn join(pool: EnrichmentPool, registry: &Registry) -> Snapshot {
         pool.join();
         let snap = registry.snapshot(0);
         assert_eq!(snap.skipped_shards, 0, "joined writers leave no open burst");
-        PoolStats {
-            enriched: snap.counter("enriched"),
-            decode_errors: snap.counter("decode_errors"),
-            geo_misses: snap.counter("geo_misses"),
-            batches_in: snap.counter("batches_in"),
-            batches_out: snap.counter("batches_out"),
-            bytes_out: snap.counter("bytes_out"),
-            alloc_hits: snap.counter("alloc_hits"),
-            tsdb_merged: snap.counter("tsdb_merged"),
-        }
+        snap
     }
 
     #[test]
@@ -430,15 +398,14 @@ mod tests {
         }
         drop(push);
         let stats = join(pool, &registry);
-        assert_eq!(stats.enriched, 1000);
-        assert_eq!(stats.decode_errors, 0);
-        assert_eq!(stats.geo_misses, 0);
-        assert_eq!(stats.tsdb_merged, 1000, "every buffered point was merged");
+        assert_eq!(stats.counter("enriched"), 1000);
+        assert_eq!(stats.counter("decode_errors"), 0);
+        assert_eq!(stats.counter("geo_misses"), 0);
+        assert_eq!(stats.counter("tsdb_merged"), 1000, "every buffered point was merged");
         assert_eq!(tsdb.points_ingested(), 1000);
         assert_eq!(sub.backlog(), 1000);
         assert_eq!(det_pull.backlog(), 1000);
-        let snap = registry.snapshot(0);
-        assert_eq!(snap.hist("enrich_residency").map(|h| h.count), Some(1000));
+        assert_eq!(stats.hist("enrich_residency").map(|h| h.count), Some(1000));
         // Republished lines decode and carry no IPs.
         let msg = sub.try_recv().unwrap();
         let line = core::str::from_utf8(&msg.payload).unwrap();
@@ -463,7 +430,7 @@ mod tests {
         }
         drop(push);
         let stats = join(pool, &registry);
-        assert_eq!(stats.enriched, 100);
+        assert_eq!(stats.counter("enriched"), 100);
 
         // The internal feed is the fixed binary record, not a line.
         let mut seen = 0;
@@ -483,14 +450,15 @@ mod tests {
 
         // Batching and allocation counters: work moved in bursts, and the
         // scratch block amortized allocations far below one per record.
-        assert!(stats.batches_in >= 4, "batched input: {}", stats.batches_in);
-        assert!(stats.batches_in <= 100);
-        assert!(stats.batches_out >= stats.batches_in);
-        assert!(stats.bytes_out >= 100 * crate::enrich::ENRICHED_WIRE_LEN as u64);
+        let batches_in = stats.counter("batches_in");
+        assert!(batches_in >= 4, "batched input: {batches_in}");
+        assert!(batches_in <= 100);
+        assert!(stats.counter("batches_out") >= batches_in);
+        assert!(stats.counter("bytes_out") >= 100 * crate::enrich::ENRICHED_WIRE_LEN as u64);
+        let alloc_hits = stats.counter("alloc_hits");
         assert!(
-            (1..=2).contains(&stats.alloc_hits),
-            "one scratch block per worker, not per record: {}",
-            stats.alloc_hits
+            (1..=2).contains(&alloc_hits),
+            "one scratch block per worker, not per record: {alloc_hits}"
         );
     }
 
@@ -539,8 +507,8 @@ mod tests {
         push.send(Message::new("latency", vec![1u8, 2, 3])).unwrap();
         drop(push);
         let stats = join(pool, &registry);
-        assert_eq!(stats.enriched, 0);
-        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(stats.counter("enriched"), 0);
+        assert_eq!(stats.counter("decode_errors"), 1);
     }
 
     #[test]
@@ -564,8 +532,8 @@ mod tests {
         push.send(Message::new("latency", m.encode())).unwrap();
         drop(push);
         let stats = join(pool, &registry);
-        assert_eq!(stats.enriched, 1);
-        assert_eq!(stats.geo_misses, 1);
+        assert_eq!(stats.counter("enriched"), 1);
+        assert_eq!(stats.counter("geo_misses"), 1);
     }
 
     #[test]
@@ -583,8 +551,8 @@ mod tests {
         }
         drop(push);
         let stats = join(pool, &registry);
-        assert_eq!(stats.enriched, 5000);
-        assert_eq!(stats.tsdb_merged, 5000);
+        assert_eq!(stats.counter("enriched"), 5000);
+        assert_eq!(stats.counter("tsdb_merged"), 5000);
         assert_eq!(tsdb.points_ingested(), 5000);
     }
 }

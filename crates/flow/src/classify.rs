@@ -33,6 +33,21 @@ pub enum Reject {
     BusClosed,
 }
 
+impl Reject {
+    /// Every cause, in declaration order, so `Reject::ALL[r as usize] == r`:
+    /// the one list callers iterate or index instead of spelling the
+    /// causes out.
+    pub const ALL: [Reject; 7] = [
+        Reject::NotIp,
+        Reject::NotTcp,
+        Reject::Fragment,
+        Reject::BadIpChecksum,
+        Reject::BadTcpChecksum,
+        Reject::BadTcp,
+        Reject::BusClosed,
+    ];
+}
+
 /// How many frames each [`Reject`] cause discarded — the run report's
 /// reading of the pipeline's per-cause `reject_*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,13 +71,9 @@ pub struct RejectStats {
 impl RejectStats {
     /// Total rejected frames across every cause.
     pub fn total(&self) -> u64 {
-        self.not_ip
-            .saturating_add(self.not_tcp)
-            .saturating_add(self.fragment)
-            .saturating_add(self.bad_ip_checksum)
-            .saturating_add(self.bad_tcp_checksum)
-            .saturating_add(self.bad_tcp)
-            .saturating_add(self.bus_closed)
+        Reject::ALL
+            .iter()
+            .fold(0, |sum, &r| sum.saturating_add(self.get(r)))
     }
 
     /// The count for one cause.
@@ -291,6 +302,15 @@ mod tests {
         assert_eq!(stats.get(Reject::BusClosed), 7);
         assert_eq!(stats.total(), 28);
         assert_eq!(RejectStats::default().total(), 0);
+    }
+
+    #[test]
+    fn all_lists_every_cause_in_declaration_order() {
+        for (i, &r) in Reject::ALL.iter().enumerate() {
+            assert_eq!(r as usize, i, "{r:?}");
+        }
+        // A cause added after `BusClosed`, or before it, must join `ALL`.
+        assert_eq!(Reject::ALL.len(), Reject::BusClosed as usize + 1);
     }
 
     #[test]

@@ -236,7 +236,7 @@ fn main() {
             .key("measurements")
             .integer(report.measurements() as i64)
             .key("enriched")
-            .integer(report.pool.enriched as i64)
+            .integer(report.telemetry.counter("enrich_enriched") as i64)
             .key("telemetry_points")
             .integer(report.telemetry_points as i64)
             .key("skipped_shards")
@@ -262,7 +262,7 @@ fn main() {
     println!(
         "measured {} | enriched {} | tsdb points {} ({} self-telemetry) | skipped shards {}",
         report.measurements(),
-        report.pool.enriched,
+        report.telemetry.counter("enrich_enriched"),
         report.tsdb.points_ingested(),
         report.telemetry_points,
         report.telemetry.skipped_shards

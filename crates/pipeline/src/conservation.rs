@@ -285,4 +285,23 @@ mod tests {
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("[0, 3]"), "{}", violations[0]);
     }
+
+    /// A cause missing from `dataplane-input` would leave its rejects
+    /// unbalanced: one record in, rejected once, must conserve for each.
+    #[test]
+    fn every_reject_cause_balances_dataplane_input() {
+        use crate::telemetry::SelfMetrics;
+        use ruru_flow::classify::Reject;
+        for cause in Reject::ALL {
+            let m = SelfMetrics::new(1, 1);
+            let shard = m.dataplane_shard(0);
+            m.registry().counter_add(shard, m.dp_records_in, 1);
+            m.registry().counter_add(shard, m.reject_counter(cause), 1);
+            let violations = check(
+                &m.registry().snapshot(0),
+                &[("tsdb_points_ingested", 0), ("telemetry_points", 0)],
+            );
+            assert!(violations.is_empty(), "{cause:?}: {violations:?}");
+        }
+    }
 }

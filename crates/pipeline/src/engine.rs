@@ -9,7 +9,6 @@ use crate::snmp::{SnmpPoller, SnmpSample};
 use crate::telemetry::{BusStats, SelfMetrics};
 use bytes::{BufMut, Bytes, BytesMut};
 use ruru_analytics::detect::{FloodConfig, RateConfig, SpikeConfig};
-use ruru_analytics::workers::PoolStats;
 use ruru_analytics::{
     AlertSink, EnrichedMeasurement, EnrichmentPool, LatencySpikeDetector, PairAggregator,
     PairInterner, RateAnomalyDetector, SynFloodDetector,
@@ -49,10 +48,6 @@ pub struct PipelineConfig {
     pub flood: FloodConfig,
     /// Connection-rate detector settings.
     pub rate: RateConfig,
-    /// Interval (virtual ns) between self-telemetry collections: each one
-    /// snapshots the sharded registry and writes `ruru_self` points into
-    /// the tsdb (see [`crate::telemetry`]).
-    pub telemetry_interval_ns: u64,
     /// When true (the default), [`Pipeline::feed`] waits for ring space
     /// instead of dropping at a full RX ring. Simulated time is decoupled
     /// from wall time, so "waiting" costs nothing and runs are lossless on
@@ -70,71 +65,25 @@ impl Default for PipelineConfig {
             spike: SpikeConfig::default(),
             flood: FloodConfig::default(),
             rate: RateConfig::default(),
-            telemetry_interval_ns: 1_000_000_000,
             lossless_inject: true,
         }
     }
 }
 
-/// Per-stage throughput counters: what moved through one pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStats {
-    /// Records (packets or bus events) entering the stage.
-    pub records_in: u64,
-    /// Records the stage emitted downstream.
-    pub records_out: u64,
-    /// Batched bus transfers (vectored sends/receives) performed.
-    pub batches: u64,
-    /// Payload bytes moved on the stage's bus edge.
-    pub bytes: u64,
-    /// Times the stage's scratch encode path had to allocate a fresh
-    /// block — ≈ one per 64 KiB of output, not one per record.
-    pub alloc_hits: u64,
-    /// Records discarded because their payload failed to decode. The
-    /// internal feeds are self-produced, so this should read zero — but a
-    /// silent discard here would break the detector-conservation identity
-    /// invisibly, so it is counted, never dropped.
-    pub decode_errors: u64,
-}
+/// Virtual time between self-telemetry collections: each one snapshots
+/// the sharded registry and writes `ruru_self` points into the tsdb (see
+/// [`crate::telemetry`]).
+const TELEMETRY_INTERVAL_NS: u64 = 1_000_000_000;
 
-/// Every classification reject cause, in [`reject_idx`] order — the
-/// dataplane workers count causes in a local array and flush one registry
-/// burst per RX burst.
-const REJECT_CAUSES: [Reject; 7] = [
-    Reject::NotIp,
-    Reject::NotTcp,
-    Reject::Fragment,
-    Reject::BadIpChecksum,
-    Reject::BadTcpChecksum,
-    Reject::BadTcp,
-    Reject::BusClosed,
-];
-
-fn reject_idx(reject: Reject) -> usize {
-    match reject {
-        Reject::NotIp => 0,
-        Reject::NotTcp => 1,
-        Reject::Fragment => 2,
-        Reject::BadIpChecksum => 3,
-        Reject::BadTcpChecksum => 4,
-        Reject::BadTcp => 5,
-        Reject::BusClosed => 6,
-    }
-}
-
-/// Everything the run produced.
+/// Everything the run produced. Every stage count (dataplane, enrichment,
+/// in-flow, detector, bus) is read from [`Report::telemetry`], the final
+/// registry snapshot: the numbers the live `ruru_self` export carries, so
+/// a report and a dashboard cannot disagree.
 pub struct Report {
     /// NIC-level statistics.
     pub port: PortStats,
     /// Per-queue tracker statistics.
     pub trackers: Vec<(u16, TrackerStats)>,
-    /// Per-queue continuous in-flow RTT statistics (the TCP-timestamp
-    /// path that keeps sampling after the handshake).
-    /// Their RTT distribution is the `inflow_rtt_ns` histogram of
-    /// [`Report::telemetry`].
-    pub inflows: Vec<(u16, InflowStats)>,
-    /// The enrichment pool's statistics (the `enrich_*` registry counters).
-    pub pool: PoolStats,
     /// All alerts raised.
     pub alerts: Vec<ruru_analytics::Alert>,
     /// The time-series database, for panel queries.
@@ -144,21 +93,13 @@ pub struct Report {
     /// Per-cause classification reject counts (the `reject_*` registry
     /// counters).
     pub rejects: RejectStats,
-    /// Throughput counters for the dataplane stage (classify → track →
-    /// batched PUSH of binary measurements).
-    pub dataplane: StageStats,
-    /// Throughput counters for the detector stage (batched PULL of binary
-    /// enriched records + SYN events; the `det_*` registry counters).
-    /// `bytes` counts the enriched records; SYN events count as records.
-    pub detector_stage: StageStats,
     /// Rolling per-location-pair / per-AS-pair aggregates (the paper's
     /// "aggregates statistics by source and destination locations, and AS
     /// numbers").
     pub aggregates: PairAggregator,
     /// Final self-telemetry snapshot: every registry counter, gauge and
     /// stage-residency histogram, taken after all stages quiesced (the
-    /// source of the run's last `ruru_self` export, and of every stage
-    /// count above).
+    /// source of the run's last `ruru_self` export, and of `rejects`).
     pub telemetry: Snapshot,
     /// `ruru_self` points written into the tsdb over the run, so
     /// `tsdb.points_ingested() == measurements + telemetry_points` exactly.
@@ -176,9 +117,10 @@ impl Report {
         self.trackers.iter().map(|(_, s)| s.syns).sum()
     }
 
-    /// Total continuous in-flow RTT samples across queues.
+    /// Total continuous in-flow RTT samples across queues (the
+    /// `inflow_samples` registry counter).
     pub fn inflow_samples(&self) -> u64 {
-        self.inflows.iter().map(|(_, s)| s.samples).sum()
+        self.telemetry.counter("inflow_samples")
     }
 }
 
@@ -220,7 +162,8 @@ struct WorkerState {
     bytes: u64,
     alloc_hits: u64,
     syn_events: u64,
-    reject_counts: [u64; REJECT_CAUSES.len()],
+    /// Rejects of this burst, indexed by `Reject as usize`.
+    reject_counts: [u64; Reject::ALL.len()],
 }
 
 /// Make room for a `len`-byte record in an lcore's encode scratch block,
@@ -271,7 +214,7 @@ impl WorkerState {
             // Like a measurement batch: a send fails only once the
             // detector is gone, and its events count as bus-closed drops.
             if self.det_push.send_batch(Some(msg)).is_err() {
-                if let Some(n) = self.reject_counts.get_mut(reject_idx(Reject::BusClosed)) {
+                if let Some(n) = self.reject_counts.get_mut(Reject::BusClosed as usize) {
                     *n += self.syn_stamps.len() as u64;
                 }
             }
@@ -291,7 +234,7 @@ impl WorkerState {
             if sent.is_err() {
                 // `consumed` includes the message that failed to send.
                 let lost = queued.saturating_sub(consumed.saturating_sub(1));
-                if let Some(n) = self.reject_counts.get_mut(reject_idx(Reject::BusClosed)) {
+                if let Some(n) = self.reject_counts.get_mut(Reject::BusClosed as usize) {
                     *n += lost as u64;
                 }
             }
@@ -323,14 +266,12 @@ impl WorkerState {
             r.counter_add(self.shard, m.dp_syn_events, self.syn_events);
             self.syn_events = 0;
         }
-        for (i, &cause) in REJECT_CAUSES.iter().enumerate() {
-            if let Some(&n) = self.reject_counts.get(i) {
-                if n > 0 {
-                    r.counter_add(self.shard, m.reject_counter(cause), n);
-                }
+        for (&cause, &n) in Reject::ALL.iter().zip(&self.reject_counts) {
+            if n > 0 {
+                r.counter_add(self.shard, m.reject_counter(cause), n);
             }
         }
-        self.reject_counts = [0; REJECT_CAUSES.len()];
+        self.reject_counts = [0; Reject::ALL.len()];
         for &ns in &self.residencies {
             r.hist_record(self.shard, m.rx_residency, ns);
         }
@@ -420,7 +361,6 @@ pub struct Pipeline {
     /// feed, read at each collection.
     enrich_probe: Probe<Message>,
     detect_probe: Probe<Message>,
-    telemetry_interval_ns: u64,
     last_telemetry: u64,
     telemetry_points: u64,
     // Reused collection buffers: snapshots allocate nothing after warm-up.
@@ -442,12 +382,29 @@ struct DetectorInputs {
     clock: Clock,
 }
 
+/// What moved through the detector in one loop iteration, flushed to its
+/// registry shard as the `det_*` counters.
+#[derive(Default)]
+struct DetectorDelta {
+    /// Records entering: enriched records plus SYN events.
+    records_in: u64,
+    /// Records released from the reorder buffer to the detectors.
+    records_out: u64,
+    /// Batched receives.
+    batches: u64,
+    /// Bytes of the enriched records received.
+    bytes: u64,
+    /// Records whose payload failed to decode: zero on the self-produced
+    /// feed, but counted, never dropped, so `detector-conservation` holds.
+    decode_errors: u64,
+}
+
 /// Flush the detector's per-iteration deltas into its registry shard (one
 /// epoch-framed burst).
 fn flush_detector_deltas(
     metrics: &SelfMetrics,
     shard: usize,
-    delta: &mut StageStats,
+    delta: &mut DetectorDelta,
     residencies: &mut Vec<u64>,
 ) {
     if delta.records_in == 0 && delta.records_out == 0 && residencies.is_empty() {
@@ -475,7 +432,7 @@ fn flush_detector_deltas(
     }
     r.burst_end(shard);
     residencies.clear();
-    *delta = StageStats::default();
+    *delta = DetectorDelta::default();
 }
 
 /// One RX burst through the dataplane stage: classify every packet with
@@ -555,7 +512,7 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
             Err(reject) => {
                 // Fragments/UDP/ARP are normal on a live tap; count them
                 // per cause, flushed to this worker's registry shard.
-                if let Some(n) = state.reject_counts.get_mut(reject_idx(reject)) {
+                if let Some(n) = state.reject_counts.get_mut(reject as usize) {
                     *n += 1;
                 }
             }
@@ -631,7 +588,7 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     let mut pairs = PairInterner::new();
     // Per-iteration deltas + publish residencies, flushed into the
     // detector's registry shard as one epoch-framed burst per iteration.
-    let mut delta = StageStats::default();
+    let mut delta = DetectorDelta::default();
     // alloc-ok: one-time setup before the receive loop.
     let mut residencies: Vec<u64> = Vec::with_capacity(2 * BURST_SIZE);
     let det_shard = metrics.detector_shard();
@@ -840,7 +797,7 @@ impl Pipeline {
             bytes: 0,
             alloc_hits: 0,
             syn_events: 0,
-            reject_counts: [0; REJECT_CAUSES.len()],
+            reject_counts: [0; Reject::ALL.len()],
         };
         // Whole-burst workers: classify the burst, prefetch-staged table
         // walk, one vectored PUSH at the burst boundary (PUSH blocks at
@@ -867,7 +824,6 @@ impl Pipeline {
             metrics,
             enrich_probe,
             detect_probe,
-            telemetry_interval_ns: config.telemetry_interval_ns.max(1),
             last_telemetry: 0,
             telemetry_points: 0,
             telemetry_snap: Snapshot::default(),
@@ -895,7 +851,7 @@ impl Pipeline {
         self.last_event = self.last_event.max(event.at);
         self.snmp.observe_packet(event.at, event.frame.len());
         let now_ns = self.clock.now().as_nanos();
-        if now_ns.saturating_sub(self.last_telemetry) >= self.telemetry_interval_ns {
+        if now_ns.saturating_sub(self.last_telemetry) >= TELEMETRY_INTERVAL_NS {
             self.collect_telemetry(now_ns);
         }
         if self.lossless_inject {
@@ -973,12 +929,9 @@ impl Pipeline {
         //    take back their states, in queue order. Each shard's only
         //    writer has exited, so flushing it here is single-writer.
         let mut trackers: Vec<(u16, TrackerStats)> = Vec::new();
-        let mut inflows: Vec<(u16, InflowStats)> = Vec::new();
         for mut state in stages.workers.shutdown() {
             state.flush();
-            let queue = state.tracker.queue_id();
-            trackers.push((queue, state.tracker.stats()));
-            inflows.push((queue, state.inflow.stats()));
+            trackers.push((state.tracker.queue_id(), state.tracker.stats()));
             // Dropping `state` drops this worker's PUSH ends of both
             // pipes; after the last one the enrichment pipe is closed.
         }
@@ -996,9 +949,8 @@ impl Pipeline {
         //    snapshot is exact (no skipped shards).
         self.collect_telemetry(self.last_event.as_nanos().max(self.last_telemetry));
 
-        // 5. Every stage count in the report is read from that one
-        //    snapshot — the numbers the live `ruru_self` export carries, so
-        //    a report and a dashboard cannot disagree.
+        // 5. The per-cause rejects are read from that one snapshot, like
+        //    every other stage count a caller reads from `telemetry`.
         let t = self.telemetry_snap;
         let rejects = RejectStats {
             not_ip: t.counter("reject_not_ip"),
@@ -1009,45 +961,13 @@ impl Pipeline {
             bad_tcp: t.counter("reject_bad_tcp"),
             bus_closed: t.counter("reject_bus_closed"),
         };
-        let pool = PoolStats {
-            enriched: t.counter("enrich_enriched"),
-            decode_errors: t.counter("enrich_decode_errors"),
-            geo_misses: t.counter("enrich_geo_misses"),
-            batches_in: t.counter("enrich_batches_in"),
-            batches_out: t.counter("enrich_batches_out"),
-            bytes_out: t.counter("enrich_bytes_out"),
-            alloc_hits: t.counter("enrich_alloc_hits"),
-            tsdb_merged: t.counter("tsdb_merge_points"),
-        };
-        let dataplane = StageStats {
-            records_in: t.counter("dp_records_in"),
-            records_out: t.counter("dp_records_out"),
-            batches: t.counter("dp_batches"),
-            bytes: t.counter("dp_bytes"),
-            alloc_hits: t.counter("dp_alloc_hits"),
-            // The dataplane discards via typed rejects, not decode failures.
-            decode_errors: 0,
-        };
-        let detector_stage = StageStats {
-            records_in: t.counter("det_records_in"),
-            records_out: t.counter("det_records_out"),
-            batches: t.counter("det_batches"),
-            bytes: t.counter("det_bytes"),
-            // The detector decodes in place; it has no scratch encoder.
-            alloc_hits: 0,
-            decode_errors: t.counter("det_decode_errors"),
-        };
         Report {
             port: self.port.stats(),
             trackers,
-            inflows,
-            pool,
             alerts: self.alerts.snapshot(),
             tsdb: self.tsdb,
             snmp: self.snmp.finish(self.last_event),
             rejects,
-            dataplane,
-            detector_stage,
             aggregates,
             telemetry: t,
             telemetry_points: self.telemetry_points,
@@ -1179,8 +1099,9 @@ mod tests {
         let truths = gen.truths().len() as u64;
         let report = pipeline.finish();
         assert_eq!(report.measurements(), truths, "all flows measured");
-        assert_eq!(report.pool.enriched, truths, "all measurements enriched");
-        assert_eq!(report.pool.geo_misses, 0);
+        let t = &report.telemetry;
+        assert_eq!(t.counter("enrich_enriched"), truths, "all measurements enriched");
+        assert_eq!(t.counter("enrich_geo_misses"), 0);
         assert!(report.telemetry_points > 0, "self-telemetry was exported");
         assert_eq!(
             report.tsdb.points_ingested(),
@@ -1191,16 +1112,13 @@ mod tests {
         assert_eq!(report.port.ring_full_drops, 0);
         assert!(!report.snmp.is_empty());
         assert_eq!(report.rejects.total(), 0, "clean traffic: no rejects");
-        assert_eq!(report.dataplane.records_out, truths);
-        assert!(report.pool.batches_in > 0, "enrichers read batched input");
-        assert!(report.pool.bytes_out > 0);
+        assert!(t.counter("enrich_batches_in") > 0, "enrichers read batched input");
+        assert!(t.counter("enrich_bytes_out") > 0);
 
         // The registry agrees with every other accounting of the run.
-        let t = &report.telemetry;
         assert_eq!(t.skipped_shards, 0, "quiesced final snapshot is exact");
         assert_eq!(t.counter("dp_records_out"), truths);
         assert_eq!(t.gauge("tracker_measurements"), truths);
-        assert_eq!(t.counter("enrich_enriched"), truths);
         assert_eq!(t.counter("det_records_out"), t.counter("det_records_in"));
         let rx = t.hist("stage_rx_residency_ns").expect("rx residency");
         assert_eq!(rx.count, fed, "one RX residency sample per clean packet");
@@ -1216,7 +1134,6 @@ mod tests {
         // handshake, every sample folded into the registry histogram
         // exactly once, and both trackers saw the same packets.
         assert!(report.inflow_samples() > 0, "in-flow RTT samples");
-        assert_eq!(t.counter("inflow_samples"), report.inflow_samples());
         let inf = t.hist("inflow_rtt_ns").expect("inflow histogram");
         assert_eq!(inf.count, report.inflow_samples());
         assert_eq!(t.gauge("inflow_packets"), t.gauge("tracker_packets"));
@@ -1252,34 +1169,33 @@ mod tests {
         // registry's per-cause counters reconcile with them exactly.
         assert_eq!(report.rejects.not_ip, 10);
         assert_eq!(report.rejects.total(), 10);
-        assert_eq!(report.telemetry.counter("reject_not_ip"), 10);
-        assert_eq!(report.telemetry.counter("reject_not_tcp"), 0);
-        assert_eq!(report.telemetry.counter("reject_bus_closed"), 0);
+        let t = &report.telemetry;
+        assert_eq!(t.counter("reject_not_ip"), 10);
+        assert_eq!(t.counter("reject_not_tcp"), 0);
+        assert_eq!(t.counter("reject_bus_closed"), 0);
 
         // Dataplane stage: every frame in, every measurement out as a
         // fixed binary record, batched through the scratch encoder.
-        let dp = report.dataplane;
-        assert_eq!(dp.records_in, fed + 10);
-        assert_eq!(dp.records_out, truths);
-        assert_eq!(dp.bytes, truths * WIRE_LEN as u64);
-        assert!((1..=truths).contains(&dp.batches));
+        assert_eq!(t.counter("dp_records_in"), fed + 10);
+        assert_eq!(t.counter("dp_records_out"), truths);
+        assert_eq!(t.counter("dp_bytes"), truths * WIRE_LEN as u64);
+        assert!((1..=truths).contains(&t.counter("dp_batches")));
+        let alloc_hits = t.counter("dp_alloc_hits");
         assert!(
-            (1..=8).contains(&dp.alloc_hits),
-            "scratch blocks, not per-record allocations: {}",
-            dp.alloc_hits
+            (1..=8).contains(&alloc_hits),
+            "scratch blocks, not per-record allocations: {alloc_hits}"
         );
 
         // Detector stage: binary enriched records arrive batched; every
         // event admitted to the reorder buffer is eventually processed.
-        let det = report.detector_stage;
         assert_eq!(
-            det.bytes,
+            t.counter("det_bytes"),
             truths * ruru_analytics::enrich::ENRICHED_WIRE_LEN as u64
         );
-        assert!(det.records_in >= truths, "SYN events plus measurements");
-        assert_eq!(det.records_out, det.records_in);
-        assert!((1..=det.records_in).contains(&det.batches));
-        assert_eq!(det.alloc_hits, 0);
+        let det_in = t.counter("det_records_in");
+        assert!(det_in >= truths, "SYN events plus measurements");
+        assert_eq!(t.counter("det_records_out"), det_in);
+        assert!((1..=det_in).contains(&t.counter("det_batches")));
     }
 
     #[test]
@@ -1316,17 +1232,17 @@ mod tests {
         // Four enrichers (one per queue) enrich, store and publish every
         // measurement exactly once.
         assert_eq!(sub.backlog() as u64, truths, "every record published");
-        assert_eq!(report.pool.enriched, truths);
-        assert_eq!(report.pool.geo_misses, 0, "clean world, no misses");
-        assert_eq!(report.pool.decode_errors, 0);
-        assert_eq!(report.dataplane.records_out, truths);
-        assert_eq!(report.telemetry.counter("dp_records_out"), truths);
+        let t = &report.telemetry;
+        assert_eq!(t.counter("enrich_enriched"), truths);
+        assert_eq!(t.counter("enrich_geo_misses"), 0, "clean world, no misses");
+        assert_eq!(t.counter("enrich_decode_errors"), 0);
+        assert_eq!(t.counter("dp_records_out"), truths);
         assert_eq!(
             report.tsdb.points_ingested(),
             truths + report.telemetry_points
         );
         let violations = crate::conservation::check(
-            &report.telemetry,
+            t,
             &[
                 ("tsdb_points_ingested", report.tsdb.points_ingested()),
                 ("telemetry_points", report.telemetry_points),

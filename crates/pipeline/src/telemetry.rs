@@ -172,155 +172,85 @@ impl SelfMetrics {
     /// `enrich_threads` enrichment workers.
     pub fn new(num_queues: usize, enrich_threads: usize) -> SelfMetrics {
         let mut b = RegistryBuilder::new();
-        let dp_records_in = b.counter("dp_records_in");
-        let dp_records_out = b.counter("dp_records_out");
-        let dp_batches = b.counter("dp_batches");
-        let dp_bytes = b.counter("dp_bytes");
-        let dp_alloc_hits = b.counter("dp_alloc_hits");
-        let dp_syn_events = b.counter("dp_syn_events");
-        let reject_not_ip = b.counter("reject_not_ip");
-        let reject_not_tcp = b.counter("reject_not_tcp");
-        let reject_fragment = b.counter("reject_fragment");
-        let reject_bad_ip_checksum = b.counter("reject_bad_ip_checksum");
-        let reject_bad_tcp_checksum = b.counter("reject_bad_tcp_checksum");
-        let reject_bad_tcp = b.counter("reject_bad_tcp");
-        let reject_bus_closed = b.counter("reject_bus_closed");
-        let enrich_enriched = b.counter("enrich_enriched");
-        let enrich_decode_errors = b.counter("enrich_decode_errors");
-        let enrich_geo_misses = b.counter("enrich_geo_misses");
-        let enrich_bytes_out = b.counter("enrich_bytes_out");
-        let enrich_batches_in = b.counter("enrich_batches_in");
-        let enrich_batches_out = b.counter("enrich_batches_out");
-        let enrich_alloc_hits = b.counter("enrich_alloc_hits");
-        let tsdb_merge_points = b.counter("tsdb_merge_points");
-        let det_records_in = b.counter("det_records_in");
-        let det_records_out = b.counter("det_records_out");
-        let det_decode_errors = b.counter("det_decode_errors");
-        let det_batches = b.counter("det_batches");
-        let det_bytes = b.counter("det_bytes");
-        let inflow_samples = b.counter("inflow_samples");
-        let inflow_no_timestamp = b.counter("inflow_no_timestamp");
-        let inflow_evicted = b.counter("inflow_evicted");
-
-        let tracker_packets = b.gauge("tracker_packets");
-        let tracker_syns = b.gauge("tracker_syns");
-        let tracker_synacks = b.gauge("tracker_synacks");
-        let tracker_measurements = b.gauge("tracker_measurements");
-        let tracker_syn_retransmissions = b.gauge("tracker_syn_retransmissions");
-        let tracker_synack_retransmissions = b.gauge("tracker_synack_retransmissions");
-        let tracker_restarts = b.gauge("tracker_restarts");
-        let tracker_stray_synacks = b.gauge("tracker_stray_synacks");
-        let tracker_rst_aborts = b.gauge("tracker_rst_aborts");
-        let tracker_expired = b.gauge("tracker_expired");
-        let tracker_evicted = b.gauge("tracker_evicted");
-        let tracker_nonmonotonic = b.gauge("tracker_nonmonotonic");
-        let flow_table_occupancy = b.gauge("flow_table_occupancy");
-        let inflow_packets = b.gauge("inflow_packets");
-        let inflow_tsvals_recorded = b.gauge("inflow_tsvals_recorded");
-        let inflow_duplicate_tsvals = b.gauge("inflow_duplicate_tsvals");
-        let inflow_zero_tsvals = b.gauge("inflow_zero_tsvals");
-        let inflow_nonmonotonic = b.gauge("inflow_nonmonotonic");
-        let inflow_expired_flows = b.gauge("inflow_expired_flows");
-        let inflow_table_occupancy = b.gauge("inflow_table_occupancy");
-        let port_rx_packets = b.gauge("port_rx_packets");
-        let port_rx_bytes = b.gauge("port_rx_bytes");
-        let port_no_mbuf_drops = b.gauge("port_no_mbuf_drops");
-        let port_ring_full_drops = b.gauge("port_ring_full_drops");
-        let port_non_ip_packets = b.gauge("port_non_ip_packets");
-        let port_inject_waits = b.gauge("port_inject_waits");
-        let port_rx_wakeups = b.gauge("port_rx_wakeups");
-        let port_inject_parks = b.gauge("port_inject_parks");
-        let enrich_wakeups = b.gauge("enrich_wakeups");
-        let detect_wakeups = b.gauge("detect_wakeups");
-        let mq_published = b.gauge("mq_published");
-        let mq_delivered = b.gauge("mq_delivered");
-        let mq_dropped = b.gauge("mq_dropped");
-        let tsdb_points = b.gauge("tsdb_points");
-        let tsdb_sealed_points = b.gauge("tsdb_sealed_points");
-        let tsdb_sealed_bytes = b.gauge("tsdb_sealed_bytes");
-        let tsdb_active_points = b.gauge("tsdb_active_points");
-
-        let rx_residency = b.histogram("stage_rx_residency_ns", RESIDENCY_PRECISION);
-        let inflow_rtt = b.histogram("inflow_rtt_ns", INFLOW_PRECISION);
-        let enrich_residency = b.histogram("stage_enrich_residency_ns", RESIDENCY_PRECISION);
-        let publish_residency = b.histogram("stage_publish_residency_ns", RESIDENCY_PRECISION);
-
-        // queues + detector + enrichers + collector.
-        let shards = num_queues + 1 + enrich_threads + 1;
+        // Each metric is declared once, in this literal, as
+        // `field: b.kind("name")`: the form `cargo xtask account-check`
+        // reads. Fields evaluate in the order written, so the registry
+        // is built last, once every metric is on the builder.
         SelfMetrics {
-            registry: Arc::new(b.build(shards)),
             num_queues,
             enrich_threads,
-            dp_records_in,
-            dp_records_out,
-            dp_batches,
-            dp_bytes,
-            dp_alloc_hits,
-            dp_syn_events,
-            rx_residency,
-            reject_not_ip,
-            reject_not_tcp,
-            reject_fragment,
-            reject_bad_ip_checksum,
-            reject_bad_tcp_checksum,
-            reject_bad_tcp,
-            reject_bus_closed,
-            tracker_packets,
-            tracker_syns,
-            tracker_synacks,
-            tracker_measurements,
-            tracker_syn_retransmissions,
-            tracker_synack_retransmissions,
-            tracker_restarts,
-            tracker_stray_synacks,
-            tracker_rst_aborts,
-            tracker_expired,
-            tracker_evicted,
-            tracker_nonmonotonic,
-            flow_table_occupancy,
-            inflow_samples,
-            inflow_no_timestamp,
-            inflow_evicted,
-            inflow_rtt,
-            inflow_packets,
-            inflow_tsvals_recorded,
-            inflow_duplicate_tsvals,
-            inflow_zero_tsvals,
-            inflow_nonmonotonic,
-            inflow_expired_flows,
-            inflow_table_occupancy,
-            enrich_enriched,
-            enrich_decode_errors,
-            enrich_geo_misses,
-            enrich_bytes_out,
-            enrich_batches_in,
-            enrich_batches_out,
-            enrich_alloc_hits,
-            tsdb_merge_points,
-            enrich_residency,
-            det_records_in,
-            det_records_out,
-            det_decode_errors,
-            det_batches,
-            det_bytes,
-            publish_residency,
-            port_rx_packets,
-            port_rx_bytes,
-            port_no_mbuf_drops,
-            port_ring_full_drops,
-            port_non_ip_packets,
-            port_inject_waits,
-            port_rx_wakeups,
-            port_inject_parks,
-            enrich_wakeups,
-            detect_wakeups,
-            mq_published,
-            mq_delivered,
-            mq_dropped,
-            tsdb_points,
-            tsdb_sealed_points,
-            tsdb_sealed_bytes,
-            tsdb_active_points,
+            dp_records_in: b.counter("dp_records_in"),
+            dp_records_out: b.counter("dp_records_out"),
+            dp_batches: b.counter("dp_batches"),
+            dp_bytes: b.counter("dp_bytes"),
+            dp_alloc_hits: b.counter("dp_alloc_hits"),
+            dp_syn_events: b.counter("dp_syn_events"),
+            rx_residency: b.histogram("stage_rx_residency_ns", RESIDENCY_PRECISION),
+            reject_not_ip: b.counter("reject_not_ip"),
+            reject_not_tcp: b.counter("reject_not_tcp"),
+            reject_fragment: b.counter("reject_fragment"),
+            reject_bad_ip_checksum: b.counter("reject_bad_ip_checksum"),
+            reject_bad_tcp_checksum: b.counter("reject_bad_tcp_checksum"),
+            reject_bad_tcp: b.counter("reject_bad_tcp"),
+            reject_bus_closed: b.counter("reject_bus_closed"),
+            tracker_packets: b.gauge("tracker_packets"),
+            tracker_syns: b.gauge("tracker_syns"),
+            tracker_synacks: b.gauge("tracker_synacks"),
+            tracker_measurements: b.gauge("tracker_measurements"),
+            tracker_syn_retransmissions: b.gauge("tracker_syn_retransmissions"),
+            tracker_synack_retransmissions: b.gauge("tracker_synack_retransmissions"),
+            tracker_restarts: b.gauge("tracker_restarts"),
+            tracker_stray_synacks: b.gauge("tracker_stray_synacks"),
+            tracker_rst_aborts: b.gauge("tracker_rst_aborts"),
+            tracker_expired: b.gauge("tracker_expired"),
+            tracker_evicted: b.gauge("tracker_evicted"),
+            tracker_nonmonotonic: b.gauge("tracker_nonmonotonic"),
+            flow_table_occupancy: b.gauge("flow_table_occupancy"),
+            inflow_samples: b.counter("inflow_samples"),
+            inflow_no_timestamp: b.counter("inflow_no_timestamp"),
+            inflow_evicted: b.counter("inflow_evicted"),
+            inflow_rtt: b.histogram("inflow_rtt_ns", INFLOW_PRECISION),
+            inflow_packets: b.gauge("inflow_packets"),
+            inflow_tsvals_recorded: b.gauge("inflow_tsvals_recorded"),
+            inflow_duplicate_tsvals: b.gauge("inflow_duplicate_tsvals"),
+            inflow_zero_tsvals: b.gauge("inflow_zero_tsvals"),
+            inflow_nonmonotonic: b.gauge("inflow_nonmonotonic"),
+            inflow_expired_flows: b.gauge("inflow_expired_flows"),
+            inflow_table_occupancy: b.gauge("inflow_table_occupancy"),
+            enrich_enriched: b.counter("enrich_enriched"),
+            enrich_decode_errors: b.counter("enrich_decode_errors"),
+            enrich_geo_misses: b.counter("enrich_geo_misses"),
+            enrich_bytes_out: b.counter("enrich_bytes_out"),
+            enrich_batches_in: b.counter("enrich_batches_in"),
+            enrich_batches_out: b.counter("enrich_batches_out"),
+            enrich_alloc_hits: b.counter("enrich_alloc_hits"),
+            tsdb_merge_points: b.counter("tsdb_merge_points"),
+            enrich_residency: b.histogram("stage_enrich_residency_ns", RESIDENCY_PRECISION),
+            det_records_in: b.counter("det_records_in"),
+            det_records_out: b.counter("det_records_out"),
+            det_decode_errors: b.counter("det_decode_errors"),
+            det_batches: b.counter("det_batches"),
+            det_bytes: b.counter("det_bytes"),
+            publish_residency: b.histogram("stage_publish_residency_ns", RESIDENCY_PRECISION),
+            port_rx_packets: b.gauge("port_rx_packets"),
+            port_rx_bytes: b.gauge("port_rx_bytes"),
+            port_no_mbuf_drops: b.gauge("port_no_mbuf_drops"),
+            port_ring_full_drops: b.gauge("port_ring_full_drops"),
+            port_non_ip_packets: b.gauge("port_non_ip_packets"),
+            port_inject_waits: b.gauge("port_inject_waits"),
+            port_rx_wakeups: b.gauge("port_rx_wakeups"),
+            port_inject_parks: b.gauge("port_inject_parks"),
+            enrich_wakeups: b.gauge("enrich_wakeups"),
+            detect_wakeups: b.gauge("detect_wakeups"),
+            mq_published: b.gauge("mq_published"),
+            mq_delivered: b.gauge("mq_delivered"),
+            mq_dropped: b.gauge("mq_dropped"),
+            tsdb_points: b.gauge("tsdb_points"),
+            tsdb_sealed_points: b.gauge("tsdb_sealed_points"),
+            tsdb_sealed_bytes: b.gauge("tsdb_sealed_bytes"),
+            tsdb_active_points: b.gauge("tsdb_active_points"),
+            // queues + detector + enrichers + collector.
+            registry: Arc::new(b.build(num_queues + 1 + enrich_threads + 1)),
         }
     }
 
@@ -461,20 +391,11 @@ mod tests {
     #[test]
     fn reject_counters_are_distinct_per_cause() {
         let m = SelfMetrics::new(1, 1);
-        let causes = [
-            Reject::NotIp,
-            Reject::NotTcp,
-            Reject::Fragment,
-            Reject::BadIpChecksum,
-            Reject::BadTcpChecksum,
-            Reject::BadTcp,
-            Reject::BusClosed,
-        ];
         let shard = m.dataplane_shard(0);
         m.registry().burst_begin(shard);
-        for (i, c) in causes.iter().enumerate() {
+        for (i, &c) in Reject::ALL.iter().enumerate() {
             m.registry()
-                .counter_add(shard, m.reject_counter(*c), (i + 1) as u64);
+                .counter_add(shard, m.reject_counter(c), (i + 1) as u64);
         }
         m.registry().burst_end(shard);
         let snap = m.registry().snapshot(0);

@@ -94,7 +94,7 @@ fn faulted_capture_is_rejected_not_fatal() {
 
     // Every frame was consumed: classified, measured, or rejected with a
     // cause — the workers survived the whole mangled capture.
-    assert_eq!(report.dataplane.records_in, fed);
+    assert_eq!(report.telemetry.counter("dp_records_in"), fed);
     assert!(
         report.rejects.total() > 0,
         "corrupt + truncated frames must surface as rejects: {:?}",
@@ -148,7 +148,7 @@ fn truncation_sweep_never_panics() {
     }
 
     let report = pipeline.finish();
-    assert_eq!(report.dataplane.records_in, fed);
+    assert_eq!(report.telemetry.counter("dp_records_in"), fed);
     assert_eq!(
         report.measurements(),
         0,

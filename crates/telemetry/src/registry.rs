@@ -502,20 +502,21 @@ impl Snapshot {
         }
     }
 
-    /// Value of counter `name` (0 when unknown).
+    /// Value of counter `name`. An undeclared name reads 0 in a release
+    /// build and panics in a debug build, so a misspelt read cannot pass
+    /// a test as a zero.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+        let found = self.counters.iter().find(|(n, _)| *n == name);
+        debug_assert!(found.is_some(), "counter `{name}` is not declared");
+        found.map_or(0, |(_, v)| *v)
     }
 
-    /// Value of gauge `name` (0 when unknown).
+    /// Value of gauge `name`; an undeclared name is treated as in
+    /// [`Snapshot::counter`].
     pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+        let found = self.gauges.iter().find(|(n, _)| *n == name);
+        debug_assert!(found.is_some(), "gauge `{name}` is not declared");
+        found.map_or(0, |(_, v)| *v)
     }
 
     /// The merged histogram named `name`, if registered.
@@ -655,8 +656,23 @@ mod tests {
         r.burst_end(9);
         let snap = r.snapshot(0);
         assert_eq!(snap.counter("rx_packets"), 0);
-        assert_eq!(snap.counter("no_such_metric"), 0);
         assert!(snap.hist("missing").is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "counter `rx_packet` is not declared")]
+    fn a_misspelt_counter_read_panics() {
+        let (r, _, _, _) = small_registry(1);
+        r.snapshot(0).counter("rx_packet");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "gauge `rx_packets` is not declared")]
+    fn a_counter_read_as_a_gauge_panics() {
+        let (r, _, _, _) = small_registry(1);
+        r.snapshot(0).gauge("rx_packets");
     }
 
     #[test]

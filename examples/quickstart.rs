@@ -49,8 +49,9 @@ fn main() {
     }
 
     println!("\n== analytics ==");
-    println!("enriched         : {}", report.pool.enriched);
-    println!("geo misses       : {}", report.pool.geo_misses);
+    let t = &report.telemetry;
+    println!("enriched         : {}", t.counter("enrich_enriched"));
+    println!("geo misses       : {}", t.counter("enrich_geo_misses"));
     println!("tsdb points      : {}", report.tsdb.points_ingested());
     println!("alerts           : {}", report.alerts.len());
     println!(

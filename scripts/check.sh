@@ -37,14 +37,6 @@ loom_models() {
         cargo test "${CARGO_FLAGS[@]}" --release -p ruru-loom -p ruru-nic -p ruru-mq -p ruru-telemetry
 }
 
-# Telemetry smoke: the self-telemetry integration suite proves counter
-# conservation end to end (every fed frame lands in exactly one reject or
-# tracker counter) and that the `ruru_self` export parses and reconciles.
-telemetry_smoke() {
-    cargo test "${CARGO_FLAGS[@]}" -q -p ruru-telemetry
-    cargo test "${CARGO_FLAGS[@]}" -q -p ruru-pipeline --test self_telemetry
-}
-
 # Scaled-down bench report run, as CI's "TSDB smoke" and "Inflow smoke":
 # the reporter must finish and write valid JSON holding every
 # `section.key` named after the binary.
@@ -62,7 +54,6 @@ PY
 }
 
 step "cargo test -q --workspace" cargo test "${CARGO_FLAGS[@]}" -q --workspace
-step "telemetry smoke (conservation + ruru_self export)" telemetry_smoke
 step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 # One entry point for all four static gates (lint, panic-check,

@@ -29,14 +29,15 @@ fn clean_run_measures_every_flow_exactly() {
 
     let truths = gen.truths();
     assert_eq!(report.measurements(), truths.len() as u64);
-    assert_eq!(report.pool.enriched, truths.len() as u64);
+    let t = &report.telemetry;
+    assert_eq!(t.counter("enrich_enriched"), truths.len() as u64);
     // Conservation: everything in the store is either an enriched
     // measurement or a `ruru_self` telemetry export point.
     assert_eq!(
         report.tsdb.points_ingested(),
         truths.len() as u64 + report.telemetry_points
     );
-    assert_eq!(report.pool.geo_misses, 0);
+    assert_eq!(t.counter("enrich_geo_misses"), 0);
     assert_eq!(report.rejects.total(), 0);
     // Every measurement passed through the detector's per-record work.
     let aggregated: u64 = report
@@ -198,8 +199,8 @@ fn backpressure_slow_analytics_loses_nothing() {
     pipeline.run(&mut gen);
     let report = pipeline.finish();
     let truths = gen.truths().len() as u64;
-    assert_eq!(report.dataplane.records_out, truths);
-    assert_eq!(report.pool.enriched, truths);
+    assert_eq!(report.telemetry.counter("dp_records_out"), truths);
+    assert_eq!(report.telemetry.counter("enrich_enriched"), truths);
     assert_eq!(report.rejects.bus_closed, 0, "no push was dropped");
 }
 
