@@ -26,6 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
+use ruru_pipeline::SelfMetrics;
+use ruru_telemetry::Snapshot;
+use ruru_tsdb::TsDb;
+
 /// Single-threaded: full per-packet worker stage (classify + track),
 /// pre-sharded into `queues` queues; returns seconds.
 fn run_sharded_inline(events: &[(Timestamp, Vec<u8>)], queues: u16, validate: bool) -> f64 {
@@ -152,6 +156,68 @@ fn rate_line(label: &str, packets: usize, bytes: u64, secs: f64) -> (f64, f64) {
     (pps, gbps)
 }
 
+/// Collections timed after the warm-up.
+const COLLECTIONS: u32 = 2_000;
+
+/// One virtual second's self-telemetry collection as the pipeline makes
+/// it (`Pipeline::collect_telemetry`), on a one-queue `SelfMetrics`
+/// registry (4 shards) whose histograms hold realistic residencies and
+/// RTTs: `snapshot_into`, `write_into` a warm store, then
+/// `storage_stats`. The store is warmed past one sealed chunk per series
+/// first. Prints the mean µs of each part and of the whole collection.
+fn collection_costs() {
+    let metrics = SelfMetrics::new(1, 1);
+    let registry = metrics.registry();
+    let shards = registry.shard_count();
+    let names: Vec<&str> = registry.snapshot(0).hists.iter().map(|h| h.name).collect();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    for (k, name) in names.iter().enumerate() {
+        let id = registry.hist_id(name).expect("declared by SelfMetrics");
+        // RTTs span 1–300 ms, residencies 1 µs–2 ms, log-uniformly.
+        let (lo, hi) = if name.contains("rtt") { (20.0f64, 28.2) } else { (10.0f64, 21.0) };
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let exp = lo + (hi - lo) * (x >> 11) as f64 / (1u64 << 53) as f64;
+            registry.hist_record(k % shards, id, exp.exp2() as u64);
+        }
+    }
+    let db = TsDb::new();
+    let mut snap = Snapshot::default();
+    let mut scratch = Vec::new();
+    let mut second = 0u64;
+    let mut collect = |parts: &mut [f64; 3]| {
+        second += 1;
+        let t0 = Instant::now();
+        registry.snapshot_into(second * 1_000_000_000, &mut snap, &mut scratch);
+        let t1 = Instant::now();
+        black_box(snap.write_into(&db));
+        let t2 = Instant::now();
+        black_box(db.storage_stats());
+        let t3 = Instant::now();
+        for (part, (a, b)) in parts.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3)]) {
+            *part += (b - a).as_secs_f64();
+        }
+    };
+    let mut warm = [0.0; 3];
+    for _ in 0..1_100 {
+        collect(&mut warm);
+    }
+    let mut parts = [0.0; 3];
+    for _ in 0..COLLECTIONS {
+        collect(&mut parts);
+    }
+    let us = |secs: f64| secs * 1e6 / f64::from(COLLECTIONS);
+    let rows = snap.to_points().len();
+    println!("  self-telemetry collection ({shards} shards, {rows} rows exported):");
+    let labels = ["snapshot_into", "write_into (warm store)", "storage_stats"];
+    for (label, secs) in labels.iter().zip(parts) {
+        println!("    {label:<50} {:>8.1} µs", us(secs));
+    }
+    println!("    {:<50} {:>8.1} µs", "whole collection", us(parts.iter().sum()));
+}
+
 fn main() {
     let w = workload(21, 2000.0, 2, (1, 3));
     let n = w.events.len();
@@ -192,4 +258,6 @@ fn main() {
     } else {
         println!("  threaded sweep skipped: host has {cpus} CPU(s); see projection above");
     }
+
+    collection_costs();
 }

@@ -19,8 +19,7 @@ use crate::clock::{Clock, Timestamp};
 use crate::mbuf::{Mbuf, MbufPool};
 use crate::ring::{self, Consumer, Producer};
 use crate::rss::RssHasher;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{thread, Arc};
+use crate::sync::thread;
 use ruru_wire::{ethernet, ipv4, ipv6, tcp, IpAddress};
 
 /// Configuration of a simulated port.
@@ -51,32 +50,11 @@ impl Default for PortConfig {
     }
 }
 
-#[derive(Default)]
-struct QueueCounters {
-    packets: AtomicU64,
-    bytes: AtomicU64,
-    ring_full_drops: AtomicU64,
-}
-
-impl QueueCounters {
-    fn delivered(&self, len: usize) {
-        self.packets.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(len as u64, Ordering::Relaxed);
-    }
-}
-
 /// Tag a freshly allocated mbuf with its queue and arrival time.
 fn stamp(mut mbuf: Mbuf, queue: u16, timestamp: Timestamp) -> Mbuf {
     mbuf.queue_id = queue;
     mbuf.timestamp = timestamp;
     mbuf
-}
-
-struct Shared {
-    counters: Box<[QueueCounters]>,
-    no_mbuf_drops: AtomicU64,
-    non_ip_packets: AtomicU64,
-    inject_waits: AtomicU64,
 }
 
 /// Aggregate statistics of a port.
@@ -138,7 +116,10 @@ pub struct Port {
     clock: Clock,
     producers: Vec<Producer<Mbuf>>,
     rx_queues: Vec<Option<RxQueue>>,
-    shared: Arc<Shared>,
+    /// The wire side's counters. Only the injecting thread touches them
+    /// (through `&mut self`), so they are plain integers; [`Port::stats`]
+    /// sums them with the rings' wake counts.
+    counts: PortStats,
 }
 
 impl Port {
@@ -151,14 +132,6 @@ impl Port {
         } else {
             RssHasher::microsoft(config.num_queues)
         };
-        let shared = Arc::new(Shared {
-            counters: (0..config.num_queues)
-                .map(|_| QueueCounters::default())
-                .collect(),
-            no_mbuf_drops: AtomicU64::new(0),
-            non_ip_packets: AtomicU64::new(0),
-            inject_waits: AtomicU64::new(0),
-        });
         let mut producers = Vec::with_capacity(config.num_queues as usize);
         let mut rx_queues = Vec::with_capacity(config.num_queues as usize);
         for q in 0..config.num_queues {
@@ -176,7 +149,7 @@ impl Port {
             clock,
             producers,
             rx_queues,
-            shared,
+            counts: PortStats::default(),
         }
     }
 
@@ -252,18 +225,18 @@ impl Port {
     pub fn inject_at(&mut self, frame: &[u8], timestamp: Timestamp) -> Option<u16> {
         let queue = self.rss_queue(frame);
         let Some(mbuf) = self.pool.alloc(frame) else {
-            self.shared.no_mbuf_drops.fetch_add(1, Ordering::Relaxed);
+            self.counts.no_mbuf_drops += 1;
             return None;
         };
-        let (producer, c) = self.queue_parts(queue)?;
+        let producer = self.producers.get_mut(usize::from(queue))?;
         match producer.push(stamp(mbuf, queue, timestamp)) {
             Ok(()) => {
-                c.delivered(frame.len());
+                self.delivered(frame.len());
                 Some(queue)
             }
             Err(_mbuf) => {
                 // The mbuf drops here, returning its buffer to the pool.
-                c.ring_full_drops.fetch_add(1, Ordering::Relaxed);
+                self.counts.ring_full_drops += 1;
                 None
             }
         }
@@ -288,54 +261,43 @@ impl Port {
             waited = true;
             thread::yield_now();
         };
-        let (producer, c) = self.queue_parts(queue)?;
+        let producer = self.producers.get_mut(usize::from(queue))?;
         while let Err(back) = producer.push(mbuf) {
             mbuf = back;
             waited = true;
             producer.park_while_full();
         }
-        c.delivered(frame.len());
+        self.delivered(frame.len());
         if waited {
-            self.shared.inject_waits.fetch_add(1, Ordering::Relaxed);
+            self.counts.inject_waits += 1;
         }
         Some(queue)
     }
 
     /// The RX queue RSS steers `frame` to; frames without a TCP/IP tuple
-    /// hash to 0 and count as non-IP.
-    fn rss_queue(&self, frame: &[u8]) -> u16 {
+    /// hash to 0 and count as non-IP. `queue_for()` maps into
+    /// `0..num_queues`, and there are `num_queues` producers, so the
+    /// callers' producer lookup cannot miss; dropping the frame is still
+    /// better than aborting if that invariant ever broke.
+    fn rss_queue(&mut self, frame: &[u8]) -> u16 {
         let hash = match Self::parse_rss_tuple(frame) {
             Some((src, dst, sp, dp)) => self.hasher.hash_tuple(src, dst, sp, dp),
             None => {
-                self.shared.non_ip_packets.fetch_add(1, Ordering::Relaxed);
+                self.counts.non_ip_packets += 1;
                 0
             }
         };
         self.hasher.queue_for(hash)
     }
 
-    /// Queue `queue`'s ring producer and counters. `queue_for()` maps into
-    /// `0..num_queues` and both have `num_queues` entries, so the lookups
-    /// cannot miss; dropping the frame is still better than aborting if
-    /// that invariant ever broke.
-    fn queue_parts(&mut self, queue: u16) -> Option<(&mut Producer<Mbuf>, &QueueCounters)> {
-        let qi = usize::from(queue);
-        Some((self.producers.get_mut(qi)?, self.shared.counters.get(qi)?))
+    fn delivered(&mut self, len: usize) {
+        self.counts.rx_packets += 1;
+        self.counts.rx_bytes += len as u64;
     }
 
     /// Aggregate statistics across queues.
     pub fn stats(&self) -> PortStats {
-        let mut s = PortStats {
-            no_mbuf_drops: self.shared.no_mbuf_drops.load(Ordering::Relaxed),
-            non_ip_packets: self.shared.non_ip_packets.load(Ordering::Relaxed),
-            inject_waits: self.shared.inject_waits.load(Ordering::Relaxed),
-            ..PortStats::default()
-        };
-        for c in self.shared.counters.iter() {
-            s.rx_packets += c.packets.load(Ordering::Relaxed);
-            s.rx_bytes += c.bytes.load(Ordering::Relaxed);
-            s.ring_full_drops += c.ring_full_drops.load(Ordering::Relaxed);
-        }
+        let mut s = self.counts;
         s.rx_wakeups = self.producers.iter().map(Producer::wakeups).sum();
         s.inject_parks = self.producers.iter().map(Producer::parks).sum();
         s

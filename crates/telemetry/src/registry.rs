@@ -29,7 +29,9 @@
 //! # Reader protocol (epoch-validated seqlock, fence-free)
 //!
 //! The collector reads `epoch` with Acquire (retrying while odd), copies
-//! every cell with Acquire loads, then re-reads `epoch` (Relaxed) and
+//! with Acquire loads the counters, the gauges, each histogram's header
+//! and the bucket rows between the copied header's `min` and `max` (the
+//! only rows that can hold samples), then re-reads `epoch` (Relaxed) and
 //! accepts the copy only if both reads agree. If the reader observed *any*
 //! cell value stored inside burst `N`, that Acquire load synchronizes-with
 //! the writer's Release store, so the odd epoch store that began burst `N`
@@ -48,7 +50,7 @@
 use crate::sync::atomic::{AtomicU64, Ordering};
 
 use ruru_flow::histogram::{bucket_count, bucket_floor_of, bucket_index};
-use ruru_tsdb::{line, Point, TsDb};
+use ruru_tsdb::{line, Point, SeriesSet, TsDb};
 
 /// Epoch-validated reads per shard before the collector gives up and
 /// skips it for this snapshot (the shard's data is cumulative, so a
@@ -128,7 +130,7 @@ impl RegistryBuilder {
         let shards: Vec<Shard> = (0..shard_count)
             .map(|_| Shard::new(cells_per_shard, &hist_bases))
             .collect();
-        Registry {
+        let mut registry = Registry {
             counter_names: self.counters.into_boxed_slice(),
             gauge_names: self.gauges.into_boxed_slice(),
             hists: self.hists.into_boxed_slice(),
@@ -137,7 +139,10 @@ impl RegistryBuilder {
             gauge_base,
             cells_per_shard,
             shards: shards.into_boxed_slice(),
-        }
+            template: Snapshot::default(),
+        };
+        registry.template = Snapshot::keyed_to_schema(&registry);
+        registry
     }
 }
 
@@ -212,12 +217,22 @@ pub struct Registry {
     gauge_base: usize,
     cells_per_shard: usize,
     shards: Box<[Shard]>,
+    /// An empty snapshot of this schema, export series declared: what a
+    /// snapshot first collected against this registry is cloned from.
+    template: Snapshot,
 }
 
 impl Registry {
     /// Number of shards allocated at build time.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The histogram registered as `name`, if any: for callers outside
+    /// the code that declared it, such as a benchmark filling it.
+    pub fn hist_id(&self, name: &str) -> Option<HistId> {
+        let at = self.hists.iter().position(|&(n, _)| n == name)?;
+        Some(HistId(at as u32))
     }
 
     /// Open a write burst on `shard`: readers will reject the shard until
@@ -291,10 +306,16 @@ impl Registry {
         }
     }
 
-    /// Epoch-validated copy of one shard's cells into `out`.
+    /// Epoch-validated copy of one shard's cells into `out`: the
+    /// counters, the gauges, each histogram's header and then only the
+    /// bucket rows its copied `min`/`max` can hold
+    /// ([`held_rows`]), all inside one validation window. In a consistent
+    /// copy every other bucket is zero, so the copy is exact; the cells
+    /// outside those rows keep whatever `out` held and must not be read.
     /// Returns `false` if the shard stayed mid-burst for all
     /// [`SNAP_RETRIES`] attempts.
     fn read_shard(&self, s: &Shard, out: &mut [u64]) -> bool {
+        let scalars = self.hist_bases.first().copied().unwrap_or(self.cells_per_shard);
         for _ in 0..SNAP_RETRIES {
             let e1 = s.epoch.load(Ordering::Acquire);
             if e1 & 1 == 1 {
@@ -303,8 +324,12 @@ impl Registry {
                 // by the caller as skipped_shards, with the shard id.
                 continue;
             }
-            for (slot, cell) in out.iter_mut().zip(s.cells.iter()) {
-                *slot = cell.load(Ordering::Acquire);
+            copy_cells(&s.cells, out, 0..scalars);
+            for (&base, &(_, precision)) in self.hist_bases.iter().zip(self.hists.iter()) {
+                copy_cells(&s.cells, out, base..base + HIST_HEADER);
+                let rows = header_rows(out, base, precision);
+                let first = base + HIST_HEADER;
+                copy_cells(&s.cells, out, first + rows.start..first + rows.end);
             }
             // Validated against `e1`; any cell read from a newer burst
             // forces this load to observe that burst's odd epoch.
@@ -322,10 +347,12 @@ impl Registry {
     /// `timestamp_ns` stamps the exported points — pass the pipeline's
     /// virtual-clock reading, never wall time.
     pub fn snapshot_into(&self, timestamp_ns: u64, snap: &mut Snapshot, scratch: &mut Vec<u64>) {
-        scratch.clear();
-        // alloc-ok: fixed shape — allocates on the caller's first snapshot,
-        // then every later resize reuses the same backing storage.
-        scratch.resize(self.cells_per_shard, 0);
+        if scratch.len() != self.cells_per_shard {
+            scratch.clear();
+            // alloc-ok: fixed shape — allocates on the caller's first
+            // snapshot only; later collections reuse it as it is.
+            scratch.resize(self.cells_per_shard, 0);
+        }
         snap.reset(self, timestamp_ns);
         for (sid, shard) in self.shards.iter().enumerate() {
             if self.read_shard(shard, scratch) {
@@ -349,7 +376,49 @@ impl Registry {
     }
 }
 
-/// Aggregated (summed-across-shards) view of one histogram.
+/// Acquire-load `cells[range]` into `out[range]`; a range outside either
+/// copies nothing.
+fn copy_cells(cells: &[AtomicU64], out: &mut [u64], range: core::ops::Range<usize>) {
+    let (Some(src), Some(dst)) = (cells.get(range.start..range.end), out.get_mut(range)) else {
+        return;
+    };
+    for (slot, cell) in dst.iter_mut().zip(src) {
+        *slot = cell.load(Ordering::Acquire);
+    }
+}
+
+/// The bucket rows that can hold samples of a histogram whose values lie
+/// in `min..=max`: `bucket_index(min)..=bucket_index(max)`, as
+/// `bucket_index` is monotone. Empty when `min > max`, as in a histogram
+/// with no samples (`min` starts at `u64::MAX`, `max` at 0).
+fn held_rows(precision: u32, min: u64, max: u64) -> core::ops::Range<usize> {
+    if min > max {
+        return 0..0;
+    }
+    bucket_index(precision, min)..bucket_index(precision, max) + 1
+}
+
+/// [`held_rows`] of the histogram whose header starts at `base` in a
+/// copied cell array.
+fn header_rows(cells: &[u64], base: usize, precision: u32) -> core::ops::Range<usize> {
+    let min = cells.get(base + 2).copied().unwrap_or(u64::MAX);
+    let max = cells.get(base + 3).copied().unwrap_or(0);
+    held_rows(precision, min, max)
+}
+
+/// An exported series: metric name, `kind` tag, field names.
+type ExportSeries = (&'static str, &'static str, &'static [&'static str]);
+
+/// Field names of an exported counter or gauge row.
+const SCALAR_FIELDS: &[&str] = &["value"];
+
+/// Field names of an exported histogram row, in the order of
+/// `HistSnap::export_value`'s field index.
+const HIST_FIELDS: &[&str] = &["count", "sum", "min", "max", "mean", "p50", "p95", "p99"];
+
+/// Aggregated (summed-across-shards) view of one histogram. Every bucket
+/// outside rows `bucket_index(min)..=bucket_index(max)` is zero; a reset
+/// and a quantile read touch only the rows inside.
 #[derive(Debug, Clone, Default)]
 pub struct HistSnap {
     /// Registered metric name.
@@ -369,6 +438,17 @@ pub struct HistSnap {
 }
 
 impl HistSnap {
+    /// An empty histogram of `buckets` rows.
+    fn empty(name: &'static str, precision: u32, buckets: usize) -> HistSnap {
+        HistSnap {
+            name,
+            precision,
+            min: u64::MAX,
+            buckets: vec![0; buckets],
+            ..HistSnap::default()
+        }
+    }
+
     /// Arithmetic mean of recorded values (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -390,8 +470,10 @@ impl HistSnap {
             return self.max;
         }
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rows = held_rows(self.precision, self.min, self.max);
+        let held = self.buckets.get(rows.start..rows.end).unwrap_or(&[]);
         let mut seen: u64 = 0;
-        for (idx, &n) in self.buckets.iter().enumerate() {
+        for (idx, &n) in rows.zip(held) {
             seen = seen.saturating_add(n);
             if seen >= target {
                 return bucket_floor_of(self.precision, idx)
@@ -400,6 +482,20 @@ impl HistSnap {
             }
         }
         self.max
+    }
+
+    /// The exported value of field `j` of [`HIST_FIELDS`].
+    fn export_value(&self, j: usize) -> f64 {
+        match j {
+            0 => self.count as f64,
+            1 => self.sum as f64,
+            2 => self.min as f64,
+            3 => self.max as f64,
+            4 => self.mean(),
+            5 => self.value_at_quantile(0.50) as f64,
+            6 => self.value_at_quantile(0.95) as f64,
+            _ => self.value_at_quantile(0.99) as f64,
+        }
     }
 }
 
@@ -422,45 +518,70 @@ pub struct Snapshot {
     pub skipped_shard_ids: Vec<usize>,
     /// Virtual-clock stamp the caller passed to the collection.
     pub timestamp_ns: u64,
+    /// The `ruru_self` series this snapshot's schema exports, declared
+    /// when the snapshot is keyed to a schema.
+    export: SeriesSet,
 }
 
 impl Snapshot {
-    /// Re-key this snapshot to `registry`'s schema and zero all values,
-    /// reusing existing allocations where the schema is unchanged.
+    /// Zero all values for a collection against `registry`, re-keying
+    /// this snapshot to its schema first if it differs. On the same
+    /// schema nothing is allocated, and each histogram zeroes only the
+    /// bucket rows it held.
     fn reset(&mut self, registry: &Registry, timestamp_ns: u64) {
+        if self.export.is_empty() || !self.keyed_to(registry) {
+            // alloc-ok: a new schema — the first collection into this
+            // snapshot takes the registry's empty one.
+            *self = registry.template.clone();
+        }
         self.timestamp_ns = timestamp_ns;
         self.skipped_shards = 0;
         self.skipped_shard_ids.clear();
-        // alloc-ok: fixed schema shape — grows on the first reset against a
-        // registry, then reuses storage (the doc contract above).
-        self.counters.resize(registry.counter_names.len(), ("", 0));
-        for (slot, &name) in self.counters.iter_mut().zip(registry.counter_names.iter()) {
-            *slot = (name, 0);
+        for slot in self.counters.iter_mut().chain(self.gauges.iter_mut()) {
+            slot.1 = 0;
         }
-        // alloc-ok: fixed schema shape, as the counters above.
-        self.gauges.resize(registry.gauge_names.len(), ("", 0));
-        for (slot, &name) in self.gauges.iter_mut().zip(registry.gauge_names.iter()) {
-            *slot = (name, 0);
-        }
-        // alloc-ok: fixed schema shape, as the counters above.
-        self.hists.resize(registry.hists.len(), HistSnap::default());
-        for (idx, slot) in self.hists.iter_mut().enumerate() {
-            let (name, precision) = registry.hists.get(idx).copied().unwrap_or(("", 0));
-            let buckets = registry.hist_buckets.get(idx).copied().unwrap_or(0);
-            slot.name = name;
-            slot.precision = precision;
-            slot.count = 0;
-            slot.sum = 0;
-            slot.min = u64::MAX;
-            slot.max = 0;
-            slot.buckets.clear();
-            // alloc-ok: fixed per-histogram bucket count — storage reused
-            // after the first reset.
-            slot.buckets.resize(buckets, 0);
+        for hist in &mut self.hists {
+            let rows = held_rows(hist.precision, hist.min, hist.max);
+            hist.buckets.get_mut(rows).unwrap_or(&mut []).fill(0);
+            hist.count = 0;
+            hist.sum = 0;
+            hist.min = u64::MAX;
+            hist.max = 0;
         }
     }
 
-    /// Fold one consistently-read shard cell array into the totals.
+    /// Whether this snapshot has `registry`'s metric names, histogram
+    /// precisions and bucket counts.
+    fn keyed_to(&self, registry: &Registry) -> bool {
+        let hists = (registry.hists.iter().zip(registry.hist_buckets.iter()))
+            .map(|(&(name, precision), &buckets)| (name, precision, buckets));
+        self.counters.iter().map(|c| c.0).eq(registry.counter_names.iter().copied())
+            && self.gauges.iter().map(|g| g.0).eq(registry.gauge_names.iter().copied())
+            && self.hists.iter().map(|h| (h.name, h.precision, h.buckets.len())).eq(hists)
+    }
+
+    /// An empty snapshot of `registry`'s schema with its export series
+    /// declared: built once per registry, at [`RegistryBuilder::build`].
+    fn keyed_to_schema(registry: &Registry) -> Snapshot {
+        let zero = |&name: &&'static str| (name, 0);
+        let hists = registry.hists.iter().zip(registry.hist_buckets.iter());
+        let mut snap = Snapshot {
+            counters: registry.counter_names.iter().map(zero).collect(),
+            gauges: registry.gauge_names.iter().map(zero).collect(),
+            hists: hists.map(|(&(name, p), &n)| HistSnap::empty(name, p, n)).collect(),
+            ..Snapshot::default()
+        };
+        let mut export = SeriesSet::new();
+        for (metric, kind, fields) in snap.series() {
+            export.declare("ruru_self", &[("metric", metric), ("kind", kind)], fields);
+        }
+        snap.export = export;
+        snap
+    }
+
+    /// Fold one consistently-read shard cell array into the totals: the
+    /// scalars, and of each histogram with samples its header and the
+    /// rows [`Registry::read_shard`] copied.
     fn accumulate(&mut self, registry: &Registry, cells: &[u64]) {
         for (idx, slot) in self.counters.iter_mut().enumerate() {
             slot.1 = slot.1.wrapping_add(cells.get(idx).copied().unwrap_or(0));
@@ -480,13 +601,16 @@ impl Snapshot {
                 // account-ok: empty-histogram fold skip; no samples exist.
                 continue;
             }
+            let rows = header_rows(cells, base, hist.precision);
             hist.count = hist.count.wrapping_add(count);
             hist.sum = hist.sum.saturating_add(cells.get(base + 1).copied().unwrap_or(0));
             hist.min = hist.min.min(cells.get(base + 2).copied().unwrap_or(u64::MAX));
             hist.max = hist.max.max(cells.get(base + 3).copied().unwrap_or(0));
-            for (b, slot) in hist.buckets.iter_mut().enumerate() {
-                *slot =
-                    slot.wrapping_add(cells.get(base + HIST_HEADER + b).copied().unwrap_or(0));
+            let first = base + HIST_HEADER;
+            let src = cells.get(first + rows.start..first + rows.end).unwrap_or(&[]);
+            let dst = hist.buckets.get_mut(rows).unwrap_or(&mut []);
+            for (slot, &n) in dst.iter_mut().zip(src) {
+                *slot = slot.wrapping_add(n);
             }
         }
     }
@@ -524,55 +648,52 @@ impl Snapshot {
         self.hists.iter().find(|h| h.name == name)
     }
 
-    /// Render the snapshot as `ruru_self` points: one point per counter
-    /// and gauge (`metric=<name>` tag, `value` field) and one per
-    /// histogram (`count/sum/min/max/mean/p50/p95/p99` fields).
-    #[allow(clippy::disallowed_methods)] // sanctioned: control-plane export builds owned tag strings per snapshot
-    fn to_points(&self) -> Vec<Point> {
-        let mut points = Vec::with_capacity(
-            self.counters.len() + self.gauges.len() + self.hists.len() + 1,
-        );
-        for &(name, value) in &self.counters {
-            points.push(self.scalar_point(name, "counter", value));
-        }
-        for &(name, value) in &self.gauges {
-            points.push(self.scalar_point(name, "gauge", value));
-        }
-        for hist in &self.hists {
-            points.push(Point::new(
-                "ruru_self",
-                vec![
-                    ("metric".to_string(), hist.name.to_string()),
-                    ("kind".to_string(), "histogram".to_string()),
-                ],
-                vec![
-                    ("count".to_string(), hist.count as f64),
-                    ("sum".to_string(), hist.sum as f64),
-                    ("min".to_string(), hist.min as f64),
-                    ("max".to_string(), hist.max as f64),
-                    ("mean".to_string(), hist.mean()),
-                    ("p50".to_string(), hist.value_at_quantile(0.50) as f64),
-                    ("p95".to_string(), hist.value_at_quantile(0.95) as f64),
-                    ("p99".to_string(), hist.value_at_quantile(0.99) as f64),
-                ],
-                self.timestamp_ns,
-            ));
-        }
-        points.push(self.scalar_point("snapshot_skipped_shards", "counter", self.skipped_shards));
-        points
+    /// The exported `ruru_self` series in export order: one per counter
+    /// and gauge (`metric=<name>` and `kind` tags, a `value` field), one
+    /// per histogram (the [`HIST_FIELDS`]), then the skipped-shard count.
+    fn series(&self) -> impl Iterator<Item = ExportSeries> + '_ {
+        let counters = self.counters.iter().map(|c| (c.0, "counter", SCALAR_FIELDS));
+        let gauges = self.gauges.iter().map(|g| (g.0, "gauge", SCALAR_FIELDS));
+        let hists = self.hists.iter().map(|h| (h.name, "histogram", HIST_FIELDS));
+        let skipped = ("snapshot_skipped_shards", "counter", SCALAR_FIELDS);
+        counters.chain(gauges).chain(hists).chain(core::iter::once(skipped))
     }
 
+    /// The value of field `j` of series `i`. Both exports read values
+    /// here, so they write the same bits.
+    fn series_value(&self, i: usize, j: usize) -> f64 {
+        let (counters, gauges) = (self.counters.len(), self.gauges.len());
+        let scalar = match i.checked_sub(counters) {
+            None => self.counters.get(i).map_or(0, |c| c.1),
+            Some(i) => match i.checked_sub(gauges) {
+                None => self.gauges.get(i).map_or(0, |g| g.1),
+                Some(i) => match self.hists.get(i) {
+                    Some(hist) => return hist.export_value(j),
+                    None => self.skipped_shards,
+                },
+            },
+        };
+        scalar as f64
+    }
+
+    /// Render the snapshot as `ruru_self` points, one per
+    /// [`Snapshot::write_into`] row: the text edge's form.
     #[allow(clippy::disallowed_methods)] // sanctioned: control-plane export builds owned tag strings per snapshot
-    fn scalar_point(&self, name: &str, kind: &str, value: u64) -> Point {
-        Point::new(
-            "ruru_self",
-            vec![
-                ("metric".to_string(), name.to_string()),
-                ("kind".to_string(), kind.to_string()),
-            ],
-            vec![("value".to_string(), value as f64)],
-            self.timestamp_ns,
-        )
+    pub fn to_points(&self) -> Vec<Point> {
+        (self.series().enumerate())
+            .map(|(i, (metric, kind, fields))| {
+                let field = |(j, f): (usize, &&str)| (f.to_string(), self.series_value(i, j));
+                Point::new(
+                    "ruru_self",
+                    vec![
+                        ("metric".to_string(), metric.to_string()),
+                        ("kind".to_string(), kind.to_string()),
+                    ],
+                    fields.iter().enumerate().map(field).collect(),
+                    self.timestamp_ns,
+                )
+            })
+            .collect()
     }
 
     /// The snapshot in InfluxDB line protocol, one line per point.
@@ -580,10 +701,14 @@ impl Snapshot {
         self.to_points().iter().map(line::encode).collect()
     }
 
-    /// Write every point into `db` as one batch (one store lock per
-    /// collection); returns the number written.
+    /// Append one row per `ruru_self` series at this snapshot's timestamp
+    /// into `db`, under one store lock; returns the rows written, which
+    /// count in `db`'s `points_ingested`. The series are declared once per
+    /// schema and resolved once per store (see [`SeriesSet`]), so a
+    /// collection builds no point and no string. A snapshot no collection
+    /// has filled writes nothing.
     pub fn write_into(&self, db: &TsDb) -> usize {
-        db.write_batch(self.to_points()) as usize
+        self.export.append(db, self.timestamp_ns, |i, j| self.series_value(i, j)) as usize
     }
 }
 

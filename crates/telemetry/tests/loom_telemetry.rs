@@ -107,3 +107,42 @@ fn loom_writer_never_blocks_on_the_collector() {
         assert_eq!(settled.counter("cells_b"), 1);
     });
 }
+
+/// The range read copies only the bucket rows between a histogram's
+/// copied `min` and `max`. A writer that moves both inside its bursts
+/// (first a small value, then one many rows higher) races a snapshot:
+/// every copy the reader accepts has its bucket sum equal to its count,
+/// so no sample's row fell outside the range read.
+#[test]
+fn loom_range_read_follows_min_and_max_across_bursts() {
+    loom::model(|| {
+        let mut b = RegistryBuilder::new();
+        let h = b.histogram("residency", 0);
+        let registry = Arc::new(b.build(1));
+
+        let writer = {
+            let registry = Arc::clone(&registry);
+            thread::spawn(move || {
+                for value in [5, 1 << 40] {
+                    registry.burst_begin(0);
+                    registry.hist_record(0, h, value);
+                    registry.burst_end(0);
+                }
+            })
+        };
+
+        let snap = registry.snapshot(0);
+        if snap.skipped_shards == 0 {
+            let hist = snap.hist("residency").unwrap();
+            let held: u64 = hist.buckets.iter().sum();
+            assert_eq!(held, hist.count, "bucket rows outside the range read");
+            assert!(hist.count <= 2);
+        }
+
+        writer.join().unwrap();
+        let settled = registry.snapshot(0);
+        let hist = settled.hist("residency").unwrap();
+        assert_eq!((hist.count, hist.min, hist.max), (2, 5, 1 << 40));
+        assert_eq!(hist.buckets.iter().sum::<u64>(), 2);
+    });
+}

@@ -35,9 +35,7 @@ impl Aggregate {
         values.sort_unstable_by(|a, b| a.total_cmp(b));
         let count = values.len();
         let sum: f64 = values.iter().sum();
-        // panic-ok: f64 division never panics (flagged conservatively)
         let mean = sum / count as f64;
-        // panic-ok: f64 division never panics (flagged conservatively)
         let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
         Some(Aggregate {
             count,

@@ -14,7 +14,7 @@
 //! A shard appends rows in arrival order and never seals. The merge
 //! appends each shard block's rows to the stored block with the same
 //! field list (every `latency` series carries a `queue` tag, so stripes
-//! rarely overlap; `ruru_self` exports append to known series) or keeps
+//! rarely overlap) or keeps
 //! the block as a new one; either way a stable sort, skipped when the
 //! rows are already in order, puts the tail in time order. Ties keep the
 //! shared store's insertion order: rows already in the store stay ahead

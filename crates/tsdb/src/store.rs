@@ -9,19 +9,23 @@
 //! when the merge brings stragglers — and an immutable **sealed** prefix
 //! of Gorilla-compressed chunks (`compress::Chunk`), cut one
 //! [`seal::CHUNK_LEN`]-row chunk at a time as soon as the tail holds
-//! one, that queries decode in place. Samples enter the store one way
-//! only: every writer fills a private `IngestShard` in the same layout
-//! and folds it in with `TsDb::merge_shard`, one short write-lock hold
-//! per shard instead of one per sample.
+//! one, that queries decode in place. Samples enter the store through
+//! one append: a writer of arbitrary points fills a private `IngestShard`
+//! in the same layout and folds it in with `TsDb::merge_shard`, one short
+//! write-lock hold per shard instead of one per sample; a [`SeriesSet`]
+//! (a fixed list of series) appends one row per series under one hold.
+//! Both resolve a series with `Store::series_at` and append with
+//! `Block::append_rows`.
 
 use crate::agg::Aggregate;
 use crate::compress::Chunk;
-use crate::point::Point;
+use crate::point::{series_key, Point};
 use crate::seal;
 use crate::sharded::IngestShard;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Upper bound on query fan-out threads, whatever the caller asks for.
 pub const MAX_QUERY_WORKERS: usize = 16;
@@ -65,25 +69,31 @@ impl Block {
         }
     }
 
-    /// Append a shard block's rows to the tail, each incoming column onto
-    /// the stored column it maps to (`stored_column`), then settle it.
-    fn append(&mut self, incoming: Block) {
+    /// Append rows to the tail and settle it: `ts` holds their
+    /// timestamps, and `column(names, k, dst)` appends the rows' values of
+    /// stored column `k` to `dst` with [`extend_tail`] (`names` are the
+    /// block's field names). Both writers end here: a merged shard block
+    /// ([`Series::absorb`]) and a [`SeriesSet`] row.
+    fn append_rows(
+        &mut self,
+        ts: &[u64],
+        mut column: impl FnMut(&[String], usize, &mut Vec<f64>),
+        totals: &mut StorageStats,
+    ) {
         let from = self.ts.len();
-        extend_tail(&mut self.ts, incoming.ts);
-        for (j, col) in incoming.cols.into_iter().enumerate() {
-            let stored = stored_column(&self.names, &incoming.names, j);
-            if let Some(dst) = stored.and_then(|k| self.cols.get_mut(k)) {
-                extend_tail(dst, col);
-            }
+        extend_tail(&mut self.ts, ts);
+        for (k, dst) in self.cols.iter_mut().enumerate() {
+            column(&self.names, k, dst);
         }
-        self.settle(from);
+        totals.active_points += ts.len() as u64 * self.width();
+        self.settle(from, totals);
     }
 
     /// Restore time order after rows were appended at `from`, then seal
     /// every whole chunk. The sort is stable, so rows already stored stay
     /// ahead of incoming ones on timestamp ties and incoming ties keep
     /// their arrival order: the order point-by-point writes would leave.
-    fn settle(&mut self, from: usize) {
+    fn settle(&mut self, from: usize, totals: &mut StorageStats) {
         let appended = self.ts.get(from.saturating_sub(1)..).unwrap_or(&[]);
         if !appended.is_sorted() {
             // alloc-ok: the tail's row order, once per merge that brings
@@ -93,8 +103,42 @@ impl Block {
             permute_rows(&mut self.ts, &mut self.cols, &mut order);
         }
         if self.ts.len() >= seal::CHUNK_LEN {
-            seal::seal_rows(&mut self.ts, &mut self.cols, &mut self.sealed, false);
+            self.seal_tail(false, totals);
         }
+    }
+
+    /// Seal the tail's whole chunks (all of it with `force`) and move
+    /// their samples from active to sealed in `totals`. Returns rows
+    /// sealed.
+    fn seal_tail(&mut self, force: bool, totals: &mut StorageStats) -> u64 {
+        let chunks = self.sealed.len();
+        let rows = seal::seal_rows(&mut self.ts, &mut self.cols, &mut self.sealed, force);
+        let points = rows * self.width();
+        totals.active_points -= points;
+        totals.sealed_points += points;
+        totals.sealed_bytes += sealed_bytes(self.sealed.get(chunks..).unwrap_or(&[]));
+        rows
+    }
+
+    /// Drop every row older than `cutoff`, from the sealed chunks and the
+    /// tail, and take them out of `totals`. Returns samples dropped.
+    fn retain_from(&mut self, cutoff: u64, totals: &mut StorageStats) -> u64 {
+        let bytes = sealed_bytes(&self.sealed);
+        let sealed_rows = seal::retain_chunks(&mut self.sealed, self.names.len(), cutoff);
+        let keep_from = self.ts.partition_point(|&t| t < cutoff);
+        self.ts.drain(..keep_from);
+        for col in &mut self.cols {
+            col.drain(..keep_from);
+        }
+        totals.sealed_points -= sealed_rows * self.width();
+        totals.active_points -= keep_from as u64 * self.width();
+        totals.sealed_bytes = totals.sealed_bytes - bytes + sealed_bytes(&self.sealed);
+        (sealed_rows + keep_from as u64) * self.width()
+    }
+
+    /// Columns per row.
+    fn width(&self) -> u64 {
+        self.names.len() as u64
     }
 
     /// Column indices holding field `name` (several if the field list
@@ -147,19 +191,24 @@ impl Block {
     }
 }
 
+/// Compressed payload bytes of `chunks`.
+fn sealed_bytes(chunks: &[Chunk]) -> u64 {
+    chunks.iter().map(|c| c.encoded_bytes() as u64).sum()
+}
+
 /// Append `src` to a tail column. Capacity doubles up to one chunk and
 /// grows exactly past it: the tail seals at [`seal::CHUNK_LEN`] rows, so
 /// its capacity settles at one chunk plus the largest merge's rows
 /// instead of the next power of two.
-fn extend_tail<T>(dst: &mut Vec<T>, src: Vec<T>) {
+fn extend_tail<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
     let need = dst.len() + src.len();
     if need > dst.capacity() {
         let doubled = (2 * dst.capacity()).min(seal::CHUNK_LEN);
         dst.reserve_exact(need.max(doubled) - dst.len());
     }
     // alloc-ok: within the capacity reserved above, once per column per
-    // merge, never per point.
-    dst.extend(src);
+    // merge or exported row.
+    dst.extend_from_slice(src);
 }
 
 /// Reorder the tail's rows in place so that row `i` becomes the old row
@@ -257,15 +306,38 @@ impl Series {
 
     /// Fold a shard block into the block with the same field names, in
     /// any order, else keep it as a new block.
-    fn absorb(&mut self, incoming: Block) {
+    fn absorb(&mut self, incoming: Block, totals: &mut StorageStats) {
         match self.blocks.iter_mut().find(|b| same_fields(&b.names, &incoming.names)) {
-            Some(block) => block.append(incoming),
+            Some(block) => {
+                let in_order = block.names == incoming.names;
+                let column = |names: &[String], k: usize, dst: &mut Vec<f64>| {
+                    let source = &incoming.names;
+                    let j = if in_order { Some(k) } else { stored_column(source, names, k) };
+                    let values = j.and_then(|j| incoming.cols.get(j));
+                    extend_tail(dst, values.map_or(&[], Vec::as_slice));
+                };
+                block.append_rows(&incoming.ts, column, totals);
+            }
             None => {
                 let mut block = incoming;
-                block.settle(0);
+                totals.active_points += block.ts.len() as u64 * block.width();
+                block.settle(0, totals);
                 self.blocks.push(block);
             }
         }
+    }
+
+    /// The block holding field list `fields` (in any order), opened empty
+    /// on the list's first sight in the series. Returns its position and
+    /// whether its columns are in the order of `fields`.
+    fn block_for(&mut self, fields: &[String]) -> (usize, bool) {
+        if let Some(at) = self.blocks.iter().position(|b| same_fields(&b.names, fields)) {
+            let in_order = self.blocks.get(at).is_some_and(|b| b.names == fields);
+            return (at, in_order);
+        }
+        // alloc-ok: a series' block, on its field list's first sight only.
+        self.blocks.push(Block::new(fields.to_vec(), Vec::new(), vec![Vec::new(); fields.len()]));
+        (self.blocks.len() - 1, true)
     }
 
     /// Every (block, column) holding field `name`.
@@ -301,8 +373,87 @@ impl Series {
     }
 }
 
-/// measurement → series key → series: the store's layout, and a shard's.
+/// measurement → series key → series: an ingest shard's layout.
 pub(crate) type Measurements = HashMap<String, HashMap<String, Series>>;
+
+/// Hands out [`SeriesSet`] identities, unique in the process.
+static NEXT_SET: AtomicU64 = AtomicU64::new(1);
+
+/// The store's contents. Every series lives in one slab and is found by
+/// measurement and series key through `index`. A [`SeriesSet`]'s series
+/// are resolved once to their slab positions and block positions, kept
+/// here in `sets` by set identity; whatever moves a position (retention
+/// removing a series or a block) forgets them all, and a restored store
+/// starts without any, so a set never writes through a stale position.
+#[derive(Debug, Default)]
+struct Store {
+    index: HashMap<String, HashMap<String, usize>>,
+    series: Vec<Series>,
+    /// Per set identity: where each declared series' rows go.
+    sets: HashMap<u64, Vec<Position>>,
+    /// Running storage totals, kept by every write under the store lock.
+    totals: StorageStats,
+}
+
+impl Store {
+    /// The slab position of `measurement`'s series `key`, adding the
+    /// series with the tags `tags()` on first sight. Every writer resolves
+    /// its series here: a merge for each shard series, a [`SeriesSet`]
+    /// once per declared series and store.
+    fn series_at(
+        &mut self,
+        measurement: &str,
+        key: Cow<'_, str>,
+        tags: impl FnOnce() -> Vec<(String, String)>,
+    ) -> usize {
+        let keys = self.index.get(measurement);
+        if let Some(&at) = keys.and_then(|keys| keys.get(key.as_ref())) {
+            return at;
+        }
+        let at = self.series.len();
+        self.series.push(Series { tags: tags(), blocks: Vec::new() });
+        match self.index.get_mut(measurement) {
+            Some(keys) => keys.insert(key.into_owned(), at),
+            // alloc-ok: a new measurement's index, on its first sight only.
+            None => self.index.entry(measurement.into()).or_default().insert(key.into_owned(), at),
+        };
+        at
+    }
+
+    /// `measurement`'s series with their keys, in no particular order.
+    fn measurement(&self, measurement: &str) -> impl Iterator<Item = (&String, &Series)> {
+        let keys = self.index.get(measurement).into_iter().flatten();
+        keys.filter_map(|(key, &at)| Some((key, self.series.get(at)?)))
+    }
+
+    /// Remove series without blocks and renumber the rest. Returns
+    /// whether any position changed.
+    fn drop_empty_series(&mut self) -> bool {
+        if self.series.iter().all(|s| !s.blocks.is_empty()) {
+            return false;
+        }
+        let mut kept = 0;
+        let moved: Vec<Option<usize>> = (self.series.iter())
+            .map(|s| {
+                let at = (!s.blocks.is_empty()).then_some(kept);
+                kept += usize::from(at.is_some());
+                at
+            })
+            .collect();
+        self.series.retain(|s| !s.blocks.is_empty());
+        for keys in self.index.values_mut() {
+            keys.retain(|_, at| match moved.get(*at).copied().flatten() {
+                Some(to) => {
+                    *at = to;
+                    true
+                }
+                None => false,
+            });
+        }
+        self.index.retain(|_, keys| !keys.is_empty());
+        true
+    }
+}
 
 /// A tag-filtered, time-bounded, optionally bucketed aggregate query.
 #[derive(Debug, Clone)]
@@ -371,6 +522,7 @@ pub struct Bucket {
 
 /// Storage accounting for the two shard phases — what the pipeline
 /// exports as `ruru_self` gauges and the bench reports as bytes/point.
+/// The store keeps it as running totals, so reading it costs O(1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Samples held in sealed compressed chunks.
@@ -387,20 +539,30 @@ pub struct StorageStats {
 /// only taken whole-shard at merge points and by control-plane paths
 /// (telemetry export, queries, retention).
 pub struct TsDb {
-    /// measurement → series key → series. Every access recovers a
-    /// poisoned lock: the store keeps serving after a holder panics, which
-    /// can at worst lose the samples that holder was moving.
-    inner: RwLock<Measurements>,
-    ingested: std::sync::atomic::AtomicU64,
+    /// The series and their index. Every access recovers a poisoned
+    /// lock: the store keeps serving after a holder panics, which can at
+    /// worst lose the samples that holder was moving.
+    inner: RwLock<Store>,
+    ingested: AtomicU64,
+    /// `Store::totals` as the last write under the store lock left them,
+    /// so [`TsDb::storage_stats`] never takes the store lock.
+    totals: Mutex<StorageStats>,
 }
 
 impl TsDb {
     /// An empty database.
     pub fn new() -> TsDb {
         TsDb {
-            inner: RwLock::new(HashMap::new()),
-            ingested: std::sync::atomic::AtomicU64::new(0),
+            inner: RwLock::new(Store::default()),
+            ingested: AtomicU64::new(0),
+            totals: Mutex::new(StorageStats::default()),
         }
+    }
+
+    /// Publish the store's running totals; called by every write while
+    /// it still holds the store lock, so publications keep write order.
+    fn publish_totals(&self, store: &Store) {
+        *self.totals.lock().unwrap_or_else(PoisonError::into_inner) = store.totals;
     }
 
     /// Ingest one point under the store lock — the control-plane path
@@ -440,25 +602,20 @@ impl TsDb {
         // lock-ok: one short write-lock hold per shard is the amortised
         // merge contract of every ingest path.
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let store = &mut *inner;
         for (measurement, incoming) in shard.measurements {
-            // alloc-ok: map entry per shard measurement — O(series) work
-            // per merge, not per point; keys move in from the shard, no
-            // new strings are built here.
-            let series_map = inner.entry(measurement).or_default();
             for (key, mut series) in incoming {
-                // alloc-ok: map slot per incoming series, O(series) per
-                // merge; a new series' tags move in from the shard.
-                let stored = series_map.entry(key).or_insert_with(|| Series {
-                    tags: core::mem::take(&mut series.tags),
-                    blocks: Vec::new(),
-                });
-                for block in series.blocks {
-                    stored.absorb(block);
+                let tags = || core::mem::take(&mut series.tags);
+                let at = store.series_at(&measurement, Cow::Owned(key), tags);
+                if let Some(stored) = store.series.get_mut(at) {
+                    for block in series.blocks {
+                        stored.absorb(block, &mut store.totals);
+                    }
                 }
             }
         }
-        self.ingested
-            .fetch_add(points, std::sync::atomic::Ordering::Relaxed);
+        self.publish_totals(store);
+        self.ingested.fetch_add(points, Ordering::Relaxed);
         points
     }
 
@@ -471,7 +628,7 @@ impl TsDb {
 
     /// Total points ingested (including later-retained ones).
     pub fn points_ingested(&self) -> u64 {
-        self.ingested.load(std::sync::atomic::Ordering::Relaxed)
+        self.ingested.load(Ordering::Relaxed)
     }
 
     /// Number of distinct series in a measurement.
@@ -479,8 +636,9 @@ impl TsDb {
         self.inner
             .read()
             .unwrap_or_else(PoisonError::into_inner)
+            .index
             .get(measurement)
-            .map_or(0, |m| m.len())
+            .map_or(0, HashMap::len)
     }
 
     /// Force-seal every active tail into compressed chunks (retention
@@ -492,34 +650,32 @@ impl TsDb {
         // compressed chunks holds the store lock by design; never on the
         // per-point ingest path.
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let store = &mut *inner;
         let mut sealed = 0u64;
-        for series_map in inner.values_mut() {
-            for series in series_map.values_mut() {
-                for b in &mut series.blocks {
-                    let rows = seal::seal_rows(&mut b.ts, &mut b.cols, &mut b.sealed, true);
-                    sealed += rows * b.names.len() as u64;
-                }
-            }
+        for b in store.series.iter_mut().flat_map(|s| &mut s.blocks) {
+            sealed += b.seal_tail(true, &mut store.totals) * b.width();
         }
+        self.publish_totals(store);
         sealed
     }
 
-    /// Storage accounting across both shard phases.
+    /// Storage accounting across both shard phases: the running totals,
+    /// read in O(1) without the store lock.
     pub fn storage_stats(&self) -> StorageStats {
+        *self.totals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`TsDb::storage_stats`] recounted by walking every block and chunk:
+    /// the reference the running totals are tested against.
+    #[cfg(test)]
+    pub(crate) fn storage_walk(&self) -> StorageStats {
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let mut stats = StorageStats::default();
-        for series_map in inner.values() {
-            for series in series_map.values() {
-                for b in &series.blocks {
-                    let columns = b.names.len() as u64;
-                    let (sealed, active) = b.rows();
-                    stats.sealed_points += sealed * columns;
-                    stats.active_points += active * columns;
-                    for c in &b.sealed {
-                        stats.sealed_bytes += c.encoded_bytes() as u64;
-                    }
-                }
-            }
+        for b in inner.series.iter().flat_map(|s| &s.blocks) {
+            let (sealed, active) = b.rows();
+            stats.sealed_points += sealed * b.width();
+            stats.active_points += active * b.width();
+            stats.sealed_bytes += sealed_bytes(&b.sealed);
         }
         stats
     }
@@ -614,12 +770,9 @@ impl TsDb {
         // borrows series data under the read lock while dataplane writers
         // stay on their private stripes.
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(series_map) = inner.get(&q.measurement) else {
-            return (1, per_bucket);
-        };
         // Deterministic scan order, independent of worker count.
         let mut matching: Vec<(&String, &Series)> =
-            series_map.iter().filter(|(_, s)| q.matches(s)).collect();
+            inner.measurement(&q.measurement).filter(|(_, s)| q.matches(s)).collect();
         matching.sort_unstable_by_key(|&(k, _)| k);
         let workers = workers.clamp(1, MAX_QUERY_WORKERS).min(matching.len().max(1));
         if workers <= 1 {
@@ -676,18 +829,16 @@ impl TsDb {
         // lock-ok: snapshot dump is control-plane; copies out under the
         // read lock by design.
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let mut measurements: Vec<&String> = inner.keys().collect();
+        let mut measurements: Vec<&String> = inner.index.keys().collect();
         measurements.sort_unstable();
         measurements
             .into_iter()
-            .filter_map(|m| {
-                let series_map = inner.get(m)?;
-                let mut keys: Vec<&String> = series_map.keys().collect();
-                keys.sort_unstable();
-                let series = keys
+            .map(|m| {
+                let mut keyed: Vec<(&String, &Series)> = inner.measurement(m).collect();
+                keyed.sort_unstable_by_key(|&(k, _)| k);
+                let series = keyed
                     .into_iter()
-                    .filter_map(|k| {
-                        let s = series_map.get(k)?;
+                    .map(|(_, s)| {
                         let mut names: Vec<&String> =
                             s.blocks.iter().flat_map(|b| &b.names).collect();
                         names.sort_unstable();
@@ -700,10 +851,10 @@ impl TsDb {
                                 (name.clone(), run)
                             })
                             .collect();
-                        Some((s.tags.clone(), fields))
+                        (s.tags.clone(), fields)
                     })
                     .collect();
-                Some((m.clone(), series))
+                (m.clone(), series)
             })
             .collect()
     }
@@ -712,7 +863,7 @@ impl TsDb {
     #[cfg(test)]
     pub(crate) fn block_count(&self) -> usize {
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        inner.values().flat_map(|m| m.values()).map(|s| s.blocks.len()).sum()
+        inner.series.iter().map(|s| s.blocks.len()).sum()
     }
 
     /// Distinct values of tag `key` across a measurement's series, sorted —
@@ -720,12 +871,9 @@ impl TsDb {
     pub fn tag_values(&self, measurement: &str, key: &str) -> Vec<String> {
         // lock-ok: dashboard selector query, control-plane.
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(series_map) = inner.get(measurement) else {
-            return Vec::new();
-        };
-        let mut values: Vec<String> = series_map
-            .values()
-            .filter_map(|s| {
+        let mut values: Vec<String> = inner
+            .measurement(measurement)
+            .filter_map(|(_, s)| {
                 s.tags
                     .iter()
                     .find(|(k, _)| k == key)
@@ -747,24 +895,144 @@ impl TsDb {
         // lock-ok: cold retention maintenance — chunk rewrites hold the
         // store lock by design; never on the per-point ingest path.
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        for series_map in inner.values_mut() {
-            for series in series_map.values_mut() {
-                for b in &mut series.blocks {
-                    let mut rows = seal::retain_chunks(&mut b.sealed, b.names.len(), cutoff);
-                    let keep_from = b.ts.partition_point(|&t| t < cutoff);
-                    rows += keep_from as u64;
-                    b.ts.drain(..keep_from);
-                    for col in &mut b.cols {
-                        col.drain(..keep_from);
-                    }
-                    dropped += rows * b.names.len() as u64;
-                }
-                series.blocks.retain(|b| b.rows() != (0, 0));
+        let store = &mut *inner;
+        let mut moved = false;
+        for series in &mut store.series {
+            for b in &mut series.blocks {
+                dropped += b.retain_from(cutoff, &mut store.totals);
             }
-            series_map.retain(|_, s| !s.blocks.is_empty());
+            let blocks = series.blocks.len();
+            series.blocks.retain(|b| b.rows() != (0, 0));
+            moved |= series.blocks.len() != blocks;
         }
+        if store.drop_empty_series() || moved {
+            store.sets.clear();
+        }
+        self.publish_totals(store);
         dropped
     }
+}
+
+/// A fixed list of series that one writer appends a row to, all at one
+/// timestamp, many times over: a typed writer for a known shape, such as
+/// a self-telemetry export. Each series' measurement, tags, key and field
+/// names are built once, at [`SeriesSet::declare`]. A store resolves the
+/// set's series to their positions once and keeps them, so an append
+/// builds no point and no string and looks nothing up by name: it takes
+/// the store lock once and appends one row per series through the same
+/// block append a merge uses. Positions are kept per store and dropped
+/// whenever retention moves any, so a set never writes into a series it
+/// was not declared for, in any store or restored copy.
+#[derive(Debug, Clone, Default)]
+pub struct SeriesSet {
+    /// Identity under which stores keep this set's positions; fresh on
+    /// every declaration, so a clone that declares more gets its own.
+    id: u64,
+    declared: Vec<Declared>,
+}
+
+#[derive(Debug, Clone)]
+struct Declared {
+    measurement: String,
+    key: String,
+    tags: Vec<(String, String)>,
+    fields: Vec<String>,
+}
+
+impl SeriesSet {
+    /// An empty set.
+    pub fn new() -> SeriesSet {
+        SeriesSet::default()
+    }
+
+    /// Declare one more series: `measurement` with `tags` (in any order),
+    /// whose rows carry `fields` in this order.
+    pub fn declare(&mut self, measurement: &str, tags: &[(&str, &str)], fields: &[&str]) {
+        let owned = |&(k, v): &(&str, &str)| (k.into(), v.into());
+        let mut tags: Vec<(String, String)> = tags.iter().map(owned).collect();
+        tags.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut key = String::new();
+        series_key(measurement, &tags, &mut key);
+        let fields = fields.iter().map(|&f| f.into()).collect();
+        self.declared.push(Declared { measurement: measurement.into(), key, tags, fields });
+        self.id = NEXT_SET.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Whether nothing is declared yet.
+    pub fn is_empty(&self) -> bool {
+        self.declared.is_empty()
+    }
+
+    /// Append one row at `ts` to every declared series, in declaration
+    /// order, under one store write lock: `row_value(i, j)` is series
+    /// `i`'s value of its `j`-th declared field. Returns the rows written,
+    /// which also count in [`TsDb::points_ingested`] (one point per row).
+    pub fn append(
+        &self,
+        db: &TsDb,
+        ts: u64,
+        mut row_value: impl FnMut(usize, usize) -> f64,
+    ) -> u64 {
+        if self.declared.is_empty() {
+            return 0;
+        }
+        // lock-ok: one short write-lock hold per collection, as for a
+        // merge; sealing a whole chunk allocates under it.
+        let mut inner = db.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let store = &mut *inner;
+        if !store.sets.contains_key(&self.id) {
+            let at = self.resolve_in(store);
+            store.sets.insert(self.id, at);
+        }
+        let at = store.sets.get(&self.id).map_or(&[][..], Vec::as_slice);
+        for (i, (d, &at)) in self.declared.iter().zip(at).enumerate() {
+            let Position { series, block, in_order } = at;
+            let series = store.series.get_mut(series);
+            let Some(block) = series.and_then(|s| s.blocks.get_mut(block)) else {
+                // Unreachable: positions are dropped whenever they move.
+                continue;
+            };
+            let column = |names: &[String], k: usize, dst: &mut Vec<f64>| {
+                let j = if in_order { Some(k) } else { stored_column(&d.fields, names, k) };
+                if let Some(j) = j {
+                    extend_tail(dst, &[row_value(i, j)]);
+                }
+            };
+            block.append_rows(&[ts], column, &mut store.totals);
+        }
+        db.publish_totals(store);
+        let rows = self.declared.len() as u64;
+        db.ingested.fetch_add(rows, Ordering::Relaxed);
+        rows
+    }
+
+    /// Every declared series' position in `store`, adding the missing
+    /// series and blocks.
+    fn resolve_in(&self, store: &mut Store) -> Vec<Position> {
+        // alloc-ok: once per set and store, and after retention moved
+        // positions.
+        let mut at = Vec::with_capacity(self.declared.len());
+        for d in &self.declared {
+            // alloc-ok: a declared series' tags, once per store it is new in.
+            let series = store.series_at(&d.measurement, Cow::Borrowed(&d.key), || d.tags.clone());
+            let (block, in_order) = match store.series.get_mut(series) {
+                Some(s) => s.block_for(&d.fields),
+                None => (0, true),
+            };
+            at.push(Position { series, block, in_order });
+        }
+        at
+    }
+}
+
+/// Where a declared series' rows go in one store: its slab position, its
+/// block's position in the series, and whether that block's columns are
+/// in declared field order.
+#[derive(Debug, Clone, Copy)]
+struct Position {
+    series: usize,
+    block: usize,
+    in_order: bool,
 }
 
 /// Scan one series' field into per-bucket value vectors.
@@ -1161,5 +1429,118 @@ mod tests {
                 assert_eq!(pcols[0], gathered, "order {order:?}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod running_totals {
+    //! The running storage totals and the series positions a
+    //! [`SeriesSet`] caches, under random sequences of every write.
+
+    use super::*;
+    use ruru_prop::{check, vec, Rng, StdRng};
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Points of (series, field-list) choices at timestamps.
+        Batch(Vec<(u8, u8, u64)>),
+        /// One row of every declared series at a timestamp.
+        Rows(u64),
+        Seal,
+        /// Retention keeping `keep` ns before `now`.
+        Retain { now: u64, keep: u64 },
+        Restore,
+    }
+
+    const FIELD_LISTS: [&[&str]; 3] = [&["value"], &["a", "b"], &["b", "a"]];
+
+    fn point(series: u8, fields: u8, ts: u64) -> Point {
+        let names = FIELD_LISTS[usize::from(fields) % FIELD_LISTS.len()];
+        let fields = names.iter().map(|&n| (n.into(), ts as f64)).collect();
+        Point::new("m", vec![("s".into(), format!("{}", series % 4))], fields, ts)
+    }
+
+    fn op(rng: &mut StdRng) -> Op {
+        let ts = |rng: &mut StdRng| rng.gen_range(0..4_000u64);
+        match rng.gen_range(0..10) {
+            0..=3 => Op::Batch(vec(rng, 0..1_500, |r| (r.gen(), r.gen(), ts(r)))),
+            4..=6 => Op::Rows(ts(rng)),
+            7 => Op::Seal,
+            8 => Op::Retain { now: ts(rng), keep: rng.gen_range(0..3_000) },
+            _ => Op::Restore,
+        }
+    }
+
+    /// The series a [`SeriesSet`] writes, declared both ways round: as
+    /// the set's own and as points for the reference store.
+    fn declared() -> SeriesSet {
+        let mut set = SeriesSet::new();
+        set.declare("m", &[("s", "1")], &["b", "a"]);
+        set.declare("m", &[("s", "9")], &["value"]);
+        set.declare("self", &[("metric", "x"), ("kind", "gauge")], &["a", "b"]);
+        set
+    }
+
+    fn declared_points(ts: u64) -> Vec<Point> {
+        let p = |m: &str, tags: &[(&str, &str)], fields: &[(&str, f64)]| {
+            let tags = tags.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+            let fields = fields.iter().map(|&(n, v)| (n.into(), v)).collect();
+            Point::new(m, tags, fields, ts)
+        };
+        let v = ts as f64;
+        vec![
+            p("m", &[("s", "1")], &[("b", v), ("a", -v)]),
+            p("m", &[("s", "9")], &[("value", v + 0.5)]),
+            p("self", &[("kind", "gauge"), ("metric", "x")], &[("a", v), ("b", 2.0 * v)]),
+        ]
+    }
+
+    fn value(i: usize, j: usize, ts: u64) -> f64 {
+        let v = ts as f64;
+        let row: &[f64] = match i {
+            0 => &[v, -v],
+            1 => &[v + 0.5],
+            _ => &[v, 2.0 * v],
+        };
+        row[j]
+    }
+
+    #[test]
+    fn running_totals_match_a_full_walk_and_rows_land_in_their_series() {
+        check("running_totals", 64, |rng| vec(rng, 1..40, op), |ops| {
+            // `typed` takes rows through a SeriesSet, `reference` the same
+            // rows as points; both take every other write alike.
+            let (mut typed, mut reference) = (TsDb::new(), TsDb::new());
+            let set = declared();
+            for op in ops {
+                match op {
+                    Op::Batch(points) => {
+                        let points: Vec<Point> =
+                            points.iter().map(|&(s, f, ts)| point(s, f, ts)).collect();
+                        typed.write_batch(points.clone());
+                        reference.write_batch(points);
+                    }
+                    Op::Rows(ts) => {
+                        assert_eq!(set.append(&typed, ts, |i, j| value(i, j, ts)), 3);
+                        reference.write_batch(declared_points(ts));
+                    }
+                    Op::Seal => {
+                        assert_eq!(typed.seal(), reference.seal());
+                    }
+                    Op::Retain { now, keep } => {
+                        let dropped = typed.enforce_retention(now, keep);
+                        assert_eq!(dropped, reference.enforce_retention(now, keep));
+                    }
+                    Op::Restore => {
+                        typed = TsDb::from_snapshot(&typed.to_snapshot()).unwrap();
+                        reference = TsDb::from_snapshot(&reference.to_snapshot()).unwrap();
+                    }
+                }
+                for db in [&typed, &reference] {
+                    assert_eq!(db.storage_stats(), db.storage_walk());
+                }
+                assert_eq!(typed.to_snapshot(), reference.to_snapshot());
+            }
+        });
     }
 }

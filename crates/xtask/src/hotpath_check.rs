@@ -99,6 +99,8 @@ const ALLOC_ROOTS: &[(&str, &str)] = &[
     ("pipeline", "dataplane_worker"),
     ("pipeline", "dataplane_idle"),
     ("pipeline", "detector_loop"),
+    ("pipeline", "Pipeline::collect_telemetry"),
+    ("telemetry", "Snapshot::write_into"),
 ];
 
 /// Allocation sources, classified. Leading `.` means method call (the dot

@@ -124,6 +124,8 @@ const ROOTS: &[(&str, &str)] = &[
     ("pipeline", "dataplane_worker"),
     ("pipeline", "dataplane_idle"),
     ("pipeline", "detector_loop"),
+    ("pipeline", "Pipeline::collect_telemetry"),
+    ("telemetry", "Snapshot::write_into"),
 ];
 
 /// Files where bare `+`/`-`/`*` is a panic source (wire-derived operands).
@@ -403,6 +405,22 @@ fn has_panicking_index(line: &str) -> bool {
 /// Integer `/` or `%` whose divisor is not a numeric literal or ALL_CAPS
 /// constant (compile-time-checked). Conservative: float division is
 /// flagged too and needs a `panic-ok` annotation or a guard rewrite.
+/// If the divisor starting at `j` is a field path cast to a float
+/// (`self.count as f64`), the index just past the cast.
+fn float_cast_end(b: &[char], j: usize) -> Option<usize> {
+    let mut k = j;
+    while k < b.len() && (unicode_ident(b[k]) || b[k] == '.') {
+        k += 1;
+    }
+    if k == j {
+        return None;
+    }
+    let k = skip_ws_chars(b, k);
+    let (kw, k) = read_tok(b, k);
+    let (ty, end) = read_tok(b, skip_ws_chars(b, k));
+    (kw == "as" && (ty == "f64" || ty == "f32")).then_some(end)
+}
+
 fn has_unchecked_div(line: &str) -> bool {
     let b: Vec<char> = line.chars().collect();
     let mut i = 0;
@@ -438,6 +456,10 @@ fn has_unchecked_div(line: &str) -> bool {
         {
             i = j + tok.len();
             continue; // ALL_CAPS constant: const-evaluated
+        }
+        if let Some(end) = float_cast_end(&b, j) {
+            i = end;
+            continue; // `x as f64` divisor: float division never panics
         }
         return true;
     }
@@ -670,6 +692,19 @@ mod tests {
             "pub fn compute(total: u64, n: u64) -> u64 {\n\
              \x20   let half = total / 2;\n\
              \x20   half / n\n\
+             }\n",
+        )]);
+        assert_eq!(rules(&a), ["div"]);
+        assert_eq!(a.violations[0].line, 3);
+    }
+
+    #[test]
+    fn division_by_a_float_cast_is_not_flagged() {
+        let a = run_on(&[(
+            "crates/tsdb/src/lib.rs",
+            "pub fn compute(total: u64, n: u64) -> f64 {\n\
+             \x20   let mean = total as f64 / n as f64;\n\
+             \x20   mean / self.count as f32 as f64 + (total / n) as f64\n\
              }\n",
         )]);
         assert_eq!(rules(&a), ["div"]);
