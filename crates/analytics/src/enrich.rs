@@ -213,8 +213,10 @@ impl EnrichedMeasurement {
     }
 
     /// Append the fixed binary wire form to `buf` (exactly
-    /// [`ENRICHED_WIRE_LEN`] bytes): the internal bus format (enrichment →
-    /// detector). Capacity management is the caller's.
+    /// [`ENRICHED_WIRE_LEN`] bytes). The pipeline hands records to its
+    /// detector as values; this form is what the traced benchmark replay
+    /// and experiment E8 move as bytes. Capacity management is the
+    /// caller's.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         let start = buf.len();
         buf.reserve(ENRICHED_WIRE_LEN);

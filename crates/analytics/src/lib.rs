@@ -12,7 +12,7 @@
 //! * [`enrich`] — [`enrich::EnrichedMeasurement`]: the IP-free, geo-tagged
 //!   record, its tsdb point form and its line-protocol wire form.
 //! * [`workers`] — the multi-threaded enrichment pool (PULL → enrich →
-//!   tsdb + PUB), one database lookup per endpoint.
+//!   tsdb + PUB + detector feed), one database lookup per endpoint.
 //! * [`detect`] — the detectors behind §3's use cases: a robust
 //!   (median/MAD) latency-spike detector that catches the 4000 ms firewall
 //!   anomaly, a SYN-flood detector, and a per-location-pair connection-rate
@@ -35,4 +35,4 @@ pub use detect::{LatencySpikeDetector, RateAnomalyDetector, SynFloodDetector};
 pub use enrich::{EndpointInfo, EnrichedMeasurement, Enricher};
 pub use filter::{Criterion, FilterSpec, FilterStage};
 pub use intern::{Interner, PairInterner};
-pub use workers::{EnrichmentPool, PoolTelemetry, Rendered, Renderer};
+pub use workers::{DetectorInput, EnrichmentPool, PoolTelemetry, Rendered, Renderer};

@@ -12,19 +12,21 @@
 //! burst. A worker blocks only on an empty input, and flushes
 //! ([`Push::flush`]) the detector feed before it does.
 //!
-//! The renderer refills one reused `latency` point for the tsdb stripe
-//! and writes both bus payloads into one scratch block: the fixed
-//! **binary** [`EnrichedMeasurement`] record for the detector feed, and
-//! the line-protocol line for the PUB edge, so external subscribers stay
-//! text-parseable. Every count the pool makes goes into its own shards of
-//! the pipeline's telemetry registry, once per burst.
+//! The two edges inside the pipeline carry values: measurements arrive as
+//! [`LatencyMeasurement`]s and leave for the detector as
+//! [`DetectorInput::Measurement`]s, with nothing to encode or decode. The
+//! renderer refills one reused `latency` point for the tsdb stripe and
+//! writes the line-protocol line for the PUB edge, the one edge that
+//! leaves the pipeline's threads, into a scratch block, so external
+//! subscribers stay text-parseable. Every count the pool makes goes into
+//! its own shards of the pipeline's telemetry registry, once per burst.
 
-use crate::enrich::{latency_template, EnrichedMeasurement, Enricher, ENRICHED_WIRE_LEN};
+use crate::enrich::{latency_template, EnrichedMeasurement, Enricher};
 use bytes::{Bytes, BytesMut};
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::GeoDb;
 use ruru_mq::{Message, Publisher, Pull, Push};
-use ruru_nic::Clock;
+use ruru_nic::{Clock, Timestamp};
 use ruru_telemetry::{CounterId, HistId, Registry};
 use ruru_tsdb::{Point, StripeWriter, TsDb};
 use std::sync::Arc;
@@ -37,8 +39,25 @@ pub const ENRICHED_TOPIC: &[u8] = b"enriched";
 /// dataplane's DPDK burst size).
 pub const WORKER_BURST: usize = 32;
 
-/// Scratch-block size for the per-worker encode buffer.
+/// Scratch-block size for the per-worker PUB line buffer.
 const SCRATCH_CHUNK: usize = 64 * 1024;
+
+/// One record on the detector's feed. The enrichers push measurements and
+/// the lcores push SYN events onto the one pipe; the detector orders both
+/// by tap time.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DetectorInput {
+    /// An enriched handshake measurement.
+    Measurement(EnrichedMeasurement),
+    /// A SYN-only packet seen by the lcore of RX queue `queue`, tapped at
+    /// `at`.
+    Syn {
+        /// The RX queue whose lcore saw the SYN.
+        queue: u16,
+        /// The SYN's tap timestamp.
+        at: Timestamp,
+    },
+}
 
 /// Room a PUB line needs besides its two city names, which escaping at
 /// most doubles: the names, ten numbers and the timestamp. `f64`'s
@@ -67,17 +86,15 @@ pub struct PoolTelemetry {
     pub shard_base: usize,
     /// Measurements enriched.
     pub enriched: CounterId,
-    /// Bus payloads that failed to decode.
-    pub decode_errors: CounterId,
     /// Records with either endpoint unknown to the geo database.
     pub geo_misses: CounterId,
     /// Input batches drained from the PULL socket.
     pub batches_in: CounterId,
     /// Output batches forwarded (detector feed + PUB, counted per edge).
     pub batches_out: CounterId,
-    /// Payload bytes emitted on the output edges.
+    /// PUB line bytes published.
     pub bytes_out: CounterId,
-    /// Scratch-block allocations for the two bus payloads.
+    /// Scratch-block allocations for the PUB lines.
     pub alloc_hits: CounterId,
     /// Points folded into the shared tsdb by stripe merges (the
     /// `tsdb-merge-accounting` conservation term).
@@ -87,10 +104,10 @@ pub struct PoolTelemetry {
 }
 
 /// One worker's per-record output path: a reused `latency` point, the
-/// tsdb stripe it is written to, and the scratch block both bus payloads
-/// are written into. Each record is rendered once: the point is refilled
-/// in place, and the binary record and the PUB line are written straight
-/// into the block and split off as zero-copy views.
+/// tsdb stripe it is written to, and the scratch block the PUB lines are
+/// written into. Each record is rendered once: the point is refilled in
+/// place, and the PUB line is written straight into the block and split
+/// off as a zero-copy view.
 pub struct Renderer {
     point: Point,
     stripe: StripeWriter,
@@ -99,8 +116,6 @@ pub struct Renderer {
 
 /// What rendering one record produced.
 pub struct Rendered {
-    /// The fixed binary record, for the detector feed.
-    pub binary: Bytes,
     /// The line-protocol line, for the PUB edge.
     pub line: Bytes,
     /// Points the stripe merged into the store on this write (0 unless it
@@ -111,7 +126,7 @@ pub struct Rendered {
 }
 
 impl Renderer {
-    /// A renderer writing points to `stripe` and payloads into scratch
+    /// A renderer writing points to `stripe` and PUB lines into scratch
     /// blocks of [`SCRATCH_CHUNK`] bytes.
     pub fn new(stripe: StripeWriter) -> Renderer {
         Renderer {
@@ -121,26 +136,23 @@ impl Renderer {
         }
     }
 
-    /// Render one record: write its point to the stripe, then its binary
-    /// record and its PUB line into the scratch block.
+    /// Render one record: write its point to the stripe, then its PUB
+    /// line into the scratch block.
     pub fn render(&mut self, em: &EnrichedMeasurement) -> Rendered {
         em.refill(&mut self.point);
         let merged = self.stripe.write(&self.point);
-        // Room for the whole record first: a line that crossed the end of
+        // Room for the longest line first: a line that crossed the end of
         // the block would move to a fresh block only its own size, and
         // every record after it would allocate again.
-        let need = ENRICHED_WIRE_LEN + LINE_HEADROOM + 2 * (em.src.city.len() + em.dst.city.len());
+        let need = LINE_HEADROOM + 2 * (em.src.city.len() + em.dst.city.len());
         let fresh_block = self.scratch.capacity() < need;
         if fresh_block {
             self.scratch.reserve(SCRATCH_CHUNK.max(need));
         }
-        em.encode_into(&mut self.scratch);
-        let binary = self.scratch.split().freeze();
         // Writing into a `BytesMut` cannot fail.
         let _ = em.write_line(&mut self.scratch);
         let line = self.scratch.split().freeze();
         Rendered {
-            binary,
             line,
             merged,
             fresh_block,
@@ -165,19 +177,19 @@ impl EnrichmentPool {
     ///
     /// Every enriched record is written to `tsdb`, republished as line
     /// protocol on `publisher` (best-effort: PUB may drop for slow
-    /// consumers), and pushed as the fixed binary
-    /// [`crate::enrich::EnrichedMeasurement`] record on `detector_feed`,
-    /// whose PUSH/PULL back-pressure means detectors never miss one. Each
+    /// consumers), and pushed as a [`DetectorInput::Measurement`] value
+    /// on `detector_feed`, whose PUSH/PULL back-pressure means detectors
+    /// never miss one. Each
     /// worker writes its counters and the track→enrich residency histogram
     /// into its own `telemetry` shard, burst-framed so the collector never
     /// reads a torn burst.
     pub fn spawn(
         threads: usize,
-        input: Pull,
+        input: Pull<LatencyMeasurement>,
         db: Arc<GeoDb>,
         tsdb: Arc<TsDb>,
         publisher: Publisher,
-        detector_feed: Push,
+        detector_feed: Push<DetectorInput>,
         telemetry: PoolTelemetry,
     ) -> EnrichmentPool {
         assert!(threads > 0, "need at least one worker");
@@ -200,8 +212,8 @@ impl EnrichmentPool {
                         // time, so the write lock is taken O(points/4096)
                         // times instead of once per point.
                         let mut renderer = Renderer::new(tsdb.stripe(STRIPE_FLUSH_POINTS));
-                        let mut batch: Vec<Message> = Vec::with_capacity(WORKER_BURST);
-                        let mut feed_out: Vec<Message> = Vec::with_capacity(WORKER_BURST);
+                        let mut batch: Vec<LatencyMeasurement> = Vec::with_capacity(WORKER_BURST);
+                        let mut feed_out: Vec<DetectorInput> = Vec::with_capacity(WORKER_BURST);
                         let mut pub_out: Vec<Message> = Vec::with_capacity(WORKER_BURST);
                         // Reused residency scratch: no steady-state allocation.
                         let mut residencies: Vec<u64> = Vec::with_capacity(WORKER_BURST);
@@ -216,19 +228,13 @@ impl EnrichmentPool {
                                     break;
                                 }
                             }
-                            let mut enriched = 0u64;
-                            let mut decode_errors = 0u64;
+                            let enriched = batch.len() as u64;
                             let mut geo_misses = 0u64;
                             let mut bytes_out = 0u64;
                             let mut alloc_hits = 0u64;
-                            let mut batches_out = 0u64;
                             let mut merged = 0u64;
                             residencies.clear();
-                            for msg in batch.drain(..) {
-                                let Some(m) = LatencyMeasurement::decode(&msg.payload) else {
-                                    decode_errors += 1;
-                                    continue;
-                                };
+                            for m in batch.drain(..) {
                                 residencies
                                     .push(t.clock.now().saturating_nanos_since(m.completed_at));
                                 let em = enricher.enrich(&m);
@@ -238,26 +244,17 @@ impl EnrichmentPool {
                                 let out = renderer.render(&em);
                                 merged += out.merged;
                                 alloc_hits += u64::from(out.fresh_block);
-                                bytes_out += (out.binary.len() + out.line.len()) as u64;
-                                feed_out.push(Message::new(
-                                    Bytes::from_static(ENRICHED_TOPIC),
-                                    out.binary,
-                                ));
+                                bytes_out += out.line.len() as u64;
                                 pub_out.push(Message::new(
                                     Bytes::from_static(ENRICHED_TOPIC),
                                     out.line,
                                 ));
-                                enriched += 1;
+                                feed_out.push(DetectorInput::Measurement(em));
                             }
-                            if !feed_out.is_empty() {
-                                // Blocks at the HWM: detectors never miss.
-                                let _ = detector_feed.send_batch(feed_out.drain(..));
-                                batches_out += 1;
-                            }
-                            if !pub_out.is_empty() {
-                                publisher.publish_batch(pub_out.drain(..));
-                                batches_out += 1;
-                            }
+                            // One batch out on each edge. The detector feed
+                            // blocks at the HWM: detectors never miss.
+                            let _ = detector_feed.send_batch(feed_out.drain(..));
+                            publisher.publish_batch(pub_out.drain(..));
                             // One registry burst per input burst: the
                             // collector either sees all of it or none.
                             let r = &t.registry;
@@ -267,9 +264,8 @@ impl EnrichmentPool {
                             }
                             r.counter_add(shard, t.batches_in, 1);
                             r.counter_add(shard, t.enriched, enriched);
-                            r.counter_add(shard, t.decode_errors, decode_errors);
                             r.counter_add(shard, t.geo_misses, geo_misses);
-                            r.counter_add(shard, t.batches_out, batches_out);
+                            r.counter_add(shard, t.batches_out, 2);
                             r.counter_add(shard, t.bytes_out, bytes_out);
                             r.counter_add(shard, t.alloc_hits, alloc_hits);
                             r.counter_add(shard, t.tsdb_merged, merged);
@@ -331,7 +327,6 @@ mod tests {
     fn telemetry(threads: usize) -> PoolTelemetry {
         let mut b = RegistryBuilder::new();
         let enriched = b.counter("enriched");
-        let decode_errors = b.counter("decode_errors");
         let geo_misses = b.counter("geo_misses");
         let batches_in = b.counter("batches_in");
         let batches_out = b.counter("batches_out");
@@ -344,7 +339,6 @@ mod tests {
             clock: Clock::virtual_clock(),
             shard_base: 0,
             enriched,
-            decode_errors,
             geo_misses,
             batches_in,
             batches_out,
@@ -360,12 +354,12 @@ mod tests {
     /// registry the pool counts into.
     fn spawn(
         threads: usize,
-        input: Pull,
+        input: Pull<LatencyMeasurement>,
         db: Arc<GeoDb>,
         tsdb: Arc<TsDb>,
         publisher: Publisher,
         feed_hwm: usize,
-    ) -> (EnrichmentPool, Pull, Arc<Registry>) {
+    ) -> (EnrichmentPool, Pull<DetectorInput>, Arc<Registry>) {
         let (det_push, det_pull) = pipe(feed_hwm);
         let t = telemetry(threads);
         let registry = Arc::clone(&t.registry);
@@ -394,12 +388,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for i in 0..1000u64 {
             let m = measurement(&world, &mut rng, i);
-            push.send(Message::new("latency", m.encode())).unwrap();
+            push.send(m).unwrap();
         }
         drop(push);
         let stats = join(pool, &registry);
         assert_eq!(stats.counter("enriched"), 1000);
-        assert_eq!(stats.counter("decode_errors"), 0);
         assert_eq!(stats.counter("geo_misses"), 0);
         assert_eq!(stats.counter("tsdb_merged"), 1000, "every buffered point was merged");
         assert_eq!(tsdb.points_ingested(), 1000);
@@ -415,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn detector_feed_carries_binary_records() {
+    fn detector_feed_carries_enriched_values() {
         let world = SynthWorld::generate(2);
         let db = Arc::new(world.db().clone());
         let tsdb = Arc::new(TsDb::new());
@@ -426,27 +419,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for i in 0..100u64 {
             let m = measurement(&world, &mut rng, i);
-            push.send(Message::new("latency", m.encode())).unwrap();
+            push.send(m).unwrap();
         }
         drop(push);
         let stats = join(pool, &registry);
         assert_eq!(stats.counter("enriched"), 100);
 
-        // The internal feed is the fixed binary record, not a line.
+        // The internal feed carries the enriched records themselves.
         let mut seen = 0;
-        while let Some(msg) = det_pull.try_recv() {
-            assert_eq!(msg.payload.len(), crate::enrich::ENRICHED_WIRE_LEN);
-            let em = crate::enrich::EnrichedMeasurement::decode(&msg.payload)
-                .expect("binary enriched record");
+        while let Some(input) = det_pull.try_recv() {
+            let DetectorInput::Measurement(em) = input else {
+                panic!("the pool pushes only measurements: {input:?}");
+            };
             assert_eq!(em.src.city, "Auckland");
             seen += 1;
         }
         assert_eq!(seen, 100, "detector feed is lossless");
 
-        // The external PUB edge still speaks line protocol.
-        let msg = sub.try_recv().unwrap();
-        let line = core::str::from_utf8(&msg.payload).unwrap();
-        assert!(crate::enrich::EnrichedMeasurement::from_line(line).is_some());
+        // The external PUB edge still speaks line protocol, and its bytes
+        // are the ones the pool counts out.
+        let mut line_bytes = 0;
+        while let Some(msg) = sub.try_recv() {
+            let line = core::str::from_utf8(&msg.payload).unwrap();
+            assert!(crate::enrich::EnrichedMeasurement::from_line(line).is_some());
+            line_bytes += msg.payload.len() as u64;
+        }
+        assert_eq!(stats.counter("bytes_out"), line_bytes);
 
         // Batching and allocation counters: work moved in bursts, and the
         // scratch block amortized allocations far below one per record.
@@ -454,7 +452,6 @@ mod tests {
         assert!(batches_in >= 4, "batched input: {batches_in}");
         assert!(batches_in <= 100);
         assert!(stats.counter("batches_out") >= batches_in);
-        assert!(stats.counter("bytes_out") >= 100 * crate::enrich::ENRICHED_WIRE_LEN as u64);
         let alloc_hits = stats.counter("alloc_hits");
         assert!(
             (1..=2).contains(&alloc_hits),
@@ -498,20 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_counts_decode_errors() {
-        let world = SynthWorld::generate(1);
-        let db = Arc::new(world.db().clone());
-        let tsdb = Arc::new(TsDb::new());
-        let (push, pull) = pipe(64);
-        let (pool, _det_pull, registry) = spawn(1, pull, db, tsdb, Publisher::new(), 64);
-        push.send(Message::new("latency", vec![1u8, 2, 3])).unwrap();
-        drop(push);
-        let stats = join(pool, &registry);
-        assert_eq!(stats.counter("enriched"), 0);
-        assert_eq!(stats.counter("decode_errors"), 1);
-    }
-
-    #[test]
     fn pool_counts_geo_misses() {
         let world = SynthWorld::generate(1);
         let db = Arc::new(world.db().clone());
@@ -529,7 +512,7 @@ mod tests {
             queue_id: 0,
             syn_retransmissions: 0,
         };
-        push.send(Message::new("latency", m.encode())).unwrap();
+        push.send(m).unwrap();
         drop(push);
         let stats = join(pool, &registry);
         assert_eq!(stats.counter("enriched"), 1);
@@ -547,7 +530,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for i in 0..5000u64 {
             let m = measurement(&world, &mut rng, i);
-            push.send(Message::new("latency", m.encode())).unwrap();
+            push.send(m).unwrap();
         }
         drop(push);
         let stats = join(pool, &registry);

@@ -45,7 +45,7 @@ fn sample_enriched() -> EnrichedMeasurement {
 /// One record per `send`, line-protocol payload, parsed on receive — the
 /// original detector-feed wire format.
 fn run_line_per_message(em: &EnrichedMeasurement, n: u64) -> f64 {
-    let (push, pull) = pipe(65536);
+    let (push, pull) = pipe::<Message>(65536);
     let consumer = std::thread::spawn(move || {
         let mut seen = 0u64;
         while let Some(msg) = pull.recv() {
@@ -68,9 +68,10 @@ fn run_line_per_message(em: &EnrichedMeasurement, n: u64) -> f64 {
 }
 
 /// Fixed binary records, scratch-encoded, moved `BURST` at a time with
-/// `send_batch`/`recv_batch` — the current detector-feed wire format.
+/// `send_batch`/`recv_batch` — the detector-feed wire format before the
+/// feed carried the records as values.
 fn run_binary_batched(em: &EnrichedMeasurement, n: u64) -> f64 {
-    let (push, pull) = pipe(65536);
+    let (push, pull) = pipe::<Message>(65536);
     let consumer = std::thread::spawn(move || {
         let mut seen = 0u64;
         let mut batch = Vec::with_capacity(BURST);

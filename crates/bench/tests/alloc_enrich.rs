@@ -6,11 +6,10 @@
 //!   cover makes **none**. Every endpoint is a distinct address, so no
 //!   reuse of an earlier lookup can hide a per-endpoint cost;
 //! * the render that follows it: refilling the worker's reused `latency`
-//!   point, writing it to the tsdb stripe, and writing the binary record
-//!   and the PUB line into the scratch block makes **none**, once the
-//!   stripe holds the records' series, except in the few renders that
-//!   report reserving a fresh scratch block, which make exactly what one
-//!   block reservation makes.
+//!   point, writing it to the tsdb stripe, and writing the PUB line into
+//!   the scratch block makes **none**, once the stripe holds the records'
+//!   series, except in the few renders that report reserving a fresh
+//!   scratch block, which make exactly what one block reservation makes.
 //!
 //! The counting allocator is process-wide, so this audit is a test binary
 //! of its own with one test that runs the lookup audit, then the render
@@ -221,8 +220,8 @@ fn rendering_into_known_series_allocates_nothing() {
         let expected = if out.fresh_block { block_hits } else { 0 };
         assert_eq!(
             hits, expected,
-            "render audit, record {i}: refill, stripe write, binary record and line \
-             allocate nothing beyond a reported block reservation"
+            "render audit, record {i}: refill, stripe write and line allocate \
+             nothing beyond a reported block reservation"
         );
     }
     let fresh = rendered.iter().filter(|out| out.fresh_block).count();
@@ -234,7 +233,6 @@ fn rendering_into_known_series_allocates_nothing() {
     // The audited renders are the real output.
     for (em, out) in records.iter().zip(&rendered) {
         assert_eq!(out.merged, 0, "the stripe never flushed");
-        assert_eq!(EnrichedMeasurement::decode(&out.binary).as_ref(), Some(em));
         assert_eq!(&out.line[..], em.to_line().as_bytes());
     }
     assert!(

@@ -1,12 +1,12 @@
 //! The latency measurement record and its wire form.
 //!
 //! One [`LatencyMeasurement`] is produced per completed TCP handshake and
-//! published on the message bus to the analytics stage. The binary encoding
-//! is a fixed 66-byte little-endian record so the bus can move it zero-copy
-//! and the analytics workers can decode without allocation.
+//! handed to the analytics stage. Inside the pipeline it travels as a
+//! value (it is `Copy`); the binary encoding, a fixed 66-byte
+//! little-endian record that decodes without allocation, is what the
+//! traced benchmark replay moves as bytes.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use core::cell::RefCell;
+use bytes::{BufMut, BytesMut};
 use ruru_nic::Timestamp;
 use ruru_wire::{ipv4, ipv6, IpAddress};
 
@@ -14,17 +14,10 @@ use ruru_wire::{ipv4, ipv6, IpAddress};
 pub const WIRE_LEN: usize = 66;
 const VERSION: u8 = 1;
 
-/// Scratch-block size for [`LatencyMeasurement::encode`]'s thread-local
-/// buffer: one heap allocation amortizes over ~1000 encoded records.
+/// Scratch-block size for callers of [`LatencyMeasurement::encode_into`]
+/// that freeze records out of one buffer: one heap allocation amortizes
+/// over ~1000 encoded records.
 pub const SCRATCH_CHUNK: usize = 64 * 1024;
-
-thread_local! {
-    /// Per-thread encode scratch. `encode` appends into this block and
-    /// freezes a zero-copy slice out of it, so the steady state performs
-    /// no per-record heap allocation — only one block allocation per
-    /// [`SCRATCH_CHUNK`] bytes of output.
-    static ENCODE_SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::new());
-}
 
 /// A completed-handshake latency measurement (the paper's Figure 1 output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,27 +51,6 @@ impl LatencyMeasurement {
     /// Total latency in (fractional) milliseconds.
     pub fn total_ms(&self) -> f64 {
         self.total_ns() as f64 / 1e6
-    }
-
-    /// Encode into the fixed binary wire form.
-    ///
-    /// Appends to a thread-local scratch block and freezes a zero-copy
-    /// slice out of it: the returned [`Bytes`] shares the block, so the
-    /// steady state allocates once per [`SCRATCH_CHUNK`] bytes rather than
-    /// once per record. Callers that manage their own scratch (and want to
-    /// count allocation-path hits) use [`LatencyMeasurement::encode_into`]
-    /// directly.
-    pub fn encode(&self) -> Bytes {
-        ENCODE_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.capacity() < WIRE_LEN {
-                // alloc-ok: amortized — one backing block per
-                // SCRATCH_CHUNK/WIRE_LEN records, sliced zero-copy below.
-                buf.reserve(SCRATCH_CHUNK);
-            }
-            self.encode_into(&mut buf);
-            buf.split().freeze()
-        })
     }
 
     /// Append the fixed binary wire form to `buf` (exactly [`WIRE_LEN`]
@@ -184,10 +156,16 @@ mod tests {
         assert!((m.total_ms() - 129.9).abs() < 1e-9);
     }
 
+    fn encode(m: &LatencyMeasurement) -> BytesMut {
+        let mut buf = BytesMut::new();
+        m.encode_into(&mut buf);
+        buf
+    }
+
     #[test]
     fn encode_decode_roundtrip_v4() {
         let m = sample_v4();
-        let wire = m.encode();
+        let wire = encode(&m);
         assert_eq!(wire.len(), WIRE_LEN);
         assert_eq!(LatencyMeasurement::decode(&wire), Some(m));
     }
@@ -199,14 +177,14 @@ mod tests {
             dst: IpAddress::V6(ipv6::Address::from_groups([0x2607, 7, 6, 5, 4, 3, 2, 1])),
             ..sample_v4()
         };
-        let wire = m.encode();
+        let wire = encode(&m);
         assert_eq!(LatencyMeasurement::decode(&wire), Some(m));
     }
 
     #[test]
     fn decode_rejects_bad_input() {
         let m = sample_v4();
-        let wire = m.encode();
+        let wire = encode(&m);
         assert_eq!(LatencyMeasurement::decode(&wire[..WIRE_LEN - 1]), None);
         let mut bad_ver = wire.to_vec();
         bad_ver[0] = 99;
@@ -230,16 +208,18 @@ mod tests {
 
     #[test]
     fn scratch_encode_yields_independent_records() {
-        // Consecutive encodes slice the same thread-local block; each
-        // frozen record must still be a correct, independent view.
-        let records: Vec<(LatencyMeasurement, Bytes)> = (0..100u16)
+        // Consecutive encodes slice the same scratch block; each frozen
+        // record must still be a correct, independent view.
+        let mut scratch = BytesMut::with_capacity(SCRATCH_CHUNK);
+        let records: Vec<(LatencyMeasurement, bytes::Bytes)> = (0..100u16)
             .map(|i| {
                 let m = LatencyMeasurement {
                     queue_id: i,
                     src_port: 50_000 + i,
                     ..sample_v4()
                 };
-                (m, m.encode())
+                m.encode_into(&mut scratch);
+                (m, scratch.split().freeze())
             })
             .collect();
         for (m, wire) in &records {

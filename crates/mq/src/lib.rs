@@ -24,7 +24,11 @@
 //!
 //! Payloads are [`bytes::Bytes`]: fanning a message out to N subscribers
 //! clones a reference count, never the bytes — the "zero-copy" the paper
-//! leans on. Experiment E8 benchmarks this against a copying bus.
+//! leans on. Experiment E8 benchmarks this against a copying bus. A
+//! PUSH/PULL pipe is generic over its item ([`Message`] by default): an
+//! edge between threads of one process moves its records as values, with
+//! nothing to encode or decode, and only the edges that leave the
+//! process's threads (PUB, [`tcp`]) carry bytes.
 //!
 //! All three patterns move **bursts**: [`Push::send_batch`],
 //! [`Pull::recv_batch`] and [`Publisher::publish_batch`] take each channel

@@ -14,47 +14,57 @@
 //! it goes idle. A dropped [`Push`] flushes too, and [`Push::send`] is a
 //! one-message burst plus a flush.
 
-use crate::chan::{bounded, Probe, Receiver, RecvTimeoutError, Sender};
+use crate::chan::{bounded, Probe, Receiver, Sender};
 use crate::message::Message;
 use std::time::Duration;
 
-/// Create a PUSH/PULL pipe with the given high-water mark.
+/// Create a PUSH/PULL pipe of `T` items with the given high-water mark.
 ///
 /// Both ends are cloneable: multiple pushers feed the same pipe, multiple
-/// pullers drain it (each message goes to exactly one puller).
-pub fn pipe(hwm: usize) -> (Push, Pull) {
+/// pullers drain it (each item goes to exactly one puller). Items move by
+/// value, so an edge between threads of one process carries its records
+/// as they are; [`Message`] (the default) is the item of an edge that
+/// speaks bytes.
+pub fn pipe<T>(hwm: usize) -> (Push<T>, Pull<T>) {
     assert!(hwm > 0, "high-water mark must be positive");
     let (tx, rx) = bounded(hwm);
     (Push { tx }, Pull { rx })
 }
 
 /// The sending end of a PUSH/PULL pipe.
-#[derive(Clone)]
-pub struct Push {
-    tx: Sender<Message>,
+pub struct Push<T = Message> {
+    tx: Sender<T>,
 }
 
-impl Push {
-    /// Send one message and flush, blocking while the pipe is at its
-    /// high-water mark. Returns `Err` with the message if every puller is
+impl<T> Clone for Push<T> {
+    fn clone(&self) -> Push<T> {
+        Push {
+            tx: Sender::clone(&self.tx),
+        }
+    }
+}
+
+impl<T> Push<T> {
+    /// Send one item and flush, blocking while the pipe is at its
+    /// high-water mark. Returns `Err` with the item if every puller is
     /// gone.
-    pub fn send(&self, msg: Message) -> Result<(), Message> {
-        self.tx.send(msg).map_err(|e| e.0)
+    pub fn send(&self, item: T) -> Result<(), T> {
+        self.tx.send(item).map_err(|e| e.0)
     }
 
-    /// Send a burst of messages in order under one pipe lock. Messages
-    /// occupy the pipe individually, ordering is preserved, and the call
-    /// blocks mid-burst whenever the pipe is at its high-water mark
+    /// Send a burst of items in order under one pipe lock. Items occupy
+    /// the pipe individually, ordering is preserved, and the call blocks
+    /// mid-burst whenever the pipe is at its high-water mark
     /// (back-pressure, never loss). A sleeping puller is woken once the
     /// pipe holds a full burst; a part burst waits for more or for
-    /// [`Push::flush`]. Returns the number of messages sent, or `Err` with
-    /// the first unsendable message once every puller is gone (the rest of
+    /// [`Push::flush`]. Returns the number of items sent, or `Err` with
+    /// the first unsendable item once every puller is gone (the rest of
     /// the batch is dropped — the pipe is dead either way).
-    pub fn send_batch<I>(&self, msgs: I) -> Result<usize, Message>
+    pub fn send_batch<I>(&self, items: I) -> Result<usize, T>
     where
-        I: IntoIterator<Item = Message>,
+        I: IntoIterator<Item = T>,
     {
-        self.tx.send_batch(msgs, false).map_err(|e| e.0)
+        self.tx.send_batch(items, false).map_err(|e| e.0)
     }
 
     /// Wake a sleeping puller if anything is buffered. A producer calls
@@ -64,59 +74,63 @@ impl Push {
         self.tx.flush();
     }
 
-    /// Messages currently buffered in the pipe.
+    /// Items currently buffered in the pipe.
     pub fn backlog(&self) -> usize {
         self.tx.len()
     }
 }
 
 /// The receiving end of a PUSH/PULL pipe.
-#[derive(Clone)]
-pub struct Pull {
-    rx: Receiver<Message>,
+pub struct Pull<T = Message> {
+    rx: Receiver<T>,
 }
 
-impl Pull {
+impl<T> Clone for Pull<T> {
+    fn clone(&self) -> Pull<T> {
+        Pull {
+            rx: Receiver::clone(&self.rx),
+        }
+    }
+}
+
+impl<T> Pull<T> {
     /// Blocking receive; `None` when every pusher is gone and the pipe is
     /// drained.
-    pub fn recv(&self) -> Option<Message> {
+    pub fn recv(&self) -> Option<T> {
         self.rx.recv().ok()
     }
 
     /// Receive with a timeout; `None` on timeout or closed-and-drained.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+        self.rx.recv_timeout(timeout).ok()
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Message> {
+    pub fn try_recv(&self) -> Option<T> {
         self.rx.try_recv().ok()
     }
 
-    /// Receive up to `max` messages into `out` under one pipe lock,
-    /// blocking only while the pipe is empty. Returns how many messages
-    /// were appended; `0` means every pusher is gone and the pipe is
-    /// drained (or `max == 0`).
-    pub fn recv_batch(&self, out: &mut Vec<Message>, max: usize) -> usize {
+    /// Receive up to `max` items into `out` under one pipe lock, blocking
+    /// only while the pipe is empty. Returns how many items were
+    /// appended; `0` means every pusher is gone and the pipe is drained
+    /// (or `max == 0`).
+    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         self.rx.recv_batch(out, max)
     }
 
-    /// Non-blocking batch receive: move up to `max` buffered messages into
+    /// Non-blocking batch receive: move up to `max` buffered items into
     /// `out` under one pipe lock and return how many (possibly zero).
-    pub fn try_recv_batch(&self, out: &mut Vec<Message>, max: usize) -> usize {
+    pub fn try_recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         self.rx.try_recv_batch(out, max)
     }
 
     /// The pipe's counters ([`Probe::wakeups`]: how often a PUSH woke a
     /// sleeping puller), through a handle that keeps no end open.
-    pub fn probe(&self) -> Probe<Message> {
+    pub fn probe(&self) -> Probe<T> {
         self.rx.probe()
     }
 
-    /// Messages currently buffered.
+    /// Items currently buffered.
     pub fn backlog(&self) -> usize {
         self.rx.len()
     }
@@ -200,8 +214,20 @@ mod tests {
 
     #[test]
     fn recv_timeout_times_out() {
-        let (_push, pull) = pipe(4);
+        let (_push, pull) = pipe::<Message>(4);
         assert!(pull.recv_timeout(Duration::from_millis(5)).is_none());
+    }
+
+    #[test]
+    fn a_pipe_carries_values_of_any_type() {
+        let (push, pull) = pipe::<(u16, String)>(4);
+        let items = (0..3u16).map(|i| (i, i.to_string()));
+        assert_eq!(push.send_batch(items), Ok(3));
+        let mut out = Vec::new();
+        assert_eq!(pull.try_recv_batch(&mut out, 8), 3);
+        assert_eq!(out[2], (2, "2".to_string()));
+        drop(pull);
+        assert_eq!(push.send((9, "x".into())), Err((9, "x".into())));
     }
 
     #[test]

@@ -148,9 +148,11 @@ impl Waiter {
     }
 
     /// Unpark the waiting side if it has announced a park. Called after
-    /// the Release store that may have made it ready.
+    /// the Release store that may have made it ready. The wake is counted
+    /// before the unpark, so a woken side that reads the count sees it.
     fn wake(&self) {
         if self.waiting.swap(false, Ordering::AcqRel) {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
             self.thread.with(|slot| {
                 // SAFETY: the waiting side wrote `thread` before the swap
                 // that set `waiting`, which the swap above acquired, and
@@ -159,7 +161,6 @@ impl Waiter {
                     waiter.unpark();
                 }
             });
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

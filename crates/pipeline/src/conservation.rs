@@ -89,12 +89,11 @@ pub const IDENTITIES: &[Identity] = &[
         rhs: &[Counter("dp_records_out"), Counter("dp_syn_events")],
     },
     // The detector conserves records: everything entering it is released
-    // downstream or counted as a decode failure (zero on the
-    // self-produced feed, but never silent).
+    // to the detectors.
     Identity {
         name: "detector-conservation",
         lhs: &[Counter("det_records_in")],
-        rhs: &[Counter("det_records_out"), Counter("det_decode_errors")],
+        rhs: &[Counter("det_records_out")],
     },
     // The in-flow RTT path sees every packet the handshake tracker sees:
     // both trackers are fed the same classified metas, so a packet

@@ -7,22 +7,19 @@
 
 use crate::snmp::{SnmpPoller, SnmpSample};
 use crate::telemetry::{BusStats, SelfMetrics};
-use bytes::{BufMut, Bytes, BytesMut};
-use ruru_analytics::detect::{FloodConfig, RateConfig, SpikeConfig};
 use ruru_analytics::{
-    AlertSink, EnrichedMeasurement, EnrichmentPool, LatencySpikeDetector, PairAggregator,
-    PairInterner, RateAnomalyDetector, SynFloodDetector,
+    AlertSink, DetectorInput, EnrichedMeasurement, EnrichmentPool, LatencySpikeDetector,
+    PairAggregator, PairInterner, RateAnomalyDetector, SynFloodDetector,
 };
 use ruru_flow::classify::{classify_mbuf, ChecksumMode, Reject, RejectStats, TcpMeta};
-use ruru_nic::Mbuf;
-use ruru_flow::measurement::{SCRATCH_CHUNK, WIRE_LEN};
 use ruru_flow::{
-    HandshakeTracker, InflowConfig, InflowStats, InflowTracker, TrackerConfig, TrackerStats,
+    HandshakeTracker, InflowStats, InflowTracker, LatencyMeasurement, TrackerConfig, TrackerStats,
 };
 use ruru_gen::Event;
 use ruru_geo::{GeoDb, SynthWorld};
 use ruru_mq::chan::Probe;
-use ruru_mq::{pipe, Message, Publisher, Pull, Push};
+use ruru_mq::{pipe, Publisher, Pull, Push};
+use ruru_nic::Mbuf;
 use ruru_nic::lcore::{WorkerGroup, BURST_SIZE};
 use ruru_nic::port::{Port, PortConfig, PortStats};
 use ruru_nic::{Clock, Timestamp};
@@ -30,24 +27,16 @@ use ruru_telemetry::Snapshot;
 use ruru_tsdb::TsDb;
 use std::sync::Arc;
 
-/// Whole-pipeline configuration.
+/// Whole-pipeline configuration. The in-flow tracker and the three
+/// detectors run with their default settings.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// The simulated NIC.
     pub port: PortConfig,
     /// Per-queue handshake tracker settings.
     pub tracker: TrackerConfig,
-    /// Per-queue continuous in-flow RTT tracker settings (the RFC 7323
-    /// TCP-timestamp path that keeps sampling after the handshake).
-    pub inflow: InflowConfig,
     /// Message-bus high-water mark.
     pub mq_hwm: usize,
-    /// Latency-spike detector settings.
-    pub spike: SpikeConfig,
-    /// SYN-flood detector settings.
-    pub flood: FloodConfig,
-    /// Connection-rate detector settings.
-    pub rate: RateConfig,
     /// When true (the default), [`Pipeline::feed`] waits for ring space
     /// instead of dropping at a full RX ring. Simulated time is decoupled
     /// from wall time, so "waiting" costs nothing and runs are lossless on
@@ -60,11 +49,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             port: PortConfig::default(),
             tracker: TrackerConfig::default(),
-            inflow: InflowConfig::default(),
             mq_hwm: 65536,
-            spike: SpikeConfig::default(),
-            flood: FloodConfig::default(),
-            rate: RateConfig::default(),
             lossless_inject: true,
         }
     }
@@ -129,24 +114,21 @@ struct WorkerState {
     /// Continuous in-flow RTT tracker, fed the same classified metas as
     /// the handshake tracker.
     inflow: InflowTracker,
-    push: Push,
-    /// This lcore's PUSH end of the detector pipe, for SYN-event records.
-    det_push: Push,
+    push: Push<LatencyMeasurement>,
+    /// This lcore's PUSH end of the detector pipe, for SYN events.
+    det_push: Push<DetectorInput>,
     /// The shared self-metric registry; this worker writes only `shard`.
     metrics: Arc<SelfMetrics>,
     shard: usize,
     clock: Clock,
     /// Measurements accumulated this burst, flushed with one `send_batch`.
-    batch: Vec<Message>,
+    batch: Vec<LatencyMeasurement>,
     /// Classified packets of the current burst, reused across bursts so
     /// the burst path stays allocation-free at steady state.
     metas: Vec<TcpMeta>,
-    /// Tap timestamps (ns) of the current burst's SYN-only packets, sent
-    /// to the detector as one SYN-event record at flush.
-    syn_stamps: Vec<u64>,
-    /// Encode scratch: measurements append here and freeze zero-copy
-    /// slices, one block allocation per ~64 KiB of output.
-    scratch: BytesMut,
+    /// Tap timestamps of the current burst's SYN-only packets, sent to the
+    /// detector at flush, one SYN event each, in one `send_batch`.
+    syn_stamps: Vec<Timestamp>,
     /// RX residencies (virtual ns, mbuf timestamp → classify) of the
     /// current burst, reused across bursts.
     residencies: Vec<u64>,
@@ -155,47 +137,23 @@ struct WorkerState {
     inflow_rtts: Vec<u64>,
     /// Inflow stats as of the last flush, so counters flush as deltas.
     inflow_flushed: InflowStats,
-    // Local counters, flushed to the registry once per burst.
+    /// Frames taken off the RX ring since the last flush.
     records_in: u64,
-    records_out: u64,
-    batches: u64,
-    bytes: u64,
-    alloc_hits: u64,
-    syn_events: u64,
     /// Rejects of this burst, indexed by `Reject as usize`.
     reject_counts: [u64; Reject::ALL.len()],
 }
 
-/// Make room for a `len`-byte record in an lcore's encode scratch block,
-/// taking a fresh [`SCRATCH_CHUNK`] block when the current one is spent.
-fn refill_scratch(scratch: &mut BytesMut, len: usize, alloc_hits: &mut u64) {
-    if scratch.capacity() < len {
-        // alloc-ok: amortized scratch refill, counted via alloc_hits.
-        scratch.reserve(SCRATCH_CHUNK);
-        *alloc_hits += 1;
+/// Send `items` as one burst and return how many were not sent: the
+/// send fails only once every puller is gone, and then the item it failed
+/// on and the rest of the burst are lost.
+fn send_counted<T>(push: &Push<T>, items: impl ExactSizeIterator<Item = T>) -> u64 {
+    let queued = items.len();
+    let mut consumed = 0usize;
+    if push.send_batch(items.inspect(|_| consumed += 1)).is_ok() {
+        return 0;
     }
-}
-
-/// Topic of the lcore → detector SYN-event record.
-const SYN_TOPIC: &[u8] = b"syn";
-
-/// Append a SYN-event record to `out`: the queue id as a little-endian
-/// `u16`, then each SYN's tap timestamp (ns) as a little-endian `u64`.
-fn encode_syns(queue: u16, stamps: &[u64], out: &mut BytesMut) {
-    out.put_u16_le(queue);
-    for &ts in stamps {
-        out.put_u64_le(ts);
-    }
-}
-
-/// Split a SYN-event record into its queue id and timestamps. `None`
-/// unless the length is `2 + 8k` with `k ≥ 1`.
-fn decode_syns(payload: &[u8]) -> Option<(u16, &[[u8; 8]])> {
-    // account-ok: a malformed record; `detector_loop` counts it in
-    // `det_decode_errors`.
-    let (queue, rest) = payload.split_first_chunk::<2>()?;
-    let (stamps, tail) = rest.as_chunks::<8>();
-    (!stamps.is_empty() && tail.is_empty()).then_some((u16::from_le_bytes(*queue), stamps))
+    // `consumed` includes the item that failed to send.
+    queued.saturating_sub(consumed.saturating_sub(1)) as u64
 }
 
 impl WorkerState {
@@ -205,66 +163,39 @@ impl WorkerState {
     /// more at shutdown. The sends wake a sleeping puller only once its
     /// pipe holds a full burst; [`dataplane_idle`] flushes the rest.
     fn flush(&mut self) {
-        if !self.syn_stamps.is_empty() {
-            let len = 2 + 8 * self.syn_stamps.len();
-            refill_scratch(&mut self.scratch, len, &mut self.alloc_hits);
-            encode_syns(self.tracker.queue_id(), &self.syn_stamps, &mut self.scratch);
-            let payload = self.scratch.split().freeze();
-            let msg = Message::new(Bytes::from_static(SYN_TOPIC), payload);
-            // Like a measurement batch: a send fails only once the
-            // detector is gone, and its events count as bus-closed drops.
-            if self.det_push.send_batch(Some(msg)).is_err() {
-                if let Some(n) = self.reject_counts.get_mut(Reject::BusClosed as usize) {
-                    *n += self.syn_stamps.len() as u64;
-                }
-            }
-            self.syn_stamps.clear();
+        // PUSH blocks at the HWM: analytics back-pressure, never loss
+        // (ZeroMQ PUSH semantics). A send can only fail once every puller
+        // is gone; the unsent remainder of the burst is then counted as
+        // bus-closed drops, not panicked on.
+        let (syn_events, records_out) = (self.syn_stamps.len(), self.batch.len());
+        let mut lost = 0;
+        if syn_events > 0 {
+            let queue = self.tracker.queue_id();
+            let events = self
+                .syn_stamps
+                .drain(..)
+                .map(|at| DetectorInput::Syn { queue, at });
+            lost += send_counted(&self.det_push, events);
         }
-        if !self.batch.is_empty() {
-            self.batches += 1;
-            let queued = self.batch.len();
-            // PUSH blocks at the HWM: analytics back-pressure, never
-            // measurement loss (ZeroMQ PUSH semantics). A send can only
-            // fail once every puller is gone; the unsent remainder of the
-            // burst is then counted as bus-closed drops, not panicked on.
-            let mut consumed = 0usize;
-            let sent = self
-                .push
-                .send_batch(self.batch.drain(..).inspect(|_| consumed += 1));
-            if sent.is_err() {
-                // `consumed` includes the message that failed to send.
-                let lost = queued.saturating_sub(consumed.saturating_sub(1));
-                if let Some(n) = self.reject_counts.get_mut(Reject::BusClosed as usize) {
-                    *n += lost as u64;
-                }
-            }
+        if records_out > 0 {
+            lost += send_counted(&self.push, self.batch.drain(..));
+        }
+        if let Some(n) = self.reject_counts.get_mut(Reject::BusClosed as usize) {
+            *n += lost;
         }
         let m = &*self.metrics;
         let r = m.registry();
         r.burst_begin(self.shard);
-        if self.records_in > 0 {
-            r.counter_add(self.shard, m.dp_records_in, self.records_in);
-            self.records_in = 0;
-        }
-        if self.records_out > 0 {
-            r.counter_add(self.shard, m.dp_records_out, self.records_out);
-            self.records_out = 0;
-        }
-        if self.batches > 0 {
-            r.counter_add(self.shard, m.dp_batches, self.batches);
-            self.batches = 0;
-        }
-        if self.bytes > 0 {
-            r.counter_add(self.shard, m.dp_bytes, self.bytes);
-            self.bytes = 0;
-        }
-        if self.alloc_hits > 0 {
-            r.counter_add(self.shard, m.dp_alloc_hits, self.alloc_hits);
-            self.alloc_hits = 0;
-        }
-        if self.syn_events > 0 {
-            r.counter_add(self.shard, m.dp_syn_events, self.syn_events);
-            self.syn_events = 0;
+        // What this burst moved: one measurement batch at most.
+        for (id, n) in [
+            (m.dp_records_in, std::mem::take(&mut self.records_in)),
+            (m.dp_records_out, records_out as u64),
+            (m.dp_batches, u64::from(records_out > 0)),
+            (m.dp_syn_events, syn_events as u64),
+        ] {
+            if n > 0 {
+                r.counter_add(self.shard, id, n);
+            }
         }
         for (&cause, &n) in Reject::ALL.iter().zip(&self.reject_counts) {
             if n > 0 {
@@ -359,8 +290,8 @@ pub struct Pipeline {
     metrics: Arc<SelfMetrics>,
     /// Wake counters of the enrichers' input pipe and of the detector's
     /// feed, read at each collection.
-    enrich_probe: Probe<Message>,
-    detect_probe: Probe<Message>,
+    enrich_probe: Probe<LatencyMeasurement>,
+    detect_probe: Probe<DetectorInput>,
     last_telemetry: u64,
     telemetry_points: u64,
     // Reused collection buffers: snapshots allocate nothing after warm-up.
@@ -372,11 +303,8 @@ pub struct Pipeline {
 /// Everything the detector thread consumes, bundled so the thread body can
 /// be a named function (see [`detector_loop`]).
 struct DetectorInputs {
-    det_pull: Pull,
+    det_pull: Pull<DetectorInput>,
     alerts: AlertSink,
-    spike: SpikeConfig,
-    flood: FloodConfig,
-    rate: RateConfig,
     num_queues: u16,
     metrics: Arc<SelfMetrics>,
     clock: Clock,
@@ -392,11 +320,6 @@ struct DetectorDelta {
     records_out: u64,
     /// Batched receives.
     batches: u64,
-    /// Bytes of the enriched records received.
-    bytes: u64,
-    /// Records whose payload failed to decode: zero on the self-produced
-    /// feed, but counted, never dropped, so `detector-conservation` holds.
-    decode_errors: u64,
 }
 
 /// Flush the detector's per-iteration deltas into its registry shard (one
@@ -418,14 +341,8 @@ fn flush_detector_deltas(
     if delta.records_out > 0 {
         r.counter_add(shard, metrics.det_records_out, delta.records_out);
     }
-    if delta.decode_errors > 0 {
-        r.counter_add(shard, metrics.det_decode_errors, delta.decode_errors);
-    }
     if delta.batches > 0 {
         r.counter_add(shard, metrics.det_batches, delta.batches);
-    }
-    if delta.bytes > 0 {
-        r.counter_add(shard, metrics.det_bytes, delta.bytes);
     }
     for &ns in residencies.iter() {
         r.hist_record(shard, metrics.publish_residency, ns);
@@ -441,36 +358,23 @@ fn flush_detector_deltas(
 /// — each packet's `FlowKey::table_hash` home bucket and tag lines are
 /// prefetch-staged across the burst before any packet touches the table
 /// (the RSS hash already did its one job, choosing this queue) — and through
-/// the in-flow tracker's, encoding each measurement into the
-/// scratch block and flushing one vectored PUSH per burst. Named (rather
+/// the in-flow tracker's, staging each measurement in the burst's batch
+/// and flushing one vectored PUSH per burst. Named (rather
 /// than left as a closure inside [`Pipeline::new`]) so `cargo xtask
 /// panic-check` can root its reachability walk at the hot path.
 fn dataplane_worker(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
     classify_burst(state, burst);
     // Split the borrows: the tracker walks `metas` while the emit closure
-    // owns the encode/batch fields.
+    // fills `batch`.
     let WorkerState {
         tracker,
         inflow,
         inflow_rtts,
         metas,
-        scratch,
         batch,
-        bytes,
-        records_out,
-        alloc_hits,
         ..
     } = state;
-    tracker.process_burst(metas, |m| {
-        // Encode into the worker's scratch block: one backing allocation
-        // per ~1000 records, each payload a zero-copy slice of it.
-        refill_scratch(scratch, WIRE_LEN, alloc_hits);
-        m.encode_into(scratch);
-        let payload = scratch.split().freeze();
-        *bytes += payload.len() as u64;
-        batch.push(Message::new(Bytes::from_static(b"latency"), payload));
-        *records_out += 1;
-    });
+    tracker.process_burst(metas, |m| batch.push(m));
     // Same metas through the continuous in-flow RTT path: one prefetch-
     // staged slab-table walk, samples staged for the flush below.
     inflow.process_burst(metas, |rtt_ns| inflow_rtts.push(rtt_ns));
@@ -504,8 +408,7 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
                     .residencies
                     .push(now.saturating_nanos_since(meta.timestamp));
                 if meta.flags.is_syn_only() {
-                    state.syn_events += 1;
-                    state.syn_stamps.push(meta.timestamp.as_nanos());
+                    state.syn_stamps.push(meta.timestamp);
                 }
                 state.metas.push(meta);
             }
@@ -524,8 +427,8 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
 /// raises alerts and folds the per-pair aggregates (map frames are cut by
 /// PUB `enriched` subscribers). Named so the panic checker roots here.
 ///
-/// Both kinds arrive on the one detector pipe, told apart by topic: the
-/// lcores PUSH `syn` records, the enrichers the binary enriched records.
+/// Both kinds arrive on the one detector pipe as [`DetectorInput`]
+/// values: the lcores PUSH SYN events, the enrichers enriched records.
 /// The thread blocks in `recv_batch`; a return of 0 means every pusher is
 /// gone and the pipe is drained, so the stream has ended.
 ///
@@ -542,46 +445,23 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     let DetectorInputs {
         det_pull,
         alerts,
-        spike,
-        flood,
-        rate,
         num_queues,
         metrics,
         clock,
     } = inputs;
 
+    /// A buffered event, heap-ordered as `(at, seq, Ev)`: `seq` is unique,
+    /// so the event itself never decides an order.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     enum Ev {
         Syn,
         /// Slot of the record in `parked`.
         Meas(usize),
     }
-    /// A buffered event. Heap order is `(at, seq)` alone — `seq` is
-    /// unique, so the payload never takes part in a comparison.
-    struct Pending {
-        at: u64,
-        seq: u64,
-        ev: Ev,
-    }
-    impl PartialEq for Pending {
-        fn eq(&self, other: &Self) -> bool {
-            (self.at, self.seq) == (other.at, other.seq)
-        }
-    }
-    impl Eq for Pending {}
-    impl PartialOrd for Pending {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Pending {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.at, self.seq).cmp(&(other.at, other.seq))
-        }
-    }
 
-    let mut spike = LatencySpikeDetector::new(spike);
-    let mut flood = SynFloodDetector::new(flood);
-    let mut rate = RateAnomalyDetector::new(rate);
+    let mut spike = LatencySpikeDetector::new(Default::default());
+    let mut flood = SynFloodDetector::new(Default::default());
+    let mut rate = RateAnomalyDetector::new(Default::default());
     let mut aggregates = PairAggregator::new();
     // City-pair keys interned once; the per-measurement hot path below
     // works on dense u32 ids, no `format!` per record.
@@ -599,7 +479,7 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     // released until every source has reported (or the stream ends).
     // alloc-ok: one-time setup before the receive loop.
     let mut watermarks = vec![0u64; 2 * usize::from(top_queue) + 2];
-    let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+    let mut pending: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
     let mut seq = 0u64;
     // Measurements held for the watermark, parked in a slab whose slots are
     // reused once released: the heap orders slot indices, not boxes.
@@ -607,63 +487,37 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     let mut free_slots: Vec<usize> = Vec::new();
 
     // alloc-ok: one-time setup; drained and refilled in place each burst.
-    let mut det_batch: Vec<Message> = Vec::with_capacity(BURST_SIZE);
+    let mut det_batch: Vec<DetectorInput> = Vec::with_capacity(BURST_SIZE);
     let mut done = false;
     while !done {
         done = det_pull.recv_batch(&mut det_batch, BURST_SIZE) == 0;
         if !done {
             delta.batches += 1;
         }
-        for msg in det_batch.drain(..) {
-            if *msg.topic == *SYN_TOPIC {
-                let Some((qid, stamps)) = decode_syns(&msg.payload) else {
-                    // Cannot happen on the self-produced feed — counted
-                    // as one record that failed to decode, never dropped.
-                    delta.records_in += 1;
-                    delta.decode_errors += 1;
-                    continue;
-                };
-                delta.records_in += stamps.len() as u64;
-                for &ts in stamps {
-                    let ts = u64::from_le_bytes(ts);
-                    if let Some(w) = watermarks.get_mut(2 * usize::from(qid.min(top_queue))) {
-                        *w = (*w).max(ts);
-                    }
-                    pending.push(Reverse(Pending {
-                        at: ts,
-                        seq,
-                        ev: Ev::Syn,
-                    }));
-                    seq += 1;
-                }
-                continue;
-            }
+        for input in det_batch.drain(..) {
             delta.records_in += 1;
-            delta.bytes += msg.payload.len() as u64;
-            // The internal feed carries the fixed binary record — no
-            // UTF-8 or line parsing here.
-            let Some(em) = EnrichedMeasurement::decode(&msg.payload) else {
-                // Cannot happen on the self-produced feed — but an
-                // unaccounted discard would silently unbalance
-                // detector-conservation, so the loss is counted.
-                delta.decode_errors += 1;
-                continue;
+            let (at, source, ev) = match input {
+                DetectorInput::Syn { queue, at } => (
+                    at.as_nanos(),
+                    2 * usize::from(queue.min(top_queue)),
+                    Ev::Syn,
+                ),
+                DetectorInput::Measurement(em) => {
+                    let slot = free_slots.pop().unwrap_or(parked.len());
+                    let source = 2 * usize::from(em.queue_id.min(top_queue)) + 1;
+                    let at = em.completed_at.as_nanos();
+                    if let Some(free) = parked.get_mut(slot) {
+                        *free = em;
+                    } else {
+                        parked.push(em);
+                    }
+                    (at, source, Ev::Meas(slot))
+                }
             };
-            let at = em.completed_at.as_nanos();
-            if let Some(w) = watermarks.get_mut(2 * usize::from(em.queue_id.min(top_queue)) + 1) {
+            if let Some(w) = watermarks.get_mut(source) {
                 *w = (*w).max(at);
             }
-            let slot = free_slots.pop().unwrap_or(parked.len());
-            if let Some(free) = parked.get_mut(slot) {
-                *free = em;
-            } else {
-                parked.push(em);
-            }
-            pending.push(Reverse(Pending {
-                at,
-                seq,
-                ev: Ev::Meas(slot),
-            }));
+            pending.push(Reverse((at, seq, ev)));
             seq += 1;
         }
         // Release everything at or below the lowest watermark — or, once
@@ -675,12 +529,13 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
         };
         let now = clock.now();
         while let Some(top) = pending.peek_mut() {
-            if top.0.at > low {
+            let Reverse((at, _, ev)) = *top;
+            if at > low {
                 // account-ok: watermark hold — the event stays buffered in
                 // `pending` and is released on a later iteration.
                 break;
             }
-            let Reverse(Pending { at, ev, .. }) = PeekMut::pop(top);
+            PeekMut::pop(top);
             delta.records_out += 1;
             // Completion → detector release, including the watermark
             // reorder delay (virtual ns).
@@ -741,7 +596,7 @@ impl Pipeline {
         let metrics = Arc::new(SelfMetrics::new(num_queues, num_queues));
 
         // The enrichment pool sits between the lcores and the detector
-        // feed: lcores PUSH binary measurements, enrichers PULL them.
+        // feed: lcores PUSH measurements, enrichers PULL them.
         let (worker_push, pull) = pipe(config.mq_hwm);
         let enrich_probe = pull.probe();
         let pool = EnrichmentPool::spawn(
@@ -759,9 +614,6 @@ impl Pipeline {
         let detector_inputs = DetectorInputs {
             det_pull,
             alerts: alerts.clone(),
-            spike: config.spike.clone(),
-            flood: config.flood.clone(),
-            rate: config.rate.clone(),
             num_queues: config.port.num_queues,
             metrics: Arc::clone(&metrics),
             clock: clock.clone(),
@@ -773,12 +625,11 @@ impl Pipeline {
 
         // lcore workers: classify → track → push measurements.
         let tracker_cfg = config.tracker.clone();
-        let inflow_cfg = config.inflow.clone();
         let metrics_for_workers = Arc::clone(&metrics);
         let clock_for_workers = clock.clone();
         let init = move |qid| WorkerState {
             tracker: HandshakeTracker::new(qid, tracker_cfg.clone()),
-            inflow: InflowTracker::new(qid, inflow_cfg.clone()),
+            inflow: InflowTracker::new(qid, Default::default()),
             push: worker_push.clone(),
             det_push: lcore_det_push.clone(),
             shard: metrics_for_workers.dataplane_shard(qid),
@@ -787,16 +638,10 @@ impl Pipeline {
             batch: Vec::with_capacity(BURST_SIZE),
             metas: Vec::with_capacity(BURST_SIZE),
             syn_stamps: Vec::with_capacity(BURST_SIZE),
-            scratch: BytesMut::new(),
             residencies: Vec::with_capacity(BURST_SIZE),
             inflow_rtts: Vec::with_capacity(BURST_SIZE),
             inflow_flushed: InflowStats::default(),
             records_in: 0,
-            records_out: 0,
-            batches: 0,
-            bytes: 0,
-            alloc_hits: 0,
-            syn_events: 0,
             reject_counts: [0; Reject::ALL.len()],
         };
         // Whole-burst workers: classify the burst, prefetch-staged table
@@ -993,53 +838,47 @@ mod tests {
         }
     }
 
+    /// The detector releases every record it takes in, SYN events and
+    /// measurements alike, and drains its pipe once every pusher is gone.
     #[test]
-    fn syn_record_round_trips() {
-        for k in [1u64, 32] {
-            let stamps: Vec<u64> = (0..k).map(|i| u64::MAX - 3 * i).collect();
-            let mut buf = BytesMut::new();
-            encode_syns(7, &stamps, &mut buf);
-            assert_eq!(buf.len() as u64, 2 + 8 * k);
-            let (queue, got) = decode_syns(&buf).expect("well-formed record");
-            assert_eq!(queue, 7);
-            let got: Vec<u64> = got.iter().map(|s| u64::from_le_bytes(*s)).collect();
-            assert_eq!(got, stamps);
-        }
-    }
-
-    #[test]
-    fn malformed_syn_records_count_as_decode_errors() {
+    fn the_detector_releases_every_syn_and_measurement() {
         let metrics = Arc::new(SelfMetrics::new(1, 1));
         let (push, det_pull) = pipe(64);
-        let mut good = BytesMut::new();
-        encode_syns(0, &[10, 20, 30], &mut good);
-        push.send(Message::new(SYN_TOPIC, good.freeze())).unwrap();
-        // No timestamp, a short queue id, and trailing partial stamps.
-        let bad_lengths = [0usize, 1, 2, 9, 2 + 8 + 1, 2 + 16 + 7];
-        for len in bad_lengths {
-            push.send(Message::new(SYN_TOPIC, vec![0u8; len])).unwrap();
-        }
+        let syns = [10, 20, 30].map(|ns| DetectorInput::Syn {
+            queue: 0,
+            at: Timestamp::from_nanos(ns),
+        });
+        push.send_batch(syns).unwrap();
+        let world = SynthWorld::generate(1);
+        let db = Arc::new(world.db().clone());
+        let m = LatencyMeasurement {
+            src: ruru_wire::IpAddress::V4(ruru_wire::ipv4::Address([9, 9, 9, 9])),
+            dst: ruru_wire::IpAddress::V4(ruru_wire::ipv4::Address([8, 8, 8, 8])),
+            src_port: 1,
+            dst_port: 2,
+            internal_ns: 1_000,
+            external_ns: 2_000,
+            completed_at: Timestamp::from_nanos(25),
+            queue_id: 0,
+            syn_retransmissions: 0,
+        };
+        let em = ruru_analytics::Enricher::new(db, 0).enrich(&m);
+        push.send(DetectorInput::Measurement(em)).unwrap();
         drop(push);
-        // Every pusher is gone: the loop drains the pipe and returns.
-        detector_loop(DetectorInputs {
+        let aggregates = detector_loop(DetectorInputs {
             det_pull,
             alerts: AlertSink::new(),
-            spike: SpikeConfig::default(),
-            flood: FloodConfig::default(),
-            rate: RateConfig::default(),
             num_queues: 1,
             metrics: Arc::clone(&metrics),
             clock: Clock::virtual_clock(),
         });
         let t = metrics.registry().snapshot(0);
-        let errors = t.counter("det_decode_errors");
-        assert_eq!(errors, bad_lengths.len() as u64);
-        assert_eq!(t.counter("det_records_out"), 3, "the good record's SYNs");
-        assert_eq!(
-            t.counter("det_records_in"),
-            t.counter("det_records_out") + errors,
-            "detector-conservation"
-        );
+        assert_eq!(t.counter("det_records_in"), 4, "3 SYNs, 1 measurement");
+        assert_eq!(t.counter("det_records_out"), 4, "detector-conservation");
+        let released = t.hist("stage_publish_residency_ns").map(|h| h.count);
+        assert_eq!(released, Some(4));
+        use ruru_analytics::KeySpace;
+        assert_eq!(aggregates.key_count(KeySpace::CityPair), 1);
     }
 
     /// Regression: a lossless inject that finds the ring full waits for
@@ -1174,26 +1013,19 @@ mod tests {
         assert_eq!(t.counter("reject_not_tcp"), 0);
         assert_eq!(t.counter("reject_bus_closed"), 0);
 
-        // Dataplane stage: every frame in, every measurement out as a
-        // fixed binary record, batched through the scratch encoder.
+        // Dataplane stage: every frame in, every measurement out, pushed
+        // in batches.
         assert_eq!(t.counter("dp_records_in"), fed + 10);
         assert_eq!(t.counter("dp_records_out"), truths);
-        assert_eq!(t.counter("dp_bytes"), truths * WIRE_LEN as u64);
         assert!((1..=truths).contains(&t.counter("dp_batches")));
-        let alloc_hits = t.counter("dp_alloc_hits");
-        assert!(
-            (1..=8).contains(&alloc_hits),
-            "scratch blocks, not per-record allocations: {alloc_hits}"
-        );
 
-        // Detector stage: binary enriched records arrive batched; every
-        // event admitted to the reorder buffer is eventually processed.
-        assert_eq!(
-            t.counter("det_bytes"),
-            truths * ruru_analytics::enrich::ENRICHED_WIRE_LEN as u64
-        );
+        // Detector stage: every measurement and every SYN event arrives,
+        // batched, and every record admitted to the reorder buffer is
+        // eventually processed.
         let det_in = t.counter("det_records_in");
-        assert!(det_in >= truths, "SYN events plus measurements");
+        let syn_events = t.counter("dp_syn_events");
+        assert!(syn_events >= truths, "one SYN per flow at least");
+        assert_eq!(det_in, truths + syn_events, "SYN events plus measurements");
         assert_eq!(t.counter("det_records_out"), det_in);
         assert!((1..=det_in).contains(&t.counter("det_batches")));
     }
@@ -1235,7 +1067,6 @@ mod tests {
         let t = &report.telemetry;
         assert_eq!(t.counter("enrich_enriched"), truths);
         assert_eq!(t.counter("enrich_geo_misses"), 0, "clean world, no misses");
-        assert_eq!(t.counter("enrich_decode_errors"), 0);
         assert_eq!(t.counter("dp_records_out"), truths);
         assert_eq!(
             report.tsdb.points_ingested(),

@@ -7,18 +7,20 @@
 //! ```text
 //!  traffic ──► Port (RSS, N queues) ──► lcore workers ──► HandshakeTracker
 //!                                                          │ PUSH       │ PUSH
-//!                                                          │ "latency"  │ "syn"
-//!                                                          ▼            │
+//!                                                          │ measure-   │ SYN
+//!                                                          ▼ ments      │ events
 //!  TsDb ◄── EnrichmentPool (geo/AS, privacy scrub) ◄───── pipe          │
-//!    │              │ PUSH "enriched"                                   │
+//!    │              │ PUSH enriched records                             │
 //!    │              ├─────────► pipe ◄──────────────────────────────────┘
 //!    │              │            └──► detector ──► AlertSink
-//!    │              │ PUB "enriched"
+//!    │              │ PUB "enriched" (line protocol)
 //!    ▼              └─ SUB ───► FrameBatcher ──► 3D-map frames
 //!  Panels (Grafana-style)
 //! ```
 //!
-//! Every edge between pipeline threads is a `ruru-mq` socket. The lcores
+//! Every edge between pipeline threads is a `ruru-mq` socket. The PUSH/PULL
+//! pipes between the pipeline's own threads carry records as values; the
+//! PUB edge, which leaves them, carries line-protocol bytes. The lcores
 //! poll their RX rings; every stage after them blocks on its one PULL
 //! feed and exits once the feed's pushers are gone and it is drained.
 //!

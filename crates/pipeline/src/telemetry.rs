@@ -59,8 +59,6 @@ pub struct SelfMetrics {
     pub(crate) dp_records_in: CounterId,
     pub(crate) dp_records_out: CounterId,
     pub(crate) dp_batches: CounterId,
-    pub(crate) dp_bytes: CounterId,
-    pub(crate) dp_alloc_hits: CounterId,
     pub(crate) dp_syn_events: CounterId,
     pub(crate) rx_residency: HistId,
 
@@ -109,7 +107,6 @@ pub struct SelfMetrics {
 
     // Enrichment stage (pool shards Q+1..Q+1+E).
     pub(crate) enrich_enriched: CounterId,
-    pub(crate) enrich_decode_errors: CounterId,
     pub(crate) enrich_geo_misses: CounterId,
     pub(crate) enrich_bytes_out: CounterId,
     pub(crate) enrich_batches_in: CounterId,
@@ -124,9 +121,7 @@ pub struct SelfMetrics {
     // Detector stage (shard Q).
     pub(crate) det_records_in: CounterId,
     pub(crate) det_records_out: CounterId,
-    pub(crate) det_decode_errors: CounterId,
     pub(crate) det_batches: CounterId,
-    pub(crate) det_bytes: CounterId,
     pub(crate) publish_residency: HistId,
 
     // Collector mirror gauges (shard Q+E+1).
@@ -182,8 +177,6 @@ impl SelfMetrics {
             dp_records_in: b.counter("dp_records_in"),
             dp_records_out: b.counter("dp_records_out"),
             dp_batches: b.counter("dp_batches"),
-            dp_bytes: b.counter("dp_bytes"),
-            dp_alloc_hits: b.counter("dp_alloc_hits"),
             dp_syn_events: b.counter("dp_syn_events"),
             rx_residency: b.histogram("stage_rx_residency_ns", RESIDENCY_PRECISION),
             reject_not_ip: b.counter("reject_not_ip"),
@@ -218,7 +211,6 @@ impl SelfMetrics {
             inflow_expired_flows: b.gauge("inflow_expired_flows"),
             inflow_table_occupancy: b.gauge("inflow_table_occupancy"),
             enrich_enriched: b.counter("enrich_enriched"),
-            enrich_decode_errors: b.counter("enrich_decode_errors"),
             enrich_geo_misses: b.counter("enrich_geo_misses"),
             enrich_bytes_out: b.counter("enrich_bytes_out"),
             enrich_batches_in: b.counter("enrich_batches_in"),
@@ -228,9 +220,7 @@ impl SelfMetrics {
             enrich_residency: b.histogram("stage_enrich_residency_ns", RESIDENCY_PRECISION),
             det_records_in: b.counter("det_records_in"),
             det_records_out: b.counter("det_records_out"),
-            det_decode_errors: b.counter("det_decode_errors"),
             det_batches: b.counter("det_batches"),
-            det_bytes: b.counter("det_bytes"),
             publish_residency: b.histogram("stage_publish_residency_ns", RESIDENCY_PRECISION),
             port_rx_packets: b.gauge("port_rx_packets"),
             port_rx_bytes: b.gauge("port_rx_bytes"),
@@ -300,7 +290,6 @@ impl SelfMetrics {
             clock,
             shard_base: self.enrich_shard_base(),
             enriched: self.enrich_enriched,
-            decode_errors: self.enrich_decode_errors,
             geo_misses: self.enrich_geo_misses,
             batches_in: self.enrich_batches_in,
             batches_out: self.enrich_batches_out,

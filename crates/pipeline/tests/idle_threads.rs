@@ -15,7 +15,6 @@
 // Pacing the feed needs wall-clock sleeps; this is a test, not a hot path.
 #![allow(clippy::disallowed_methods)]
 
-use ruru_analytics::enrich::ENRICHED_WIRE_LEN;
 use ruru_gen::packet::TcpPacketSpec;
 use ruru_gen::{Event, GenConfig, TrafficGen};
 use ruru_nic::port::{Port, PortConfig};
@@ -284,8 +283,9 @@ fn a_lone_record_reaches_the_detector_and_a_subscriber() {
     }
     let line = sub.recv_timeout(Duration::from_secs(5));
     assert!(line.is_some(), "the record never reached the PUB subscriber");
+    // The detector takes in the SYN event and the measurement.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while pipeline.telemetry_now().counter("det_bytes") < ENRICHED_WIRE_LEN as u64 {
+    while pipeline.telemetry_now().counter("det_records_in") < 2 {
         assert!(
             Instant::now() < deadline,
             "the record never reached the detector"
@@ -294,5 +294,6 @@ fn a_lone_record_reaches_the_detector_and_a_subscriber() {
     }
     let report = pipeline.finish();
     assert_eq!(report.measurements(), 1);
-    assert_eq!(report.telemetry.counter("det_bytes"), ENRICHED_WIRE_LEN as u64);
+    assert_eq!(report.telemetry.counter("dp_syn_events"), 1);
+    assert_eq!(report.telemetry.counter("det_records_in"), 2);
 }

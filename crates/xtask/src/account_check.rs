@@ -97,8 +97,7 @@ const ROOTS: &[(&str, &str)] = &[
 /// recording, the engine's local reject tally, registry writes, the
 /// collector's torn-shard tally, the pull-mirrored stat-struct bumps
 /// (`TrackerStats`/port/bus stats — `collect_into` turns them into
-/// registry gauges), the lock-free drop tallies (`drops.fetch_add`), and
-/// the detector's decode-failure delta (flushed via `counter_add`).
+/// registry gauges), and the lock-free drop tallies (`drops.fetch_add`).
 const ACCOUNT_PATTERNS: &[&str] = &[
     ".record(",
     "counter_add(",
@@ -108,7 +107,6 @@ const ACCOUNT_PATTERNS: &[&str] = &[
     "skipped_shards",
     "stats.",
     ".fetch_add(",
-    "decode_errors",
 ];
 
 /// `Result`-returning send surfaces whose value must not be discarded

@@ -14,9 +14,11 @@
 //! classifiers, root sets, and reporting.
 //!
 //! Known soundness limits (documented in DESIGN.md §10/§14): macro-expanded
-//! code is invisible; trait-object and closure dispatch produce no edges;
-//! calls qualified with external types (`HashMap::get`) are leaves;
-//! multi-line expressions are classified line-by-line.
+//! code is invisible; trait-object and closure dispatch produce no edges
+//! (a call `name(…)` where `name` is a parameter of the enclosing fn or
+//! closure calls that parameter, not a same-named workspace fn); calls
+//! qualified with external types (`HashMap::get`) are leaves; multi-line
+//! expressions are classified line-by-line.
 
 use crate::lexer::{collect_rs_files, lex, unicode_ident, FileView};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -64,6 +66,8 @@ pub struct FnDef {
     pub impl_type: Option<String>,
     /// Carries a `pub` (or `pub(...)`) visibility.
     pub is_pub: bool,
+    /// Names the parameter list binds.
+    pub params: Vec<String>,
     /// 0-based line span of the whole item.
     pub start_line: usize,
     pub end_line: usize,
@@ -248,7 +252,7 @@ impl Workspace {
         for (id, f) in ws.fns.iter().enumerate() {
             let flat = &ws.flats[f.file];
             let view = &ws.files[f.file].view;
-            let sites = extract_calls(flat, view, f.body_start, f.body_end);
+            let sites = extract_calls(flat, view, f);
             let mut out: HashSet<usize> = HashSet::new();
             for call in &sites {
                 for target in ws.resolve(call, f) {
@@ -701,6 +705,11 @@ fn extract_fns(
             continue;
         };
         let end = match_brace(chars, open);
+        let mut p = skip_ws(chars, after_name);
+        if chars.get(p) == Some(&'<') {
+            p = skip_ws(chars, skip_angles(chars, p));
+        }
+        let params = bound_names(chars, p + 1, open);
         let start_line = flat.line_of[i];
         if view.in_tests[start_line] {
             i = after_name;
@@ -716,6 +725,7 @@ fn extract_fns(
             name,
             impl_type,
             is_pub: is_pub_at(chars, i),
+            params,
             start_line,
             end_line: flat.line_of[end],
             body_start: open,
@@ -767,12 +777,96 @@ const CALL_KEYWORDS: &[&str] = &[
     "unsafe", "use", "mod", "pub", "where", "break", "continue", "yield", "await", "drop",
 ];
 
+/// The names a parameter list starting at `start` binds, up to `end` or
+/// the bracket that closes the list: the identifiers of each parameter's
+/// pattern, before its `: Type` if it has one.
+fn bound_names(chars: &[char], start: usize, end: usize) -> Vec<String> {
+    let (mut names, mut depth, mut in_type, mut i) = (Vec::new(), 0i32, false, start);
+    while i < end {
+        match chars[i] {
+            '(' | '[' | '{' | '<' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => break,
+            ')' | ']' | '}' => depth -= 1,
+            // `->` inside `Fn(..) -> T` is an arrow, not a closing angle.
+            '>' if chars[i - 1] != '-' => depth -= 1,
+            ',' if depth == 0 => in_type = false,
+            ':' if depth == 0 => in_type = true,
+            c if !in_type && unicode_ident(c) && !unicode_ident(chars[i - 1]) => {
+                let (name, after) = read_ident(chars, i);
+                if !matches!(name.as_str(), "mut" | "ref" | "self" | "_") {
+                    names.push(name);
+                }
+                i = after;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    names
+}
+
+/// Closures in `chars[start..end]` with parameters: each one's parameter
+/// names and the char span they are in scope over, up to the end of the
+/// expression the closure sits in.
+fn closure_scopes(chars: &[char], start: usize, end: usize) -> Vec<(Vec<String>, usize, usize)> {
+    let mut out = Vec::new();
+    let mut i = start;
+    while i < end {
+        if chars[i] != '|' || chars.get(i + 1) == Some(&'|') {
+            // Not a `|`, or `||`: a closure without parameters, or an or.
+            i += if chars[i] == '|' { 2 } else { 1 };
+            continue;
+        }
+        // A closure's `|` opens an operand: it follows a delimiter, an
+        // `=`, a `=>`, `move` or `return`, never another operand.
+        let before = (start..i).rev().find(|&k| !chars[k].is_whitespace());
+        let opens = before.is_some_and(|p| {
+            matches!(chars[p], '(' | ',' | '{' | '[' | ';' | '=' | '>')
+                || matches!(tok_ending_at(chars, p).as_str(), "move" | "return")
+        });
+        let close = (i + 1..end).find(|&k| opens && chars[k] == '|');
+        if let Some(close) = close {
+            let scope_end = expression_end(chars, close + 1, end);
+            out.push((bound_names(chars, i + 1, close), close + 1, scope_end));
+            i = close;
+        }
+        i += 1;
+    }
+    out
+}
+
+/// End of the expression starting at `start`: the first `,` or `;` outside
+/// any brackets, or the bracket that closes the one it sits in.
+fn expression_end(chars: &[char], start: usize, end: usize) -> usize {
+    let mut depth = 0i32;
+    for (i, &c) in chars.iter().enumerate().take(end).skip(start) {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' | ',' | ';' if depth == 0 => return i,
+            ')' | ']' | '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    end
+}
+
 /// Scan a fn body for call sites `name(`, `qual::name(`, `.name(`,
 /// `name::<T>(`; macros (`name!`) are excluded — panic macros are
 /// classified separately and other macro bodies are a documented blind
-/// spot.
-fn extract_calls(flat: &Flat, view: &FileView, body_start: usize, body_end: usize) -> Vec<Call> {
+/// spot. A plain `name(` where `name` is a parameter of `f` or of a
+/// closure around the call calls that parameter and is no call site.
+fn extract_calls(flat: &Flat, view: &FileView, f: &FnDef) -> Vec<Call> {
     let chars = &flat.chars;
+    let (body_start, body_end) = (f.body_start, f.body_end);
+    let mut scopes = closure_scopes(chars, body_start, body_end);
+    scopes.push((f.params.clone(), body_start, body_end));
+    let is_param = |name: &str, at: usize| {
+        let bound = |(ps, s, e): &(Vec<String>, usize, usize)| {
+            (*s..=*e).contains(&at) && ps.iter().any(|p| p == name)
+        };
+        scopes.iter().any(bound)
+    };
     let mut out = Vec::new();
     let mut i = body_start;
     while i < body_end {
@@ -830,10 +924,15 @@ fn extract_calls(flat: &Flat, view: &FileView, body_start: usize, body_end: usiz
                 }
             }
         }
+        let is_method = i > 0 && chars[i - 1] == '.';
+        if qualifier.is_none() && !is_method && is_param(&name, i) {
+            i = after;
+            continue;
+        }
         out.push(Call {
             name,
             qualifier,
-            is_method: i > 0 && chars[i - 1] == '.',
+            is_method,
             line: flat.line_of[i],
         });
         i = after;
@@ -943,6 +1042,37 @@ mod tests {
         assert_eq!(unmatched, ["mq::Push::try_send", "flow::send"]);
         assert!(reach.unmatched.iter().all(|f| f.rule == "unmatched-root"));
         assert_eq!(reach.unmatched[0].path, file!());
+    }
+
+    /// A call through a parameter is no edge to a same-named workspace fn:
+    /// a closure parameter `value` next to `fn value`, and a fn parameter
+    /// `f` next to `fn f`. The same names called outside their scope
+    /// still resolve.
+    #[test]
+    fn parameters_are_not_call_targets() {
+        let root = std::env::temp_dir().join(format!("ruru-params-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("crates/tsdb/src")).expect("mkdir");
+        std::fs::write(
+            root.join("crates/tsdb/src/lib.rs"),
+            "pub fn append(rows: &[u64]) -> u64 {\n\
+             \x20   fold(rows, |acc, value| acc + value(acc))\n\
+             }\n\
+             pub fn apply<F: Fn(u64) -> u64>(f: F, x: u64) -> u64 { f(x) }\n\
+             pub fn direct() -> u64 { value(1) + f(2) }\n\
+             fn fold(rows: &[u64], g: impl Fn(u64, fn(u64) -> u64) -> u64) -> u64 { 0 }\n\
+             fn value(x: u64) -> u64 { x }\n\
+             fn f(x: u64) -> u64 { x }\n",
+        )
+        .expect("write");
+        let ws = Workspace::load(&root, &["tsdb"]).expect("load");
+        std::fs::remove_dir_all(&root).ok();
+        let id = |name: &str| ws.fns.iter().position(|f| f.name == name).expect(name);
+        let name_of = |t: &usize| ws.fns[*t].name.as_str();
+        let callees = |name: &str| ws.edges[id(name)].iter().map(name_of).collect::<Vec<_>>();
+        assert_eq!(callees("append"), ["fold"]);
+        assert!(callees("apply").is_empty());
+        assert_eq!(callees("direct"), ["value", "f"]);
+        assert_eq!(ws.fns[id("apply")].params, ["f", "x"]);
     }
 
     #[test]

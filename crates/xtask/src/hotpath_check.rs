@@ -69,7 +69,6 @@ const ALLOC_ROOTS: &[(&str, &str)] = &[
     // survives if the unqualified names above are ever narrowed.
     ("flow", "InflowTracker::process"),
     ("flow", "InflowTracker::process_burst"),
-    ("flow", "encode"),
     ("flow", "encode_into"),
     ("flow", "decode"),
     ("mq", "Sender::send"),

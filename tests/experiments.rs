@@ -3,7 +3,6 @@
 //! tests pin the *direction* of each claim so a regression that flips a
 //! conclusion fails CI.
 
-use ruru::analytics::detect::{FloodConfig, SpikeConfig};
 use ruru::flow::baseline::pping::{Pping, PpingConfig};
 use ruru::flow::baseline::synonly::SynOnly;
 use ruru::flow::classify::{classify, ChecksumMode};
@@ -90,10 +89,7 @@ fn e2_rss_sharding_preserves_completeness_and_balances() {
 #[test]
 fn e3_firewall_anomaly_detected_with_high_recall() {
     let window = (Timestamp::from_secs(60), Timestamp::from_secs(75));
-    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        spike: SpikeConfig::default(),
-        ..PipelineConfig::default()
-    });
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig::default());
     let mut gen = TrafficGen::with_world(
         GenConfig {
             seed: 3,
@@ -141,7 +137,6 @@ fn e3_firewall_anomaly_detected_with_high_recall() {
 #[test]
 fn e4_syn_flood_detected_with_full_legit_coverage() {
     let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        flood: FloodConfig::default(),
         tracker: TrackerConfig {
             capacity: 50_000,
             ..TrackerConfig::default()
@@ -299,7 +294,7 @@ fn e8_bus_zero_copy_and_lossless_pushpull() {
         assert_eq!(m.payload.as_ptr(), payload.as_ptr(), "no copy on fan-out");
     }
 
-    let (push, pull) = pipe(8);
+    let (push, pull) = pipe::<Message>(8);
     let consumer = std::thread::spawn(move || {
         let mut n = 0u32;
         while let Some(m) = pull.recv() {

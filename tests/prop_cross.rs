@@ -142,7 +142,9 @@ fn measurement_codec_roundtrip() {
         syn_retransmissions: rng.gen(),
     };
     check("measurement_codec_roundtrip", CASES, gen, |m| {
-        assert_eq!(ruru::flow::LatencyMeasurement::decode(&m.encode()), Some(m));
+        let mut wire = bytes::BytesMut::new();
+        m.encode_into(&mut wire);
+        assert_eq!(ruru::flow::LatencyMeasurement::decode(&wire), Some(m));
     });
 }
 
