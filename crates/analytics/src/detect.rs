@@ -326,8 +326,16 @@ impl SynFloodDetector {
 
     /// Record a SYN observed at `at`; may close an interval and alert.
     pub fn observe_syn(&mut self, at: Timestamp) -> Option<Alert> {
+        self.observe_syns(at, 1)
+    }
+
+    /// Record a tally of `n` SYNs from the interval that holds `at`, its
+    /// latest SYN; may close an earlier interval and alert. The detector
+    /// only counts per interval, so a tally raises the same alerts as `n`
+    /// [`observe_syn`](Self::observe_syn) calls at that interval's SYNs.
+    pub fn observe_syns(&mut self, at: Timestamp, n: u64) -> Option<Alert> {
         let alert = self.roll(at);
-        self.syns += 1;
+        self.syns += n;
         alert
     }
 
@@ -765,6 +773,121 @@ mod tests {
         let alert = d.observe_syn(t(base + 2500)).expect("flood alert");
         assert_eq!(alert.at, t(base + 2000));
         assert!(alert.message.contains("1000 SYNs"));
+    }
+
+    /// One event of a flood test stream, at a tap time in ns.
+    #[derive(Clone, Copy)]
+    enum FloodEv {
+        Syn,
+        /// A tally of `n` SYNs.
+        Tally(u64),
+        Completion,
+    }
+
+    /// A flood test stream: events at tap times in ns, sorted by time.
+    type FloodStream = Vec<(u64, FloodEv)>;
+
+    /// Every alert a 1 µs-interval detector raises over `events`.
+    fn flood_alerts(events: &[(u64, FloodEv)]) -> Vec<Alert> {
+        let mut d = SynFloodDetector::new(FloodConfig {
+            interval_ns: 1_000,
+            min_syns: 5,
+            ratio: 2.0,
+        });
+        let at = Timestamp::from_nanos;
+        let mut alerts = Vec::new();
+        for &(ns, ev) in events {
+            alerts.extend(match ev {
+                FloodEv::Syn => d.observe_syn(at(ns)),
+                FloodEv::Tally(n) => d.observe_syns(at(ns), n),
+                FloodEv::Completion => d.observe_completion(at(ns)),
+            });
+        }
+        alerts
+    }
+
+    /// The per-SYN stream of `(ns, queue)` SYNs and completion times, and
+    /// the same stream with each queue's SYNs tallied per 1 µs interval,
+    /// every tally stamped with its latest SYN.
+    fn per_syn_and_tallied(
+        syns: &[(u64, u16)],
+        completions: &[u64],
+    ) -> (FloodStream, FloodStream) {
+        let mut per_syn: FloodStream =
+            completions.iter().map(|&ns| (ns, FloodEv::Completion)).collect();
+        let mut tallied = per_syn.clone();
+        per_syn.extend(syns.iter().map(|&(ns, _)| (ns, FloodEv::Syn)));
+        let mut tallies: HashMap<(u16, u64), (u64, u64)> = HashMap::new();
+        for &(ns, queue) in syns {
+            let t = tallies.entry((queue, ns / 1_000)).or_insert((ns, 0));
+            t.0 = t.0.max(ns);
+            t.1 += 1;
+        }
+        tallied.extend(tallies.into_values().map(|(ns, n)| (ns, FloodEv::Tally(n))));
+        per_syn.sort_by_key(|&(ns, _)| ns);
+        tallied.sort_by_key(|&(ns, _)| ns);
+        (per_syn, tallied)
+    }
+
+    #[test]
+    fn a_syn_tally_raises_the_alerts_of_its_syns() {
+        // By hand: a SYN exactly at each interval start (0, 1 and 4 µs),
+        // completions inside tallied intervals, intervals 2 and 3 empty,
+        // and a partial last interval that only a later event closes.
+        let syns: Vec<(u64, u16)> = (0..8)
+            .map(|i| (i * 100, 0))
+            .chain((0..3).map(|i| (1_000 + i * 300, 1)))
+            .chain((0..9).map(|i| (4_000 + i * 50, (i % 2) as u16)))
+            .collect();
+        let completions = [350, 1_100, 4_020, 4_700];
+        let (mut per_syn, mut tallied) = per_syn_and_tallied(&syns, &completions);
+        let partial = flood_alerts(&per_syn);
+        assert_eq!(partial.len(), 1, "interval 0 floods: {partial:?}");
+        assert_eq!(partial[0].at, Timestamp::from_nanos(1_000));
+        assert_eq!(partial[0].value, 8.0);
+        assert_eq!(flood_alerts(&tallied), partial);
+        per_syn.push((9_000, FloodEv::Completion));
+        tallied.push((9_000, FloodEv::Completion));
+        let closed = flood_alerts(&per_syn);
+        assert_eq!(closed.len(), 2, "and so does the last one: {closed:?}");
+        assert!(closed[1].message.contains("9 SYNs vs 2 completed"));
+        assert_eq!(flood_alerts(&tallied), closed);
+
+        // Random streams over up to 4 queues and 10 intervals, some of
+        // them empty, the last one partial.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut alerting = 0;
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (queues, intervals) = (rng.gen_range(1..=4u16), rng.gen_range(1..=10u64));
+            let (mut syns, mut completions) = (Vec::new(), Vec::new());
+            for k in 0..intervals {
+                if rng.gen_range(0..4u32) == 0 {
+                    continue;
+                }
+                let start = k * 1_000;
+                let span = if k + 1 == intervals { 500 } else { 1_000 };
+                for _ in 0..rng.gen_range(0..=12u32) {
+                    syns.push((start + rng.gen_range(0..span), rng.gen_range(0..queues)));
+                }
+                if rng.gen_range(0..3u32) == 0 {
+                    syns.push((start, rng.gen_range(0..queues)));
+                }
+                for _ in 0..rng.gen_range(0..=6u32) {
+                    completions.push(start + rng.gen_range(0..span));
+                }
+            }
+            let (mut per_syn, mut tallied) = per_syn_and_tallied(&syns, &completions);
+            assert_eq!(flood_alerts(&tallied), flood_alerts(&per_syn), "seed {seed}");
+            let end = intervals * 1_000 + rng.gen_range(0..3_000);
+            per_syn.push((end, FloodEv::Completion));
+            tallied.push((end, FloodEv::Completion));
+            let closed = flood_alerts(&per_syn);
+            assert_eq!(flood_alerts(&tallied), closed, "seed {seed}, closed at {end}");
+            alerting += usize::from(!closed.is_empty());
+        }
+        assert!(alerting > 50, "the streams exercise alerts: {alerting} of 300");
     }
 
     #[test]

@@ -43,19 +43,27 @@ pub const WORKER_BURST: usize = 32;
 const SCRATCH_CHUNK: usize = 64 * 1024;
 
 /// One record on the detector's feed. The enrichers push measurements and
-/// the lcores push SYN events onto the one pipe; the detector orders both
+/// the lcores push SYN tallies onto the one pipe; the detector orders both
 /// by tap time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectorInput {
     /// An enriched handshake measurement.
     Measurement(EnrichedMeasurement),
-    /// A SYN-only packet seen by the lcore of RX queue `queue`, tapped at
-    /// `at`.
+    /// The `count` SYN-only packets that the lcore of RX queue `queue`
+    /// saw in one flood interval (`FloodConfig::interval_ns`), the latest
+    /// tapped at `at`.
     Syn {
-        /// The RX queue whose lcore saw the SYN.
+        /// The RX queue whose lcore saw the SYNs.
         queue: u16,
-        /// The SYN's tap timestamp.
+        /// The tap timestamp of the interval's latest SYN.
         at: Timestamp,
+        /// SYNs in the tally, at least one.
+        count: u64,
+        /// Measurements the lcore had pushed to the enrichers when it sent
+        /// the tally. Every later one completed after `at`, so once the
+        /// detector has received these, no record of this queue older than
+        /// `at` is still on its way.
+        measurements: u64,
     },
 }
 
@@ -90,8 +98,6 @@ pub struct PoolTelemetry {
     pub geo_misses: CounterId,
     /// Input batches drained from the PULL socket.
     pub batches_in: CounterId,
-    /// Output batches forwarded (detector feed + PUB, counted per edge).
-    pub batches_out: CounterId,
     /// PUB line bytes published.
     pub bytes_out: CounterId,
     /// Scratch-block allocations for the PUB lines.
@@ -265,7 +271,6 @@ impl EnrichmentPool {
                             r.counter_add(shard, t.batches_in, 1);
                             r.counter_add(shard, t.enriched, enriched);
                             r.counter_add(shard, t.geo_misses, geo_misses);
-                            r.counter_add(shard, t.batches_out, 2);
                             r.counter_add(shard, t.bytes_out, bytes_out);
                             r.counter_add(shard, t.alloc_hits, alloc_hits);
                             r.counter_add(shard, t.tsdb_merged, merged);
@@ -329,7 +334,6 @@ mod tests {
         let enriched = b.counter("enriched");
         let geo_misses = b.counter("geo_misses");
         let batches_in = b.counter("batches_in");
-        let batches_out = b.counter("batches_out");
         let bytes_out = b.counter("bytes_out");
         let alloc_hits = b.counter("alloc_hits");
         let tsdb_merged = b.counter("tsdb_merged");
@@ -341,7 +345,6 @@ mod tests {
             enriched,
             geo_misses,
             batches_in,
-            batches_out,
             bytes_out,
             alloc_hits,
             tsdb_merged,
@@ -451,7 +454,6 @@ mod tests {
         let batches_in = stats.counter("batches_in");
         assert!(batches_in >= 4, "batched input: {batches_in}");
         assert!(batches_in <= 100);
-        assert!(stats.counter("batches_out") >= batches_in);
         let alloc_hits = stats.counter("alloc_hits");
         assert!(
             (1..=2).contains(&alloc_hits),

@@ -1,10 +1,12 @@
 //! Steady-state allocation audit of the lcore hot path: after a warm-up
-//! pass, a burst loop of classify → handshake tracker → in-flow tracker →
-//! typed sends performs **zero** heap allocations. Each burst's
-//! measurements go to the enrichers' pipe and its SYN events to the
-//! detector's pipe, one `send_batch` each, as the pipeline's
-//! `dataplane_worker` does; this thread drains both pipes after every
-//! burst, standing in for their pullers.
+//! pass, a burst loop of classify → SYN tally → handshake tracker →
+//! in-flow tracker → typed sends performs **zero** heap allocations. Each
+//! burst's measurements go to the enrichers' pipe in one `send_batch`, and
+//! each flood interval's SYNs to the detector's pipe as one tally, sent
+//! after the measurements of the burst in which a packet of a later
+//! interval closed it, as the pipeline's `dataplane_worker` does; this
+//! thread drains both pipes after every burst, standing in for their
+//! pullers.
 //!
 //! The counting allocator is process-wide, so this audit is a test binary
 //! of its own.
@@ -13,6 +15,7 @@
 // native-allocator behaviour anyway.
 #![cfg(not(miri))]
 
+use ruru_analytics::detect::FloodConfig;
 use ruru_analytics::DetectorInput;
 use ruru_bench::{workload, Workload};
 use ruru_flow::classify::{classify, ChecksumMode, TcpMeta};
@@ -24,6 +27,23 @@ use ruru_nic::Timestamp;
 #[global_allocator]
 static GLOBAL: ruru_bench::CountingAlloc = ruru_bench::CountingAlloc;
 
+/// The open SYN tally of one flood interval `[start, end)`, as
+/// `WorkerState` keeps it: `end` is `u64::MAX` while none is open.
+#[derive(Clone, Copy)]
+struct Tally {
+    start: u64,
+    end: u64,
+    at: Timestamp,
+    count: u64,
+}
+
+const NO_TALLY: Tally = Tally {
+    start: 0,
+    end: u64::MAX,
+    at: Timestamp::ZERO,
+    count: 0,
+};
+
 /// The lcore's per-worker state, built once like a `WorkerState`, and
 /// the pulling ends of its two pipes.
 struct Lcore {
@@ -31,7 +51,10 @@ struct Lcore {
     inflow: InflowTracker,
     metas: Vec<TcpMeta>,
     batch: Vec<LatencyMeasurement>,
-    syn_stamps: Vec<Timestamp>,
+    tally: Tally,
+    interval_ns: u64,
+    /// Tallies closed this burst, reused across bursts.
+    tallies: Vec<Tally>,
     push: Push<LatencyMeasurement>,
     det_push: Push<DetectorInput>,
     pull: Pull<LatencyMeasurement>,
@@ -47,6 +70,7 @@ struct Pass {
     syns: u64,
     samples: u64,
     received: u64,
+    tallies_received: u64,
     syns_received: u64,
 }
 
@@ -59,7 +83,9 @@ impl Lcore {
             inflow: InflowTracker::new(0, InflowConfig::default()),
             metas: Vec::with_capacity(BURST_SIZE),
             batch: Vec::with_capacity(BURST_SIZE),
-            syn_stamps: Vec::with_capacity(BURST_SIZE),
+            tally: NO_TALLY,
+            interval_ns: FloodConfig::default().interval_ns,
+            tallies: Vec::with_capacity(BURST_SIZE),
             push,
             det_push,
             pull,
@@ -69,7 +95,65 @@ impl Lcore {
         }
     }
 
-    /// Replay `w` in bursts, its tap timestamps shifted by `offset_ns`.
+    /// Count one packet toward the SYN tally, closing it when the packet
+    /// lies past its interval (a SYN also before it).
+    fn tally_syn(&mut self, meta: &TcpMeta) {
+        let ns = meta.timestamp.as_nanos();
+        let syn = meta.flags.is_syn_only();
+        if ns >= self.tally.end || (syn && ns < self.tally.start) {
+            self.close_tally();
+        }
+        if syn {
+            let t = &mut self.tally;
+            if t.count == 0 {
+                t.start = ns - ns % self.interval_ns;
+                t.end = t.start + self.interval_ns;
+            }
+            t.count += 1;
+            t.at = t.at.max(meta.timestamp);
+        }
+    }
+
+    /// Stage the open tally, if any, for the end of the burst.
+    fn close_tally(&mut self) {
+        let tally = std::mem::replace(&mut self.tally, NO_TALLY);
+        if tally.count > 0 {
+            self.tallies.push(tally);
+        }
+    }
+
+    /// Send the burst's measurements, then its closed tallies, each one
+    /// `DetectorInput::Syn` carrying the measurements sent so far.
+    fn send(&mut self) {
+        self.push
+            .send_batch(self.batch.drain(..))
+            .expect("the enrichers' pipe is open");
+        let measurements = self.tracker.stats().measurements;
+        for Tally { at, count, .. } in self.tallies.drain(..) {
+            let tally = DetectorInput::Syn {
+                queue: 0,
+                at,
+                count,
+                measurements,
+            };
+            self.det_push.send(tally).expect("the detector pipe is open");
+        }
+    }
+
+    /// Take whatever this burst left in the detector's pipe.
+    fn drain_detector(&mut self, pass: &mut Pass) {
+        self.det_pull
+            .try_recv_batch(&mut self.det_received, BURST_SIZE);
+        for input in self.det_received.drain(..) {
+            if let DetectorInput::Syn { count, .. } = input {
+                pass.tallies_received += 1;
+                pass.syns_received += count;
+            }
+        }
+    }
+
+    /// Replay `w` in bursts, its tap timestamps shifted by `offset_ns`,
+    /// and close the last tally at the end, as shutdown does.
     fn run(&mut self, w: &Workload, offset_ns: u64) -> Pass {
         let mut pass = Pass::default();
         for burst in w.events.chunks(BURST_SIZE) {
@@ -77,9 +161,8 @@ impl Lcore {
             for (at, frame) in burst {
                 let at = Timestamp::from_nanos(at.as_nanos() + offset_ns);
                 if let Ok(meta) = classify(frame, at, ChecksumMode::Trust) {
-                    if meta.flags.is_syn_only() {
-                        self.syn_stamps.push(meta.timestamp);
-                    }
+                    pass.syns += u64::from(meta.flags.is_syn_only());
+                    self.tally_syn(&meta);
                     self.metas.push(meta);
                 }
             }
@@ -89,28 +172,17 @@ impl Lcore {
                 .process_burst(&self.metas, |_| pass.samples += 1);
 
             pass.measurements += self.batch.len() as u64;
-            pass.syns += self.syn_stamps.len() as u64;
-            let events = self
-                .syn_stamps
-                .drain(..)
-                .map(|at| DetectorInput::Syn { queue: 0, at });
-            self.det_push
-                .send_batch(events)
-                .expect("the detector pipe is open");
-            self.push
-                .send_batch(self.batch.drain(..))
-                .expect("the enrichers' pipe is open");
+            self.send();
 
             // This thread's pullers take the burst back off both pipes.
             let received = self.pull.try_recv_batch(&mut self.received, BURST_SIZE);
-            let syns = self
-                .det_pull
-                .try_recv_batch(&mut self.det_received, BURST_SIZE);
             pass.received += received as u64;
-            pass.syns_received += syns as u64;
             self.received.clear();
-            self.det_received.clear();
+            self.drain_detector(&mut pass);
         }
+        self.close_tally();
+        self.send();
+        self.drain_detector(&mut pass);
         pass
     }
 }
@@ -137,13 +209,19 @@ fn lcore_hot_path_allocates_nothing_in_steady_state() {
     // The audit window did real work on both trackers and both pipes.
     assert!(audited.measurements > 0, "handshake tracker measured");
     assert!(audited.samples > 0, "in-flow tracker produced samples");
-    assert!(audited.syns >= audited.measurements, "SYN events were sent");
+    assert!(audited.syns >= audited.measurements, "SYNs were tallied");
     assert_eq!(
         audited.received, audited.measurements,
         "every measurement crossed the enrichers' pipe"
     );
     assert_eq!(
         audited.syns_received, audited.syns,
-        "every SYN event crossed the detector's pipe"
+        "every SYN crossed the detector's pipe, in a tally"
+    );
+    // A 2 s workload spans three 1 s flood intervals at most.
+    assert!(
+        (1..=3).contains(&audited.tallies_received),
+        "one tally per interval: {}",
+        audited.tallies_received
     );
 }

@@ -82,7 +82,8 @@ pub const IDENTITIES: &[Identity] = &[
         lhs: &[Counter("enrich_enriched")],
         rhs: &[Hist("stage_enrich_residency_ns")],
     },
-    // The detector feed carries every measurement plus the SYN events.
+    // The detector feed carries every measurement plus the lcores' SYN
+    // tallies; both sides count a tally as its SYNs.
     Identity {
         name: "detector-input",
         lhs: &[Counter("det_records_in")],

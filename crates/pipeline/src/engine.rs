@@ -7,6 +7,7 @@
 
 use crate::snmp::{SnmpPoller, SnmpSample};
 use crate::telemetry::{BusStats, SelfMetrics};
+use ruru_analytics::detect::FloodConfig;
 use ruru_analytics::{
     AlertSink, DetectorInput, EnrichedMeasurement, EnrichmentPool, LatencySpikeDetector,
     PairAggregator, PairInterner, RateAnomalyDetector, SynFloodDetector,
@@ -115,7 +116,7 @@ struct WorkerState {
     /// the handshake tracker.
     inflow: InflowTracker,
     push: Push<LatencyMeasurement>,
-    /// This lcore's PUSH end of the detector pipe, for SYN events.
+    /// This lcore's PUSH end of the detector pipe, for SYN tallies.
     det_push: Push<DetectorInput>,
     /// The shared self-metric registry; this worker writes only `shard`.
     metrics: Arc<SelfMetrics>,
@@ -126,9 +127,13 @@ struct WorkerState {
     /// Classified packets of the current burst, reused across bursts so
     /// the burst path stays allocation-free at steady state.
     metas: Vec<TcpMeta>,
-    /// Tap timestamps of the current burst's SYN-only packets, sent to the
-    /// detector at flush, one SYN event each, in one `send_batch`.
-    syn_stamps: Vec<Timestamp>,
+    /// The open SYN tally.
+    tally: SynTally,
+    /// The flood detector's own interval (`FloodConfig::interval_ns`),
+    /// over which SYNs are tallied.
+    flood_interval_ns: u64,
+    /// Tallies closed this burst, sent at flush after its measurements.
+    tallies: Vec<SynTally>,
     /// RX residencies (virtual ns, mbuf timestamp → classify) of the
     /// current burst, reused across bursts.
     residencies: Vec<u64>,
@@ -141,6 +146,30 @@ struct WorkerState {
     records_in: u64,
     /// Rejects of this burst, indexed by `Reject as usize`.
     reject_counts: [u64; Reject::ALL.len()],
+}
+
+/// The SYN-only packets one lcore saw in one flood interval. They reach
+/// the detector as one [`DetectorInput::Syn`] at the end of the burst in
+/// which a packet of a later interval closed the tally, or at shutdown.
+#[derive(Clone, Copy)]
+struct SynTally {
+    /// The interval `[start, end)`, in tap ns.
+    start: u64,
+    end: u64,
+    /// The latest SYN's tap time.
+    at: Timestamp,
+    /// SYNs counted; 0 while no tally is open.
+    count: u64,
+}
+
+impl SynTally {
+    /// No open tally: no packet lies past it.
+    const NONE: SynTally = SynTally {
+        start: 0,
+        end: u64::MAX,
+        at: Timestamp::ZERO,
+        count: 0,
+    };
 }
 
 /// Send `items` as one burst and return how many were not sent: the
@@ -157,28 +186,100 @@ fn send_counted<T>(push: &Push<T>, items: impl ExactSizeIterator<Item = T>) -> u
 }
 
 impl WorkerState {
-    /// Send the burst's SYN events and accumulated measurements downstream
-    /// and flush local counters into this worker's registry shard — one
-    /// epoch-framed burst per RX burst, called at every burst end and once
-    /// more at shutdown. The sends wake a sleeping puller only once its
-    /// pipe holds a full burst; [`dataplane_idle`] flushes the rest.
+    /// A fresh lcore state for RX queue `qid`.
+    fn new(
+        qid: u16,
+        tracker: TrackerConfig,
+        push: Push<LatencyMeasurement>,
+        det_push: Push<DetectorInput>,
+        metrics: Arc<SelfMetrics>,
+        clock: Clock,
+        flood_interval_ns: u64,
+    ) -> WorkerState {
+        WorkerState {
+            tracker: HandshakeTracker::new(qid, tracker),
+            inflow: InflowTracker::new(qid, Default::default()),
+            push,
+            det_push,
+            shard: metrics.dataplane_shard(qid),
+            metrics,
+            clock,
+            batch: Vec::with_capacity(BURST_SIZE),
+            metas: Vec::with_capacity(BURST_SIZE),
+            tally: SynTally::NONE,
+            flood_interval_ns,
+            tallies: Vec::with_capacity(BURST_SIZE),
+            residencies: Vec::with_capacity(BURST_SIZE),
+            inflow_rtts: Vec::with_capacity(BURST_SIZE),
+            inflow_flushed: InflowStats::default(),
+            records_in: 0,
+            reject_counts: [0; Reject::ALL.len()],
+        }
+    }
+
+    /// Count a classified packet toward the SYN tally: a packet past the
+    /// open tally's interval closes it, and a SYN-only packet outside that
+    /// interval opens the next one.
+    fn tally_syn(&mut self, meta: &TcpMeta) {
+        let ns = meta.timestamp.as_nanos();
+        let syn = meta.flags.is_syn_only();
+        if ns >= self.tally.end || (syn && ns < self.tally.start) {
+            self.close_tally();
+        }
+        if !syn {
+            return;
+        }
+        let t = &mut self.tally;
+        if t.count == 0 {
+            t.start = ns - ns.checked_rem(self.flood_interval_ns).unwrap_or(0);
+            t.end = t.start.saturating_add(self.flood_interval_ns);
+        }
+        t.count += 1;
+        t.at = t.at.max(meta.timestamp);
+    }
+
+    /// Stage the open SYN tally, if there is one, for the next flush.
+    fn close_tally(&mut self) {
+        let tally = std::mem::replace(&mut self.tally, SynTally::NONE);
+        if tally.count > 0 {
+            self.tallies.push(tally);
+        }
+    }
+
+    /// Send the burst's accumulated measurements downstream, then its
+    /// closed SYN tallies, and flush local counters into this worker's
+    /// registry shard — one epoch-framed burst per RX burst, called at
+    /// every burst end and once more at shutdown. The measurement send
+    /// wakes a sleeping puller only once its pipe holds a full burst;
+    /// [`dataplane_idle`] flushes the rest.
     fn flush(&mut self) {
         // PUSH blocks at the HWM: analytics back-pressure, never loss
         // (ZeroMQ PUSH semantics). A send can only fail once every puller
         // is gone; the unsent remainder of the burst is then counted as
         // bus-closed drops, not panicked on.
-        let (syn_events, records_out) = (self.syn_stamps.len(), self.batch.len());
+        let records_out = self.batch.len();
         let mut lost = 0;
-        if syn_events > 0 {
-            let queue = self.tracker.queue_id();
-            let events = self
-                .syn_stamps
-                .drain(..)
-                .map(|at| DetectorInput::Syn { queue, at });
-            lost += send_counted(&self.det_push, events);
-        }
         if records_out > 0 {
             lost += send_counted(&self.push, self.batch.drain(..));
+        }
+        // Each tally carries how many measurements this lcore has pushed,
+        // this burst's included: the detector holds the tally's watermark
+        // until it has received them all (DESIGN.md §8).
+        let queue = self.tracker.queue_id();
+        let ts = self.tracker.stats();
+        let measurements = ts.measurements;
+        let mut syn_events = 0;
+        for SynTally { at, count, .. } in self.tallies.drain(..) {
+            syn_events += count;
+            let tally = DetectorInput::Syn {
+                queue,
+                at,
+                count,
+                measurements,
+            };
+            if self.det_push.send(tally).is_err() {
+                lost += count;
+            }
         }
         if let Some(n) = self.reject_counts.get_mut(Reject::BusClosed as usize) {
             *n += lost;
@@ -191,7 +292,7 @@ impl WorkerState {
             (m.dp_records_in, std::mem::take(&mut self.records_in)),
             (m.dp_records_out, records_out as u64),
             (m.dp_batches, u64::from(records_out > 0)),
-            (m.dp_syn_events, syn_events as u64),
+            (m.dp_syn_events, syn_events),
         ] {
             if n > 0 {
                 r.counter_add(self.shard, id, n);
@@ -209,7 +310,6 @@ impl WorkerState {
         self.residencies.clear();
         // Tracker stats are absolute per queue: stored as gauges, they sum
         // across shards to the run totals.
-        let ts = self.tracker.stats();
         r.gauge_store(self.shard, m.tracker_packets, ts.packets);
         r.gauge_store(self.shard, m.tracker_syns, ts.syns);
         r.gauge_store(self.shard, m.tracker_synacks, ts.synacks);
@@ -304,6 +404,7 @@ pub struct Pipeline {
 /// be a named function (see [`detector_loop`]).
 struct DetectorInputs {
     det_pull: Pull<DetectorInput>,
+    flood: FloodConfig,
     alerts: AlertSink,
     num_queues: u16,
     metrics: Arc<SelfMetrics>,
@@ -314,21 +415,24 @@ struct DetectorInputs {
 /// registry shard as the `det_*` counters.
 #[derive(Default)]
 struct DetectorDelta {
-    /// Records entering: enriched records plus SYN events.
+    /// Records entering: enriched records plus SYNs (a tally counts as
+    /// its SYNs).
     records_in: u64,
-    /// Records released from the reorder buffer to the detectors.
+    /// Records released from the reorder buffer to the detectors, counted
+    /// the same way.
     records_out: u64,
     /// Batched receives.
     batches: u64,
 }
 
 /// Flush the detector's per-iteration deltas into its registry shard (one
-/// epoch-framed burst).
+/// epoch-framed burst). `residencies` holds `(ns, records)` pairs: a
+/// tally's SYNs share its residency.
 fn flush_detector_deltas(
     metrics: &SelfMetrics,
     shard: usize,
     delta: &mut DetectorDelta,
-    residencies: &mut Vec<u64>,
+    residencies: &mut Vec<(u64, u64)>,
 ) {
     if delta.records_in == 0 && delta.records_out == 0 && residencies.is_empty() {
         return;
@@ -344,8 +448,8 @@ fn flush_detector_deltas(
     if delta.batches > 0 {
         r.counter_add(shard, metrics.det_batches, delta.batches);
     }
-    for &ns in residencies.iter() {
-        r.hist_record(shard, metrics.publish_residency, ns);
+    for &(ns, n) in residencies.iter() {
+        r.hist_record_n(shard, metrics.publish_residency, ns, n);
     }
     r.burst_end(shard);
     residencies.clear();
@@ -393,7 +497,7 @@ fn dataplane_idle(state: &mut WorkerState) {
 }
 
 /// The classification half of a dataplane burst: drain the RX burst
-/// through [`classify_mbuf`], record residencies and SYN events, and stage
+/// through [`classify_mbuf`], record residencies, tally SYNs, and stage
 /// the surviving [`TcpMeta`]s in `state.metas` for the tracker walk.
 fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
     state.records_in += burst.len() as u64;
@@ -407,9 +511,7 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
                 state
                     .residencies
                     .push(now.saturating_nanos_since(meta.timestamp));
-                if meta.flags.is_syn_only() {
-                    state.syn_stamps.push(meta.timestamp);
-                }
+                state.tally_syn(&meta);
                 state.metas.push(meta);
             }
             Err(reject) => {
@@ -423,27 +525,32 @@ fn classify_burst(state: &mut WorkerState, burst: &mut Vec<Mbuf>) {
     }
 }
 
-/// The detector thread: consumes SYN events and enriched measurements,
+/// The detector thread: consumes SYN tallies and enriched measurements,
 /// raises alerts and folds the per-pair aggregates (map frames are cut by
 /// PUB `enriched` subscribers). Named so the panic checker roots here.
 ///
 /// Both kinds arrive on the one detector pipe as [`DetectorInput`]
-/// values: the lcores PUSH SYN events, the enrichers enriched records.
+/// values: the lcores PUSH one SYN tally per queue and flood interval, the
+/// enrichers enriched records.
 /// The thread blocks in `recv_batch`; a return of 0 means every pusher is
 /// gone and the pipe is drained, so the stream has ended.
 ///
 /// A sharded dataplane delivers events to analytics out of simulated-time
 /// order (a briefly descheduled worker is minutes of simulated time behind
-/// its siblings). Detectors that window on time need an in-order stream, so
-/// this runs a classic watermark reorderer: events buffer in a min-heap and
-/// release only once every source stream (per queue, per event kind) has
-/// progressed past them.
+/// its siblings), and the enrichers, pulling from one pipe, may deliver
+/// one queue's measurements out of order. Detectors that window on time
+/// need an in-order stream, so this runs a watermark reorderer: events
+/// buffer in a min-heap and release only once every queue's watermark has
+/// passed them. A queue's watermark is its latest SYN tally whose lcore's
+/// earlier measurements have all arrived (see [`DetectorInput::Syn`]).
 fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     use std::cmp::Reverse;
     use std::collections::binary_heap::{BinaryHeap, PeekMut};
+    use std::collections::VecDeque;
 
     let DetectorInputs {
         det_pull,
+        flood,
         alerts,
         num_queues,
         metrics,
@@ -454,13 +561,14 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     /// so the event itself never decides an order.
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     enum Ev {
-        Syn,
+        /// A tally of this many SYNs.
+        Syn(u64),
         /// Slot of the record in `parked`.
         Meas(usize),
     }
 
     let mut spike = LatencySpikeDetector::new(Default::default());
-    let mut flood = SynFloodDetector::new(Default::default());
+    let mut flood = SynFloodDetector::new(flood);
     let mut rate = RateAnomalyDetector::new(Default::default());
     let mut aggregates = PairAggregator::new();
     // City-pair keys interned once; the per-measurement hot path below
@@ -470,15 +578,22 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
     // detector's registry shard as one epoch-framed burst per iteration.
     let mut delta = DetectorDelta::default();
     // alloc-ok: one-time setup before the receive loop.
-    let mut residencies: Vec<u64> = Vec::with_capacity(2 * BURST_SIZE);
+    let mut residencies: Vec<(u64, u64)> = Vec::with_capacity(2 * BURST_SIZE);
     let det_shard = metrics.detector_shard();
     let top_queue = num_queues.saturating_sub(1);
 
-    // Source `2·queue + kind` (syn = 0, measurement = 1), queue ids clamped
-    // to `top_queue`. All sources start at watermark zero; nothing is
-    // released until every source has reported (or the stream ends).
+    // Per queue (ids clamped to `top_queue`): the watermark, the
+    // measurements received, and the tallies, as `(measurements, at)`,
+    // whose watermark waits for the measurements their lcore pushed
+    // first. All watermarks start at zero; nothing is released until
+    // every queue has sent a tally (or the stream ends).
+    let queues = usize::from(top_queue) + 1;
     // alloc-ok: one-time setup before the receive loop.
-    let mut watermarks = vec![0u64; 2 * usize::from(top_queue) + 2];
+    let mut watermarks = vec![0u64; queues];
+    // alloc-ok: one-time setup before the receive loop.
+    let mut received = vec![0u64; queues];
+    // alloc-ok: one-time setup; a queue's gates are few and reused.
+    let mut gated: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); queues];
     let mut pending: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
     let mut seq = 0u64;
     // Measurements held for the watermark, parked in a slab whose slots are
@@ -495,27 +610,49 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
             delta.batches += 1;
         }
         for input in det_batch.drain(..) {
-            delta.records_in += 1;
-            let (at, source, ev) = match input {
-                DetectorInput::Syn { queue, at } => (
-                    at.as_nanos(),
-                    2 * usize::from(queue.min(top_queue)),
-                    Ev::Syn,
-                ),
+            let (at, q, ev) = match input {
+                DetectorInput::Syn {
+                    queue,
+                    at,
+                    count,
+                    measurements,
+                } => {
+                    delta.records_in += count;
+                    let q = usize::from(queue.min(top_queue));
+                    if let Some(gates) = gated.get_mut(q) {
+                        // alloc-ok: one tally per queue and second; its
+                        // gate is met within milliseconds, so the deque
+                        // holds one or two and reuses its capacity.
+                        gates.push_back((measurements, at.as_nanos()));
+                    }
+                    (at.as_nanos(), q, Ev::Syn(count))
+                }
                 DetectorInput::Measurement(em) => {
+                    delta.records_in += 1;
+                    let q = usize::from(em.queue_id.min(top_queue));
+                    if let Some(n) = received.get_mut(q) {
+                        *n += 1;
+                    }
                     let slot = free_slots.pop().unwrap_or(parked.len());
-                    let source = 2 * usize::from(em.queue_id.min(top_queue)) + 1;
                     let at = em.completed_at.as_nanos();
                     if let Some(free) = parked.get_mut(slot) {
                         *free = em;
                     } else {
                         parked.push(em);
                     }
-                    (at, source, Ev::Meas(slot))
+                    (at, q, Ev::Meas(slot))
                 }
             };
-            if let Some(w) = watermarks.get_mut(source) {
-                *w = (*w).max(at);
+            // Raise the queue's watermark to each tally whose earlier
+            // measurements have all arrived.
+            if let (Some(gates), Some(&n), Some(w)) =
+                (gated.get_mut(q), received.get(q), watermarks.get_mut(q))
+            {
+                while gates.front().is_some_and(|&(need, _)| need <= n) {
+                    if let Some((_, tally_at)) = gates.pop_front() {
+                        *w = (*w).max(tally_at);
+                    }
+                }
             }
             pending.push(Reverse((at, seq, ev)));
             seq += 1;
@@ -536,13 +673,14 @@ fn detector_loop(inputs: DetectorInputs) -> PairAggregator {
                 break;
             }
             PeekMut::pop(top);
-            delta.records_out += 1;
+            let records = if let Ev::Syn(n) = ev { n } else { 1 };
+            delta.records_out += records;
             // Completion → detector release, including the watermark
             // reorder delay (virtual ns).
             let at = Timestamp::from_nanos(at);
-            residencies.push(now.saturating_nanos_since(at));
+            residencies.push((now.saturating_nanos_since(at), records));
             match ev {
-                Ev::Syn => alerts.push_opt(flood.observe_syn(at)),
+                Ev::Syn(n) => alerts.push_opt(flood.observe_syns(at, n)),
                 Ev::Meas(slot) => {
                     free_slots.push(slot);
                     // Always present: the slot was parked when the record
@@ -589,6 +727,9 @@ impl Pipeline {
         let (det_push, det_pull) = pipe(config.mq_hwm);
         let detect_probe = det_pull.probe();
         let lcore_det_push = det_push.clone();
+        // The lcores tally SYNs over the flood detector's own interval.
+        let flood = FloodConfig::default();
+        let flood_interval_ns = flood.interval_ns;
         let tsdb = Arc::new(TsDb::new());
         let alerts = AlertSink::new();
         // One enrichment worker per RX queue.
@@ -613,6 +754,7 @@ impl Pipeline {
         // panic checker can root there.
         let detector_inputs = DetectorInputs {
             det_pull,
+            flood,
             alerts: alerts.clone(),
             num_queues: config.port.num_queues,
             metrics: Arc::clone(&metrics),
@@ -627,22 +769,16 @@ impl Pipeline {
         let tracker_cfg = config.tracker.clone();
         let metrics_for_workers = Arc::clone(&metrics);
         let clock_for_workers = clock.clone();
-        let init = move |qid| WorkerState {
-            tracker: HandshakeTracker::new(qid, tracker_cfg.clone()),
-            inflow: InflowTracker::new(qid, Default::default()),
-            push: worker_push.clone(),
-            det_push: lcore_det_push.clone(),
-            shard: metrics_for_workers.dataplane_shard(qid),
-            metrics: Arc::clone(&metrics_for_workers),
-            clock: clock_for_workers.clone(),
-            batch: Vec::with_capacity(BURST_SIZE),
-            metas: Vec::with_capacity(BURST_SIZE),
-            syn_stamps: Vec::with_capacity(BURST_SIZE),
-            residencies: Vec::with_capacity(BURST_SIZE),
-            inflow_rtts: Vec::with_capacity(BURST_SIZE),
-            inflow_flushed: InflowStats::default(),
-            records_in: 0,
-            reject_counts: [0; Reject::ALL.len()],
+        let init = move |qid| {
+            WorkerState::new(
+                qid,
+                tracker_cfg.clone(),
+                worker_push.clone(),
+                lcore_det_push.clone(),
+                Arc::clone(&metrics_for_workers),
+                clock_for_workers.clone(),
+                flood_interval_ns,
+            )
         };
         // Whole-burst workers: classify the burst, prefetch-staged table
         // walk, one vectored PUSH at the burst boundary (PUSH blocks at
@@ -772,9 +908,11 @@ impl Pipeline {
         let stages = self.stages.take().expect("only finish takes the stages");
         // 1. Stop the lcore workers (they drain their queues first) and
         //    take back their states, in queue order. Each shard's only
-        //    writer has exited, so flushing it here is single-writer.
+        //    writer has exited, so flushing it here is single-writer. The
+        //    open SYN tally goes to the detector first.
         let mut trackers: Vec<(u16, TrackerStats)> = Vec::new();
         for mut state in stages.workers.shutdown() {
+            state.close_tally();
             state.flush();
             trackers.push((state.tracker.queue_id(), state.tracker.stats()));
             // Dropping `state` drops this worker's PUSH ends of both
@@ -838,19 +976,9 @@ mod tests {
         }
     }
 
-    /// The detector releases every record it takes in, SYN events and
-    /// measurements alike, and drains its pipe once every pusher is gone.
-    #[test]
-    fn the_detector_releases_every_syn_and_measurement() {
-        let metrics = Arc::new(SelfMetrics::new(1, 1));
-        let (push, det_pull) = pipe(64);
-        let syns = [10, 20, 30].map(|ns| DetectorInput::Syn {
-            queue: 0,
-            at: Timestamp::from_nanos(ns),
-        });
-        push.send_batch(syns).unwrap();
+    /// An enriched measurement of queue 0 that completed at `ns`.
+    fn measurement_at(ns: u64) -> DetectorInput {
         let world = SynthWorld::generate(1);
-        let db = Arc::new(world.db().clone());
         let m = LatencyMeasurement {
             src: ruru_wire::IpAddress::V4(ruru_wire::ipv4::Address([9, 9, 9, 9])),
             dst: ruru_wire::IpAddress::V4(ruru_wire::ipv4::Address([8, 8, 8, 8])),
@@ -858,15 +986,83 @@ mod tests {
             dst_port: 2,
             internal_ns: 1_000,
             external_ns: 2_000,
-            completed_at: Timestamp::from_nanos(25),
+            completed_at: Timestamp::from_nanos(ns),
             queue_id: 0,
             syn_retransmissions: 0,
         };
-        let em = ruru_analytics::Enricher::new(db, 0).enrich(&m);
-        push.send(DetectorInput::Measurement(em)).unwrap();
+        let db = Arc::new(world.db().clone());
+        DetectorInput::Measurement(ruru_analytics::Enricher::new(db, 0).enrich(&m))
+    }
+
+    /// Two enrichers can deliver one queue's measurements out of order. A
+    /// SYN tally raises its queue's watermark only once the measurements
+    /// its lcore pushed before it have arrived, so the late one is still
+    /// released in its own flood interval. Here the first receive takes
+    /// a 600-SYN tally of interval 0 (after one measurement), the
+    /// measurement of interval 1 and 30 tallies of interval 1 (after two);
+    /// the measurement of interval 0 comes in the next receive.
+    #[test]
+    fn a_late_measurement_is_released_in_its_interval() {
+        const S: u64 = 1_000_000_000;
+        let metrics = Arc::new(SelfMetrics::new(1, 1));
+        let (push, det_pull) = pipe(64);
+        let tally = |at, count, measurements| DetectorInput::Syn {
+            queue: 0,
+            at: Timestamp::from_nanos(at),
+            count,
+            measurements,
+        };
+        push.send(tally(S * 9 / 10, 600, 1)).unwrap();
+        push.send(measurement_at(S * 12 / 10)).unwrap();
+        for _ in 0..30 {
+            push.send(tally(S * 19 / 10, 1, 2)).unwrap();
+        }
+        push.send(measurement_at(S / 2)).unwrap();
+        drop(push);
+        let alerts = AlertSink::new();
+        detector_loop(DetectorInputs {
+            det_pull,
+            flood: FloodConfig::default(),
+            alerts: alerts.clone(),
+            num_queues: 1,
+            metrics,
+            clock: Clock::virtual_clock(),
+        });
+        let floods: Vec<(Timestamp, String)> = alerts
+            .snapshot()
+            .into_iter()
+            .filter(|a| a.kind == "syn_flood")
+            .map(|a| (a.at, a.message))
+            .collect();
+        assert_eq!(
+            floods,
+            [(
+                Timestamp::from_nanos(S),
+                "600 SYNs vs 1 completed handshakes in 1.0 s".to_owned()
+            )]
+        );
+    }
+
+    /// The detector releases every record it takes in, SYN tallies and
+    /// measurements alike, and drains its pipe once every pusher is gone.
+    /// A tally counts as its SYNs, in the stage counters and in the
+    /// publish residencies.
+    #[test]
+    fn the_detector_releases_every_syn_and_measurement() {
+        let metrics = Arc::new(SelfMetrics::new(1, 1));
+        let (push, det_pull) = pipe(64);
+        let syns = [(10, 1), (20, 2)].map(|(ns, count)| DetectorInput::Syn {
+            queue: 0,
+            at: Timestamp::from_nanos(ns),
+            count,
+            measurements: 0,
+        });
+        push.send_batch(syns).unwrap();
+        push.send(measurement_at(25)).unwrap();
         drop(push);
         let aggregates = detector_loop(DetectorInputs {
             det_pull,
+            flood: FloodConfig::default(),
             alerts: AlertSink::new(),
             num_queues: 1,
             metrics: Arc::clone(&metrics),
@@ -879,6 +1075,80 @@ mod tests {
         assert_eq!(released, Some(4));
         use ruru_analytics::KeySpace;
         assert_eq!(aggregates.key_count(KeySpace::CityPair), 1);
+    }
+
+    /// SYN-only packets over three flood intervals on one queue, fed in
+    /// bursts that straddle the interval edges, reach the detector as
+    /// exactly three tallies, one per interval, each stamped with its
+    /// interval's latest SYN; their counts sum to the SYNs.
+    #[test]
+    fn an_lcore_sends_one_syn_tally_per_flood_interval() {
+        use ruru_gen::packet::TcpPacketSpec;
+        let clock = Clock::virtual_clock();
+        let mut port = Port::new(
+            PortConfig {
+                num_queues: 1,
+                ..quick_config().port
+            },
+            clock.clone(),
+        );
+        let mut rx = port.take_all_rx_queues().swap_remove(0);
+        let metrics = Arc::new(SelfMetrics::new(1, 1));
+        let (push, _pull) = pipe(64);
+        let (det_push, det_pull) = pipe(64);
+        let interval = FloodConfig::default().interval_ns;
+        let mut state = WorkerState::new(
+            0,
+            TrackerConfig::default(),
+            push,
+            det_push,
+            Arc::clone(&metrics),
+            clock,
+            interval,
+        );
+        // Ten SYNs per interval, the first exactly at its start.
+        let stamps: Vec<u64> = (0..3)
+            .flat_map(|k| (0..10).map(move |i| k * interval + i * (interval / 10)))
+            .collect();
+        let mut burst = Vec::new();
+        for (b, chunk) in stamps.chunks(7).enumerate() {
+            for (i, &ns) in chunk.iter().enumerate() {
+                let port_no = 1024 + (7 * b + i) as u16;
+                let syn = TcpPacketSpec::control(
+                    [10, 0, 0, 1],
+                    [10, 0, 0, 2],
+                    port_no,
+                    80,
+                    1,
+                    0,
+                    ruru_wire::tcp::Flags::SYN,
+                );
+                assert_eq!(port.inject_at(&syn.build(), Timestamp::from_nanos(ns)), Some(0));
+            }
+            assert_eq!(rx.rx_burst(&mut burst, BURST_SIZE), chunk.len());
+            dataplane_worker(&mut state, &mut burst);
+        }
+        // What `Pipeline::finish` does with a stopped lcore's state.
+        state.close_tally();
+        state.flush();
+        let mut received = Vec::new();
+        det_pull.try_recv_batch(&mut received, 64);
+        let tallies: Vec<(u16, u64, u64)> = received
+            .iter()
+            .map(|input| match input {
+                DetectorInput::Syn {
+                    queue, at, count, ..
+                } => (*queue, at.as_nanos(), *count),
+                DetectorInput::Measurement(_) => panic!("only SYNs were fed"),
+            })
+            .collect();
+        let expected: Vec<(u16, u64, u64)> = (0..3)
+            .map(|k| (0, k * interval + 9 * (interval / 10), 10))
+            .collect();
+        assert_eq!(tallies, expected);
+        let t = metrics.registry().snapshot(0);
+        assert_eq!(t.counter("dp_syn_events"), 30, "the tallies' SYNs");
+        assert_eq!(t.counter("dp_records_in"), 30);
     }
 
     /// Regression: a lossless inject that finds the ring full waits for
@@ -1019,13 +1289,13 @@ mod tests {
         assert_eq!(t.counter("dp_records_out"), truths);
         assert!((1..=truths).contains(&t.counter("dp_batches")));
 
-        // Detector stage: every measurement and every SYN event arrives,
+        // Detector stage: every measurement and every tallied SYN arrives,
         // batched, and every record admitted to the reorder buffer is
-        // eventually processed.
+        // eventually processed (the stage counts a tally as its SYNs).
         let det_in = t.counter("det_records_in");
         let syn_events = t.counter("dp_syn_events");
         assert!(syn_events >= truths, "one SYN per flow at least");
-        assert_eq!(det_in, truths + syn_events, "SYN events plus measurements");
+        assert_eq!(det_in, truths + syn_events, "SYNs plus measurements");
         assert_eq!(t.counter("det_records_out"), det_in);
         assert!((1..=det_in).contains(&t.counter("det_batches")));
     }

@@ -110,7 +110,6 @@ pub struct SelfMetrics {
     pub(crate) enrich_geo_misses: CounterId,
     pub(crate) enrich_bytes_out: CounterId,
     pub(crate) enrich_batches_in: CounterId,
-    pub(crate) enrich_batches_out: CounterId,
     pub(crate) enrich_alloc_hits: CounterId,
     /// Points folded into the shared tsdb by the enrichers' stripe
     /// flushes. Conservation: `tsdb_points_ingested == tsdb_merge_points +
@@ -214,7 +213,6 @@ impl SelfMetrics {
             enrich_geo_misses: b.counter("enrich_geo_misses"),
             enrich_bytes_out: b.counter("enrich_bytes_out"),
             enrich_batches_in: b.counter("enrich_batches_in"),
-            enrich_batches_out: b.counter("enrich_batches_out"),
             enrich_alloc_hits: b.counter("enrich_alloc_hits"),
             tsdb_merge_points: b.counter("tsdb_merge_points"),
             enrich_residency: b.histogram("stage_enrich_residency_ns", RESIDENCY_PRECISION),
@@ -292,7 +290,6 @@ impl SelfMetrics {
             enriched: self.enrich_enriched,
             geo_misses: self.enrich_geo_misses,
             batches_in: self.enrich_batches_in,
-            batches_out: self.enrich_batches_out,
             bytes_out: self.enrich_bytes_out,
             alloc_hits: self.enrich_alloc_hits,
             tsdb_merged: self.tsdb_merge_points,

@@ -4,8 +4,9 @@
 //! sleeps between arrivals and uses a small share of one core. A lossless
 //! feeder ahead of its RX lcore parks on the full ring the same way. Under
 //! steady load the bus wakes a sleeping stage once per burst, not per few
-//! records, and a lone record still reaches every stage without more
-//! traffic behind it.
+//! records; under a SYN flood the detector is woken per measurement and
+//! per flood interval, not per SYN; and a lone record still reaches every
+//! stage without more traffic behind it.
 //!
 //! Linux-only: per-thread CPU time is read from
 //! `/proc/self/task/<tid>/schedstat`. The tests take turns on one lock, so
@@ -15,8 +16,10 @@
 // Pacing the feed needs wall-clock sleeps; this is a test, not a hot path.
 #![allow(clippy::disallowed_methods)]
 
+use ruru_analytics::detect::FloodConfig;
 use ruru_gen::packet::TcpPacketSpec;
-use ruru_gen::{Event, GenConfig, TrafficGen};
+use ruru_gen::{Anomaly, Event, GenConfig, TrafficGen};
+use ruru_geo::synth::LOS_ANGELES;
 use ruru_nic::port::{Port, PortConfig};
 use ruru_nic::{Clock, Timestamp};
 use ruru_pipeline::{conservation, Pipeline, PipelineConfig, Report};
@@ -260,10 +263,62 @@ fn the_detector_is_woken_once_per_burst_under_steady_load() {
     );
 }
 
+/// A SYN flood wakes the detector per record it needs, not per SYN: each
+/// lcore sends one SYN tally per flood interval, and a wake needs a
+/// buffered record, so however the threads are scheduled the wakes stay
+/// within `measurements + queues × (intervals + 1)` (the one extra per
+/// queue covers the tally sent at shutdown and the disconnect).
+#[test]
+fn a_syn_flood_wakes_the_detector_per_interval_not_per_syn() {
+    let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    let queues = 2u16;
+    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
+        port: PortConfig {
+            num_queues: queues,
+            ..PortConfig::default()
+        },
+        ..PipelineConfig::default()
+    });
+    let flood_end = Timestamp::from_secs(4);
+    let mut gen = TrafficGen::with_world(
+        GenConfig {
+            seed: 13,
+            flows_per_sec: 100.0,
+            duration: flood_end,
+            data_exchanges: (0, 0),
+            anomalies: vec![Anomaly::SynFlood {
+                start: Timestamp::ZERO,
+                end: flood_end,
+                syns_per_sec: 20_000,
+                target_city: LOS_ANGELES,
+            }],
+            ..GenConfig::default()
+        },
+        world,
+    );
+    pipeline.run(&mut gen);
+    let last = pipeline.clock().now().as_nanos();
+    let report = pipeline.finish();
+    let t = &report.telemetry;
+    let intervals = last / FloodConfig::default().interval_ns + 1;
+    let syns = t.counter("dp_syn_events");
+    assert!(syns > 60_000, "a flood: {syns} SYNs");
+    let measurements = report.measurements();
+    assert_eq!(t.counter("det_records_in"), syns + measurements);
+    let wakes = t.gauge("detect_wakeups");
+    let bound = measurements + u64::from(queues) * (intervals + 1);
+    assert!(
+        wakes <= bound,
+        "{wakes} detector wakes for {syns} SYNs and {measurements} measurements \
+         over {intervals} intervals: more than {bound}"
+    );
+}
+
 /// One handshake, one record, far below a burst: it reaches the detector
 /// and a PUB subscriber with no more traffic behind it, because the lcore
 /// flushes its pipes on its first empty poll and the enricher flushes the
-/// detector feed before it blocks.
+/// detector feed before it blocks. The SYN's tally stays open until a
+/// later flood interval or shutdown.
 #[test]
 fn a_lone_record_reaches_the_detector_and_a_subscriber() {
     let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
@@ -283,9 +338,9 @@ fn a_lone_record_reaches_the_detector_and_a_subscriber() {
     }
     let line = sub.recv_timeout(Duration::from_secs(5));
     assert!(line.is_some(), "the record never reached the PUB subscriber");
-    // The detector takes in the SYN event and the measurement.
+    // The detector takes in the measurement.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while pipeline.telemetry_now().counter("det_records_in") < 2 {
+    while pipeline.telemetry_now().counter("det_records_in") < 1 {
         assert!(
             Instant::now() < deadline,
             "the record never reached the detector"
@@ -294,6 +349,7 @@ fn a_lone_record_reaches_the_detector_and_a_subscriber() {
     }
     let report = pipeline.finish();
     assert_eq!(report.measurements(), 1);
+    // Shutdown sends the open tally: the one SYN.
     assert_eq!(report.telemetry.counter("dp_syn_events"), 1);
     assert_eq!(report.telemetry.counter("det_records_in"), 2);
 }

@@ -158,7 +158,8 @@ fn counters_conserve_every_packet_and_reconcile_with_the_export() {
         t.hist("stage_enrich_residency_ns").map(|h| h.count),
         Some(truths)
     );
-    // Detector saw every measurement plus every SYN event.
+    // Detector saw every measurement plus every SYN (a tally counts as
+    // its SYNs).
     assert_eq!(
         t.counter("det_records_in"),
         truths + t.counter("dp_syn_events")

@@ -281,6 +281,13 @@ impl Registry {
     /// top magnitude saturate into the top bucket, never out of range).
     #[inline]
     pub fn hist_record(&self, shard: usize, id: HistId, value: u64) {
+        self.hist_record_n(shard, id, value, 1);
+    }
+
+    /// Record `n` samples of `value` at once: the same cells as `n`
+    /// [`Registry::hist_record`] calls, in one update each.
+    #[inline]
+    pub fn hist_record_n(&self, shard: usize, id: HistId, value: u64, n: u64) {
         let (Some(s), Some(&base), Some(&(_, precision))) = (
             self.shards.get(shard),
             self.hist_bases.get(id.0 as usize),
@@ -288,11 +295,14 @@ impl Registry {
         ) else {
             return;
         };
+        if n == 0 {
+            return;
+        }
         if let Some(cell) = s.cells.get(base) {
-            bump_add(cell, 1);
+            bump_add(cell, n);
         }
         if let Some(cell) = s.cells.get(base + 1) {
-            bump_sat_add(cell, value);
+            bump_sat_add(cell, value.saturating_mul(n));
         }
         if let Some(cell) = s.cells.get(base + 2) {
             bump_min(cell, value);
@@ -302,7 +312,7 @@ impl Registry {
         }
         let bucket = bucket_index(precision, value);
         if let Some(cell) = s.cells.get(base + HIST_HEADER + bucket) {
-            bump_add(cell, 1);
+            bump_add(cell, n);
         }
     }
 
@@ -751,6 +761,25 @@ mod tests {
         assert!(hist.value_at_quantile(0.5) >= 1_000);
         assert!(hist.value_at_quantile(1.0) <= 1_000_000);
         assert_eq!(snap.skipped_shards, 0);
+    }
+
+    #[test]
+    fn a_weighted_record_equals_repeated_records() {
+        let (w, _, _, hw) = small_registry(1);
+        let (p, _, _, hp) = small_registry(1);
+        for v in [3, 1_000, 77_777] {
+            w.hist_record_n(0, hw, v, 5);
+            w.hist_record_n(0, hw, v + 1, 0);
+            for _ in 0..5 {
+                p.hist_record(0, hp, v);
+            }
+        }
+        let (weighted, repeated) = (w.snapshot(0), p.snapshot(0));
+        let a = weighted.hist("stage_residency").unwrap();
+        let b = repeated.hist("stage_residency").unwrap();
+        assert_eq!((a.count, a.sum, a.min, a.max), (15, 393_900, 3, 77_777));
+        assert_eq!((a.count, a.sum, a.min, a.max), (b.count, b.sum, b.min, b.max));
+        assert_eq!(a.buckets, b.buckets);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! tests pin the *direction* of each claim so a regression that flips a
 //! conclusion fails CI.
 
+use ruru::analytics::detect::FloodConfig;
+use ruru::analytics::{Alert, SynFloodDetector};
 use ruru::flow::baseline::pping::{Pping, PpingConfig};
 use ruru::flow::baseline::synonly::SynOnly;
 use ruru::flow::classify::{classify, ChecksumMode};
@@ -10,6 +12,7 @@ use ruru::flow::{HandshakeTracker, TrackerConfig};
 use ruru::gen::{Anomaly, GenConfig, TrafficGen};
 use ruru::geo::synth::LOS_ANGELES;
 use ruru::geo::SynthWorld;
+use ruru::nic::port::PortConfig;
 use ruru::nic::Timestamp;
 use ruru::pipeline::{Pipeline, PipelineConfig};
 
@@ -132,45 +135,92 @@ fn e3_firewall_anomaly_detected_with_high_recall() {
     );
 }
 
-/// E4: SYN floods are detected within ~1 detector interval and legitimate
-/// measurement continues at full coverage.
+/// E4: a SYN flood is detected within one interval while every
+/// legitimate flow is still measured, at 1 and 4 RX queues. The lcores
+/// hand the detector one SYN tally per queue and flood interval; the
+/// pipeline's flood alerts are exactly those of a detector fed every
+/// SYN-only packet and every generated handshake's completion one by one,
+/// in tap order (the same `at`, SYN count and completion count).
 #[test]
 fn e4_syn_flood_detected_with_full_legit_coverage() {
-    let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
-        tracker: TrackerConfig {
-            capacity: 50_000,
-            ..TrackerConfig::default()
-        },
-        ..PipelineConfig::default()
-    });
-    let flood_start = Timestamp::from_secs(5);
-    let mut gen = TrafficGen::with_world(
-        GenConfig {
-            seed: 4,
-            flows_per_sec: 100.0,
-            duration: Timestamp::from_secs(15),
-            data_exchanges: (0, 0),
-            anomalies: vec![Anomaly::SynFlood {
-                start: flood_start,
-                end: Timestamp::from_secs(10),
-                syns_per_sec: 20_000,
-                target_city: LOS_ANGELES,
-            }],
-            ..GenConfig::default()
-        },
-        world,
-    );
-    pipeline.run(&mut gen);
-    let report = pipeline.finish();
-    let floods: Vec<_> = report.alerts.iter().filter(|a| a.kind == "syn_flood").collect();
-    assert!(!floods.is_empty(), "flood must be detected");
-    let delay = floods[0].at.saturating_nanos_since(flood_start);
-    assert!(delay <= 2_000_000_000, "detection delay {delay} ns");
-    assert_eq!(
-        report.measurements(),
-        gen.truths().len() as u64,
-        "legit flows still measured under flood"
-    );
+    for queues in [1u16, 4] {
+        let (mut pipeline, world) = Pipeline::with_synth_world(PipelineConfig {
+            port: PortConfig {
+                num_queues: queues,
+                ..PortConfig::default()
+            },
+            tracker: TrackerConfig {
+                capacity: 50_000,
+                ..TrackerConfig::default()
+            },
+            ..PipelineConfig::default()
+        });
+        let flood_start = Timestamp::from_secs(5);
+        let mut gen = TrafficGen::with_world(
+            GenConfig {
+                seed: 4,
+                flows_per_sec: 100.0,
+                duration: Timestamp::from_secs(15),
+                data_exchanges: (0, 0),
+                anomalies: vec![Anomaly::SynFlood {
+                    start: flood_start,
+                    end: Timestamp::from_secs(10),
+                    syns_per_sec: 20_000,
+                    target_city: LOS_ANGELES,
+                }],
+                ..GenConfig::default()
+            },
+            world,
+        );
+        let events: Vec<_> = gen.by_ref().collect();
+        for ev in &events {
+            assert!(pipeline.feed(ev));
+        }
+        let report = pipeline.finish();
+
+        // The oracle: one `observe_syn` per SYN-only packet and one
+        // `observe_completion` per handshake, at its ACK's tap time.
+        let mut stream: Vec<(Timestamp, bool)> = events
+            .iter()
+            .filter(|ev| {
+                classify(&ev.frame, ev.at, ChecksumMode::Validate)
+                    .is_ok_and(|meta| meta.flags.is_syn_only())
+            })
+            .map(|ev| (ev.at, true))
+            .collect();
+        stream.extend(
+            gen.truths()
+                .iter()
+                .map(|t| (t.t_syn_tap.advanced(t.external_ns + t.internal_ns), false)),
+        );
+        stream.sort_by_key(|&(at, _)| at);
+        let mut oracle = SynFloodDetector::new(FloodConfig::default());
+        let expected: Vec<Alert> = stream
+            .iter()
+            .filter_map(|&(at, syn)| {
+                if syn {
+                    oracle.observe_syn(at)
+                } else {
+                    oracle.observe_completion(at)
+                }
+            })
+            .collect();
+        let floods: Vec<Alert> = report
+            .alerts
+            .iter()
+            .filter(|a| a.kind == "syn_flood")
+            .cloned()
+            .collect();
+        assert!(!floods.is_empty(), "flood must be detected");
+        assert_eq!(floods, expected, "{queues} queues");
+        let delay = floods[0].at.saturating_nanos_since(flood_start);
+        assert!(delay <= 2_000_000_000, "detection delay {delay} ns");
+        assert_eq!(
+            report.measurements(),
+            gen.truths().len() as u64,
+            "legit flows still measured under flood"
+        );
+    }
 }
 
 /// E5: frame batching keeps up with thousands of connections/sec and
