@@ -6,6 +6,8 @@
 //!          [--pcap-in FILE] [--pcap-out FILE] [--snapshot FILE]
 //!
 //! SCENARIO: steady (default) | firewall | synflood
+//! --json      print a JSON summary: counts, every alert and every city
+//!             pair's latency row
 //! --queues    RX queues; the enrichment pool gets one worker per queue
 //! --diurnal   shape the flow arrival rate with a day/night cycle
 //! --pcap-in   analyze a capture file instead of generating traffic
@@ -249,7 +251,46 @@ fn main() {
             let n = report.alerts.iter().filter(|a| a.kind == kind).count();
             w.key(kind).integer(n as i64);
         }
-        w.end_object()
+        w.key("list").begin_array();
+        for a in &report.alerts {
+            w.begin_object()
+                .key("kind")
+                .string(&a.kind)
+                .key("severity")
+                .string(&a.severity.to_string())
+                .key("key")
+                .string(&a.key)
+                .key("at_ns")
+                .integer(a.at.as_nanos() as i64)
+                .key("value")
+                .number(a.value)
+                .key("message")
+                .string(&a.message)
+                .end_object();
+        }
+        w.end_array().end_object();
+        // Every city pair, busiest first: the rows the text summary
+        // prints the top five of.
+        use ruru_analytics::KeySpace;
+        let pairs = report.aggregates.key_count(KeySpace::CityPair);
+        w.key("city_pairs").begin_array();
+        for (key, stats) in report.aggregates.top_by_count(KeySpace::CityPair, pairs) {
+            w.begin_object()
+                .key("key")
+                .string(key)
+                .key("count")
+                .integer(stats.count() as i64)
+                .key("mean_ms")
+                .number(stats.mean())
+                .key("median_ms")
+                .number(stats.median())
+                .key("p95_ms")
+                .number(stats.p95())
+                .key("max_ms")
+                .number(stats.max())
+                .end_object();
+        }
+        w.end_array()
             .key("nic_drops")
             .integer((report.port.no_mbuf_drops + report.port.ring_full_drops) as i64)
             .end_object();

@@ -47,7 +47,7 @@ impl JsonWriter {
     }
 
     /// Begin an array (as a value).
-    pub(crate) fn begin_array(&mut self) -> &mut Self {
+    pub fn begin_array(&mut self) -> &mut Self {
         self.pre_value();
         self.out.push('[');
         self.comma.push(false);
@@ -55,7 +55,7 @@ impl JsonWriter {
     }
 
     /// End the current array.
-    pub(crate) fn end_array(&mut self) -> &mut Self {
+    pub fn end_array(&mut self) -> &mut Self {
         self.comma.pop();
         self.out.push(']');
         self
