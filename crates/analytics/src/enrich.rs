@@ -5,12 +5,13 @@
 //! requires. What remains is exactly what the tsdb indexes and the frontend
 //! draws: locations, AS numbers, and the three latency components.
 
+use crate::render::LatencyLine;
 use bytes::{BufMut, BytesMut};
 use core::fmt::{self, Write};
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::GeoDb;
 use ruru_nic::Timestamp;
-use ruru_tsdb::{line, Point};
+use ruru_tsdb::Point;
 use std::sync::Arc;
 
 /// Wire length of the fixed binary enriched record.
@@ -30,12 +31,12 @@ const LATENCY: &str = "latency";
 /// Tag names of a `latency` point, in the sorted order a normalized point
 /// keeps. With [`LATENCY_FIELDS`], the one name table behind
 /// [`EnrichedMeasurement::to_point`], its in-place refill and its line.
-const LATENCY_TAGS: [&str; 7] = [
+pub(crate) const LATENCY_TAGS: [&str; 7] = [
     "dst_asn", "dst_cc", "dst_city", "queue", "src_asn", "src_cc", "src_city",
 ];
 
 /// Field names of a `latency` point, in the order they are written.
-const LATENCY_FIELDS: [&str; 7] = [
+pub(crate) const LATENCY_FIELDS: [&str; 7] = [
     "internal_ms",
     "external_ms",
     "total_ms",
@@ -76,8 +77,9 @@ impl fmt::Display for TagValue<'_> {
 pub struct EndpointInfo {
     /// ISO country code (`"??"` when the lookup missed).
     pub country_code: [u8; 2],
-    /// City name (empty when unknown).
-    pub city: String,
+    /// City name (empty when unknown), shared with the geo database's
+    /// location row.
+    pub city: Arc<str>,
     /// Latitude.
     pub lat: f32,
     /// Longitude.
@@ -91,7 +93,7 @@ impl EndpointInfo {
     fn unknown() -> EndpointInfo {
         EndpointInfo {
             country_code: *b"??",
-            city: String::new(),
+            city: "".into(),
             lat: 0.0,
             lon: 0.0,
             asn: 0,
@@ -147,7 +149,7 @@ impl EnrichedMeasurement {
     }
 
     /// Field values in [`LATENCY_FIELDS`] order.
-    fn field_values(&self) -> [f64; 7] {
+    pub(crate) fn field_values(&self) -> [f64; 7] {
         [
             self.internal_ns as f64 / 1e6,
             self.external_ns as f64 / 1e6,
@@ -190,25 +192,15 @@ impl EnrichedMeasurement {
         p.timestamp_ns = self.completed_at.as_nanos();
     }
 
-    /// Write the line-protocol form into `out`: byte for byte
-    /// `line::encode(&self.to_point())`, without building the point.
-    pub(crate) fn write_line<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        line::write(
-            out,
-            LATENCY,
-            LATENCY_TAGS.into_iter().zip(self.tag_values()),
-            LATENCY_FIELDS.into_iter().zip(self.field_values()),
-            self.completed_at.as_nanos(),
-        )
-    }
-
     /// Encode as a line-protocol string: the PUB edge's payload, which
-    /// external subscribers parse.
+    /// external subscribers parse. Byte for byte
+    /// `line::encode(&self.to_point())`, written by the renderer's line
+    /// layout from endpoint text formatted on the spot.
     pub fn to_line(&self) -> String {
         // Room for a typical line (about 280 bytes) in one allocation.
         let mut out = String::with_capacity(384);
         // Writing into a `String` cannot fail.
-        let _ = self.write_line(&mut out);
+        let _ = LatencyLine::new(self, &self.src, &self.dst).write(&mut out);
         out
     }
 
@@ -262,14 +254,14 @@ impl EnrichedMeasurement {
         Some(EnrichedMeasurement {
             src: EndpointInfo {
                 country_code: cc(p.tag("src_cc")),
-                city: p.tag("src_city").unwrap_or("").to_string(),
+                city: p.tag("src_city").unwrap_or("").into(),
                 lat: p.field("src_lat")? as f32,
                 lon: p.field("src_lon")? as f32,
                 asn: p.tag("src_asn")?.parse().ok()?,
             },
             dst: EndpointInfo {
                 country_code: cc(p.tag("dst_cc")),
-                city: p.tag("dst_city").unwrap_or("").to_string(),
+                city: p.tag("dst_city").unwrap_or("").into(),
                 lat: p.field("dst_lat")? as f32,
                 lon: p.field("dst_lon")? as f32,
                 asn: p.tag("dst_asn")?.parse().ok()?,
@@ -299,7 +291,6 @@ fn encode_endpoint(ep: &EndpointInfo, buf: &mut BytesMut) {
     buf.put_bytes(0, MAX_CITY_BYTES - end);
 }
 
-#[allow(clippy::disallowed_methods)] // sanctioned: one owned city per decoded record
 fn decode_endpoint(data: &[u8]) -> Option<EndpointInfo> {
     debug_assert_eq!(data.len(), ENDPOINT_WIRE_LEN);
     let city_len = data[14] as usize;
@@ -312,8 +303,20 @@ fn decode_endpoint(data: &[u8]) -> Option<EndpointInfo> {
         asn: u32::from_le_bytes(data[2..6].try_into().unwrap()),
         lat: f32::from_le_bytes(data[6..10].try_into().unwrap()),
         lon: f32::from_le_bytes(data[10..14].try_into().unwrap()),
-        city: city.to_string(),
+        // One shared city per decoded record.
+        city: city.into(),
     })
+}
+
+/// Where an enriched record's endpoints are in the geo database's
+/// location table, `None` for an endpoint it does not cover: what the
+/// [`crate::Renderer`] keeps per-location text under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocationPair {
+    /// The initiator's location index.
+    pub src: Option<u32>,
+    /// The responder's location index.
+    pub dst: Option<u32>,
 }
 
 /// One worker's enricher: a lookup in the shared database per endpoint.
@@ -321,6 +324,8 @@ pub struct Enricher {
     db: Arc<GeoDb>,
     lookups: u64,
     misses: u64,
+    /// What every missed endpoint becomes; cloning it shares its city.
+    unknown: EndpointInfo,
 }
 
 impl Enricher {
@@ -332,38 +337,52 @@ impl Enricher {
             db,
             lookups: 0,
             misses: 0,
+            unknown: EndpointInfo::unknown(),
         }
     }
 
-    /// Look up one address; [`EndpointInfo::unknown`] when the database
-    /// does not cover it. A covered address costs one city clone.
-    fn lookup(&mut self, key: u128) -> EndpointInfo {
+    /// Look up one address, returning its endpoint and location index;
+    /// the shared unknown endpoint when the database does not cover it.
+    /// Either way the city is shared, not copied: no allocation.
+    fn lookup(&mut self, key: u128) -> (EndpointInfo, Option<u32>) {
         self.lookups += 1;
-        match self.db.lookup_key(key) {
-            Some(loc) => EndpointInfo {
-                country_code: loc.country_code,
-                city: loc.city.clone(),
-                lat: loc.lat,
-                lon: loc.lon,
-                asn: loc.asn,
-            },
+        match self.db.lookup(key) {
+            Some((at, loc)) => {
+                let endpoint = EndpointInfo {
+                    country_code: loc.country_code,
+                    city: Arc::clone(&loc.city),
+                    lat: loc.lat,
+                    lon: loc.lon,
+                    asn: loc.asn,
+                };
+                (endpoint, Some(at))
+            }
             None => {
                 self.misses += 1;
-                EndpointInfo::unknown()
+                (self.unknown.clone(), None)
             }
         }
     }
 
     /// Enrich one measurement, discarding its IP addresses.
     pub fn enrich(&mut self, m: &LatencyMeasurement) -> EnrichedMeasurement {
-        EnrichedMeasurement {
-            src: self.lookup(m.src.as_u128()),
-            dst: self.lookup(m.dst.as_u128()),
+        self.locate(m).0
+    }
+
+    /// Enrich one measurement, discarding its IP addresses, and say where
+    /// its endpoints are in the location table.
+    pub fn locate(&mut self, m: &LatencyMeasurement) -> (EnrichedMeasurement, LocationPair) {
+        let (src, src_at) = self.lookup(m.src.as_u128());
+        let (dst, dst_at) = self.lookup(m.dst.as_u128());
+        let em = EnrichedMeasurement {
+            src,
+            dst,
             internal_ns: m.internal_ns,
             external_ns: m.external_ns,
             completed_at: m.completed_at,
             queue_id: m.queue_id,
-        }
+        };
+        (em, LocationPair { src: src_at, dst: dst_at })
     }
 
     /// `(lookups, db_misses)` counters.
@@ -415,9 +434,9 @@ mod tests {
         let src = w.sample_v4(AUCKLAND, &mut rng);
         let dst = w.sample_v4(LOS_ANGELES, &mut rng);
         let em = e.enrich(&measurement(src, dst));
-        assert_eq!(em.src.city, "Auckland");
+        assert_eq!(&*em.src.city, "Auckland");
         assert_eq!(em.src.cc_str(), "NZ");
-        assert_eq!(em.dst.city, "Los Angeles");
+        assert_eq!(&*em.dst.city, "Los Angeles");
         assert_eq!(em.dst.cc_str(), "US");
         assert!(em.src.asn >= 64000);
         assert_eq!(em.total_ns(), 129_900_000);
@@ -505,10 +524,10 @@ mod tests {
             vec![
                 tag("queue", em.queue_id.to_string()),
                 tag("src_cc", em.src.cc_str().to_string()),
-                tag("src_city", em.src.city.clone()),
+                tag("src_city", em.src.city.to_string()),
                 tag("src_asn", em.src.asn.to_string()),
                 tag("dst_cc", em.dst.cc_str().to_string()),
-                tag("dst_city", em.dst.city.clone()),
+                tag("dst_city", em.dst.city.to_string()),
                 tag("dst_asn", em.dst.asn.to_string()),
             ],
             vec![
@@ -550,8 +569,8 @@ mod tests {
             let mut em = e.enrich(&m);
             unknown += usize::from(em.src.is_unknown() || em.dst.is_unknown());
             if i % 2 == 0 {
-                em.src.city = random_city(&mut rng);
-                em.dst.city = random_city(&mut rng);
+                em.src.city = random_city(&mut rng).into();
+                em.dst.city = random_city(&mut rng).into();
                 em.dst.country_code = codes[rng.gen_range(0..codes.len())];
                 em.src.lat = random_coordinate(&mut rng);
                 em.dst.lon = random_coordinate(&mut rng);
@@ -612,14 +631,14 @@ mod tests {
         EnrichedMeasurement {
             src: EndpointInfo {
                 country_code: *b"NZ",
-                city: src_city.to_string(),
+                city: src_city.into(),
                 lat: -36.8485,
                 lon: 174.7633,
                 asn: 64010,
             },
             dst: EndpointInfo {
                 country_code: *b"US",
-                city: dst_city.to_string(),
+                city: dst_city.into(),
                 lat: 34.0522,
                 lon: -118.2437,
                 asn: 64020,
@@ -657,9 +676,9 @@ mod tests {
         let em = enriched(&long, "ok");
         let back = EnrichedMeasurement::decode(&wire(&em)).unwrap();
         assert!(back.src.city.len() <= MAX_CITY_BYTES);
-        assert!(long.starts_with(&back.src.city));
-        assert_eq!(back.src.city, format!("{}city{}", "Ā".repeat(12), "Ā".repeat(2)));
-        assert_eq!(back.dst.city, "ok");
+        assert!(long.starts_with(&*back.src.city));
+        assert_eq!(&*back.src.city, format!("{}city{}", "Ā".repeat(12), "Ā".repeat(2)));
+        assert_eq!(&*back.dst.city, "ok");
 
         // "x" + 20×'Ā' puts every boundary on an odd offset, so the 32-byte
         // cap lands mid-character and must back off to 31.
@@ -667,7 +686,7 @@ mod tests {
         let em = enriched(&awkward, "ok");
         let back = EnrichedMeasurement::decode(&wire(&em)).unwrap();
         assert_eq!(back.src.city.len(), 31);
-        assert!(awkward.starts_with(&back.src.city));
+        assert!(awkward.starts_with(&*back.src.city));
     }
 
     #[test]

@@ -37,8 +37,8 @@ impl Criterion {
     pub fn matches(&self, m: &EnrichedMeasurement) -> bool {
         match self {
             Criterion::Country(cc) => m.src.country_code == *cc || m.dst.country_code == *cc,
-            Criterion::SrcCity(city) => m.src.city == *city,
-            Criterion::DstCity(city) => m.dst.city == *city,
+            Criterion::SrcCity(city) => *m.src.city == **city,
+            Criterion::DstCity(city) => *m.dst.city == **city,
             Criterion::Asn(asn) => m.src.asn == *asn || m.dst.asn == *asn,
             Criterion::MinTotalNs(ns) => m.total_ns() >= *ns,
             Criterion::MaxTotalNs(ns) => m.total_ns() <= *ns,

@@ -13,6 +13,8 @@
 //!   record, its tsdb point form and its line-protocol wire form.
 //! * [`workers`] — the multi-threaded enrichment pool (PULL → enrich →
 //!   tsdb + PUB + detector feed), one database lookup per endpoint.
+//! * [`render`] — each record's tsdb row and PUB line, from text and
+//!   stripe series kept per location: the one `latency` line layout.
 //! * [`detect`] — the detectors behind §3's use cases: a robust
 //!   (median/MAD) latency-spike detector that catches the 4000 ms firewall
 //!   anomaly, a SYN-flood detector, and a per-location-pair connection-rate
@@ -27,12 +29,14 @@ pub mod detect;
 pub mod enrich;
 pub mod filter;
 pub mod intern;
+pub mod render;
 pub mod workers;
 
 pub use aggregate::{KeySpace, PairAggregator, RunningStats};
 pub use alert::{Alert, AlertSink, Severity};
 pub use detect::{LatencySpikeDetector, RateAnomalyDetector, SynFloodDetector};
-pub use enrich::{EndpointInfo, EnrichedMeasurement, Enricher};
+pub use enrich::{EndpointInfo, EnrichedMeasurement, Enricher, LocationPair};
 pub use filter::{Criterion, FilterSpec, FilterStage};
 pub use intern::{Interner, PairInterner};
-pub use workers::{DetectorInput, EnrichmentPool, PoolTelemetry, Rendered, Renderer};
+pub use render::{Rendered, Renderer};
+pub use workers::{DetectorInput, EnrichmentPool, PoolTelemetry};

@@ -15,20 +15,23 @@
 //! The two edges inside the pipeline carry values: measurements arrive as
 //! [`LatencyMeasurement`]s and leave for the detector as
 //! [`DetectorInput::Measurement`]s, with nothing to encode or decode. The
-//! renderer refills one reused `latency` point for the tsdb stripe and
+//! renderer appends one typed row to the record's tsdb stripe series and
 //! writes the line-protocol line for the PUB edge, the one edge that
 //! leaves the pipeline's threads, into a scratch block, so external
-//! subscribers stay text-parseable. Every count the pool makes goes into
-//! its own shards of the pipeline's telemetry registry, once per burst.
+//! subscribers stay text-parseable; both come from text and series it
+//! keeps per location ([`crate::render`]). Every count the pool makes
+//! goes into its own shards of the pipeline's telemetry registry, once
+//! per burst.
 
-use crate::enrich::{latency_template, EnrichedMeasurement, Enricher};
-use bytes::{Bytes, BytesMut};
+use crate::enrich::{EnrichedMeasurement, Enricher};
+use crate::render::Renderer;
+use bytes::Bytes;
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::GeoDb;
 use ruru_mq::{Message, Publisher, Pull, Push};
 use ruru_nic::{Clock, Timestamp};
 use ruru_telemetry::{CounterId, HistId, Registry};
-use ruru_tsdb::{Point, StripeWriter, TsDb};
+use ruru_tsdb::TsDb;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -38,9 +41,6 @@ pub const ENRICHED_TOPIC: &[u8] = b"enriched";
 /// Records a worker moves per batched bus operation (mirrors the
 /// dataplane's DPDK burst size).
 pub const WORKER_BURST: usize = 32;
-
-/// Scratch-block size for the per-worker PUB line buffer.
-const SCRATCH_CHUNK: usize = 64 * 1024;
 
 /// One record on the detector's feed. The enrichers push measurements and
 /// the lcores push SYN tallies onto the one pipe; the detector orders both
@@ -66,12 +66,6 @@ pub enum DetectorInput {
         measurements: u64,
     },
 }
-
-/// Room a PUB line needs besides its two city names, which escaping at
-/// most doubles: the names, ten numbers and the timestamp. `f64`'s
-/// `Display` writes no exponent, so the longest value, a subnormal `f32`
-/// coordinate, takes 64 bytes; the whole rest stays under 530.
-const LINE_HEADROOM: usize = 640;
 
 /// Points a worker buffers in its private tsdb stripe before folding it
 /// into the shared store. The stripe is the lock-free striped-ingest
@@ -107,68 +101,6 @@ pub struct PoolTelemetry {
     pub tsdb_merged: CounterId,
     /// Track → enrich residency histogram (virtual ns).
     pub enrich_residency: HistId,
-}
-
-/// One worker's per-record output path: a reused `latency` point, the
-/// tsdb stripe it is written to, and the scratch block the PUB lines are
-/// written into. Each record is rendered once: the point is refilled in
-/// place, and the PUB line is written straight into the block and split
-/// off as a zero-copy view.
-pub struct Renderer {
-    point: Point,
-    stripe: StripeWriter,
-    scratch: BytesMut,
-}
-
-/// What rendering one record produced.
-pub struct Rendered {
-    /// The line-protocol line, for the PUB edge.
-    pub line: Bytes,
-    /// Points the stripe merged into the store on this write (0 unless it
-    /// flushed).
-    pub merged: u64,
-    /// The scratch block ran short, so a fresh one was reserved.
-    pub fresh_block: bool,
-}
-
-impl Renderer {
-    /// A renderer writing points to `stripe` and PUB lines into scratch
-    /// blocks of [`SCRATCH_CHUNK`] bytes.
-    pub fn new(stripe: StripeWriter) -> Renderer {
-        Renderer {
-            point: latency_template(),
-            stripe,
-            scratch: BytesMut::new(),
-        }
-    }
-
-    /// Render one record: write its point to the stripe, then its PUB
-    /// line into the scratch block.
-    pub fn render(&mut self, em: &EnrichedMeasurement) -> Rendered {
-        em.refill(&mut self.point);
-        let merged = self.stripe.write(&self.point);
-        // Room for the longest line first: a line that crossed the end of
-        // the block would move to a fresh block only its own size, and
-        // every record after it would allocate again.
-        let need = LINE_HEADROOM + 2 * (em.src.city.len() + em.dst.city.len());
-        let fresh_block = self.scratch.capacity() < need;
-        if fresh_block {
-            self.scratch.reserve(SCRATCH_CHUNK.max(need));
-        }
-        // Writing into a `BytesMut` cannot fail.
-        let _ = em.write_line(&mut self.scratch);
-        let line = self.scratch.split().freeze();
-        Rendered {
-            line,
-            merged,
-            fresh_block,
-        }
-    }
-
-    /// Fold the stripe's buffered points into the store; returns how many.
-    fn flush(&mut self) -> u64 {
-        self.stripe.flush()
-    }
 }
 
 /// A running pool of enrichment workers.
@@ -243,11 +175,11 @@ impl EnrichmentPool {
                             for m in batch.drain(..) {
                                 residencies
                                     .push(t.clock.now().saturating_nanos_since(m.completed_at));
-                                let em = enricher.enrich(&m);
+                                let (em, at) = enricher.locate(&m);
                                 if em.src.is_unknown() || em.dst.is_unknown() {
                                     geo_misses += 1;
                                 }
-                                let out = renderer.render(&em);
+                                let out = renderer.render(&em, at);
                                 merged += out.merged;
                                 alloc_hits += u64::from(out.fresh_block);
                                 bytes_out += out.line.len() as u64;
@@ -406,7 +338,7 @@ mod tests {
         let msg = sub.try_recv().unwrap();
         let line = core::str::from_utf8(&msg.payload).unwrap();
         let em = crate::enrich::EnrichedMeasurement::from_line(line).unwrap();
-        assert_eq!(em.src.city, "Auckland");
+        assert_eq!(&*em.src.city, "Auckland");
         assert!(!line.contains("100."), "no raw IPs on the bus: {line}");
     }
 
@@ -434,7 +366,7 @@ mod tests {
             let DetectorInput::Measurement(em) = input else {
                 panic!("the pool pushes only measurements: {input:?}");
             };
-            assert_eq!(em.src.city, "Auckland");
+            assert_eq!(&*em.src.city, "Auckland");
             seen += 1;
         }
         assert_eq!(seen, 100, "detector feed is lossless");
@@ -459,41 +391,6 @@ mod tests {
             (1..=2).contains(&alloc_hits),
             "one scratch block per worker, not per record: {alloc_hits}"
         );
-    }
-
-    /// The longest line a record can have fits the room the renderer
-    /// reserves for it: escaped country codes and cities, the widest
-    /// numbers, and subnormal coordinates.
-    #[test]
-    fn the_longest_line_fits_the_reserved_room() {
-        use crate::enrich::EndpointInfo;
-        let endpoint = |city: &str, coordinate: f32| EndpointInfo {
-            country_code: *b",=",
-            city: city.into(),
-            lat: coordinate,
-            lon: coordinate,
-            asn: u32::MAX,
-        };
-        for (city, coordinate) in [
-            (",= \\", -f32::from_bits(1)),
-            ("", -f32::from_bits(0x007f_ffff)),
-            ("Ā", f32::MIN),
-        ] {
-            let em = EnrichedMeasurement {
-                src: endpoint(city, coordinate),
-                dst: endpoint(city, coordinate),
-                internal_ns: u64::MAX / 2,
-                external_ns: u64::MAX / 2 - 1,
-                completed_at: Timestamp::from_nanos(u64::MAX),
-                queue_id: u16::MAX,
-            };
-            let line = em.to_line();
-            assert!(
-                line.len() <= LINE_HEADROOM + 2 * (em.src.city.len() + em.dst.city.len()),
-                "{} bytes: {line}",
-                line.len()
-            );
-        }
     }
 
     #[test]

@@ -3,12 +3,19 @@
 //!
 //! One-shot: accuracy of a 2%-perturbed database (the IP2Location LITE
 //! quality level) and multi-thread enrichment scaling. Timed: raw lookup
-//! cost against a fragmented table.
+//! cost against a fragmented table, and one enrichment worker's whole
+//! per-record path (its `Enricher` and `Renderer`: lookup, stripe row and
+//! PUB line).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ruru_analytics::{Enricher, Renderer};
 use ruru_bench::row;
+use ruru_flow::LatencyMeasurement;
 use ruru_geo::{GeoDb, SynthWorld};
+use ruru_nic::Timestamp;
+use ruru_tsdb::TsDb;
+use ruru_wire::{ipv4, IpAddress};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -111,4 +118,51 @@ fn main() {
         })
         .fold(f64::INFINITY, f64::min);
     row("e6_geo/lookup/uncached", (ROUNDS * keys.len()) as u64, secs);
+
+    worker_report(&world);
+}
+
+/// One enrichment worker's per-record cost: `Enricher::locate` then
+/// `Renderer::render` into a stripe that rotates every 4 096 rows, as in
+/// the pipeline, over 40 000 records of 240 series (60 city pairs, 4
+/// queues; a handshake_mix run stores 120). Best of 8 passes; the store
+/// keeps every pass's rows.
+fn worker_report(world: &SynthWorld) {
+    let mut rng = StdRng::seed_from_u64(64);
+    let pairs: Vec<(usize, usize)> = (0..60)
+        .map(|_| (rng.gen_range(0..world.city_count()), rng.gen_range(0..world.city_count())))
+        .collect();
+    let records: Vec<LatencyMeasurement> = (0..40_000u64)
+        .map(|i| {
+            let (src, dst) = pairs[rng.gen_range(0..pairs.len())];
+            LatencyMeasurement {
+                src: IpAddress::V4(ipv4::Address(world.sample_v4(src, &mut rng))),
+                dst: IpAddress::V4(ipv4::Address(world.sample_v4(dst, &mut rng))),
+                src_port: 40_000,
+                dst_port: 443,
+                internal_ns: rng.gen_range(100_000..5_000_000),
+                external_ns: rng.gen_range(1_000_000..300_000_000),
+                completed_at: Timestamp::from_nanos(i * 1_000),
+                queue_id: rng.gen_range(0..4),
+                syn_retransmissions: 0,
+            }
+        })
+        .collect();
+    let tsdb = Arc::new(TsDb::new());
+    let mut enricher = Enricher::new(Arc::new(world.db().clone()), 0);
+    let mut renderer = Renderer::new(tsdb.stripe(4096));
+    const PASSES: u64 = 8;
+    let secs = (0..PASSES)
+        .map(|pass| {
+            let started = Instant::now();
+            for m in &records {
+                let mut m = *m;
+                m.completed_at = Timestamp::from_nanos(m.completed_at.as_nanos() + pass * 40_000_000);
+                let (em, at) = enricher.locate(&m);
+                black_box(renderer.render(&em, at));
+            }
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    row("e6_geo/worker/enrich_render", records.len() as u64, secs);
 }

@@ -23,14 +23,14 @@ fn sample_enriched() -> EnrichedMeasurement {
     EnrichedMeasurement {
         src: EndpointInfo {
             country_code: *b"NZ",
-            city: "Auckland".to_string(),
+            city: "Auckland".into(),
             lat: -36.85,
             lon: 174.76,
             asn: 9500,
         },
         dst: EndpointInfo {
             country_code: *b"US",
-            city: "Los Angeles".to_string(),
+            city: "Los Angeles".into(),
             lat: 34.05,
             lon: -118.24,
             asn: 15169,

@@ -70,7 +70,7 @@ impl Detector {
 fn endpoint(city: &str, asn: u32) -> EndpointInfo {
     EndpointInfo {
         country_code: *b"NZ",
-        city: city.to_string(),
+        city: city.into(),
         lat: -36.8,
         lon: 174.7,
         asn,

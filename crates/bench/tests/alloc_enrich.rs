@@ -1,15 +1,17 @@
 //! Allocation audit of the enrichment worker's per-record work:
 //!
-//! * the lookup: enriching a record whose two endpoints the geo database
-//!   covers makes exactly **two** heap allocations, the owned city
-//!   `String` of each endpoint, and a record whose endpoints it does not
-//!   cover makes **none**. Every endpoint is a distinct address, so no
-//!   reuse of an earlier lookup can hide a per-endpoint cost;
-//! * the render that follows it: refilling the worker's reused `latency`
-//!   point, writing it to the tsdb stripe, and writing the PUB line into
-//!   the scratch block makes **none**, once the stripe holds the records'
-//!   series, except in the few renders that report reserving a fresh
-//!   scratch block, which make exactly what one block reservation makes.
+//! * the lookup: enriching a record makes **no** heap allocation, whether
+//!   the geo database covers its endpoints or not: a covered endpoint
+//!   shares its location's city, and a missed one the enricher's unknown
+//!   endpoint. Every endpoint is a distinct address, so no reuse of an
+//!   earlier lookup can hide a per-endpoint cost;
+//! * the render that follows it: appending the record's row to its
+//!   stripe series and writing its PUB line into the scratch block makes
+//!   **none** once the renderer has seen the records' locations and
+//!   series, over several stripe rotations, the merges included, except
+//!   in the few renders that report reserving a fresh scratch block,
+//!   which make exactly what one block reservation makes. The audited
+//!   rotations seal no chunk.
 //!
 //! The counting allocator is process-wide, so this audit is a test binary
 //! of its own with one test that runs the lookup audit, then the render
@@ -23,13 +25,13 @@
 use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ruru_analytics::{EnrichedMeasurement, Enricher, Rendered, Renderer};
+use ruru_analytics::{EnrichedMeasurement, Enricher, LocationPair, Rendered, Renderer};
 use ruru_flow::LatencyMeasurement;
 use ruru_geo::SynthWorld;
 use ruru_nic::Timestamp;
 use ruru_tsdb::TsDb;
 use ruru_wire::{ipv4, ipv6, IpAddress};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -73,24 +75,24 @@ fn distinct_addresses(
 fn audited_pass(
     enricher: &mut Enricher,
     records: &[LatencyMeasurement],
-) -> (Vec<EnrichedMeasurement>, u64) {
+) -> (Vec<(EnrichedMeasurement, LocationPair)>, u64) {
     let mut out = Vec::with_capacity(records.len());
     ruru_bench::take_hits();
     ruru_bench::arm();
     for m in records {
-        out.push(enricher.enrich(m));
+        out.push(enricher.locate(m));
     }
     ruru_bench::disarm();
     (out, ruru_bench::take_hits())
 }
 
 #[test]
-fn enrichment_allocates_one_city_per_known_endpoint_and_renders_with_none() {
-    enrichment_allocates_one_city_per_known_endpoint();
-    rendering_into_known_series_allocates_nothing();
+fn enrichment_and_rendering_allocate_nothing() {
+    enrichment_allocates_nothing();
+    rendering_across_rotations_allocates_nothing();
 }
 
-fn enrichment_allocates_one_city_per_known_endpoint() {
+fn enrichment_allocates_nothing() {
     let world = SynthWorld::generate(2);
     let db = Arc::new(world.db().clone());
     let known = |a: [u8; 4]| {
@@ -118,28 +120,21 @@ fn enrichment_allocates_one_city_per_known_endpoint() {
 
     let (enriched, hits) = audited_pass(&mut enricher, &pairs(&covered));
     assert!(
-        enriched
-            .iter()
-            .all(|em| !em.src.is_unknown() && !em.dst.is_unknown() && !em.src.city.is_empty()),
+        enriched.iter().all(|(em, at)| {
+            at.src.is_some() && at.dst.is_some() && !em.src.is_unknown() && !em.src.city.is_empty()
+        }),
         "lookup audit: every covered endpoint resolves"
     );
-    assert_eq!(
-        hits,
-        2 * RECORDS as u64,
-        "lookup audit: one city String per covered endpoint, nothing else"
-    );
+    assert_eq!(hits, 0, "lookup audit: a covered endpoint shares its city");
 
     let (enriched, hits) = audited_pass(&mut enricher, &pairs(&uncovered));
     assert!(
-        enriched
-            .iter()
-            .all(|em| em.src.is_unknown() && em.dst.is_unknown()),
+        enriched.iter().all(|(em, at)| {
+            *at == LocationPair { src: None, dst: None } && em.src.is_unknown() && em.dst.is_unknown()
+        }),
         "lookup audit: every uncovered endpoint misses"
     );
-    assert_eq!(
-        hits, 0,
-        "lookup audit: an uncovered endpoint touches no heap"
-    );
+    assert_eq!(hits, 0, "lookup audit: an uncovered endpoint touches no heap");
 
     assert_eq!(
         enricher.stats(),
@@ -148,14 +143,19 @@ fn enrichment_allocates_one_city_per_known_endpoint() {
     );
 }
 
-fn rendering_into_known_series_allocates_nothing() {
+/// Stripe rotations rendered before the audit, and audited.
+const WARM_ROTATIONS: u64 = 5;
+const AUDITED_ROTATIONS: u64 = 3;
+
+fn rendering_across_rotations_allocates_nothing() {
     let world = SynthWorld::generate(2);
     let db = Arc::new(world.db().clone());
     let mut enricher = Enricher::new(Arc::clone(&db), 0);
     let mut rng = StdRng::seed_from_u64(12);
-    // Covered IPv4 and IPv6 endpoints and uncovered ones, enriched before
-    // the audit: the lookup's own cost is the test above.
-    let records: Vec<EnrichedMeasurement> = (0..RECORDS)
+    // One rotation's records: covered IPv4 and IPv6 endpoints and
+    // uncovered ones, enriched before the audit (the lookup's own cost is
+    // the audit above).
+    let cycle: Vec<(EnrichedMeasurement, LocationPair)> = (0..RECORDS)
         .map(|i| {
             let endpoint = |r: &mut StdRng| {
                 let city = r.gen_range(0..world.city_count());
@@ -169,28 +169,40 @@ fn rendering_into_known_series_allocates_nothing() {
             m.src = endpoint(&mut rng);
             m.dst = endpoint(&mut rng);
             m.queue_id = rng.gen_range(0..4);
-            enricher.enrich(&m)
+            enricher.locate(&m)
         })
         .collect();
+    let series: HashSet<Vec<(String, String)>> =
+        cycle.iter().map(|(em, _)| em.to_point().tags).collect();
+    let most_rows = series
+        .iter()
+        .map(|tags| cycle.iter().filter(|(em, _)| em.to_point().tags == *tags).count())
+        .max()
+        .unwrap_or(0);
 
-    // Warm-up, outside the audit: render each series' first record until
-    // its columns have room for all of its audited rows. Columns grow by
-    // doubling, so a series first written P + 1 times, P a power of two
-    // of at least 4, holds P - 1 more rows without growing. Rendering
-    // every series also sizes the reused point's tag strings for every
-    // value.
-    let mut series: HashMap<Vec<(String, String)>, (usize, usize)> = HashMap::new();
-    for (i, em) in records.iter().enumerate() {
-        series.entry(em.to_point().tags).or_insert((i, 0)).1 += 1;
-    }
+    // Every rotation renders the cycle once, in time order, so each
+    // series takes the same rows in each: its stripe buffers keep their
+    // room, and its stored tail, which grows by doubling, last grew in
+    // rotation 5 to 8 rotations' rows. That stays under a chunk, so no
+    // rotation seals.
+    assert!(8 * most_rows < 1024, "no seal: {most_rows} rows per series per rotation");
+    let rotations = WARM_ROTATIONS + AUDITED_ROTATIONS;
+    let records: Vec<(EnrichedMeasurement, LocationPair)> = (0..rotations)
+        .flat_map(|r| {
+            cycle.iter().enumerate().map(move |(i, (em, at))| {
+                let mut em = em.clone();
+                em.completed_at = Timestamp::from_nanos(1 + r * RECORDS as u64 + i as u64);
+                (em, *at)
+            })
+        })
+        .collect();
+    let (warm, audited) = records.split_at((WARM_ROTATIONS * RECORDS as u64) as usize);
     let tsdb = Arc::new(TsDb::new());
-    let mut renderer = Renderer::new(tsdb.stripe(u64::MAX));
-    for &(first, rows) in series.values() {
-        let p = (rows + 1).next_power_of_two().max(4);
-        for _ in 0..=p {
-            renderer.render(&records[first]);
-        }
+    let mut renderer = Renderer::new(tsdb.stripe(RECORDS as u64));
+    for (em, at) in warm {
+        renderer.render(em, *at);
     }
+    assert_eq!(tsdb.points_ingested(), warm.len() as u64, "every warm rotation merged");
 
     // What reserving one scratch block costs the allocator.
     let mut block = BytesMut::new();
@@ -206,12 +218,13 @@ fn rendering_into_known_series_allocates_nothing() {
     );
 
     // Each render audited on its own, so every hit is pinned to a record.
-    let mut rendered: Vec<Rendered> = Vec::with_capacity(RECORDS);
-    let mut hits: Vec<u64> = Vec::with_capacity(RECORDS);
-    for em in &records {
+    let sealed = tsdb.storage_stats().sealed_points;
+    let mut rendered: Vec<Rendered> = Vec::with_capacity(audited.len());
+    let mut hits: Vec<u64> = Vec::with_capacity(audited.len());
+    for (em, at) in audited {
         ruru_bench::take_hits();
         ruru_bench::arm();
-        let out = renderer.render(em);
+        let out = renderer.render(em, *at);
         ruru_bench::disarm();
         hits.push(ruru_bench::take_hits());
         rendered.push(out);
@@ -220,25 +233,31 @@ fn rendering_into_known_series_allocates_nothing() {
         let expected = if out.fresh_block { block_hits } else { 0 };
         assert_eq!(
             hits, expected,
-            "render audit, record {i}: refill, stripe write and line allocate \
+            "render audit, record {i}: row append, merge and line allocate \
              nothing beyond a reported block reservation"
         );
     }
     let fresh = rendered.iter().filter(|out| out.fresh_block).count();
     assert!(
-        (1..=RECORDS / 100).contains(&fresh),
+        (1..=audited.len() / 100).contains(&fresh),
         "render audit: one scratch block per many records, not per record: {fresh}"
     );
+    assert_eq!(tsdb.storage_stats().sealed_points, sealed, "the audited rotations seal nothing");
 
-    // The audited renders are the real output.
-    for (em, out) in records.iter().zip(&rendered) {
-        assert_eq!(out.merged, 0, "the stripe never flushed");
+    // The audited renders are the real output: every rotation merged,
+    // and the lines and the store hold what the records' points say.
+    let flushes = rendered.iter().filter(|out| out.merged > 0).count() as u64;
+    assert_eq!(flushes, AUDITED_ROTATIONS, "one merge per audited rotation");
+    assert_eq!(tsdb.points_ingested(), records.len() as u64);
+    for ((em, _), out) in audited.iter().zip(&rendered) {
         assert_eq!(&out.line[..], em.to_line().as_bytes());
     }
+    let reference = TsDb::new();
+    reference.write_batch(records.iter().map(|(em, _)| em.to_point()).collect());
+    assert_eq!(tsdb.to_snapshot(), reference.to_snapshot());
     assert!(
-        series.len() > 100 && records.iter().any(|em| em.src.is_unknown()),
+        series.len() > 100 && cycle.iter().any(|(em, _)| em.src.is_unknown()),
         "many series, some endpoints unknown: {} series",
         series.len()
     );
-    assert_eq!(tsdb.points_ingested(), 0, "nothing merged yet");
 }

@@ -5,6 +5,8 @@
 //! space (IPv4 addresses live in the IPv4-mapped range, so one table serves
 //! both families), with `O(log n)` binary-search lookup.
 
+use std::sync::Arc;
+
 /// One location row: what an IP2Location DB24-style record carries, plus AS
 /// information (IP2Location ASN database fields).
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +17,8 @@ pub struct Location {
     pub country: String,
     /// Region / state.
     pub region: String,
-    /// City name.
-    pub city: String,
+    /// City name, shared by every enriched record of this location.
+    pub city: Arc<str>,
     /// Latitude in degrees.
     pub lat: f32,
     /// Longitude in degrees.
@@ -119,18 +121,21 @@ impl GeoDb {
 
     /// Look up an address key (see `ruru_wire::IpAddress::as_u128`).
     pub fn lookup_key(&self, key: u128) -> Option<&Location> {
+        self.lookup(key).map(|(_, loc)| loc)
+    }
+
+    /// Look up an address key, returning the row with its index in the
+    /// location table: the index names the location for whatever a
+    /// reader derives from it once and keeps.
+    pub fn lookup(&self, key: u128) -> Option<(u32, &Location)> {
         // partition_point: first range with start > key; the candidate is
         // the one before it.
         let idx = self.ranges.partition_point(|r| r.start <= key);
-        if idx == 0 {
+        let r = self.ranges.get(idx.checked_sub(1)?)?;
+        if key > r.end {
             return None;
         }
-        let r = &self.ranges[idx - 1];
-        if key <= r.end {
-            Some(&self.locations[r.location as usize])
-        } else {
-            None
-        }
+        Some((r.location, self.locations.get(r.location as usize)?))
     }
 }
 
@@ -173,15 +178,18 @@ mod tests {
     #[test]
     fn lookup_hits_and_misses() {
         let db = sample_db();
-        assert_eq!(db.lookup_key(100).unwrap().city, "Auckland");
-        assert_eq!(db.lookup_key(150).unwrap().city, "Auckland");
-        assert_eq!(db.lookup_key(199).unwrap().city, "Auckland");
+        assert_eq!(&*db.lookup_key(100).unwrap().city, "Auckland");
+        assert_eq!(&*db.lookup_key(150).unwrap().city, "Auckland");
+        assert_eq!(&*db.lookup_key(199).unwrap().city, "Auckland");
         assert_eq!(db.lookup_key(399).unwrap().asn, 7018);
         assert!(db.lookup_key(99).is_none());
         assert!(db.lookup_key(200).is_none());
         assert!(db.lookup_key(250).is_none());
         assert!(db.lookup_key(u128::MAX).is_none());
         assert!(db.lookup_key(0).is_none());
+        assert_eq!(db.lookup(150).map(|(at, _)| at), Some(0));
+        assert_eq!(db.lookup(300).map(|(at, loc)| (at, loc.asn)), Some((1, 7018)));
+        assert!(db.lookup(200).is_none());
     }
 
     #[test]

@@ -287,10 +287,10 @@ mod tests {
         assert_eq!(w.db().location_count(), CITIES.len() * 2);
         assert_eq!(w.db().range_count(), CITIES.len() * 2 * 2); // v4 + v6
         let akl = w.city_location(AUCKLAND);
-        assert_eq!(akl.city, "Auckland");
+        assert_eq!(&*akl.city, "Auckland");
         assert_eq!(&akl.country_code, b"NZ");
         let lax = w.city_location(LOS_ANGELES);
-        assert_eq!(lax.city, "Los Angeles");
+        assert_eq!(&*lax.city, "Los Angeles");
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
                 let addr = w.sample_v4(city, &mut rng);
                 let key = V4_BASE | u32::from_be_bytes(addr) as u128;
                 let loc = w.db().lookup_key(key).expect("sampled address in db");
-                assert_eq!(loc.city, info.name);
+                assert_eq!(&*loc.city, info.name);
             }
         }
     }
@@ -316,7 +316,7 @@ mod tests {
                 let addr = w.sample_v6(city, &mut rng);
                 let key = u128::from_be_bytes(addr);
                 let loc = w.db().lookup_key(key).expect("sampled v6 in db");
-                assert_eq!(loc.city, CITIES[city].name);
+                assert_eq!(&*loc.city, CITIES[city].name);
             }
         }
     }
@@ -327,7 +327,7 @@ mod tests {
         // An address inside Auckland's provider-0 v6 block.
         let key = (0x2400u128 << 112) | (0x1000u128 << 96) | 42;
         let loc = w.db().lookup_key(key).unwrap();
-        assert_eq!(loc.city, "Auckland");
+        assert_eq!(&*loc.city, "Auckland");
     }
 
     #[test]

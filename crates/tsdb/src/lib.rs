@@ -20,10 +20,10 @@
 //!   tag-filtered and time-bucketed queries with bounded parallel
 //!   fan-out and retention enforcement; [`store::SeriesSet`] appends rows
 //!   to a fixed list of series resolved once per store.
-//! * [`sharded`] — the way in for arbitrary points: every write fills a
-//!   private ingest shard in the store's own layout and folds it in with
-//!   one merge; [`sharded::StripeWriter`] is the dataplane's per-writer
-//!   stripe, flushed once per rotation.
+//! * [`sharded`] — the ways in: points become typed rows per series in a
+//!   private buffer that one append folds into the store;
+//!   [`sharded::StripeWriter`] is the dataplane's per-writer buffer, its
+//!   series resolved once and flushed once per rotation.
 //! * `compress` (private) — Gorilla-style sealed-chunk codec: one
 //!   timestamp delta-of-delta varint stream per chunk + one value XOR
 //!   stream (leading/trailing-zero windows) per column, decoded in place
@@ -42,5 +42,5 @@ pub mod store;
 
 pub use agg::Aggregate;
 pub use point::Point;
-pub use sharded::StripeWriter;
+pub use sharded::{SeriesHandle, StripeWriter};
 pub use store::{Query, SeriesSet, StorageStats, TsDb, MAX_QUERY_WORKERS};

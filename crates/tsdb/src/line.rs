@@ -45,6 +45,12 @@ impl<W: Write + ?Sized> Write for Escaped<'_, W> {
     }
 }
 
+/// Write `s` into `out` escaped as a name or tag value: a backslash
+/// before each `,`, ` `, `=` and `\`.
+pub fn write_escaped<W: Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    Escaped(out).write_str(s)
+}
+
 /// Write one protocol line into `out`: the crate's only line encoder.
 ///
 /// Tags are written in the order given (a normalized point keeps them

@@ -1,88 +1,139 @@
-//! Ingest shards and per-writer stripes — the one way samples enter the
-//! store.
+//! The ways samples enter the store: typed row buffers and per-writer
+//! stripes.
 //!
-//! An [`IngestShard`] is a private, lock-free buffer in the shared
-//! store's own layout (`store::Series` per series key, one `store::Block`
-//! of columns per field list). Every write fills one and folds it into
-//! the shared [`crate::TsDb`] with `TsDb::merge_shard`: a
-//! [`StripeWriter`] once per rotation, and `TsDb::write`,
-//! `TsDb::write_batch` and snapshot restore once per call. One global
-//! write lock taken per point would serialize every producer (the
-//! measured `tsdb_write_lock` scaling ceiling); the pipeline's
-//! enrichment workers each write through a [`StripeWriter`] instead.
+//! A `Rows` buffer holds rows per series and field list, in the store's
+//! column order. Each of its series is named once, on first sight (from
+//! a point: `Rows::resolve`), and then takes `(ts, values)` rows with no
+//! point, series key or name comparison. [`crate::TsDb::write`] and
+//! [`crate::TsDb::write_batch`] fill one and fold it into the shared
+//! store once per call.
 //!
-//! A shard appends rows in arrival order and never seals. The merge
-//! appends each shard block's rows to the stored block with the same
-//! field list (every `latency` series carries a `queue` tag, so stripes
-//! rarely overlap) or keeps
-//! the block as a new one; either way a stable sort, skipped when the
-//! rows are already in order, puts the tail in time order. Ties keep the
-//! shared store's insertion order: rows already in the store stay ahead
-//! of incoming equal-timestamp rows, exactly as writing the points one by
-//! one would have left them.
+//! A [`StripeWriter`] is the dataplane's per-writer `Rows`, folded in once
+//! per rotation. Its series and their buffers' room outlive rotations,
+//! and the store keeps each series' position under the stripe's identity,
+//! so a rotation re-builds no name and re-hashes no key. One global write
+//! lock taken per point would serialize every producer (the measured
+//! `tsdb_write_lock` scaling ceiling); the pipeline's enrichment workers
+//! each write through a stripe instead. Snapshot restore builds whole
+//! stored series in an [`IngestShard`].
+//!
+//! No buffer seals. Rows go onto the tail of the stored block with the
+//! same field list (every `latency` series carries a `queue` tag, so
+//! stripes rarely overlap) through `Block::append_rows`, and a stable
+//! sort, skipped when the rows are already in order, puts the tail in
+//! time order. Ties keep the shared store's insertion order: rows already
+//! in the store stay ahead of incoming equal-timestamp rows, exactly as
+//! writing the points one by one would have left them.
 
 use crate::point::{series_key, Point};
-use crate::store::{Measurements, Series};
-use std::borrow::Cow;
+use crate::store::{Measurements, SeriesName};
+use std::collections::HashMap;
 
-/// A single-writer ingest buffer: one producer writes points without any
-/// locking, and the whole shard is merged into the shared store at once.
-/// Shards never seal; sealing happens in the merge.
+/// Whole stored series, built outside the store and folded in by one
+/// merge (`TsDb::merge_shard`): what snapshot restore fills. Shards never
+/// seal; sealing happens in the merge.
 #[derive(Debug, Default)]
 pub(crate) struct IngestShard {
     pub(crate) measurements: Measurements,
     pub(crate) points: u64,
-    /// Scratch series key, reused so a repeat series allocates nothing.
-    key: String,
 }
 
-impl IngestShard {
-    /// Buffer one point: the crate's only conversion of a point into
-    /// samples, one row appended to the block of its field list. An owned
-    /// point's strings move in and a borrowed point's are copied, either
-    /// only on first sight of a series or field list in this shard.
-    pub(crate) fn insert(&mut self, point: Cow<'_, Point>) {
+/// One series and field list of a `Rows` buffer: its names and the rows
+/// it took since the buffer last rotated, in arrival order, values row by
+/// row in field order.
+#[derive(Debug)]
+pub(crate) struct StripeSeries {
+    pub(crate) name: SeriesName,
+    pub(crate) ts: Vec<u64>,
+    pub(crate) values: Vec<f64>,
+}
+
+/// Rows of any number of series, each named once.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    pub(crate) series: Vec<StripeSeries>,
+    /// Series key → the series with that key, one per field list.
+    index: HashMap<String, Vec<usize>>,
+    /// Scratch series key, reused so a known series allocates nothing.
+    key: String,
+    pub(crate) points: u64,
+}
+
+impl Rows {
+    /// The series of `point`'s measurement, tags and field list (its
+    /// values and timestamp are ignored), added on first sight. A known
+    /// series costs a lookup by `&str` and a name comparison.
+    pub(crate) fn resolve(&mut self, point: &Point) -> usize {
         series_key(&point.measurement, &point.tags, &mut self.key);
-        let ts = point.timestamp_ns;
-        let (measurement, tags, fields) = match point {
-            Cow::Borrowed(p) => (
-                Cow::Borrowed(p.measurement.as_str()),
-                Cow::Borrowed(p.tags.as_slice()),
-                Cow::Borrowed(p.fields.as_slice()),
-            ),
-            Cow::Owned(p) => (
-                Cow::Owned(p.measurement),
-                Cow::Owned(p.tags),
-                Cow::Owned(p.fields),
-            ),
+        let names = || point.fields.iter().map(|(name, _)| name);
+        let same = |s: &StripeSeries| {
+            s.name.measurement == point.measurement && s.name.fields.iter().eq(names())
         };
-        let known = self
-            .measurements
-            .get_mut(measurement.as_ref())
-            .and_then(|series_map| series_map.get_mut(self.key.as_str()));
-        if let Some(series) = known {
-            series.push_fields(fields, ts);
-        } else {
-            let mut series = Series {
-                tags: tags.into_owned(),
-                ..Series::default()
-            };
-            series.push_fields(fields, ts);
-            // alloc-ok: owned measurement key and map slot, on first sight
-            // of a series in this shard only.
-            let series_map = self.measurements.entry(measurement.into_owned()).or_default();
-            // alloc-ok: owned series key and map slot, as above.
-            series_map.insert(self.key.clone(), series);
+        let known = self.index.get(self.key.as_str()).into_iter().flatten().copied();
+        if let Some(at) = known.into_iter().find(|&at| self.series.get(at).is_some_and(same)) {
+            return at;
+        }
+        let at = self.series.len();
+        let name = SeriesName::of(point, &self.key);
+        self.series.push(StripeSeries { name, ts: Vec::new(), values: Vec::new() });
+        // alloc-ok: a series' index slot, on its first sight only.
+        self.index.entry(self.key.clone()).or_default().push(at);
+        at
+    }
+
+    /// Append one row at `ts` to series `at`: `values` in its field
+    /// order. Missing values read NaN and extra ones are dropped, so every
+    /// row stays whole.
+    pub(crate) fn append(&mut self, at: usize, ts: u64, values: impl IntoIterator<Item = f64>) {
+        let Some(s) = self.series.get_mut(at) else {
+            return;
+        };
+        s.ts.push(ts);
+        let values = values.into_iter().chain(core::iter::repeat(f64::NAN));
+        for value in values.take(s.name.fields.len()) {
+            s.values.push(value);
         }
         self.points = self.points.saturating_add(1);
     }
+
+    /// Buffer one point: [`Rows::resolve`], then [`Rows::append`].
+    pub(crate) fn insert(&mut self, point: &Point) {
+        let at = self.resolve(point);
+        self.append(at, point.timestamp_ns, point.fields.iter().map(|&(_, v)| v));
+    }
+
+    /// Start the next rotation once the rows are merged. Every series
+    /// keeps its buffers' room, except one that took no row in this
+    /// rotation: it gives them back, so the buffer holds memory for the
+    /// rows of one rotation, not for every series it ever saw.
+    fn rotate(&mut self) {
+        for s in &mut self.series {
+            if s.ts.is_empty() {
+                (s.ts, s.values) = (Vec::new(), Vec::new());
+            } else {
+                s.ts.clear();
+                s.values.clear();
+            }
+        }
+        self.points = 0;
+    }
 }
 
-/// A per-writer ingest stripe: a private `IngestShard` plus the shared
-/// store it folds into every `flush_points` buffered points. This is the
-/// steady-state dataplane write path — [`StripeWriter::write`] touches
-/// only writer-local memory; the store lock is taken whole-shard at
-/// flush time, amortised across the stripe.
+/// A handle on one series of a [`StripeWriter`], from
+/// [`StripeWriter::resolve`]: what [`StripeWriter::append`] takes in place
+/// of a point. Valid for the stripe that gave it out, for the stripe's
+/// whole life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesHandle(usize);
+
+/// A per-writer ingest stripe: rows buffered per series, folded into the
+/// shared store every `flush_points` rows. This is the steady-state
+/// dataplane write path. A writer resolves a series once
+/// ([`StripeWriter::resolve`]) and then appends `(ts, values)` rows to it
+/// ([`StripeWriter::append`]), touching only writer-local memory and
+/// comparing no name; the store lock is taken once per flush. The store
+/// resolves each stripe series to its position once and keeps it under
+/// the stripe's identity, as it does for a `SeriesSet`.
 ///
 /// Callers own the flush discipline: un-flushed points are not counted
 /// in [`crate::store::TsDb::points_ingested`], so a writer that exits
@@ -90,7 +141,9 @@ impl IngestShard {
 /// violation, never as silent loss.
 pub struct StripeWriter {
     db: std::sync::Arc<crate::store::TsDb>,
-    shard: IngestShard,
+    /// Identity under which the store keeps this stripe's positions.
+    id: u64,
+    rows: Rows,
     flush_points: u64,
 }
 
@@ -98,33 +151,60 @@ impl StripeWriter {
     pub(crate) fn new(db: std::sync::Arc<crate::store::TsDb>, flush_points: u64) -> StripeWriter {
         StripeWriter {
             db,
-            shard: IngestShard::default(),
+            id: crate::store::next_writer_id(),
+            rows: Rows::default(),
             flush_points: flush_points.max(1),
         }
     }
 
-    /// Buffer one point into the private stripe; folds the stripe into
-    /// the store when the flush threshold is reached. Returns the number
-    /// of points merged into the store by this call (0 unless a flush
-    /// triggered) so callers can maintain exact merge accounting.
-    pub fn write(&mut self, point: &Point) -> u64 {
-        self.shard.insert(Cow::Borrowed(point));
-        if self.shard.points >= self.flush_points {
+    /// The handle of `point`'s series and field list (its values and
+    /// timestamp are ignored), added on first sight. A known series costs
+    /// a lookup by `&str` and a name comparison, no allocation.
+    pub fn resolve(&mut self, point: &Point) -> SeriesHandle {
+        SeriesHandle(self.rows.resolve(point))
+    }
+
+    /// Append one row at `ts` to `series`: `values` in the order of the
+    /// field list it was resolved with. Folds the stripe into the store
+    /// when the flush threshold is reached, and returns the number of
+    /// points merged by this call (0 unless a flush triggered) so callers
+    /// can keep exact merge accounting.
+    pub fn append(&mut self, series: SeriesHandle, ts: u64, values: impl IntoIterator<Item = f64>) -> u64 {
+        self.rows.append(series.0, ts, values);
+        if self.rows.points >= self.flush_points {
             self.flush()
         } else {
             0
         }
     }
 
-    /// Fold everything buffered into the store now. Returns points
-    /// merged. Must be called before the writer exits.
+    /// Buffer one point: [`StripeWriter::resolve`], then
+    /// [`StripeWriter::append`]. Returns the points merged by this call.
+    pub fn write(&mut self, point: &Point) -> u64 {
+        let series = self.resolve(point);
+        self.append(series, point.timestamp_ns, point.fields.iter().map(|&(_, v)| v))
+    }
+
+    /// Fold everything buffered into the store now, under one store lock,
+    /// and start the next rotation. Returns points merged. Must be called
+    /// before the writer exits.
     pub fn flush(&mut self) -> u64 {
-        self.db.merge_shard(core::mem::take(&mut self.shard))
+        let merged = self.db.merge_rows(Some(self.id), &self.rows);
+        self.rows.rotate();
+        merged
     }
 
     /// Points buffered in the stripe, not yet merged.
     pub fn points_buffered(&self) -> u64 {
-        self.shard.points
+        self.rows.points
+    }
+}
+
+impl Drop for StripeWriter {
+    /// The store forgets this stripe's positions: no one appends under
+    /// its identity again.
+    fn drop(&mut self) {
+        self.db.forget_writer(self.id);
     }
 }
 
@@ -155,15 +235,14 @@ mod tests {
 
     #[test]
     fn merge_disjoint_series_moves_runs() {
-        let db = TsDb::new();
-        let mut a = IngestShard::default();
-        let mut b = IngestShard::default();
+        let db = std::sync::Arc::new(TsDb::new());
+        let (mut a, mut b) = (db.stripe(u64::MAX), db.stripe(u64::MAX));
         for i in 0..100u64 {
-            a.insert(Cow::Owned(point("akl", i as f64, i * 10)));
-            b.insert(Cow::Owned(point("lax", i as f64, i * 10 + 5)));
+            a.write(&point("akl", i as f64, i * 10));
+            b.write(&point("lax", i as f64, i * 10 + 5));
         }
-        assert_eq!(db.merge_shard(a), 100);
-        assert_eq!(db.merge_shard(b), 100);
+        assert_eq!(a.flush(), 100);
+        assert_eq!(b.flush(), 100);
         assert_eq!(db.points_ingested(), 200);
         assert_eq!(db.series_count("latency"), 2);
         let agg = db.query(&Query::range("latency", "total_ms", 0, 10_000))[0]
@@ -174,13 +253,13 @@ mod tests {
 
     #[test]
     fn merge_interleaves_overlapping_series_in_time_order() {
-        let db = TsDb::new();
+        let db = std::sync::Arc::new(TsDb::new());
         db.write(&point("akl", 0.0, 0));
         db.write(&point("akl", 2.0, 200));
-        let mut shard = IngestShard::default();
-        shard.insert(Cow::Owned(point("akl", 1.0, 100)));
-        shard.insert(Cow::Owned(point("akl", 3.0, 300)));
-        db.merge_shard(shard);
+        let mut stripe = db.stripe(u64::MAX);
+        stripe.write(&point("akl", 1.0, 100));
+        stripe.write(&point("akl", 3.0, 300));
+        stripe.flush();
         assert_eq!(db.points_ingested(), 4);
         let buckets =
             db.query(&Query::range("latency", "total_ms", 0, 400).with_buckets(100));
@@ -195,8 +274,8 @@ mod tests {
         // on: shard-then-merge must land in exactly the state direct
         // writes produce.
         let direct = TsDb::new();
-        let sharded = TsDb::new();
-        let mut shards = [IngestShard::default(), IngestShard::default()];
+        let sharded = std::sync::Arc::new(TsDb::new());
+        let mut stripes = [sharded.stripe(u64::MAX), sharded.stripe(u64::MAX)];
         let mut pts = Vec::new();
         for i in 0..50u64 {
             // Deterministic scramble: out-of-order and duplicate stamps.
@@ -205,13 +284,13 @@ mod tests {
         }
         for (i, p) in pts.iter().enumerate() {
             direct.write(p);
-            if let Some(s) = shards.get_mut(i % 2) {
-                s.insert(Cow::Borrowed(p));
+            if let Some(s) = stripes.get_mut(i % 2) {
+                s.write(p);
             }
         }
-        let [a, b] = shards;
-        sharded.merge_shard(a);
-        sharded.merge_shard(b);
+        for s in &mut stripes {
+            s.flush();
+        }
         assert_eq!(sharded.points_ingested(), direct.points_ingested());
         assert_eq!(
             sharded.series_count("latency"),

@@ -10,18 +10,20 @@
 //! of Gorilla-compressed chunks (`compress::Chunk`), cut one
 //! [`seal::CHUNK_LEN`]-row chunk at a time as soon as the tail holds
 //! one, that queries decode in place. Samples enter the store through
-//! one append: a writer of arbitrary points fills a private `IngestShard`
-//! in the same layout and folds it in with `TsDb::merge_shard`, one short
-//! write-lock hold per shard instead of one per sample; a [`SeriesSet`]
-//! (a fixed list of series) appends one row per series under one hold.
-//! Both resolve a series with `Store::series_at` and append with
-//! `Block::append_rows`.
+//! one append, one short write-lock hold per batch instead of one per
+//! sample: a writer of points buffers them as typed rows per series and
+//! appends each series' rows (a [`crate::StripeWriter`] once per
+//! rotation), a [`SeriesSet`] (a fixed list of series) appends one row
+//! per series, and snapshot restore folds in whole series
+//! (`TsDb::merge_shard`). All resolve a series with `Store::series_at`
+//! and append with `Block::append_rows`; a stripe and a set resolve each
+//! series once and keep its position.
 
 use crate::agg::Aggregate;
 use crate::compress::Chunk;
 use crate::point::{series_key, Point};
 use crate::seal;
-use crate::sharded::IngestShard;
+use crate::sharded::{IngestShard, Rows, StripeSeries};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,25 +57,12 @@ impl Block {
         }
     }
 
-    /// Whether a point with `fields` is a row of this block: the same
-    /// field names in the same positions.
-    fn holds(&self, fields: &[(String, f64)]) -> bool {
-        self.names.len() == fields.len()
-            && self.names.iter().zip(fields).all(|(name, (field, _))| name == field)
-    }
-
-    fn push_row(&mut self, ts: u64, values: impl Iterator<Item = f64>) {
-        self.ts.push(ts);
-        for (col, value) in self.cols.iter_mut().zip(values) {
-            col.push(value);
-        }
-    }
-
     /// Append rows to the tail and settle it: `ts` holds their
     /// timestamps, and `column(names, k, dst)` appends the rows' values of
     /// stored column `k` to `dst` with [`extend_tail`] (`names` are the
-    /// block's field names). Both writers end here: a merged shard block
-    /// ([`Series::absorb`]) and a [`SeriesSet`] row.
+    /// block's field names). Every writer ends here: a restored block
+    /// ([`Series::absorb`]) and a writer's typed rows
+    /// ([`TsDb::append_series`]).
     fn append_rows(
         &mut self,
         ts: &[u64],
@@ -81,7 +70,7 @@ impl Block {
         totals: &mut StorageStats,
     ) {
         let from = self.ts.len();
-        extend_tail(&mut self.ts, ts);
+        extend_tail(&mut self.ts, ts.iter().copied());
         for (k, dst) in self.cols.iter_mut().enumerate() {
             column(&self.names, k, dst);
         }
@@ -200,7 +189,7 @@ fn sealed_bytes(chunks: &[Chunk]) -> u64 {
 /// grows exactly past it: the tail seals at [`seal::CHUNK_LEN`] rows, so
 /// its capacity settles at one chunk plus the largest merge's rows
 /// instead of the next power of two.
-fn extend_tail<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+fn extend_tail<T>(dst: &mut Vec<T>, src: impl ExactSizeIterator<Item = T>) {
     let need = dst.len() + src.len();
     if need > dst.capacity() {
         let doubled = (2 * dst.capacity()).min(seal::CHUNK_LEN);
@@ -208,7 +197,7 @@ fn extend_tail<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
     }
     // alloc-ok: within the capacity reserved above, once per column per
     // merge or exported row.
-    dst.extend_from_slice(src);
+    dst.extend(src);
 }
 
 /// Reorder the tail's rows in place so that row `i` becomes the old row
@@ -282,28 +271,6 @@ pub(crate) struct Series {
 }
 
 impl Series {
-    /// Add one row to the block holding this field list, opening one on
-    /// the list's first sight in the series: an owned point's field names
-    /// move in and a borrowed point's are copied, either only then. A
-    /// point without fields stores nothing.
-    pub(crate) fn push_fields(&mut self, fields: Cow<'_, [(String, f64)]>, ts: u64) {
-        if let Some(block) = self.blocks.iter_mut().find(|b| b.holds(&fields)) {
-            return block.push_row(ts, fields.iter().map(|&(_, v)| v));
-        }
-        if fields.is_empty() {
-            return;
-        }
-        let mut block = Block::default();
-        for (name, value) in fields.into_owned() {
-            block.names.push(name);
-            // alloc-ok: one column per field, on the field list's first
-            // sight in this series only.
-            block.cols.push(vec![value]);
-        }
-        block.ts.push(ts);
-        self.blocks.push(block);
-    }
-
     /// Fold a shard block into the block with the same field names, in
     /// any order, else keep it as a new block.
     fn absorb(&mut self, incoming: Block, totals: &mut StorageStats) {
@@ -314,7 +281,7 @@ impl Series {
                     let source = &incoming.names;
                     let j = if in_order { Some(k) } else { stored_column(source, names, k) };
                     let values = j.and_then(|j| incoming.cols.get(j));
-                    extend_tail(dst, values.map_or(&[], Vec::as_slice));
+                    extend_tail(dst, values.map_or(&[][..], Vec::as_slice).iter().copied());
                 };
                 block.append_rows(&incoming.ts, column, totals);
             }
@@ -328,16 +295,20 @@ impl Series {
     }
 
     /// The block holding field list `fields` (in any order), opened empty
-    /// on the list's first sight in the series. Returns its position and
-    /// whether its columns are in the order of `fields`.
-    fn block_for(&mut self, fields: &[String]) -> (usize, bool) {
+    /// on the list's first sight in the series; none for an empty list,
+    /// whose rows store nothing. Returns its position and whether its
+    /// columns are in the order of `fields`.
+    fn block_for(&mut self, fields: &[String]) -> (Option<usize>, bool) {
+        if fields.is_empty() {
+            return (None, true);
+        }
         if let Some(at) = self.blocks.iter().position(|b| same_fields(&b.names, fields)) {
             let in_order = self.blocks.get(at).is_some_and(|b| b.names == fields);
-            return (at, in_order);
+            return (Some(at), in_order);
         }
         // alloc-ok: a series' block, on its field list's first sight only.
         self.blocks.push(Block::new(fields.to_vec(), Vec::new(), vec![Vec::new(); fields.len()]));
-        (self.blocks.len() - 1, true)
+        (Some(self.blocks.len() - 1), true)
     }
 
     /// Every (block, column) holding field `name`.
@@ -373,24 +344,32 @@ impl Series {
     }
 }
 
-/// measurement → series key → series: an ingest shard's layout.
+/// measurement → series key → series: a restore shard's layout.
 pub(crate) type Measurements = HashMap<String, HashMap<String, Series>>;
 
-/// Hands out [`SeriesSet`] identities, unique in the process.
-static NEXT_SET: AtomicU64 = AtomicU64::new(1);
+/// Hands out [`SeriesSet`] and [`crate::StripeWriter`] identities, unique
+/// in the process.
+static NEXT_WRITER: AtomicU64 = AtomicU64::new(1);
+
+/// A fresh writer identity, under which stores keep its positions.
+pub(crate) fn next_writer_id() -> u64 {
+    NEXT_WRITER.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The store's contents. Every series lives in one slab and is found by
-/// measurement and series key through `index`. A [`SeriesSet`]'s series
-/// are resolved once to their slab positions and block positions, kept
-/// here in `sets` by set identity; whatever moves a position (retention
-/// removing a series or a block) forgets them all, and a restored store
-/// starts without any, so a set never writes through a stale position.
+/// measurement and series key through `index`. The series of a
+/// [`SeriesSet`] or a [`crate::StripeWriter`] are resolved once to their
+/// slab positions and block positions, kept here in `sets` by writer
+/// identity; whatever moves a position (retention removing a series or a
+/// block) forgets them all, and a restored store starts without any, so
+/// a writer never writes through a stale position.
 #[derive(Debug, Default)]
 struct Store {
     index: HashMap<String, HashMap<String, usize>>,
     series: Vec<Series>,
-    /// Per set identity: where each declared series' rows go.
-    sets: HashMap<u64, Vec<Position>>,
+    /// Per writer identity: where each of its series' rows go, by the
+    /// writer's series number; `None` until the series first takes rows.
+    sets: HashMap<u64, Vec<Option<Position>>>,
     /// Running storage totals, kept by every write under the store lock.
     totals: StorageStats,
 }
@@ -418,6 +397,49 @@ impl Store {
             None => self.index.entry(measurement.into()).or_default().insert(key.into_owned(), at),
         };
         at
+    }
+
+    /// Where rows of `measurement`'s series `key` with field list `fields`
+    /// go, adding the series (tags `tags()`) and its block as needed.
+    fn position(
+        &mut self,
+        measurement: &str,
+        key: &str,
+        tags: impl FnOnce() -> Vec<(String, String)>,
+        fields: &[String],
+    ) -> Position {
+        let series = self.series_at(measurement, Cow::Borrowed(key), tags);
+        let (block, in_order) = match self.series.get_mut(series) {
+            Some(s) => s.block_for(fields),
+            None => (None, true),
+        };
+        Position { series, block, in_order }
+    }
+
+    /// Append rows at `ts` to the block at `at`, whose writer's field
+    /// list is `fields`: `column(j, dst)` appends the rows' values of
+    /// field `j` to `dst` with [`extend_tail`].
+    fn append_at(
+        &mut self,
+        at: Position,
+        fields: &[String],
+        ts: &[u64],
+        mut column: impl FnMut(usize, &mut Vec<f64>),
+    ) {
+        let Position { series, block, in_order } = at;
+        let series = self.series.get_mut(series);
+        let Some(block) = series.and_then(|s| s.blocks.get_mut(block?)) else {
+            // A field-less series stores nothing; positions never go
+            // stale (they are dropped whenever they move).
+            return;
+        };
+        let column = |names: &[String], k: usize, dst: &mut Vec<f64>| {
+            let j = if in_order { Some(k) } else { stored_column(fields, names, k) };
+            if let Some(j) = j {
+                column(j, dst);
+            }
+        };
+        block.append_rows(ts, column, &mut self.totals);
     }
 
     /// `measurement`'s series with their keys, in no particular order.
@@ -569,31 +591,27 @@ impl TsDb {
     /// (line protocol, tests). Dataplane writers use [`TsDb::stripe`],
     /// which takes the lock once per flush instead.
     pub fn write(&self, point: &Point) {
-        let mut shard = IngestShard::default();
-        shard.insert(Cow::Borrowed(point));
-        self.merge_shard(shard);
+        let mut rows = Rows::default();
+        rows.insert(point);
+        self.merge_rows(None, &rows);
     }
 
-    /// Ingest a batch of owned points under one lock hold; their tags and
-    /// field names move into the store instead of being copied. Returns
-    /// the number of points written. Telemetry export writes each
-    /// collection this way.
+    /// Ingest a batch of points under one lock hold. Returns the number of
+    /// points written.
     pub fn write_batch(&self, points: Vec<Point>) -> u64 {
-        let mut shard = IngestShard::default();
-        for point in points {
-            shard.insert(Cow::Owned(point));
+        let mut rows = Rows::default();
+        for point in &points {
+            rows.insert(point);
         }
-        self.merge_shard(shard)
+        self.merge_rows(None, &rows)
     }
 
-    /// Fold one [`IngestShard`] into the store: the only code that adds
-    /// samples to the shared store. One write lock covers the whole
-    /// shard; each shard block's rows go onto the tail of the stored
-    /// block with the same field list (or move in as a new block), the
-    /// tail is put back in time order and every whole chunk in it is
-    /// sealed (`Block::append`). Returns the number of points merged,
-    /// which is also added to [`TsDb::points_ingested`] so ingest
-    /// accounting reconciles exactly.
+    /// Fold one [`IngestShard`] of whole series, a restored snapshot, into
+    /// the store under one write lock: each shard block's rows go onto
+    /// the tail of the stored block with the same field list (or move in
+    /// as a new block), the tail is put back in time order and every
+    /// whole chunk in it is sealed. Returns the shard's points, which are
+    /// also added to [`TsDb::points_ingested`].
     pub(crate) fn merge_shard(&self, shard: IngestShard) -> u64 {
         let points = shard.points;
         if points == 0 {
@@ -624,6 +642,77 @@ impl TsDb {
     /// write path touches only writer-local memory.
     pub fn stripe(self: &std::sync::Arc<Self>, flush_points: u64) -> crate::sharded::StripeWriter {
         crate::sharded::StripeWriter::new(std::sync::Arc::clone(self), flush_points)
+    }
+
+    /// Append every series' buffered rows of `rows` (see
+    /// [`TsDb::append_series`]). Returns the rows appended.
+    pub(crate) fn merge_rows(&self, writer: Option<u64>, rows: &Rows) -> u64 {
+        let column = |_, s: &StripeSeries, j: usize, dst: &mut Vec<f64>| {
+            let width = s.name.fields.len().max(1);
+            extend_tail(dst, s.values.iter().skip(j).step_by(width).copied());
+        };
+        self.append_series(writer, &rows.series, |s| &s.name, |s| &s.ts, column)
+    }
+
+    /// Append rows to each of a writer's series under one store lock: the
+    /// `i`-th of `series`, named `name(..)`, takes rows at `ts(..)`, and
+    /// `column(i, .., j, dst)` appends their values of field `j` to `dst`
+    /// with [`extend_tail`]. A series is resolved to its position on its
+    /// first rows; the positions of writer `writer` are kept under its
+    /// identity until retention moves them. Returns the rows appended,
+    /// which also count in [`TsDb::points_ingested`] (one point per row).
+    fn append_series<'a, T>(
+        &self,
+        writer: Option<u64>,
+        series: &'a [T],
+        name: impl Fn(&'a T) -> &'a SeriesName,
+        ts: impl Fn(&'a T) -> &'a [u64],
+        mut column: impl FnMut(usize, &'a T, usize, &mut Vec<f64>),
+    ) -> u64 {
+        let rows: u64 = series.iter().map(|s| ts(s).len() as u64).sum();
+        if rows == 0 {
+            return 0;
+        }
+        // lock-ok: one short write-lock hold per batch of rows (a stripe
+        // rotation, a collection) is the amortised merge contract of every
+        // ingest path; sealing a whole chunk allocates under it.
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let store = &mut *inner;
+        let mut at = writer.and_then(|id| store.sets.remove(&id)).unwrap_or_default();
+        if at.len() < series.len() {
+            // alloc-ok: a position slot per series, once per new series
+            // and after retention moved positions.
+            at.resize(series.len(), None);
+        }
+        for (i, (s, at)) in series.iter().zip(&mut at).enumerate() {
+            let (name, ts) = (name(s), ts(s));
+            if ts.is_empty() {
+                continue;
+            }
+            let pos = match *at {
+                Some(pos) => pos,
+                None => {
+                    // alloc-ok: a series' tags, once per store it is new in.
+                    let tags = || name.tags.clone();
+                    let pos = store.position(&name.measurement, &name.key, tags, &name.fields);
+                    *at = Some(pos);
+                    pos
+                }
+            };
+            store.append_at(pos, &name.fields, ts, |j, dst| column(i, s, j, dst));
+        }
+        if let Some(id) = writer {
+            store.sets.insert(id, at);
+        }
+        self.publish_totals(store);
+        self.ingested.fetch_add(rows, Ordering::Relaxed);
+        rows
+    }
+
+    /// Forget the positions kept for writer `id`, which writes no more.
+    pub(crate) fn forget_writer(&self, id: u64) {
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        inner.sets.remove(&id);
     }
 
     /// Total points ingested (including later-retained ones).
@@ -928,15 +1017,31 @@ pub struct SeriesSet {
     /// Identity under which stores keep this set's positions; fresh on
     /// every declaration, so a clone that declares more gets its own.
     id: u64,
-    declared: Vec<Declared>,
+    declared: Vec<SeriesName>,
 }
 
+/// The names of one series and field list a writer appends rows to: what
+/// a store resolves to a position once, and the writer builds once.
 #[derive(Debug, Clone)]
-struct Declared {
-    measurement: String,
-    key: String,
-    tags: Vec<(String, String)>,
-    fields: Vec<String>,
+pub(crate) struct SeriesName {
+    pub(crate) measurement: String,
+    /// The series key (`point::series_key`).
+    pub(crate) key: String,
+    /// Tags, in series-key order (sorted by name).
+    pub(crate) tags: Vec<(String, String)>,
+    /// Field names, in the order the writer gives values.
+    pub(crate) fields: Vec<String>,
+}
+
+impl SeriesName {
+    /// The names of `point`'s series and field list; `key` is its series
+    /// key.
+    pub(crate) fn of(point: &Point, key: &str) -> SeriesName {
+        let (measurement, tags) = (&point.measurement, &point.tags);
+        let fields = point.fields.iter().map(|(name, _)| name).cloned();
+        // alloc-ok: a series' names, on its first sight by a writer only.
+        SeriesName { measurement: measurement.clone(), key: key.into(), tags: tags.clone(), fields: fields.collect() }
+    }
 }
 
 impl SeriesSet {
@@ -954,8 +1059,8 @@ impl SeriesSet {
         let mut key = String::new();
         series_key(measurement, &tags, &mut key);
         let fields = fields.iter().map(|&f| f.into()).collect();
-        self.declared.push(Declared { measurement: measurement.into(), key, tags, fields });
-        self.id = NEXT_SET.fetch_add(1, Ordering::Relaxed);
+        self.declared.push(SeriesName { measurement: measurement.into(), key, tags, fields });
+        self.id = next_writer_id();
     }
 
     /// Whether nothing is declared yet.
@@ -973,65 +1078,21 @@ impl SeriesSet {
         ts: u64,
         mut row_value: impl FnMut(usize, usize) -> f64,
     ) -> u64 {
-        if self.declared.is_empty() {
-            return 0;
-        }
-        // lock-ok: one short write-lock hold per collection, as for a
-        // merge; sealing a whole chunk allocates under it.
-        let mut inner = db.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let store = &mut *inner;
-        if !store.sets.contains_key(&self.id) {
-            let at = self.resolve_in(store);
-            store.sets.insert(self.id, at);
-        }
-        let at = store.sets.get(&self.id).map_or(&[][..], Vec::as_slice);
-        for (i, (d, &at)) in self.declared.iter().zip(at).enumerate() {
-            let Position { series, block, in_order } = at;
-            let series = store.series.get_mut(series);
-            let Some(block) = series.and_then(|s| s.blocks.get_mut(block)) else {
-                // Unreachable: positions are dropped whenever they move.
-                continue;
-            };
-            let column = |names: &[String], k: usize, dst: &mut Vec<f64>| {
-                let j = if in_order { Some(k) } else { stored_column(&d.fields, names, k) };
-                if let Some(j) = j {
-                    extend_tail(dst, &[row_value(i, j)]);
-                }
-            };
-            block.append_rows(&[ts], column, &mut store.totals);
-        }
-        db.publish_totals(store);
-        let rows = self.declared.len() as u64;
-        db.ingested.fetch_add(rows, Ordering::Relaxed);
-        rows
-    }
-
-    /// Every declared series' position in `store`, adding the missing
-    /// series and blocks.
-    fn resolve_in(&self, store: &mut Store) -> Vec<Position> {
-        // alloc-ok: once per set and store, and after retention moved
-        // positions.
-        let mut at = Vec::with_capacity(self.declared.len());
-        for d in &self.declared {
-            // alloc-ok: a declared series' tags, once per store it is new in.
-            let series = store.series_at(&d.measurement, Cow::Borrowed(&d.key), || d.tags.clone());
-            let (block, in_order) = match store.series.get_mut(series) {
-                Some(s) => s.block_for(&d.fields),
-                None => (0, true),
-            };
-            at.push(Position { series, block, in_order });
-        }
-        at
+        let ts = [ts];
+        let column = |i, _: &SeriesName, j, dst: &mut Vec<f64>| {
+            extend_tail(dst, [row_value(i, j)].into_iter());
+        };
+        db.append_series(Some(self.id), &self.declared, |d| d, |_| &ts[..], column)
     }
 }
 
-/// Where a declared series' rows go in one store: its slab position, its
-/// block's position in the series, and whether that block's columns are
-/// in declared field order.
+/// Where a writer's series' rows go in one store: its slab position, its
+/// block's position in the series (none for an empty field list), and
+/// whether that block's columns are in the writer's field order.
 #[derive(Debug, Clone, Copy)]
 struct Position {
     series: usize,
-    block: usize,
+    block: Option<usize>,
     in_order: bool,
 }
 
@@ -1435,7 +1496,8 @@ mod tests {
 #[cfg(test)]
 mod running_totals {
     //! The running storage totals and the series positions a
-    //! [`SeriesSet`] caches, under random sequences of every write.
+    //! [`SeriesSet`] and a [`crate::StripeWriter`] keep, under random
+    //! sequences of every write.
 
     use super::*;
     use ruru_prop::{check, vec, Rng, StdRng};
@@ -1505,41 +1567,77 @@ mod running_totals {
         row[j]
     }
 
+    /// Write `p` to `stripe` as a point or, on odd timestamps, as a
+    /// typed row of the series it resolves to; returns points merged.
+    fn stripe_write(stripe: &mut crate::StripeWriter, p: &Point) -> u64 {
+        if p.timestamp_ns.is_multiple_of(2) {
+            return stripe.write(p);
+        }
+        let series = stripe.resolve(p);
+        stripe.append(series, p.timestamp_ns, p.fields.iter().map(|&(_, v)| v))
+    }
+
     #[test]
     fn running_totals_match_a_full_walk_and_rows_land_in_their_series() {
         check("running_totals", 64, |rng| vec(rng, 1..40, op), |ops| {
-            // `typed` takes rows through a SeriesSet, `reference` the same
-            // rows as points; both take every other write alike.
+            // `typed` takes rows through a SeriesSet, `striped` every
+            // write through a stripe that rotates every 211 points, as
+            // points and as typed rows, and `reference` all of them as
+            // points; all three take seals, retention and restores alike.
             let (mut typed, mut reference) = (TsDb::new(), TsDb::new());
+            let mut striped = std::sync::Arc::new(TsDb::new());
+            let mut stripe = striped.stripe(211);
             let set = declared();
             for op in ops {
                 match op {
                     Op::Batch(points) => {
                         let points: Vec<Point> =
                             points.iter().map(|&(s, f, ts)| point(s, f, ts)).collect();
+                        let merged: u64 = points.iter().map(|p| stripe_write(&mut stripe, p)).sum();
+                        assert_eq!(merged + stripe.flush(), points.len() as u64);
                         typed.write_batch(points.clone());
                         reference.write_batch(points);
                     }
                     Op::Rows(ts) => {
                         assert_eq!(set.append(&typed, ts, |i, j| value(i, j, ts)), 3);
+                        for p in &declared_points(ts) {
+                            stripe_write(&mut stripe, p);
+                        }
+                        stripe.flush();
                         reference.write_batch(declared_points(ts));
                     }
                     Op::Seal => {
                         assert_eq!(typed.seal(), reference.seal());
+                        // Smaller merges seal other rows first, so only
+                        // the totals agree.
+                        striped.seal();
+                        let totals = |db: &TsDb| {
+                            let stats = db.storage_stats();
+                            stats.sealed_points + stats.active_points
+                        };
+                        assert_eq!(totals(&striped), totals(&reference));
                     }
                     Op::Retain { now, keep } => {
                         let dropped = typed.enforce_retention(now, keep);
                         assert_eq!(dropped, reference.enforce_retention(now, keep));
+                        assert_eq!(dropped, striped.enforce_retention(now, keep));
                     }
                     Op::Restore => {
                         typed = TsDb::from_snapshot(&typed.to_snapshot()).unwrap();
                         reference = TsDb::from_snapshot(&reference.to_snapshot()).unwrap();
+                        striped =
+                            std::sync::Arc::new(TsDb::from_snapshot(&striped.to_snapshot()).unwrap());
+                        stripe = striped.stripe(211);
                     }
                 }
-                for db in [&typed, &reference] {
+                for db in [&typed, &reference, &*striped] {
                     assert_eq!(db.storage_stats(), db.storage_walk());
                 }
-                assert_eq!(typed.to_snapshot(), reference.to_snapshot());
+                let image = reference.to_snapshot();
+                assert_eq!(typed.to_snapshot(), image);
+                assert_eq!(striped.to_snapshot(), image);
+                let q = Query::range("m", "a", 0, 4_000).with_buckets(500);
+                assert_eq!(striped.query(&q), reference.query(&q));
             }
         });
     }

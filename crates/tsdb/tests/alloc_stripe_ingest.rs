@@ -8,7 +8,12 @@
 //!   seven-field `latency` point;
 //! * folding a stripe into the store costs O(series) allocator hits, not
 //!   O(points) — the move/extend merge is the whole point of
-//!   shard-then-merge over per-point locked writes.
+//!   shard-then-merge over per-point locked writes;
+//! * across rotations, once every series has been seen and has taken the
+//!   same rows in a few of them, writing and flushing allocate nothing at
+//!   all, through `write(&Point)` and through typed `append` alike: the
+//!   stripe's series keep their names and their columns' room from one
+//!   rotation to the next, and the store keeps their positions.
 //!
 //! Both bounds are enforced here with a counting pass-through allocator,
 //! so a regression that sneaks a per-point or per-field allocation into
@@ -24,7 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ruru_tsdb::{Point, Query, TsDb};
+use ruru_tsdb::{Point, Query, SeriesHandle, TsDb};
 
 /// Counts allocator hits while `ARMED`; defers everything to [`System`].
 struct CountingAlloc;
@@ -66,7 +71,7 @@ const SERIES: usize = 64;
 const POINTS: u64 = 100_000;
 
 /// Allocator hits (allocs + reallocs) counted over `f`.
-fn audited(f: impl FnOnce()) -> u64 {
+fn audited_hits(f: impl FnOnce()) -> u64 {
     ALLOCS.store(0, Ordering::Relaxed);
     REALLOCS.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
@@ -123,7 +128,58 @@ fn latency(series: usize) -> Point {
 fn stripe_ingest_allocations_are_bounded_and_merge_is_amortized() {
     for template in [narrow as fn(usize) -> Point, latency] {
         audit(template);
+        audit_rotations(template);
     }
+}
+
+/// Rows each series takes per rotation, and rotations before and in the
+/// audit window. Each series' stored tail grows by doubling and last
+/// grows in rotation 5, to room for 8 rotations' rows (128, under a
+/// chunk, so nothing seals).
+const ROWS_PER_ROTATION: u64 = 16;
+const WARM_ROTATIONS: u64 = 5;
+const AUDITED_ROTATIONS: u64 = 3;
+
+fn audit_rotations(template: fn(usize) -> Point) {
+    let db = Arc::new(TsDb::new());
+    let rotation = SERIES as u64 * ROWS_PER_ROTATION;
+    let mut stripe = db.stripe(rotation);
+    let mut points: Vec<Point> = (0..SERIES).map(template).collect();
+    let handles: Vec<SeriesHandle> = points.iter().map(|p| stripe.resolve(p)).collect();
+    // Half the series are written as points, half as typed rows.
+    let mut write = |i: u64| -> u64 {
+        let s = (i % SERIES as u64) as usize;
+        let p = &mut points[s];
+        p.timestamp_ns = 1_000 + i * 1_000;
+        for f in &mut p.fields {
+            f.1 = (i % 977) as f64 * 0.1;
+        }
+        if s.is_multiple_of(2) {
+            stripe.write(p)
+        } else {
+            stripe.append(handles[s], p.timestamp_ns, p.fields.iter().map(|f| f.1))
+        }
+    };
+    let warm = WARM_ROTATIONS * rotation;
+    let merged: u64 = (0..warm).map(&mut write).sum();
+    assert_eq!(merged, warm, "every warm rotation merged");
+
+    let mut merged = 0;
+    let audited = AUDITED_ROTATIONS * rotation;
+    let hits = audited_hits(|| {
+        merged = (warm..warm + audited).map(&mut write).sum();
+    });
+    assert_eq!(merged, audited, "every audited rotation merged");
+    assert_eq!(
+        hits, 0,
+        "{AUDITED_ROTATIONS} rotations of {rotation} points over {SERIES} known series: \
+         writes and merges allocate nothing"
+    );
+    assert_eq!(db.storage_stats().sealed_points, 0, "nothing sealed");
+    let agg = db.query(&Query::range("latency", "total_ms", 0, u64::MAX))[0]
+        .agg
+        .unwrap();
+    assert_eq!(agg.count, (warm + audited) as usize);
 }
 
 fn audit(template: fn(usize) -> Point) {
@@ -148,7 +204,7 @@ fn audit(template: fn(usize) -> Point) {
     // with one field, 0.074 with seven). The shared store is not touched
     // at all.
     let mut stripe = db.stripe(u64::MAX);
-    let write_hits = audited(|| {
+    let write_hits = audited_hits(|| {
         for i in 0..POINTS {
             let p = &mut points[(i % SERIES as u64) as usize];
             p.timestamp_ns = 1_000 + i * 1_000;
@@ -168,7 +224,7 @@ fn audit(template: fn(usize) -> Point) {
     // Window 2: folding the stripe into the store must be O(series), not
     // O(points) — columns move or extend wholesale. Budget: a generous
     // per-series constant, still ~50x below one hit per point.
-    let merge_hits = audited(|| {
+    let merge_hits = audited_hits(|| {
         assert_eq!(stripe.flush(), POINTS);
     });
     assert!(

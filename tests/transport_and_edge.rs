@@ -105,7 +105,7 @@ fn enriched_measurements_cross_a_tcp_bus() {
         while let Ok(Some(msg)) = sub.recv() {
             let text = core::str::from_utf8(&msg.payload).unwrap();
             let em = EnrichedMeasurement::from_line(text).expect("line decodes remotely");
-            assert_eq!(em.src.city, "Auckland");
+            assert_eq!(&*em.src.city, "Auckland");
             got += 1;
         }
         got
