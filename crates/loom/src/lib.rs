@@ -971,6 +971,18 @@ pub mod thread {
         }
     }
 
+    /// Like [`park`], but returns after at most `dur` without a token. In
+    /// a model the wait may end at any point without an `unpark`: the
+    /// explorer covers the timeout firing before any `unpark` and fires it
+    /// when every thread is blocked, so `dur` itself plays no part.
+    pub fn park_timeout(dur: std::time::Duration) {
+        if rt::in_model() {
+            rt::park_timeout();
+        } else {
+            std::thread::park_timeout(dur);
+        }
+    }
+
     /// Spawn a thread running `f`. In a model, the thread is scheduled by
     /// the explorer (and counts against its small thread budget).
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>
@@ -1276,6 +1288,24 @@ mod tests {
             let t = super::thread::spawn(super::thread::park);
             t.thread().unpark();
             t.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn park_timeout_ends_without_an_unpark() {
+        super::model(|| super::thread::park_timeout(Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn park_timeout_returns_after_a_racing_unpark_or_its_timeout() {
+        // Both endings of the first park are explored. One that timed out
+        // leaves the token for the second; the second may time out too.
+        super::model(|| {
+            let main = super::thread::current();
+            let t = super::thread::spawn(move || main.unpark());
+            super::thread::park_timeout(Duration::from_millis(1));
+            t.join().unwrap();
+            super::thread::park_timeout(Duration::from_millis(1));
         });
     }
 

@@ -73,6 +73,8 @@ pub(crate) enum Blocker {
     CondvarTimeout(usize),
     /// In `thread::park` without a token: only an `unpark` wakes it.
     Parked,
+    /// In `thread::park_timeout` without a token (scheduler may force-wake).
+    ParkedTimeout,
     /// Waiting for thread `tid` to finish.
     Join(usize),
 }
@@ -240,7 +242,7 @@ fn schedule_next(rt: &RtShared, reg: &mut Registry, me: usize, kind: Point) {
         let soft = (0..reg.threads.len()).find(|&t| {
             matches!(
                 reg.threads[t].status,
-                Status::Blocked(Blocker::CondvarTimeout(_))
+                Status::Blocked(Blocker::CondvarTimeout(_) | Blocker::ParkedTimeout)
             )
         });
         if let Some(t) = soft {
@@ -459,11 +461,30 @@ pub(crate) fn current_tid() -> usize {
 /// it and join the clocks of the `unpark` calls that set it. Returns at
 /// once if the token is already set; never returns spuriously.
 pub(crate) fn park() {
+    park_inner(false);
+}
+
+/// Like [`park`], but the wait may also end without an `unpark`, leaving
+/// the token unset: the explorer covers the timeout firing before any
+/// `unpark` (a choice that costs a preemption), and fires it when every
+/// thread is blocked.
+pub(crate) fn park_timeout() {
+    park_inner(true);
+}
+
+fn park_inner(timed: bool) {
     let (rt, me) = current().expect("loom park outside a model");
     sync_point(Point::Op);
     let has_token = rt.lock().threads[me].token;
     if !has_token {
-        block_on(Blocker::Parked);
+        let timed_out = if timed {
+            decide_bool() || block_on(Blocker::ParkedTimeout)
+        } else {
+            block_on(Blocker::Parked)
+        };
+        if timed_out {
+            return;
+        }
     }
     let mut reg = rt.lock();
     let thread = &mut reg.threads[me];
@@ -483,7 +504,10 @@ pub(crate) fn unpark(tid: usize) {
     };
     thread.token = true;
     vc_join(&mut thread.token_clock, &mine);
-    if thread.status == Status::Blocked(Blocker::Parked) {
+    if matches!(
+        thread.status,
+        Status::Blocked(Blocker::Parked | Blocker::ParkedTimeout)
+    ) {
         thread.status = Status::Runnable;
     }
 }

@@ -5,11 +5,16 @@
 //! burst callback and an idle callback, and coordinates cooperative
 //! shutdown. Workers poll in bursts. The first empty poll after work calls
 //! the idle callback, once, so a worker hands on whatever its bursts left
-//! buffered before it spins, as DPDK's `l3fwd` drains its TX buffers when
-//! a poll comes back empty. After [`SPIN_POLLS`] empty polls in a row a
-//! worker parks until the port delivers to its queue, as DPDK's
-//! RX-interrupt mode (the `l3fwd-power` example) lets a poll-mode lcore
-//! sleep. At shutdown each
+//! buffered before it sleeps, as DPDK's `l3fwd` drains its TX buffers when
+//! a poll comes back empty. The next empty poll sleeps for at most
+//! [`RX_COALESCE`], the coalescing period of a NIC's interrupt moderation:
+//! packets that arrive meanwhile wait in the ring and are taken in one
+//! go, and only a delivery that leaves the ring half full ends the sleep
+//! early. If the sleep ends on an empty ring, the worker parks until the
+//! port delivers to its queue, as DPDK's RX-interrupt mode (the
+//! `l3fwd-power` example) lets a poll-mode lcore sleep. So a busy worker
+//! is woken about once per period, not once per small burst, and an idle
+//! one costs nothing. At shutdown each
 //! worker drains its queue and hands its state back to the caller, so
 //! whatever it owned — tracker tables, bus endpoints — is read and dropped
 //! on the joining thread.
@@ -18,19 +23,27 @@ use crate::mbuf::Mbuf;
 use crate::port::RxQueue;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::thread::JoinHandle;
-use crate::sync::{hint, thread, Arc};
+use crate::sync::{thread, Arc};
+use std::time::Duration;
 
 /// Burst size workers use when draining their queue (DPDK's conventional 32).
 pub const BURST_SIZE: usize = 32;
 
-/// Empty polls a worker spins through before it parks: enough to ride out
-/// a gap between back-to-back packets without a sleep and a wakeup. A
-/// model-checked build spins once, so loom models reach the park.
-#[cfg(not(loom))]
-pub const SPIN_POLLS: u32 = 64;
-/// Empty polls a worker spins through before it parks (one under loom).
-#[cfg(loom)]
-pub const SPIN_POLLS: u32 = 1;
+/// The longest a worker that drained its queue sleeps before it polls
+/// again. A packet's timestamp is taken when the port delivers it, so
+/// this delays only when its record leaves the worker, by at most one
+/// period.
+pub const RX_COALESCE: Duration = Duration::from_millis(1);
+
+/// What a worker does at its next empty poll.
+enum Idle {
+    /// Run the idle callback: a burst ran since the last one.
+    Flush,
+    /// Sleep for at most [`RX_COALESCE`].
+    Sleep,
+    /// Park until the port delivers: a sleep found nothing to do.
+    Park,
+}
 
 /// A running group of worker threads, one per RX queue.
 ///
@@ -83,33 +96,36 @@ impl<S: Send + 'static> WorkerGroup<S> {
                     .spawn(move || {
                         let mut state = init(queue.queue_id);
                         let mut burst: Vec<Mbuf> = Vec::with_capacity(BURST_SIZE);
-                        let mut empty_polls = 0;
-                        // A burst ran since the last idle call.
-                        let mut busy = false;
+                        // A new worker has nothing to flush or wait for.
+                        let mut idle = Idle::Park;
                         loop {
                             // Read `stop` before polling: a stop seen here
                             // was raised after every packet delivered
                             // before it, so this poll sees them all.
                             let stopping = stop.load(Ordering::Acquire);
                             if queue.rx_burst(&mut burst, BURST_SIZE) > 0 {
-                                empty_polls = 0;
-                                busy = true;
+                                idle = Idle::Flush;
                                 on_burst(&mut state, &mut burst);
                                 // A callback that chose not to drain
                                 // everything must not see stale packets
                                 // next poll.
                                 burst.clear();
-                            } else if stopping {
+                                continue;
+                            }
+                            if stopping {
                                 break;
-                            } else if busy {
-                                busy = false;
-                                on_idle(&mut state);
-                            } else if empty_polls < SPIN_POLLS {
-                                empty_polls += 1;
-                                hint::spin_loop();
-                            } else {
-                                empty_polls = 0;
-                                queue.park_while_empty(|| stop.load(Ordering::Acquire));
+                            }
+                            let stopped = || stop.load(Ordering::Acquire);
+                            match idle {
+                                Idle::Flush => {
+                                    idle = Idle::Sleep;
+                                    on_idle(&mut state);
+                                }
+                                Idle::Sleep => {
+                                    idle = Idle::Park;
+                                    queue.park_moderated(RX_COALESCE, stopped);
+                                }
+                                Idle::Park => queue.park_while_empty(stopped),
                             }
                         }
                         state
@@ -120,15 +136,16 @@ impl<S: Send + 'static> WorkerGroup<S> {
         WorkerGroup { handles, stop }
     }
 
-    /// Signal stop, wake any parked worker, and join all workers. Each
-    /// drains its queue first; the workers' states come back in the order
-    /// their queues were given.
+    /// Signal stop, wake any parked or sleeping worker, and join all
+    /// workers. Each drains its queue first; the workers' states come back
+    /// in the order their queues were given.
     // Propagating a worker panic at join is shutdown-time, by design.
     #[allow(clippy::expect_used)]
     pub fn shutdown(self) -> Vec<S> {
         self.stop.store(true, Ordering::Release);
-        // A worker that read `stop` as false before the store parks; the
-        // unpark token ends that park, or the one it is about to enter.
+        // A worker that read `stop` as false before the store parks or
+        // sleeps; the unpark token ends that park, or the one it is about
+        // to enter, of either kind.
         for handle in &self.handles {
             handle.thread().unpark();
         }
@@ -234,20 +251,25 @@ mod tests {
         assert_eq!(total, 10, "each state holds its own worker's count");
     }
 
-    /// Lost-wakeup stress on the real idle path: 200 k single packets with
-    /// irregular gaps, from none to tens of µs, so the worker keeps
-    /// crossing spin → park → wake. At every long gap the feeder waits for
-    /// the worker to catch up under a deadline: a lost wakeup leaves a
-    /// packet unseen with nothing left to wake the worker, and fails the
-    /// test instead of hanging it.
+    /// Lost-wakeup stress on the real idle path: 1 500 bursts with
+    /// irregular gaps, so the worker keeps crossing flush → sleep → park
+    /// and the wakes out of both. Most bursts are a few packets; one in
+    /// sixteen fills the ring past half, which ends a sleep early. Most
+    /// gaps are under 20 µs, within a sleep; one in eight is longer than
+    /// [`RX_COALESCE`], so the sleep runs dry and the worker parks until
+    /// the next packet. Before each long gap, and one gap in four besides,
+    /// the feeder waits for the worker to catch up under a deadline: a
+    /// lost wakeup leaves a packet unseen with nothing left to wake the
+    /// worker, and fails the test instead of hanging it.
     #[test]
     #[cfg_attr(miri, ignore)] // spawns real worker threads; modeled by loom instead
     #[allow(clippy::disallowed_methods)] // wall-clock gaps and deadline
     fn every_packet_is_seen_across_park_and_wake() {
         use std::time::{Duration, Instant};
-        const N: u64 = 200_000;
+        const BURSTS: u32 = 1_500;
         const DEADLINE: Duration = Duration::from_secs(10);
         let mut port = port(1);
+        let half = port.config().queue_depth as u64 / 2;
         let (group, seen) = counting_group(port.take_all_rx_queues());
         let caught_up = |sent: u64| {
             let start = Instant::now();
@@ -261,33 +283,46 @@ mod tests {
             }
         };
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        for sent in 1..=N {
-            while port.inject(&frame_with_marker(0)).is_none() {
-                std::thread::yield_now();
-            }
-            // xorshift64: most packets back to back, some a few µs apart,
-            // one in eight up to 50 µs apart.
+        let mut next = || {
+            // xorshift64
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let gap_ns = match rng % 16 {
-                0..=9 => 0,
-                10..=13 => rng % 5_000,
-                _ => rng % 50_000,
-            };
-            if gap_ns >= 20_000 {
-                caught_up(sent);
-            } else {
-                let start = Instant::now();
-                while start.elapsed() < Duration::from_nanos(gap_ns) {
-                    std::hint::spin_loop();
+            rng
+        };
+        let mut sent = 0u64;
+        for _ in 0..BURSTS {
+            let r = next();
+            let len = if r % 16 == 0 { half + r % half } else { 1 + r % 32 };
+            for _ in 0..len {
+                while port.inject(&frame_with_marker(0)).is_none() {
+                    std::thread::yield_now();
+                }
+            }
+            sent += len;
+            let r = next();
+            match r % 8 {
+                0..=4 => {
+                    let gap = Duration::from_nanos(r % 20_000);
+                    let start = Instant::now();
+                    while start.elapsed() < gap {
+                        std::hint::spin_loop();
+                    }
+                }
+                5 | 6 => caught_up(sent),
+                _ => {
+                    caught_up(sent);
+                    let over = RX_COALESCE.as_nanos() as u64;
+                    std::thread::sleep(RX_COALESCE + Duration::from_nanos(r % over));
                 }
             }
         }
-        caught_up(N);
+        caught_up(sent);
         let states = group.shutdown();
-        assert_eq!(states[0].1, N);
-        assert!(port.stats().rx_wakeups > 0, "the worker never parked");
+        assert_eq!(states[0].1, sent);
+        let stats = port.stats();
+        assert!(stats.rx_sleeps > 0, "the worker never slept");
+        assert!(stats.rx_wakeups > 0, "the port never woke the worker");
     }
 
     /// The idle callback runs after the burst that ends a stretch of work

@@ -7,7 +7,11 @@
 //! ring selected by the redirection table. Worker cores drain queues with
 //! [`RxQueue::rx_burst`], exactly like `rte_eth_rx_burst`. A worker that
 //! finds its queue empty may [`RxQueue::park_while_empty`]; the next
-//! packet delivered to that queue wakes it, as DPDK's RX interrupts do.
+//! packet delivered to that queue wakes it, as DPDK's RX interrupts do. Or
+//! it may sleep one coalescing period with [`RxQueue::park_moderated`], as
+//! a NIC moderates its RX interrupts: the port then wakes it early only
+//! when a delivery leaves its queue at least half full, so a burst does
+//! not overflow the ring of a sleeping worker.
 //!
 //! Drop accounting mirrors hardware: pool exhaustion and ring overflow are
 //! both RX drops (`imissed`), visible in [`PortStats`].
@@ -21,6 +25,7 @@ use crate::ring::{self, Consumer, Producer};
 use crate::rss::RssHasher;
 use crate::sync::thread;
 use ruru_wire::{ethernet, ipv4, ipv6, tcp, IpAddress};
+use std::time::Duration;
 
 /// Configuration of a simulated port.
 #[derive(Debug, Clone)]
@@ -73,8 +78,12 @@ pub struct PortStats {
     /// Lossless injects that waited for a free mbuf or ring space. These
     /// packets were delivered late, not dropped.
     pub inject_waits: u64,
-    /// Times a delivery woke a parked queue consumer, summed over queues.
+    /// Times a delivery woke a parked or sleeping queue consumer, summed
+    /// over queues.
     pub rx_wakeups: u64,
+    /// Moderated parks (coalescing sleeps) the queue consumers took,
+    /// summed over queues.
+    pub rx_sleeps: u64,
     /// Times a queue's worker woke a lossless inject parked on its full
     /// ring, summed over queues.
     pub inject_parks: u64,
@@ -99,6 +108,15 @@ impl RxQueue {
     /// [`crate::ring::Consumer::park_while_empty`].
     pub fn park_while_empty(&mut self, stop: impl FnOnce() -> bool) {
         self.consumer.park_while_empty(stop);
+    }
+
+    /// Sleep the calling thread for at most `period`, unless the queue is
+    /// at least half full or `stop()` is true once the sleep is announced.
+    /// Deliveries do not end the sleep until one leaves the queue at least
+    /// half full. It may return spuriously. See
+    /// [`crate::ring::Consumer::park_moderated`].
+    pub fn park_moderated(&mut self, period: Duration, stop: impl FnOnce() -> bool) {
+        self.consumer.park_moderated(period, stop);
     }
 
     /// Packets currently waiting in this queue.
@@ -299,6 +317,7 @@ impl Port {
     pub fn stats(&self) -> PortStats {
         let mut s = self.counts;
         s.rx_wakeups = self.producers.iter().map(Producer::wakeups).sum();
+        s.rx_sleeps = self.producers.iter().map(Producer::sleeps).sum();
         s.inject_parks = self.producers.iter().map(Producer::parks).sum();
         s
     }
@@ -534,6 +553,79 @@ mod tests {
         port.inject(&frame).unwrap();
         consumer.join().unwrap();
         assert_eq!(port.stats().rx_wakeups, 1);
+    }
+
+    /// A worker sleeping one coalescing period does not turn a burst into
+    /// drops: the delivery that leaves its queue half full wakes it early,
+    /// and a lossy burst of three quarters of a ring arrives whole.
+    #[test]
+    #[cfg_attr(miri, ignore)] // spawns a real worker thread
+    #[allow(clippy::disallowed_methods)] // wall-clock window of the sleep
+    fn a_burst_wakes_a_sleeping_worker_and_drops_nothing() {
+        use crate::lcore::{WorkerGroup, RX_COALESCE};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+        let mut port = small_port(1);
+        let burst = port.config().queue_depth * 3 / 4;
+        let frame = tcp_frame([1, 1, 1, 1], [2, 2, 2, 2], 1, 2, tcp::Flags::SYN);
+        let seen = Arc::new(AtomicU64::new(0));
+        let seen2 = Arc::clone(&seen);
+        let group = WorkerGroup::spawn_bursts(
+            port.take_all_rx_queues(),
+            |_| (),
+            move |_, burst: &mut Vec<Mbuf>| {
+                // Release: a count read with Acquire shows the worker awake
+                // again, so a sleep seen after it is a new one.
+                seen2.fetch_add(burst.drain(..).count() as u64, Ordering::Release);
+            },
+            |_| {},
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut sent = 0u64;
+        let mut woken_early = 0;
+        // A busy host may delay this thread past the worker's sleep; only
+        // an attempt whose burst ends well inside the sleep counts.
+        for _attempt in 0..10 {
+            // One packet, then the worker takes it, flushes and sleeps.
+            port.inject(&frame).unwrap();
+            sent += 1;
+            // A time before the worker took the packet, so before it slept.
+            let mut unseen_at = Instant::now();
+            loop {
+                assert!(Instant::now() < deadline, "the worker never slept");
+                let now = Instant::now();
+                if seen.load(Ordering::Acquire) < sent {
+                    unseen_at = now;
+                } else if port.producers[0].consumer_moderated() {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            let before = port.stats();
+            for _ in 0..burst {
+                assert!(port.inject_at(&frame, Timestamp::ZERO).is_some());
+            }
+            sent += burst as u64;
+            let in_time = unseen_at.elapsed() < RX_COALESCE / 2;
+            let after = port.stats();
+            assert_eq!(after.ring_full_drops, 0);
+            while seen.load(Ordering::Relaxed) < sent {
+                assert!(Instant::now() < deadline, "the worker never took the burst");
+                std::thread::yield_now();
+            }
+            if in_time {
+                assert!(
+                    after.rx_wakeups > before.rx_wakeups,
+                    "the half-full queue did not wake the sleeping worker"
+                );
+                woken_early += 1;
+                break;
+            }
+        }
+        group.shutdown();
+        assert_eq!(woken_early, 1, "no burst landed inside a sleep");
+        assert_eq!(port.stats().rx_packets, sent);
     }
 
     #[test]

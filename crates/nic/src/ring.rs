@@ -28,45 +28,67 @@
 //!
 //! # Waking a parked consumer
 //!
-//! A consumer that finds the ring empty may [`Consumer::park_while_empty`],
-//! the RX-interrupt mode of DPDK's `l3fwd-power` in miniature. The
-//! consumer's `Waiter` carries one `waiting` flag, and two
-//! read-modify-writes on it close the lost-wakeup window without `SeqCst`:
+//! A consumer that finds the ring empty may park in one of two ways, the
+//! RX-interrupt mode of DPDK's `l3fwd-power` with a NIC's interrupt
+//! moderation in front of it:
 //!
-//! - the consumer announces with an `AcqRel` swap of `waiting` to true,
-//!   then re-checks `head` and parks only if the ring is still empty;
-//! - the producer, after its Release store of `head`, does an `AcqRel`
-//!   swap of `waiting` to false and unparks the consumer only if the
-//!   flag was set.
+//! - [`Consumer::park_moderated`] sleeps for at most one coalescing
+//!   period. The next push does not end it: packets gather in the ring and
+//!   the consumer takes them in one go. Only a push that leaves the ring at
+//!   least half full ends it early, so a burst never overflows a sleeping
+//!   consumer's ring.
+//! - [`Consumer::park_while_empty`] sleeps until the next push, however
+//!   long that takes: an idle consumer costs nothing, and a lone item
+//!   after idleness is taken at once.
 //!
-//! Both swaps hit one location, so they are totally ordered. If the
-//! producer's swap comes first, the consumer's swap reads from it, and the
+//! The consumer's `Waiter` holds one word with three states: awake, idle
+//! (parked until the next push) and moderated (parked until the half-ring
+//! mark or the period's end). Read-modify-writes on that word close the
+//! lost-wakeup window without `SeqCst`:
+//!
+//! - the consumer announces with an `AcqRel` swap of the word to the park's
+//!   state, then re-checks `head` and parks only if the ring is still empty
+//!   (idle) or still under half full (moderated);
+//! - the producer, after its Release store of `head`, does one `AcqRel`
+//!   `fetch_and` that clears the idle state and leaves the others as they
+//!   are. It unparks the consumer if the word was idle. If the word was
+//!   moderated and the ring is now at least half full, it swaps the word
+//!   to awake and unparks the consumer unless it was awake already.
+//!
+//! So a push costs one read-modify-write on the word, as a flag did, and
+//! only the push that wakes a moderated consumer costs a second. All of
+//! them hit one location, so they are totally ordered. If the producer's
+//! `fetch_and` comes first, the consumer's swap reads from it, and the
 //! `head` store happens-before the re-check, which sees the item. If the
-//! consumer's comes first, the producer reads `true` and unparks; a park
-//! token set before the consumer parks makes that park return at once.
+//! consumer's swap comes first, the producer reads its state and unparks
+//! it when it should; a park token set before the consumer parks makes
+//! that park return at once. A moderated park that ends on its own leaves
+//! the consumer at most one period late, never stuck.
 //!
 //! # Waking a parked producer
 //!
 //! A producer that must not drop (the port's lossless inject) may
 //! [`Producer::park_while_full`] instead of spinning on a full ring. The
-//! same protocol runs with the roles swapped, on a second flag: the
-//! producer announces, re-checks `tail` and parks only while the ring is
-//! still more than half full; [`Consumer::pop_burst`], after its Release
-//! stores of `tail`, swaps that flag at most once per burst, only for a
+//! idle park runs with the roles swapped, on a second word: the producer
+//! announces, re-checks `tail` and parks only while the ring is still more
+//! than half full; [`Consumer::pop_burst`], after its Release stores of
+//! `tail`, swaps that word to awake at most once per burst, only for a
 //! burst that took something and left the ring at most half full, and
-//! unparks the producer if it was set. Each direction is one `Waiter`, so
-//! the protocol is written once.
+//! unparks the producer if it was parked. Each direction is one `Waiter`,
+//! so the protocol is written once.
 //!
-//! The half-full mark is the hysteresis: a parked producer sleeps while
-//! the consumer drains half a ring, then refills it in one go, so a full
-//! ring costs one park and one unpark per half ring instead of a wake per
-//! burst.
+//! The half-full mark is the hysteresis both ways: a parked producer
+//! sleeps while the consumer drains half a ring, then refills it in one
+//! go, so a full ring costs one park and one unpark per half ring instead
+//! of a wake per burst; and a moderated consumer sleeps while the producer
+//! fills half a ring.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::cell::UnsafeCell;
 use crate::sync::thread::{self, Thread};
 use crate::sync::{Arc, CachePadded};
 use std::mem::MaybeUninit;
+use std::time::Duration;
 
 /// The ring's shared state. The fields each side writes per item sit on
 /// cache lines of their own (`CachePadded`): the producer's `head`, the
@@ -92,76 +114,120 @@ struct RingInner<T> {
 // consumer only reads slots in [tail, head); the head/tail Acquire/Release
 // pairs order those accesses (model-checked by the loom tests). Each
 // `Waiter`'s thread is written once by the side that parks on it, before
-// it first sets the waiter's flag, and read by the other side only after
-// an Acquire swap saw that flag set. T must be Send for values to cross
-// the thread boundary.
+// it first announces a park on the waiter's word, and read by the other
+// side only after an Acquire read-modify-write saw that announcement. T
+// must be Send for values to cross the thread boundary.
 unsafe impl<T: Send> Send for RingInner<T> {}
 // SAFETY: as above — the head/tail protocol gives each slot a single owner
 // at any point in the happens-before order, so `&RingInner` may be shared.
 unsafe impl<T: Send> Sync for RingInner<T> {}
 
-/// One side's half of the wake protocol (see the module docs): the flag
+/// The waiter word's states (see the module docs): not parked.
+const AWAKE: u32 = 0;
+/// Parked until the other side's next push or freeing pop.
+const IDLE: u32 = 1;
+/// Parked for at most one period, unless a push leaves the ring at least
+/// half full. A separate bit from [`IDLE`], so the producer's `fetch_and`
+/// clears one and keeps the other.
+const MODERATED: u32 = 2;
+
+/// How a side parks: until woken, or for at most one coalescing period.
+enum Park {
+    Idle,
+    Moderated(Duration),
+}
+
+/// One side's half of the wake protocol (see the module docs): the word
 /// it announces a park on, the thread the other side unparks, and the
-/// unparks issued.
+/// counts of unparks issued and moderated parks taken.
 struct Waiter {
-    /// The waiting side has announced that it is about to park.
-    waiting: AtomicBool,
+    /// [`AWAKE`], or the kind of park the waiting side has announced.
+    state: AtomicU32,
     /// The thread to unpark: the waiting side's, written once before its
     /// first announcement and only read after that.
     thread: UnsafeCell<Option<Thread>>,
     /// Unparks the other side has issued.
     wakeups: AtomicU64,
+    /// Moderated parks the waiting side has taken.
+    sleeps: AtomicU64,
 }
 
 impl Waiter {
     fn new() -> Waiter {
         Waiter {
-            waiting: AtomicBool::new(false),
+            state: AtomicU32::new(AWAKE),
             thread: UnsafeCell::new(None),
             wakeups: AtomicU64::new(0),
+            sleeps: AtomicU64::new(0),
         }
     }
 
     /// Announce a park, re-check with `ready`, and park the calling thread
     /// unless it is ready. `registered` says an earlier call already
     /// stored the caller's thread: the first thread to park is the one
-    /// [`Waiter::wake`] unparks, so a side parks from one thread only. The
+    /// the other side unparks, so a side parks from one thread only. The
     /// park may also end spuriously, so callers re-check either way.
-    fn park_unless(&self, registered: bool, ready: impl FnOnce() -> bool) {
+    fn park_unless(&self, registered: bool, park: Park, ready: impl FnOnce() -> bool) {
         if !registered {
             let me = thread::current();
             self.thread.with_mut(|slot| {
-                // SAFETY: `wake` reads `thread` only after acquiring a
-                // `waiting` flag this side sets below, so nothing reads it
+                // SAFETY: `unpark` reads `thread` only after acquiring a
+                // park this side announces below, so nothing reads it
                 // yet; this is its only write.
                 unsafe { *slot = Some(me) }
             });
         }
-        self.waiting.swap(true, Ordering::AcqRel);
+        let state = match park {
+            Park::Idle => IDLE,
+            Park::Moderated(_) => MODERATED,
+        };
+        self.state.swap(state, Ordering::AcqRel);
         if !ready() {
-            thread::park();
+            match park {
+                Park::Idle => thread::park(),
+                Park::Moderated(period) => {
+                    self.sleeps.fetch_add(1, Ordering::Relaxed);
+                    thread::park_timeout(period);
+                }
+            }
         }
         // Awake again, so the other side need not unpark us. A racing
-        // `wake` at worst leaves a token that ends the next park early, so
+        // wake at worst leaves a token that ends the next park early, so
         // the clear needs no ordering.
-        self.waiting.store(false, Ordering::Relaxed);
+        self.state.store(AWAKE, Ordering::Relaxed);
     }
 
-    /// Unpark the waiting side if it has announced a park. Called after
-    /// the Release store that may have made it ready. The wake is counted
-    /// before the unpark, so a woken side that reads the count sees it.
+    /// Unpark the waiting side if it has announced a park of either kind.
+    /// Called after the Release store that may have made it ready.
     fn wake(&self) {
-        if self.waiting.swap(false, Ordering::AcqRel) {
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.thread.with(|slot| {
-                // SAFETY: the waiting side wrote `thread` before the swap
-                // that set `waiting`, which the swap above acquired, and
-                // never writes it again.
-                if let Some(waiter) = unsafe { &*slot } {
-                    waiter.unpark();
-                }
-            });
+        if self.state.swap(AWAKE, Ordering::AcqRel) != AWAKE {
+            self.unpark();
         }
+    }
+
+    /// The producer's half after a push, one read-modify-write: end an
+    /// idle park, and end a moderated park only if `half_full()`.
+    fn wake_after_push(&self, half_full: impl FnOnce() -> bool) {
+        match self.state.fetch_and(!IDLE, Ordering::AcqRel) {
+            IDLE => self.unpark(),
+            MODERATED if half_full() => self.wake(),
+            _ => {}
+        }
+    }
+
+    /// Unpark the waiting side, whose announced park an Acquire
+    /// read-modify-write of `state` just read. The wake is counted before
+    /// the unpark, so a woken side that reads the count sees it.
+    fn unpark(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        self.thread.with(|slot| {
+            // SAFETY: the waiting side wrote `thread` before the swap that
+            // announced its park, which the caller's read-modify-write
+            // acquired, and never writes it again.
+            if let Some(waiter) = unsafe { &*slot } {
+                waiter.unpark();
+            }
+        });
     }
 }
 
@@ -274,9 +340,19 @@ impl<T> Producer<T> {
                 (*slot).write(value);
             }
         });
-        self.inner.head.store(head.wrapping_add(1), Ordering::Release);
+        let head = head.wrapping_add(1);
+        self.inner.head.store(head, Ordering::Release);
         // The producer's half of the wake protocol (see the module docs).
-        self.inner.consumer.wake();
+        let half = self.capacity() / 2;
+        let (inner, cached_tail) = (&*self.inner, &mut self.cached_tail);
+        inner.consumer.wake_after_push(|| {
+            // The cached tail only lags, so it can only overstate the
+            // fill: read the consumer's tail only when it seems half full.
+            head.wrapping_sub(*cached_tail) >= half && {
+                *cached_tail = inner.tail.load(Ordering::Acquire);
+                head.wrapping_sub(*cached_tail) >= half
+            }
+        });
         Ok(())
     }
 
@@ -300,15 +376,26 @@ impl<T> Producer<T> {
         self.inner.drops.load(Ordering::Relaxed)
     }
 
-    /// Times a push unparked the consumer.
+    /// Times a push unparked the consumer, from a park of either kind.
     pub fn wakeups(&self) -> u64 {
         self.inner.consumer.wakeups.load(Ordering::Relaxed)
     }
 
-    /// True while the consumer has announced that it is parking.
+    /// Moderated parks the consumer has taken.
+    pub(crate) fn sleeps(&self) -> u64 {
+        self.inner.consumer.sleeps.load(Ordering::Relaxed)
+    }
+
+    /// True while the consumer has announced a park of either kind.
     #[cfg(test)]
     pub(crate) fn consumer_sleeping(&self) -> bool {
-        self.inner.consumer.waiting.load(Ordering::Acquire)
+        self.inner.consumer.state.load(Ordering::Acquire) != AWAKE
+    }
+
+    /// True while the consumer has announced a moderated park.
+    #[cfg(test)]
+    pub(crate) fn consumer_moderated(&self) -> bool {
+        self.inner.consumer.state.load(Ordering::Acquire) == MODERATED
     }
 
     /// Park the calling thread while the ring is more than half full,
@@ -322,7 +409,7 @@ impl<T> Producer<T> {
         let registered = std::mem::replace(&mut self.parker_set, true);
         self.inner
             .producer
-            .park_unless(registered, || self.len() <= self.capacity() / 2);
+            .park_unless(registered, Park::Idle, || self.len() <= self.capacity() / 2);
     }
 
     /// Times a burst unparked this producer from a park on a full ring.
@@ -412,7 +499,7 @@ impl<T> Consumer<T> {
     /// True while the producer has announced that it is parking.
     #[cfg(test)]
     pub(crate) fn producer_waiting(&self) -> bool {
-        self.inner.producer.waiting.load(Ordering::Acquire)
+        self.inner.producer.state.load(Ordering::Acquire) != AWAKE
     }
 
     /// Park the calling thread until the producer's next push, unless the
@@ -427,7 +514,21 @@ impl<T> Consumer<T> {
         let registered = std::mem::replace(&mut self.parker_set, true);
         self.inner
             .consumer
-            .park_unless(registered, || !self.is_empty() || stop());
+            .park_unless(registered, Park::Idle, || !self.is_empty() || stop());
+    }
+
+    /// Park the calling thread for at most `period`, unless the ring is at
+    /// least half full or `stop()` is true once the park is announced. The
+    /// producer's pushes do not end the park until one leaves the ring at
+    /// least half full (see the module docs). Like
+    /// [`Consumer::park_while_empty`], it may return spuriously, an
+    /// `unpark` after making `stop()` true ends it, and a consumer parks
+    /// from one thread only.
+    pub fn park_moderated(&mut self, period: Duration, stop: impl FnOnce() -> bool) {
+        let registered = std::mem::replace(&mut self.parker_set, true);
+        self.inner.consumer.park_unless(registered, Park::Moderated(period), || {
+            self.len() >= self.capacity() / 2 || stop()
+        });
     }
 
     /// Number of items currently queued (approximate under concurrency,

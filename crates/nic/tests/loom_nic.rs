@@ -21,9 +21,10 @@
 // unwrap/expect on known-good fixtures is idiomatic here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::{hint, thread};
-use ruru_nic::lcore::WorkerGroup;
+use ruru_nic::lcore::{WorkerGroup, RX_COALESCE};
 use ruru_nic::port::{Port, PortConfig};
 use ruru_nic::queue::MpmcQueue;
 use ruru_nic::ring::{ring, ring_with_counters};
@@ -285,10 +286,115 @@ fn loom_parked_producer_always_sees_a_racing_pop() {
     });
 }
 
+/// An idle park that follows a moderated park never loses the first
+/// packet's wake. The consumer polls as the lcore does: a moderated park
+/// on its first empty poll, an idle park on every later one. One push
+/// stays under the half-ring mark, so it never ends the moderated park:
+/// that park runs out (the checker fires its timeout once every thread
+/// is blocked, or earlier), and the idle park after it must be woken by
+/// the push or see the item on its re-check. A lost wakeup leaves the
+/// consumer parked with the producer joined on it: a deadlock.
+#[test]
+fn loom_idle_park_after_a_moderated_park_receives_a_racing_push() {
+    loom::model(|| {
+        let (mut p, mut c) = ring::<u32>(4);
+        let t = thread::spawn(move || {
+            let mut slept = false;
+            loop {
+                if let Some(v) = c.pop() {
+                    return v;
+                }
+                if slept {
+                    c.park_while_empty(|| false);
+                } else {
+                    slept = true;
+                    c.park_moderated(RX_COALESCE, || false);
+                }
+            }
+        });
+        thread::yield_now();
+        p.push(42).unwrap();
+        assert_eq!(t.join().unwrap(), 42);
+        assert!(p.wakeups() <= 1, "one push wakes at most once");
+    });
+}
+
+/// A push that reaches the half-ring mark either ends a moderated park or
+/// is seen by the park's re-check. The producer does not block while the
+/// consumer sleeps, so the checker never fires the park's timeout on its
+/// own: the park ends by an unpark, or by a timeout the checker chose to
+/// explore. A push that neither wakes the park nor shows in its re-check
+/// leaves the consumer asleep and the producer spinning on it forever,
+/// which fails the model.
+#[test]
+fn loom_half_ring_push_ends_a_moderated_park() {
+    loom::model(|| {
+        let (mut p, mut c) = ring::<u32>(4);
+        let done = Arc::new(AtomicBool::new(false));
+        let done2 = Arc::clone(&done);
+        let t = thread::spawn(move || {
+            c.park_moderated(RX_COALESCE, || false);
+            let mut got = Vec::new();
+            while got.len() < 2 {
+                match c.pop() {
+                    Some(v) => got.push(v),
+                    None => thread::yield_now(),
+                }
+            }
+            done2.store(true, Ordering::Release);
+            (got, c.wakeups())
+        });
+        p.push(1).unwrap();
+        p.push(2).unwrap();
+        while !done.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        let (got, wakeups) = t.join().unwrap();
+        assert_eq!(got, [1, 2]);
+        assert!(wakeups <= 1, "the half-ring push wakes at most once");
+    });
+}
+
+/// Shutdown ends either park: the stopping side raises the flag and
+/// unparks the consumer, as `WorkerGroup::shutdown` does, then waits
+/// without blocking, so only the unpark or the stop re-check can end a
+/// moderated park. The consumer polls as the lcore does (stop read before
+/// each poll, moderated park first, idle park after), and returns in every
+/// interleaving.
+#[test]
+fn loom_stop_and_unpark_end_either_park() {
+    loom::model(|| {
+        let (_p, mut c) = ring::<u32>(4);
+        let stop = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let (stop2, done2) = (Arc::clone(&stop), Arc::clone(&done));
+        let t = thread::spawn(move || {
+            let mut slept = false;
+            while !stop2.load(Ordering::Acquire) {
+                let stopped = || stop2.load(Ordering::Acquire);
+                if slept {
+                    c.park_while_empty(stopped);
+                } else {
+                    slept = true;
+                    c.park_moderated(RX_COALESCE, stopped);
+                }
+            }
+            done2.store(true, Ordering::Release);
+        });
+        thread::yield_now();
+        stop.store(true, Ordering::Release);
+        t.thread().unpark();
+        while !done.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        t.join().unwrap();
+    });
+}
+
 /// Shutdown races the park: `WorkerGroup::shutdown` raises the stop flag
 /// and unparks every worker, so a worker anywhere between its last empty
-/// poll and its park still exits, after draining a packet delivered just
-/// before the shutdown.
+/// poll and its sleep or park still exits, after draining a packet
+/// delivered just before the shutdown.
 #[test]
 fn loom_shutdown_wakes_a_parking_worker() {
     loom::model(|| {

@@ -131,8 +131,10 @@ pub struct SelfMetrics {
     pub(crate) port_non_ip_packets: GaugeId,
     /// Lossless injects that waited for ring space or a free mbuf.
     pub(crate) port_inject_waits: GaugeId,
-    /// Times the port woke a parked RX lcore.
+    /// Times the port woke a parked or sleeping RX lcore.
     pub(crate) port_rx_wakeups: GaugeId,
+    /// Coalescing sleeps (moderated parks) the RX lcores took.
+    pub(crate) port_rx_sleeps: GaugeId,
     /// Times an RX lcore woke a lossless inject parked on its full ring.
     pub(crate) port_inject_parks: GaugeId,
     /// Times a PUSH woke an enricher sleeping on its empty input pipe.
@@ -227,6 +229,7 @@ impl SelfMetrics {
             port_non_ip_packets: b.gauge("port_non_ip_packets"),
             port_inject_waits: b.gauge("port_inject_waits"),
             port_rx_wakeups: b.gauge("port_rx_wakeups"),
+            port_rx_sleeps: b.gauge("port_rx_sleeps"),
             port_inject_parks: b.gauge("port_inject_parks"),
             enrich_wakeups: b.gauge("enrich_wakeups"),
             detect_wakeups: b.gauge("detect_wakeups"),
@@ -327,6 +330,8 @@ impl SelfMetrics {
         self.registry
             .gauge_store(shard, self.port_rx_wakeups, port.rx_wakeups);
         self.registry
+            .gauge_store(shard, self.port_rx_sleeps, port.rx_sleeps);
+        self.registry
             .gauge_store(shard, self.port_inject_parks, port.inject_parks);
         self.registry
             .gauge_store(shard, self.enrich_wakeups, mq.enrich_wakeups);
@@ -401,6 +406,7 @@ mod tests {
             non_ip_packets: 3,
             inject_waits: 4,
             rx_wakeups: 5,
+            rx_sleeps: 9,
             inject_parks: 6,
         };
         let mut snap = ruru_telemetry::Snapshot::default();
@@ -420,6 +426,7 @@ mod tests {
         assert_eq!(snap.gauge("port_rx_packets"), 100);
         assert_eq!(snap.gauge("port_inject_waits"), 4);
         assert_eq!(snap.gauge("port_rx_wakeups"), 5);
+        assert_eq!(snap.gauge("port_rx_sleeps"), 9);
         assert_eq!(snap.gauge("port_inject_parks"), 6);
         assert_eq!(snap.gauge("enrich_wakeups"), 7);
         assert_eq!(snap.gauge("detect_wakeups"), 8);

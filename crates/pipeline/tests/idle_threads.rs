@@ -1,7 +1,9 @@
 //! Idle threads cost nothing: under a trickle of SYNs — one every 200 µs
-//! of wall time — the RX lcore parks on its empty ring until the port wakes
-//! it, and the detector blocks on its one feed instead of polling it. Each
-//! sleeps between arrivals and uses a small share of one core. A lossless
+//! of wall time — the RX lcore sleeps one coalescing period
+//! (`RX_COALESCE`) after each drain, and the detector blocks on its one
+//! feed instead of polling it. Each sleeps between arrivals and uses a
+//! small share of one core. Once the trickle stops, the lcore's sleep runs
+//! dry and it parks until the next packet, at no cost at all. A lossless
 //! feeder ahead of its RX lcore parks on the full ring the same way. Under
 //! steady load the bus wakes a sleeping stage once per burst, not per few
 //! records; under a SYN flood the detector is woken per measurement and
@@ -20,6 +22,7 @@ use ruru_analytics::detect::FloodConfig;
 use ruru_gen::packet::TcpPacketSpec;
 use ruru_gen::{Anomaly, Event, GenConfig, TrafficGen};
 use ruru_geo::synth::LOS_ANGELES;
+use ruru_nic::lcore::RX_COALESCE;
 use ruru_nic::port::{Port, PortConfig};
 use ruru_nic::{Clock, Timestamp};
 use ruru_pipeline::{conservation, Pipeline, PipelineConfig, Report};
@@ -51,9 +54,9 @@ fn thread_cpu(name: &str) -> Option<(Duration, bool)> {
 }
 
 /// Feed a 300 ms SYN trickle through a one-queue pipeline, assert that
-/// thread `name` used under a quarter of the wall time, and return the
-/// report.
-fn trickle(name: &str) -> Report {
+/// thread `name` used under a quarter of the wall time, run `after` on the
+/// pipeline once the trickle has stopped, and return the report.
+fn trickle(name: &str, after: impl FnOnce(&mut Pipeline)) -> Report {
     let _turn = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
     let (mut pipeline, _world) = Pipeline::with_synth_world(PipelineConfig {
         port: PortConfig {
@@ -98,6 +101,7 @@ fn trickle(name: &str) -> Report {
     }
     let wall = start.elapsed();
     let cpu = thread_cpu(name).unwrap().0 - before;
+    after(&mut pipeline);
     let report = pipeline.finish();
 
     assert_eq!(report.syns(), u64::from(sent));
@@ -117,18 +121,44 @@ fn trickle(name: &str) -> Report {
     report
 }
 
+/// The lcore sleeps between arrivals. A 200 µs trickle never lets a
+/// coalescing sleep run dry, so the lcore may never take the untimed park
+/// that a delivery would end: either kind of sleep counts.
 #[test]
 fn rx_lcore_sleeps_under_a_syn_trickle() {
-    let report = trickle("lcore-rx0");
+    let report = trickle("lcore-rx0", |_| {});
     assert!(
-        report.port.rx_wakeups > 0,
-        "the port never woke the lcore: it never parked"
+        report.port.rx_sleeps + report.port.rx_wakeups > 0,
+        "the lcore never slept"
     );
+}
+
+/// Once the trickle stops, the lcore's last coalescing sleep runs dry and
+/// it takes the untimed park within 2 × `RX_COALESCE`: from then on it
+/// takes no more sleeps and gains no CPU at all.
+#[test]
+fn rx_lcore_parks_for_good_once_the_trickle_stops() {
+    trickle("lcore-rx0", |pipeline| {
+        std::thread::sleep(2 * RX_COALESCE);
+        let sleeps = pipeline.telemetry_now().gauge("port_rx_sleeps");
+        let (cpu, asleep) = thread_cpu("lcore-rx0").unwrap();
+        assert!(sleeps > 0, "the lcore never slept between SYNs");
+        assert!(asleep, "the lcore is asleep");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            pipeline.telemetry_now().gauge("port_rx_sleeps"),
+            sleeps,
+            "the lcore still wakes on its timer"
+        );
+        let (later, asleep) = thread_cpu("lcore-rx0").unwrap();
+        assert!(asleep, "the lcore is still asleep");
+        assert_eq!(later, cpu, "the parked lcore used CPU");
+    });
 }
 
 #[test]
 fn detector_sleeps_under_a_syn_trickle() {
-    trickle("ruru-detect");
+    trickle("ruru-detect", |_| {});
 }
 
 /// A lossless feeder whose RX ring is full, with the ring's consumer

@@ -11,8 +11,10 @@
 //! 4. **relaxed-head-tail** — a `Relaxed` access on a line touching the
 //!    ring's `head`/`tail` counters must carry a `lint: relaxed-ok` comment.
 //! 5. **sleep-ban** — `thread::sleep` may not appear in the poll-mode hot
-//!    path; an idle RX lcore parks until the port wakes it
-//!    (`RxQueue::park_while_empty`), and other stages block on their feed.
+//!    path; a drained RX lcore sleeps one coalescing period that a
+//!    half-full ring or shutdown can end (`RxQueue::park_moderated`), an
+//!    idle one parks until the port wakes it (`RxQueue::park_while_empty`),
+//!    and other stages block on their feed.
 //! 6. **raw-atomic-import** — inside the shimmed crates (`ruru-nic`,
 //!    `ruru-mq`), production code must take atomics from the crate's
 //!    `sync` shim, never `std::sync::atomic` directly.

@@ -50,6 +50,7 @@ const ROOTS: &[(&str, &str)] = &[
     ("nic", "inject_at"),
     ("nic", "inject_lossless_at"),
     ("nic", "park_while_empty"),
+    ("nic", "park_moderated"),
     ("nic", "apply"),
     ("nic", "hash_v4"),
     ("nic", "hash_v6"),
